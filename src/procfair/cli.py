@@ -539,10 +539,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _inject_config(argv: list[str]) -> list[str]:
-    """Splice ``--config`` file entries in as defaults; explicit flags win."""
-    if "--config" not in argv:
+    """Splice ``--config`` (or ``--config=PATH``) file entries in as defaults;
+    explicit flags win."""
+    path = None
+    for i, token in enumerate(argv):
+        if token == "--config":
+            if i + 1 == len(argv):
+                raise ValueError("--config needs a JSON file path")
+            path = argv[i + 1]
+        elif token.startswith("--config="):
+            path = token[len("--config=") :]
+    if path is None:
         return argv
-    path = argv[argv.index("--config") + 1]
     with open(path, encoding="utf-8") as fh:
         config = json.load(fh)
     tokens: list[str] = []
@@ -559,18 +567,25 @@ def _inject_config(argv: list[str]) -> list[str]:
     return [argv[0]] + tokens + argv[1:]
 
 
+def _fail(command: str, exc: Exception) -> int:
+    print(json.dumps({"command": command, "error": str(exc)}), file=sys.stderr)
+    return 1
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     if argv and not argv[0].startswith("-"):
-        argv = _inject_config(argv)
+        try:
+            argv = _inject_config(argv)
+        except (OSError, ValueError) as exc:
+            return _fail(argv[0], exc)
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.time()
     try:
         results = args.func(args)
     except Exception as exc:
-        print(json.dumps({"command": args.command, "error": str(exc)}), file=sys.stderr)
-        return 1
+        return _fail(args.command, exc)
     config = {k: v for k, v in sorted(vars(args).items()) if k not in ("func",)}
     _write_json(
         Path(args.out) / "report.json",

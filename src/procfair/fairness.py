@@ -35,6 +35,9 @@ __all__ = [
 
 PROCEDURAL_THRESHOLD = 0.05
 DISTRIBUTIVE_THRESHOLD = 0.10
+# Pair matching holds at most this many anchor x candidate x feature
+# difference cells at a time (about 4 MB of float64).
+_MATCH_CELLS = 500_000
 
 
 def _readonly(arr: np.ndarray, dtype=float) -> np.ndarray:
@@ -98,10 +101,21 @@ def select_pairs(
 
     Distances are Euclidean over ``feature_indices`` (default: all columns),
     i.e. the audited model's input space.
+
+    Matching scans the candidates in blocks, so besides copies of the pool's
+    columns it holds at most ``_MATCH_CELLS`` anchor x candidate x feature
+    cells at a time, whatever the pool size. A fast pass accumulates squared
+    differences feature by feature and shortlists each anchor's candidates
+    within a rounding bound of its running minimum; an exact pass re-scores
+    the shortlist with ``sqrt(sum(diff * diff))``. Rows and distances are
+    therefore bit-identical to scoring every candidate with that formula,
+    ties included. The cost is about anchors x candidates x d flops.
     """
     if n < 2:
         raise ValueError("need at least two pairs")
     feats = tuple(feature_indices) if feature_indices is not None else tuple(range(pool.d))
+    if not feats:
+        raise ValueError("need at least one feature to match on")
     F = pool.features[:, feats]
     g1_rows = np.flatnonzero(pool.advantaged_mask)
     g2_rows = np.flatnonzero(pool.disadvantaged_mask)
@@ -114,12 +128,48 @@ def select_pairs(
         )
 
     rng = np.random.default_rng(seed)
+    d = F.shape[1]
+    # Both passes add the same d non-negative squares, in different orders;
+    # a candidate the exact pass can pick lies within this factor of the
+    # fast pass's running minimum.
+    slack = 1.0 + 4.0 * (d + 2) * np.finfo(float).eps
 
     def match(anchor_rows: np.ndarray, candidate_rows: np.ndarray):
-        diffs = F[anchor_rows][:, None, :] - F[candidate_rows][None, :, :]
-        dmat = np.sqrt(np.sum(diffs * diffs, axis=2))
-        best = dmat.argmin(axis=1)  # first minimum = lowest row index
-        return candidate_rows[best], dmat[np.arange(len(anchor_rows)), best]
+        A = F[anchor_rows]
+        Ct = np.ascontiguousarray(F[candidate_rows].T)
+        n_a = len(anchor_rows)
+        block = min(candidate_rows.size, max(1, _MATCH_CELLS // (n_a * d)))
+        fast_min = np.full(n_a, np.inf)
+        best_pos = np.zeros(n_a, dtype=np.int64)
+        best_dist = np.full(n_a, np.inf)
+        D_buf = np.empty(n_a * block)
+        tmp_buf = np.empty(n_a * block)
+        for lo in range(0, candidate_rows.size, block):
+            hi = min(lo + block, candidate_rows.size)
+            # contiguous anchors x (hi - lo) views, also for the last block
+            Db = D_buf[: n_a * (hi - lo)].reshape(n_a, hi - lo)
+            tb = tmp_buf[: n_a * (hi - lo)].reshape(n_a, hi - lo)
+            for j in range(d):
+                out = Db if j == 0 else tb
+                np.subtract(Ct[j, lo:hi], A[:, j : j + 1], out=out)
+                np.multiply(out, out, out=out)
+                if j:
+                    Db += tb
+            np.minimum(fast_min, Db.min(axis=1), out=fast_min)
+            ai, cj = np.nonzero(Db <= (fast_min * slack)[:, None])
+            cj += lo
+            # exact pass: the one-shot formula, over the shortlist only
+            diff = A[ai] - F[candidate_rows[cj]]
+            dist = np.sqrt(np.sum(diff * diff, axis=1))
+            order = np.lexsort((dist, ai))  # stable: equal distances keep cj order
+            ai, cj, dist = ai[order], cj[order], dist[order]
+            first = np.ones(ai.size, dtype=bool)
+            first[1:] = ai[1:] != ai[:-1]
+            ai, cj, dist = ai[first], cj[first], dist[first]
+            better = dist < best_dist[ai]  # strict: an earlier block keeps ties
+            best_pos[ai[better]] = cj[better]
+            best_dist[ai[better]] = dist[better]
+        return candidate_rows[best_pos], best_dist
 
     anchors1 = rng.choice(g1_rows, size=n_first, replace=False)
     partners2, dist1 = match(anchors1, g2_rows)

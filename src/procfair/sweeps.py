@@ -44,7 +44,8 @@ def sweep_sensitive_weight(
     background_source = split.train.features[:, feats]
 
     grid = np.asarray(grid, dtype=float)
-    matrix = np.empty((len(list(seeds)), grid.size))
+    seeds = list(seeds)
+    matrix = np.empty((len(seeds), grid.size))
     for i, seed in enumerate(seeds):
         for j, w_s in enumerate(grid):
             model = set_sensitive_weight(base_model, float(w_s))
@@ -71,7 +72,8 @@ def sweep_pair_count(
     score for seeds[i] and n_values[j]."""
     feats = _model_features(model, split.train.d)
     background_source = split.train.features[:, feats]
-    matrix = np.empty((len(list(seeds)), len(list(n_values))))
+    seeds, n_values = list(seeds), list(n_values)
+    matrix = np.empty((len(seeds), len(n_values)))
     for i, seed in enumerate(seeds):
         for j, n in enumerate(n_values):
             result = gpf_run(

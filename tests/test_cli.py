@@ -334,6 +334,30 @@ def test_config_file_cli_overrides(workspace, tmp_path):
     assert report["config"]["m"] == 900
 
 
+def test_config_equals_form(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"m": 700, "n_advantaged": 400}))
+    assert run_cli("gen-data", "--out", tmp_path, f"--config={config}") == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["config"]["m"] == 700
+
+
+def test_config_missing_file_fails(tmp_path, capsys):
+    missing = tmp_path / "absent.json"
+    assert run_cli("gen-data", "--out", tmp_path, f"--config={missing}") == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["command"] == "gen-data"
+    assert "absent.json" in err["error"]
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_config_without_value_fails(tmp_path, capsys):
+    assert run_cli("gen-data", "--out", tmp_path, "--config") == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["command"] == "gen-data"
+    assert "--config" in err["error"]
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "procfair.cli", "--version"], capture_output=True, text=True

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from procfair.datasets import (
     standardized_split,
 )
 from procfair.fairness import (
+    _MATCH_CELLS,
     AuditConfig,
     AuditReport,
     audit,
@@ -133,6 +136,108 @@ def test_select_pairs_insufficient_group():
         select_pairs(pool, n=40, seed=0)
     with pytest.raises(ValueError, match="pairs"):
         select_pairs(pool, n=1, seed=0)
+    with pytest.raises(ValueError, match="feature"):
+        select_pairs(pool, n=4, seed=0, feature_indices=())
+
+
+def one_shot_pairs(pool, n, seed, feature_indices=None):
+    """The oracle: score every anchor x candidate cell of one difference
+    tensor at once, as select_pairs did before it matched in blocks."""
+    feats = tuple(feature_indices) if feature_indices is not None else tuple(range(pool.d))
+    F = pool.features[:, feats]
+    g1_rows = np.flatnonzero(pool.advantaged_mask)
+    g2_rows = np.flatnonzero(pool.disadvantaged_mask)
+    rng = np.random.default_rng(seed)
+
+    def match(anchor_rows, candidate_rows):
+        diffs = F[anchor_rows][:, None, :] - F[candidate_rows][None, :, :]
+        dmat = np.sqrt(np.sum(diffs * diffs, axis=2))
+        best = dmat.argmin(axis=1)
+        return candidate_rows[best], dmat[np.arange(len(anchor_rows)), best]
+
+    anchors1 = rng.choice(g1_rows, size=n // 2, replace=False)
+    partners2, dist1 = match(anchors1, g2_rows)
+    anchors2 = rng.choice(g2_rows, size=n - n // 2, replace=False)
+    partners1, dist2 = match(anchors2, g1_rows)
+    return (
+        np.concatenate([anchors1, partners1]),
+        np.concatenate([partners2, anchors2]),
+        np.concatenate([dist1, dist2]),
+    )
+
+
+def assert_matches_one_shot(pool, n, seed, feature_indices=None):
+    pairs = select_pairs(pool, n, seed, feature_indices)
+    g1, g2, dist = one_shot_pairs(pool, n, seed, feature_indices)
+    np.testing.assert_array_equal(pairs.group1_rows, g1)
+    np.testing.assert_array_equal(pairs.group2_rows, g2)
+    assert pairs.distances.tobytes() == dist.tobytes()
+    return pairs
+
+
+@pytest.mark.parametrize("d", [2, 4, 8, 20])
+def test_select_pairs_bit_identical_to_one_shot(d):
+    for seed in range(3):
+        pool = pool_dataset(m=1500, seed=seed, d=d)
+        # mixed column scales make the rounding of each sum differ more
+        scales = np.random.default_rng(seed).choice([1e-3, 1.0, 1e3], size=d)
+        pool = TabularDataset(pool.features * scales, pool.feature_names, pool.labels,
+                              pool.sensitive_index, (scales[-1], 0.0))
+        assert_matches_one_shot(pool, n=60, seed=seed)
+
+
+@pytest.mark.parametrize("d", [2, 4, 8, 20])
+def test_select_pairs_integer_grid_ties(d):
+    # few distinct values: many duplicate rows and exactly tied distances
+    rng = np.random.default_rng(d)
+    features = rng.integers(0, 3, size=(2000, d)).astype(float)
+    features[:, d - 1] = np.arange(2000) % 2
+    ds = TabularDataset(features, tuple(f"f{i}" for i in range(d)), np.arange(2000) % 2, d - 1, (1.0, 0.0))
+    for seed in range(3):
+        assert_matches_one_shot(ds, n=80, seed=seed)
+
+
+@pytest.mark.parametrize("d", [8, 20])
+def test_select_pairs_rounding_near_ties(d):
+    # every candidate's squared differences are a permutation of the same d
+    # values, so the true distances tie and only rounding separates them
+    rng = np.random.default_rng(d)
+    v = rng.normal(size=d) * 10.0 ** rng.uniform(-3, 3, size=d)
+    m = 1000
+    candidates = np.stack([rng.permutation(v) for _ in range(m)])
+    features = np.column_stack([np.vstack([np.zeros((m, d)), candidates]), np.r_[np.ones(m), np.zeros(m)]])
+    ds = TabularDataset(features, tuple(f"f{i}" for i in range(d + 1)), np.arange(2 * m) % 2, d, (1.0, 0.0))
+    assert_matches_one_shot(ds, n=100, seed=0, feature_indices=range(d))
+
+
+def test_select_pairs_blocks_keep_lowest_index_tie():
+    n = 100
+    d = 3
+    block = _MATCH_CELLS // ((n // 2) * d)
+    m = 3 * block
+    rng = np.random.default_rng(0)
+    group1 = np.column_stack([rng.normal(scale=0.01, size=(m, 2)), np.ones(m)])
+    group2 = np.column_stack([rng.uniform(5.0, 10.0, size=(m, 2)), np.zeros(m)])
+    first, later = block // 2, 2 * block + 7  # the winner and its duplicate, two blocks apart
+    group2[first, :2] = group2[later, :2] = 0.0
+    ds = TabularDataset(np.vstack([group1, group2]), ("a", "b", "s"), np.arange(2 * m) % 2, 2, (1.0, 0.0))
+    pairs = assert_matches_one_shot(ds, n=n, seed=0)
+    assert (pairs.group2_rows[: n // 2] == m + first).all()
+
+
+def test_select_pairs_memory_bounded():
+    # the one-shot tensor needs about 480 MB here (50 anchors x 150k x 4, twice)
+    rng = np.random.default_rng(0)
+    m = 300_000
+    features = np.column_stack([rng.normal(size=(m, 3)), np.arange(m) % 2])
+    ds = TabularDataset(features, ("a", "b", "c", "s"), np.arange(m) % 2, 3, (1.0, 0.0))
+    tracemalloc.start()
+    try:
+        select_pairs(ds, n=100, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 # ---------------------------------------------------------------------------
