@@ -60,7 +60,7 @@ def main() -> None:
     sweep_seeds = ["--seeds", 3] if args.fast else ["--seeds", 10]
     run(["sweep-n", *data, *fair, "--out", out / "sweep-n-fair", *n_values, *sweep_seeds, *audit_knobs, *seed])
     run(["sweep-n", *data, *unfair, "--out", out / "sweep-n-unfair", *n_values, *sweep_seeds, *audit_knobs, *seed])
-    pools = ["--pool-sizes", "100,400,1600"] if args.fast else ["--pool-sizes", "300,1000,3000,10000"]
+    pools = ["--pool-sizes", "100,400,1600"] if args.fast else ["--pool-sizes", "300,1000,3000,8000"]
     run(["sweep-pool", *data, *fair, "--out", out / "sweep-pool", *pools, *sweep_seeds, *audit_knobs, *seed])
 
     run(

@@ -12,7 +12,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -415,7 +414,6 @@ def cmd_boundary(args) -> dict:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="global seed recorded in every output")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--threads", type=int, default=os.cpu_count(), help="parallelism bound")
     parser.add_argument("--config", default=None, help="JSON file of argument defaults")
 
 
@@ -568,7 +566,7 @@ def _inject_config(argv: list[str]) -> list[str]:
 
 
 def _fail(command: str, exc: Exception) -> int:
-    print(json.dumps({"command": command, "error": str(exc)}), file=sys.stderr)
+    print(json.dumps({"command": command, "error": str(exc), "type": type(exc).__name__}), file=sys.stderr)
     return 1
 
 

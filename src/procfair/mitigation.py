@@ -27,6 +27,8 @@ from .models import (
     TrainingDivergedError,
     _Adam,
     _clamped_bce,
+    _mlp_backward,
+    _mlp_forward,
     _model_with_params,
     _params_of,
     _per_sample_input_gradient,
@@ -172,46 +174,23 @@ def explanation_loss(model, X, y, uf_indices) -> float:
 def _mlp_modified_grads(params, X, y, uf, alpha):
     w1, b1, w2, b2 = params
     m = X.shape[0]
-    z1 = X @ w1.T + b1
-    active = (z1 > 0).astype(float)
-    a1 = np.where(z1 > 0, z1, 0.0)
-    p = _sigmoid(a1 @ w2 + b2[0])
+    act, p = _mlp_forward(X, w1, b1, w2, b2[0])
     err = p - y
-    curv = p * (1.0 - p)
 
-    bce = _clamped_bce(p, y)
-    delta = err / m
-    gw2 = a1.T @ delta
-    gb2 = np.array([delta.sum()])
-    d1 = (delta[:, None] * w2) * active
-    gw1 = d1.T @ X
-    gb1 = d1.sum(axis=0)
-
-    # zeta and its parameter gradient. Per sample the input gradient is
-    # g = err * w1.T (active * w2); with v = sign(g) restricted to the flagged
-    # features, zeta = mean(v . g) = mean(err * c) where c = (w1 v) . (active * w2).
-    masked_w2 = active * w2
-    g = (err[:, None] * masked_w2) @ w1
-    v = np.zeros_like(g)
-    v[:, uf] = np.sign(g[:, uf])
-    u = v @ w1.T
-    c = (u * masked_w2).sum(axis=1)
+    # Per sample the input gradient is g = err * aw with aw = act @ (w2 * w1);
+    # with v = sign(g) restricted to the flagged features,
+    # zeta = mean(v . g) = mean(err * c) where c = v . aw.
+    aw = act @ (w2[:, None] * w1)
+    v = np.zeros_like(aw)
+    v[:, uf] = np.sign(err[:, None] * aw[:, uf])
+    c = (v * aw).sum(axis=1)
     zeta = float((err * c).sum() / m)
 
-    if alpha == 0.0:
-        return bce, zeta, [gw1, gb1, gw2, gb2]
-
-    qc = curv * c
-    zb2 = np.array([qc.sum() / m])
-    zw2 = (qc[:, None] * a1 + err[:, None] * (u * active)).sum(axis=0) / m
-    zb1 = w2 * (qc[:, None] * active).sum(axis=0) / m
-    zw1 = ((qc[:, None] * masked_w2).T @ X + (err[:, None] * masked_w2).T @ v) / m
-    return bce, zeta, [
-        gw1 + alpha * zw1,
-        gb1 + alpha * zb1,
-        gw2 + alpha * zw2,
-        gb2 + alpha * zb2,
-    ]
+    # alpha * zeta reaches each score through err (d err / d s = p (1 - p))
+    # and each input gradient directly, with weight alpha / m * err * v.
+    scale = alpha / m
+    delta = err / m + scale * (p * (1.0 - p) * c)
+    return _clamped_bce(p, y), zeta, _mlp_backward(X, act, w1, b1, w2, delta, scale * err[:, None] * v)
 
 
 def _logistic_modified_grads(params, X, y, uf, alpha):

@@ -179,18 +179,43 @@ def init_logistic(d: int, feature_indices=None, feature_names=None, sensitive_po
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _hidden_layer(X: np.ndarray, w1: np.ndarray, b1: np.ndarray) -> np.ndarray:
+    """relu(X w1^T + b1), built in a single (rows x hidden) buffer."""
+    hidden = X @ w1.T
+    hidden += b1
+    return np.maximum(hidden, 0.0, out=hidden)
+
+
+def _mlp_forward(X, w1, b1, w2, b2):
+    """0/1 activation matrix (in the hidden layer's buffer) and probabilities."""
+    hidden = _hidden_layer(X, w1, b1)
+    p = _sigmoid(hidden @ w2 + b2)
+    return np.greater(hidden, 0.0, out=hidden), p
+
+
+def _mlp_backward(X, act, w1, b1, w2, delta, ev=None):
+    """Parameter gradients of sum_i delta_i * s_i + sum_i ev_i . ds_i/dx_i with
+    the activation pattern held fixed, where s_i = sum_k act_ik w2_k (w1_k . x_i
+    + b1_k). With M = act^T (delta X + ev) and n = act^T delta, unit k's
+    gradients are w2_k M_k, w2_k n_k and w1_k . M_k + b1_k n_k: one gemm."""
+    d = X.shape[1]
+    R = np.empty((X.shape[0], d + 1))
+    np.multiply(delta[:, None], X, out=R[:, :d])
+    if ev is not None:
+        R[:, :d] += ev
+    R[:, d] = delta
+    G = act.T @ R
+    M, n = G[:, :d], G[:, d]
+    return [w2[:, None] * M, w2 * n, (w1 * M).sum(axis=1) + b1 * n, np.array([delta.sum()])]
 
 
 def _scores(model, X: np.ndarray) -> np.ndarray:
     if isinstance(model, MlpModel):
-        hidden = np.maximum(X @ model.w1.T + model.b1, 0.0)
-        return hidden @ model.w2 + model.b2
+        return _hidden_layer(X, model.w1, model.b1) @ model.w2 + model.b2
     return X @ model.w + model.b
 
 
@@ -247,11 +272,11 @@ def input_gradient(model, X, y) -> np.ndarray:
 def _per_sample_input_gradient(model, X, y) -> np.ndarray:
     """Gradient of each row's own BCE term with respect to that row."""
     X = _check_inputs(model, X)
-    err = _sigmoid(_scores(model, X)) - np.asarray(y, dtype=float)
+    y = np.asarray(y, dtype=float)
     if isinstance(model, MlpModel):
-        active = (X @ model.w1.T + model.b1) > 0
-        return (err[:, None] * (active * model.w2)) @ model.w1
-    return err[:, None] * model.w
+        act, p = _mlp_forward(X, model.w1, model.b1, model.w2, model.b2)
+        return (p - y)[:, None] * (act @ (model.w2[:, None] * model.w1))
+    return (_sigmoid(_scores(model, X)) - y)[:, None] * model.w
 
 
 def set_sensitive_weight(model: LogisticModel, w_s: float) -> LogisticModel:
@@ -320,19 +345,9 @@ def _clamped_bce(p, y) -> float:
 
 def _mlp_loss_grads(params, X, y, group_mask, dp_weight):
     w1, b1, w2, b2 = params
-    z1 = X @ w1.T + b1
-    active = z1 > 0
-    a1 = np.where(active, z1, 0.0)
-    p = _sigmoid(a1 @ w2 + b2[0])
-    m = X.shape[0]
-    loss = _clamped_bce(p, y)
-    delta, extra = _delta_scores(p, y, group_mask, dp_weight, m)
-    gw2 = a1.T @ delta
-    gb2 = np.array([delta.sum()])
-    d1 = (delta[:, None] * w2) * active
-    gw1 = d1.T @ X
-    gb1 = d1.sum(axis=0)
-    return loss + extra, [gw1, gb1, gw2, gb2]
+    act, p = _mlp_forward(X, w1, b1, w2, b2[0])
+    delta, extra = _delta_scores(p, y, group_mask, dp_weight, X.shape[0])
+    return _clamped_bce(p, y) + extra, _mlp_backward(X, act, w1, b1, w2, delta)
 
 
 def _logistic_loss_grads(params, X, y, group_mask, dp_weight):

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -356,6 +357,29 @@ def test_config_without_value_fails(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["command"] == "gen-data"
     assert "--config" in err["error"]
+
+
+def test_error_object_names_exception_type(tmp_path, capsys):
+    assert run_cli("gen-data", "--out", tmp_path, "--m", "10", "--n-advantaged", "20") == 1
+    assert json.loads(capsys.readouterr().err)["type"] == "ValueError"
+    assert run_cli("gen-data", "--out", tmp_path, f"--config={tmp_path / 'absent.json'}") == 1
+    assert json.loads(capsys.readouterr().err)["type"] == "FileNotFoundError"
+
+
+def test_threads_flag_removed(tmp_path):
+    with pytest.raises(SystemExit):
+        run_cli("gen-data", "--out", tmp_path, "--threads", "2")
+
+
+def test_study_driver_fast_run_completes(tmp_path):
+    repo = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(repo / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, str(repo / "scripts" / "run_synthetic_study.py"), "--fast", "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "boundary" / "boundary.csv").exists()
 
 
 def test_console_entry_point():

@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
+from mlp_reference import (
+    random_mlp_params,
+    reference_mlp_loss_grads,
+    reference_mlp_modified_grads,
+)
 
+from procfair import mitigation, models
 from procfair.attribution import ExplanationSet, ShapConfig, sample_background
 from procfair.datasets import SyntheticConfig, generate_synthetic, standardized_split
 from procfair.fairness import AuditConfig
@@ -23,6 +29,7 @@ from procfair.models import (
     _params_of,
     fit_mlp,
     init_mlp,
+    predict_labels,
     predict_proba,
     train,
 )
@@ -218,6 +225,57 @@ def test_logistic_modified_gradients_match_finite_differences():
             down[pi][idx] -= h
             fd = (objective(up) - objective(down)) / (2 * h)
             assert grads[pi][idx] == pytest.approx(fd, rel=1e-3, abs=1e-8)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 15.0])
+@pytest.mark.parametrize("uf", [[], [0], [2, 3], [0, 1, 2, 3]])
+def test_mlp_modified_grads_match_elementwise_reference(uf, alpha):
+    for seed in range(3):
+        params = random_mlp_params(4, 16, seed)
+        rng = np.random.default_rng(300 + seed)
+        X = rng.normal(size=(300, 4))
+        y = rng.integers(0, 2, size=300).astype(float)
+        bce, zeta, grads = _mlp_modified_grads(params, X, y, uf, alpha)
+        ref_bce, ref_zeta, ref_grads = reference_mlp_modified_grads(params, X, y, uf, alpha)
+        assert bce == ref_bce
+        assert zeta == pytest.approx(ref_zeta, rel=1e-12, abs=0)
+        for g, r in zip(grads, ref_grads):
+            assert g.shape == r.shape
+            np.testing.assert_allclose(g, r, rtol=1e-12, atol=0)
+        assert not grads[0][0].any() and grads[1][0] == 0.0
+
+
+def test_training_and_modification_trajectory_matches_reference(monkeypatch):
+    dataset = generate_synthetic(SyntheticConfig(seed=0))
+    split, _ = standardized_split(dataset, 0.8, 0)
+    X = split.train.features
+    y = split.train.labels.astype(float)
+
+    def trained_and_modified():
+        model, _ = fit_mlp(split.train, TrainConfig(epochs=300, seed=0))
+        modified, _, _ = _run_modification(model, X, y, [2, 3], ModifyConfig(tau=200))
+        return model, modified
+
+    calls = {"train": 0, "modify": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    new = trained_and_modified()
+    monkeypatch.setattr(models, "_mlp_loss_grads", counted("train", reference_mlp_loss_grads))
+    monkeypatch.setattr(mitigation, "_mlp_modified_grads", counted("modify", reference_mlp_modified_grads))
+    ref = trained_and_modified()
+    assert calls == {"train": 300, "modify": 200}
+
+    for a, b in zip(new, ref):
+        for name in ("w1", "b1", "w2"):
+            pa, pb = getattr(a, name), getattr(b, name)
+            assert np.abs(pa - pb).max() <= 1e-9 * np.abs(pb).max()
+        assert abs(a.b2 - b.b2) <= 1e-9 * abs(b.b2)
+        assert np.array_equal(predict_labels(a, split.test.features), predict_labels(b, split.test.features))
 
 
 def test_reported_zeta_matches_explanation_loss(unfair_model, small_split):

@@ -2,6 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from mlp_reference import (
+    random_mlp_params,
+    reference_mlp_input_gradient,
+    reference_mlp_loss_grads,
+    reference_sigmoid,
+)
 
 from procfair.datasets import SyntheticConfig, generate_synthetic, standardized_split
 from procfair.models import (
@@ -12,6 +18,8 @@ from procfair.models import (
     _logistic_loss_grads,
     _mlp_loss_grads,
     _params_of,
+    _per_sample_input_gradient,
+    _sigmoid,
     bce_loss,
     decision_score,
     default_hidden_size,
@@ -282,6 +290,58 @@ def test_logistic_parameter_gradients_finite_differences():
             fd = (_logistic_loss_grads(up, X, y, mask, -0.05)[0]
                   - _logistic_loss_grads(down, X, y, mask, -0.05)[0]) / (2 * h)
             assert grads[pi][idx] == pytest.approx(fd, rel=1e-4, abs=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# factored gradients vs the elementwise reference formulas
+
+
+def test_sigmoid_bit_identical_to_masked_scatter():
+    rng = np.random.default_rng(0)
+    z = np.concatenate([
+        rng.normal(scale=20.0, size=1000),
+        [0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 700.0, -700.0, 800.0, -800.0, np.inf, -np.inf],
+    ])
+    assert _sigmoid(z).tobytes() == reference_sigmoid(z).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("dp_weight", [0.0, 0.5])
+def test_mlp_loss_grads_match_elementwise_reference(dp_weight, seed):
+    params = random_mlp_params(4, 16, seed)
+    rng = np.random.default_rng(100 + seed)
+    X = rng.normal(size=(300, 4))
+    y = rng.integers(0, 2, size=300).astype(float)
+    mask = rng.random(300) < 0.6
+    loss, grads = _mlp_loss_grads(params, X, y, mask, dp_weight)
+    ref_loss, ref_grads = reference_mlp_loss_grads(params, X, y, mask, dp_weight)
+    assert loss == ref_loss
+    for g, r in zip(grads, ref_grads):
+        assert g.shape == r.shape
+        np.testing.assert_allclose(g, r, rtol=1e-12, atol=0)
+    # the dead unit receives exactly zero first-layer gradient
+    assert not grads[0][0].any() and grads[1][0] == 0.0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mlp_input_gradient_matches_elementwise_reference(seed):
+    w1, b1, w2, b2 = random_mlp_params(4, 16, seed)
+    model = MlpModel(w1, b1, w2, b2[0])
+    rng = np.random.default_rng(200 + seed)
+    X = rng.normal(size=(300, 4))
+    y = rng.integers(0, 2, size=300).astype(float)
+    np.testing.assert_allclose(
+        _per_sample_input_gradient(model, X, y), reference_mlp_input_gradient(model, X, y),
+        rtol=1e-12, atol=0,
+    )
+
+
+def test_scores_in_place_hidden_layer_bit_identical():
+    w1, b1, w2, b2 = random_mlp_params(4, 16, 9)
+    model = MlpModel(w1, b1, w2, b2[0])
+    X = np.random.default_rng(9).normal(size=(500, 4))
+    expected = np.maximum(X @ w1.T + b1, 0.0) @ w2 + b2[0]
+    assert decision_score(model, X).tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
