@@ -77,4 +77,5 @@ from .mitigation import (
     explanation_loss,
     modify_model,
     retrain_without,
+    unfair_features_from_sets,
 )

@@ -3,7 +3,8 @@
 Every command writes its primary artifacts (datasets, models, reports,
 sweep tables) deterministically for a given seed, plus a ``report.json``
 run log carrying the resolved configuration and wall-clock timing.
-Errors are emitted as one JSON object on stderr and a non-zero exit code.
+Errors, malformed or unknown flags included, are emitted as one JSON object
+on stderr and a non-zero exit code.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .attribution import ShapConfig, sample_background, write_explanations_csv
+from .attribution import write_explanations_csv
 from .datasets import (
     SyntheticConfig,
     concat_datasets,
@@ -30,8 +31,8 @@ from .datasets import (
     write_csv,
     write_schema,
 )
-from .fairness import AuditConfig, audit, dp, eo, eod, matched_explanations
-from .mitigation import ModifyConfig, detect_unfair_features, modify_model, retrain_without
+from .fairness import AuditConfig, audit, dp, eo, eod, gpf_run
+from .mitigation import ModifyConfig, modify_model, retrain_without, unfair_features_from_sets
 from .models import (
     TrainConfig,
     bce_loss,
@@ -43,7 +44,11 @@ from .models import (
 )
 from .seeding import derive_seed
 from .sweeps import sweep_pair_count, sweep_pool_size, sweep_sensitive_weight
-from .two_sample import KernelConfig, PermutationConfig, pca_project
+from .two_sample import KernelConfig, pca_project
+
+# Unused here; perfbench/tracing.py rebinds these names in this module.
+from .attribution import sample_background  # noqa: F401
+from .mitigation import detect_unfair_features  # noqa: F401
 
 __all__ = ["main", "build_parser"]
 
@@ -82,8 +87,17 @@ def _resolve_features(dataset, selector: str | None) -> tuple[int, ...] | None:
     return tuple(dataset.feature_names.index(n) for n in names)
 
 
-def _load_split_for_model(args, doc: dict):
+def _load_split_for_model(args, doc: dict, *models):
+    """Re-derive the split recorded in ``doc``, after checking that each
+    model's feature names are the dataset's columns at its feature indices."""
     dataset = load_csv(args.data, args.schema)
+    for model in models:
+        for name, i in zip(model.feature_names or (), model.feature_indices):
+            found = dataset.feature_names[i] if i < dataset.d else None
+            if found != name:
+                raise ValueError(
+                    f"model feature {name!r} is read from column {i}, which is {found!r} in {args.data}"
+                )
     data_split = doc.get("data_split") or {}
     ratio = float(data_split.get("ratio", 0.8))
     seed = int(data_split.get("seed", args.seed))
@@ -103,21 +117,12 @@ def _audit_config(args) -> AuditConfig:
     )
 
 
-def _detect(model, split, args):
-    feats = model.feature_indices if model.feature_indices is not None else tuple(range(split.train.d))
-    background = sample_background(
-        split.train.features[:, feats], args.background, derive_seed(args.seed, "background")
-    )
-    shap_config = ShapConfig(background, args.coalitions, seed=derive_seed(args.seed, "shap"))
-    perm_config = PermutationConfig(args.permutations, derive_seed(args.seed, "permutation"))
-    return detect_unfair_features(
-        model,
-        split.test,
-        shap_config,
+def _unfair_features(gpf, args):
+    return unfair_features_from_sets(
+        gpf.explanations_1,
+        gpf.explanations_2,
         KernelConfig(args.detection_kernel, args.bandwidth),
-        perm_config,
-        args.n,
-        derive_seed(args.seed, "pairs"),
+        gpf.perm_config,
         args.beta,
     )
 
@@ -159,8 +164,7 @@ def cmd_train(args) -> dict:
     else:
         model, trace = fit_logistic(split.train, config, feats)
 
-    model_feats = model.feature_indices
-    X_test = split.test.features[:, model_feats]
+    X_test = split.test.features[:, model.feature_indices]
     predictions = predict_labels(model, X_test)
     accuracy = float((predictions == split.test.labels).mean())
     gmask = split.test.advantaged_mask
@@ -188,20 +192,13 @@ def cmd_train(args) -> dict:
 def cmd_audit(args) -> dict:
     out = _out_dir(args)
     model, doc = load_model(args.model)
-    split = _load_split_for_model(args, doc)
+    split = _load_split_for_model(args, doc, model)
     report = audit(model, split, _audit_config(args))
     audit_doc = {"version": __version__, "model": Path(args.model).name, **report.to_dict()}
     _write_json(out / "audit.json", audit_doc)
     if args.export_explanations:
-        feats = model.feature_indices if model.feature_indices is not None else tuple(range(split.train.d))
-        background = sample_background(
-            split.train.features[:, feats], args.background, derive_seed(args.seed, "background")
-        )
-        shap_config = ShapConfig(background, args.coalitions, seed=derive_seed(args.seed, "shap"))
-        pool = split.test if args.pool == "test" else concat_datasets(split.train, split.test)
-        _, e1, e2 = matched_explanations(model, pool, shap_config, args.n, derive_seed(args.seed, "pairs"))
-        write_explanations_csv(e1, out / "explanations_group1.csv")
-        write_explanations_csv(e2, out / "explanations_group2.csv")
+        write_explanations_csv(report.gpf.explanations_1, out / "explanations_group1.csv")
+        write_explanations_csv(report.gpf.explanations_2, out / "explanations_group2.csv")
     print(
         f"GPF = {_fmt(report.gpf_fae)} ({report.procedural_verdict}); "
         f"DP = {_fmt(report.dp)}, EO = {_fmt(report.eo)}, EOD = {_fmt(report.eod)}, "
@@ -226,8 +223,12 @@ def _detection_config(args) -> dict:
 def cmd_detect(args) -> dict:
     out = _out_dir(args)
     model, doc = load_model(args.model)
-    split = _load_split_for_model(args, doc)
-    ufs = _detect(model, split, args)
+    split = _load_split_for_model(args, doc, model)
+    gpf = gpf_run(
+        model, split.test, split.train.features[:, model.feature_indices], args.seed, args.n,
+        args.background, args.coalitions, KernelConfig(args.kernel, args.bandwidth), args.permutations,
+    )
+    ufs = _unfair_features(gpf, args)
     detect_doc = {
         "version": __version__,
         "model": Path(args.model).name,
@@ -243,9 +244,9 @@ def cmd_detect(args) -> dict:
 def cmd_mitigate(args) -> dict:
     out = _out_dir(args)
     model, doc = load_model(args.model)
-    split = _load_split_for_model(args, doc)
-    ufs = _detect(model, split, args)
-    audit_config = _audit_config(args)
+    split = _load_split_for_model(args, doc, model)
+    before = audit(model, split, _audit_config(args))
+    ufs = _unfair_features(before.gpf, args)
 
     if args.method == "retrain":
         training = doc.get("training") or {}
@@ -255,13 +256,12 @@ def cmd_mitigate(args) -> dict:
             dp_weight=float(training.get("dp_weight", 0.0)),
             seed=int(training.get("seed", args.seed)),
         )
-        result = retrain_without(model, split, ufs, train_config, audit_config)
+        result = retrain_without(model, split, ufs, before, train_config)
         model_path = out / "model_retrained.json"
     else:
-        config = ModifyConfig(
-            alpha=args.alpha, tau=args.tau, learning_rate=args.lr, seed=args.seed
-        )
-        result = modify_model(model, split, ufs, config, audit_config)
+        config = ModifyConfig(alpha=args.alpha, tau=args.tau, learning_rate=args.lr)
+        # by keyword: perfbench/tracing.py reads the step count from ``config``
+        result = modify_model(model, split, ufs, before, config=config)
         model_path = out / "model_modified.json"
 
     save_model(result.model, model_path, training=doc.get("training"), data_split=doc.get("data_split"))
@@ -273,7 +273,7 @@ def cmd_mitigate(args) -> dict:
         **result.to_dict(),
     }
     _write_json(out / "mitigation.json", mitigation_doc)
-    before, after = result.report_before, result.report_after
+    after = result.report_after
     print(
         f"{args.method}: GPF {_fmt(before.gpf_fae)} -> {_fmt(after.gpf_fae)}, "
         f"accuracy {_fmt(before.accuracy)} -> {_fmt(after.accuracy)}, "
@@ -312,7 +312,7 @@ def cmd_sweep_ws(args) -> dict:
 def cmd_sweep_n(args) -> dict:
     out = _out_dir(args)
     model, doc = load_model(args.model)
-    split = _load_split_for_model(args, doc)
+    split = _load_split_for_model(args, doc, model)
     n_values = [int(v) for v in args.n_values.split(",")]
     seeds = [derive_seed(args.seed, f"n-sweep-{i}") for i in range(args.seeds)]
     matrix = sweep_pair_count(
@@ -330,7 +330,7 @@ def cmd_sweep_n(args) -> dict:
 def cmd_sweep_pool(args) -> dict:
     out = _out_dir(args)
     model, doc = load_model(args.model)
-    split = _load_split_for_model(args, doc)
+    split = _load_split_for_model(args, doc, model)
     pool_sizes = [int(v) for v in args.pool_sizes.split(",")]
     seeds = [derive_seed(args.seed, f"pool-sweep-{i}") for i in range(args.seeds)]
     distances, scores = sweep_pool_size(
@@ -356,7 +356,7 @@ def cmd_boundary(args) -> dict:
     original, doc = load_model(args.model)
     modified, _ = load_model(args.modified)
     retrained, _ = load_model(args.retrained)
-    split = _load_split_for_model(args, doc)
+    split = _load_split_for_model(args, doc, original, modified, retrained)
     full = concat_datasets(split.train, split.test)
 
     pca = pca_project(full.features, 2)
@@ -369,8 +369,7 @@ def cmd_boundary(args) -> dict:
     inputs = pca.inverse(plane)
 
     def grid_predictions(model):
-        feats = model.feature_indices if model.feature_indices is not None else tuple(range(full.d))
-        return predict_labels(model, inputs[:, feats])
+        return predict_labels(model, inputs[:, model.feature_indices])
 
     preds = {
         "original": grid_predictions(original),
@@ -431,8 +430,16 @@ def _add_audit_knobs(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--permutations", type=int, default=1000)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises on a bad flag, for ``main`` to report as a JSON error object
+    (argparse would print usage and exit 2); subparsers inherit the class."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="procfair", description="Procedural-fairness auditing for tabular binary classifiers"
     )
     parser.add_argument("--version", action="version", version=f"procfair {__version__}")
@@ -565,20 +572,20 @@ def _inject_config(argv: list[str]) -> list[str]:
     return [argv[0]] + tokens + argv[1:]
 
 
-def _fail(command: str, exc: Exception) -> int:
+def _fail(command: str | None, exc: Exception) -> int:
     print(json.dumps({"command": command, "error": str(exc), "type": type(exc).__name__}), file=sys.stderr)
     return 1
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv and not argv[0].startswith("-"):
-        try:
+    command = argv[0] if argv and not argv[0].startswith("-") else None
+    try:
+        if command is not None:
             argv = _inject_config(argv)
-        except (OSError, ValueError) as exc:
-            return _fail(argv[0], exc)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+    except (OSError, ValueError, argparse.ArgumentError) as exc:
+        return _fail(command, exc)
     started = time.time()
     try:
         results = args.func(args)

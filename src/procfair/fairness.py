@@ -7,7 +7,7 @@ that composes them into a report.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -80,12 +80,9 @@ class PairSelection:
 
 
 def _model_feature_indices(model, pool: TabularDataset) -> tuple[int, ...]:
-    feats = model.feature_indices if model.feature_indices is not None else tuple(range(pool.d))
-    if max(feats) >= pool.d:
+    if max(model.feature_indices) >= pool.d:
         raise ValueError("model feature indices exceed the pool's columns")
-    if len(feats) != model.d:
-        raise ValueError("model dimensionality does not match its feature indices")
-    return feats
+    return model.feature_indices
 
 
 def select_pairs(
@@ -113,7 +110,7 @@ def select_pairs(
     """
     if n < 2:
         raise ValueError("need at least two pairs")
-    feats = tuple(feature_indices) if feature_indices is not None else tuple(range(pool.d))
+    feats = tuple(range(pool.d) if feature_indices is None else feature_indices)
     if not feats:
         raise ValueError("need at least one feature to match on")
     F = pool.features[:, feats]
@@ -187,10 +184,14 @@ def select_pairs(
 
 @dataclass(frozen=True)
 class GpfResult:
+    """The p-value, the matched pairs and their explanation sets, and the
+    permutation settings the p-value used."""
+
     p_value: float
     pairs: PairSelection
     explanations_1: ExplanationSet
     explanations_2: ExplanationSet
+    perm_config: PermutationConfig
 
 
 def matched_explanations(
@@ -233,9 +234,10 @@ def gpf_fae(
     """Group procedural fairness score: the permutation p-value of the MMD
     between the explanation sets of the matched cross-group samples. Larger
     means fairer."""
+    perm_config = perm_config or PermutationConfig()
     pairs, e1, e2 = matched_explanations(model, pool, shap_config, n, pair_seed)
     p = permutation_pvalue(e1.values, e2.values, kernel_config, perm_config)
-    return GpfResult(p, pairs, e1, e2)
+    return GpfResult(p, pairs, e1, e2, perm_config)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +303,8 @@ def gpf_run(
     n_permutations: int = 1000,
 ) -> GpfResult:
     """One GPF evaluation with all sub-seeds (background sampling, coalition
-    sampling, pair selection, permutations) derived from a single seed.
+    sampling, pair selection, permutations) derived from a single seed; the
+    only place they are derived.
 
     ``background_source`` is the matrix backgrounds are sampled from, already
     restricted to the model's feature space (normally the training split).
@@ -349,6 +352,9 @@ class AuditConfig:
 
 @dataclass(frozen=True)
 class AuditReport:
+    """``gpf`` and ``audit_config`` are the run and settings the report came
+    from; ``to_dict`` leaves them out, so ``from_dict`` restores neither."""
+
     gpf_fae: float
     dp: float
     eo: float
@@ -360,21 +366,14 @@ class AuditReport:
     n_pairs: int
     pool_size: int
     config: dict
+    gpf: GpfResult | None = field(default=None, compare=False, repr=False)
+    audit_config: AuditConfig | None = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
-        return {
-            "gpf_fae": self.gpf_fae,
-            "dp": self.dp,
-            "eo": self.eo,
-            "eod": self.eod,
-            "accuracy": self.accuracy,
-            "mean_pair_distance": self.mean_pair_distance,
-            "procedural_verdict": self.procedural_verdict,
-            "distributive_verdicts": dict(self.distributive_verdicts),
-            "n_pairs": self.n_pairs,
-            "pool_size": self.pool_size,
-            "config": dict(self.config),
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
+        doc["distributive_verdicts"] = dict(self.distributive_verdicts)
+        doc["config"] = dict(self.config)
+        return doc
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -419,15 +418,8 @@ def audit(model, split: SplitDataset, config: AuditConfig | None = None) -> Audi
 
     pool = test if config.pool == "test" else concat_datasets(split.train, split.test)
     result = gpf_run(
-        model,
-        pool,
-        split.train.features[:, feats],
-        seed=config.seed,
-        n=config.n_pairs,
-        background_size=config.background_size,
-        n_coalitions=config.n_coalitions,
-        kernel=config.kernel,
-        n_permutations=config.n_permutations,
+        model, pool, split.train.features[:, feats], config.seed, config.n_pairs,
+        config.background_size, config.n_coalitions, config.kernel, config.n_permutations,
     )
 
     return AuditReport(
@@ -446,4 +438,6 @@ def audit(model, split: SplitDataset, config: AuditConfig | None = None) -> Audi
         n_pairs=result.pairs.n,
         pool_size=result.pairs.pool_size,
         config=config.snapshot(),
+        gpf=result,
+        audit_config=config,
     )

@@ -99,7 +99,6 @@ class ModifyConfig:
     tau: int = 200
     norm_p: int = 1
     learning_rate: float = 0.01
-    seed: int = 0
 
     def __post_init__(self):
         if self.alpha < 0:
@@ -266,25 +265,29 @@ class ModifyResult:
         }
 
 
+def _audit_config_of(before: AuditReport) -> AuditConfig:
+    if before.audit_config is None:
+        raise ValueError("the 'before' report has no audit run attached; pass the one audit() returned")
+    return before.audit_config
+
+
 def modify_model(
     model,
     split: SplitDataset,
     ufs: UnfairFeatureSet,
+    before: AuditReport,
     config: ModifyConfig | None = None,
-    audit_config: AuditConfig | None = None,
 ) -> ModifyResult:
     """Run ``tau`` Adam steps on grad(bce + alpha * zeta) starting from the
-    trained parameters, on the training split. Audits the model before and
-    after on the test split."""
+    trained parameters, on the training split. ``before`` is the model's own
+    audit; the modified model is audited with the same settings."""
     config = config or ModifyConfig()
-    audit_config = audit_config or AuditConfig()
-    feats = model.feature_indices if model.feature_indices is not None else tuple(range(split.train.d))
-    X = split.train.features[:, feats]
+    audit_config = _audit_config_of(before)
+    X = split.train.features[:, model.feature_indices]
     y = split.train.labels.astype(float)
     uf = list(ufs.indices)
 
     new_model, loss_trace, zeta_trace = _run_modification(model, X, y, uf, config)
-    before = audit(model, split, audit_config)
     after = audit(new_model, split, audit_config)
     return ModifyResult(
         model=new_model,
@@ -322,23 +325,21 @@ def retrain_without(
     model,
     split: SplitDataset,
     ufs: UnfairFeatureSet,
+    before: AuditReport,
     train_config: TrainConfig | None = None,
-    audit_config: AuditConfig | None = None,
 ) -> RetrainResult:
     """Drop the flagged columns and retrain from scratch with the same
-    hyperparameters and a fresh (derived) seed; audit before and after."""
+    hyperparameters and a fresh (derived) seed. ``before`` is the model's own
+    audit; the retrained model is audited with the same settings."""
     train_config = train_config or TrainConfig()
-    audit_config = audit_config or AuditConfig()
-    model_feats = model.feature_indices if model.feature_indices is not None else tuple(range(split.train.d))
-    keep = [i for i in range(len(model_feats)) if i not in set(ufs.indices)]
+    audit_config = _audit_config_of(before)
+    feats = model.feature_indices
+    keep = [i for i in range(model.d) if i not in ufs.indices]
     if not keep:
         raise ValueError("every feature was flagged; nothing left to train on")
-    kept_columns = tuple(model_feats[i] for i in keep)
-    removed = tuple(
-        model.feature_names[i] if model.feature_names else str(model_feats[i])
-        for i in range(len(model_feats))
-        if i not in set(keep)
-    )
+    kept_columns = tuple(feats[i] for i in keep)
+    names = model.feature_names or tuple(str(c) for c in feats)
+    removed = tuple(names[i] for i in range(model.d) if i not in keep)
 
     fresh = dataclasses.replace(train_config, seed=derive_seed(train_config.seed, "retrain"))
     if isinstance(model, MlpModel):
@@ -346,7 +347,6 @@ def retrain_without(
     else:
         new_model, trace = fit_logistic(split.train, fresh, kept_columns)
 
-    before = audit(model, split, audit_config)
     after = audit(new_model, split, audit_config)
     return RetrainResult(
         model=new_model,
@@ -368,10 +368,9 @@ def alpha_sweep(
     """Modify the model once per penalty weight (common seed and step count)
     and report the final explanation loss and the test-accuracy drop."""
     config = config or ModifyConfig()
-    feats = model.feature_indices if model.feature_indices is not None else tuple(range(split.train.d))
-    X = split.train.features[:, feats]
+    X = split.train.features[:, model.feature_indices]
     y = split.train.labels.astype(float)
-    X_test = split.test.features[:, feats]
+    X_test = split.test.features[:, model.feature_indices]
     base_accuracy = float((predict_labels(model, X_test) == split.test.labels).mean())
     uf = list(ufs.indices)
 

@@ -57,9 +57,20 @@ class TrainingDivergedError(RuntimeError):
         self.epoch = epoch
 
 
+def _set_features(model) -> None:
+    feats = model.feature_indices
+    feats = tuple(range(model.d)) if feats is None else tuple(int(i) for i in feats)
+    if len(feats) != model.d:
+        raise ValueError(f"{len(feats)} feature indices for a model of {model.d} features")
+    object.__setattr__(model, "feature_indices", feats)
+    if model.feature_names is not None:
+        object.__setattr__(model, "feature_names", tuple(str(n) for n in model.feature_names))
+
+
 @dataclass(frozen=True)
 class MlpModel:
-    """Two-layer network: sigmoid(w2 . relu(w1 x + b1) + b2)."""
+    """Two-layer network: sigmoid(w2 . relu(w1 x + b1) + b2) over the dataset
+    columns ``feature_indices`` (default: the first ``d``)."""
 
     w1: np.ndarray
     b1: np.ndarray
@@ -83,10 +94,7 @@ class MlpModel:
         object.__setattr__(self, "b1", _readonly(b1))
         object.__setattr__(self, "w2", _readonly(w2))
         object.__setattr__(self, "b2", float(self.b2))
-        if self.feature_indices is not None:
-            object.__setattr__(self, "feature_indices", tuple(int(i) for i in self.feature_indices))
-        if self.feature_names is not None:
-            object.__setattr__(self, "feature_names", tuple(str(n) for n in self.feature_names))
+        _set_features(self)
 
     @property
     def d(self) -> int:
@@ -99,7 +107,8 @@ class MlpModel:
 
 @dataclass(frozen=True)
 class LogisticModel:
-    """Linear model: sigmoid(w . x + b)."""
+    """Linear model: sigmoid(w . x + b) over the dataset columns
+    ``feature_indices`` (default: the first ``d``)."""
 
     w: np.ndarray
     b: float
@@ -117,10 +126,7 @@ class LogisticModel:
             raise ValueError("sensitive_position out of range")
         object.__setattr__(self, "w", _readonly(w))
         object.__setattr__(self, "b", float(self.b))
-        if self.feature_indices is not None:
-            object.__setattr__(self, "feature_indices", tuple(int(i) for i in self.feature_indices))
-        if self.feature_names is not None:
-            object.__setattr__(self, "feature_names", tuple(str(n) for n in self.feature_names))
+        _set_features(self)
 
     @property
     def d(self) -> int:
@@ -365,10 +371,7 @@ def train(model, dataset, config: TrainConfig | None = None):
     evaluated before each update).
     """
     config = config or TrainConfig()
-    feats = model.feature_indices if model.feature_indices is not None else tuple(range(dataset.d))
-    X = dataset.features[:, feats]
-    if X.shape[1] != model.d:
-        raise ValueError("model dimensionality does not match the selected features")
+    X = dataset.features[:, model.feature_indices]
     y = dataset.labels.astype(float)
     group_mask = dataset.advantaged_mask
     grad_fn = _mlp_loss_grads if isinstance(model, MlpModel) else _logistic_loss_grads
@@ -390,7 +393,7 @@ def train(model, dataset, config: TrainConfig | None = None):
 def fit_mlp(dataset, config: TrainConfig | None = None, feature_indices=None, hidden_size=None):
     """Initialize and train an MLP on a feature subset of the dataset."""
     config = config or TrainConfig()
-    feats = tuple(feature_indices) if feature_indices is not None else tuple(range(dataset.d))
+    feats = tuple(range(dataset.d) if feature_indices is None else feature_indices)
     h = hidden_size or default_hidden_size(len(feats))
     names = tuple(dataset.feature_names[i] for i in feats)
     model = init_mlp(len(feats), h, config.seed, feats, names)
@@ -404,7 +407,7 @@ def fit_logistic(dataset, config: TrainConfig | None = None, feature_indices=Non
     the model so the weight can be overridden later.
     """
     config = config or TrainConfig()
-    feats = tuple(feature_indices) if feature_indices is not None else tuple(range(dataset.d))
+    feats = tuple(range(dataset.d) if feature_indices is None else feature_indices)
     names = tuple(dataset.feature_names[i] for i in feats)
     sens = feats.index(dataset.sensitive_index) if dataset.sensitive_index in feats else None
     model = init_logistic(len(feats), feats, names, sens)
@@ -435,7 +438,7 @@ def model_to_dict(model, training: dict | None = None, data_split: dict | None =
         doc["sensitive_position"] = model.sensitive_position
     else:
         raise TypeError(f"unsupported model type {type(model)!r}")
-    doc["feature_indices"] = list(model.feature_indices) if model.feature_indices is not None else None
+    doc["feature_indices"] = list(model.feature_indices)
     doc["feature_names"] = list(model.feature_names) if model.feature_names is not None else None
     doc["training"] = training
     doc["data_split"] = data_split
@@ -446,9 +449,7 @@ def model_from_dict(doc: dict):
     if doc.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported model format {doc.get('format_version')!r}")
     feats = doc.get("feature_indices")
-    feats = tuple(feats) if feats is not None else None
     names = doc.get("feature_names")
-    names = tuple(names) if names is not None else None
     params = doc["parameters"]
     if doc["kind"] == "mlp":
         return MlpModel(

@@ -16,10 +16,6 @@ from .two_sample import KernelConfig
 __all__ = ["sweep_sensitive_weight", "sweep_pair_count", "sweep_pool_size"]
 
 
-def _model_features(model, d: int) -> tuple[int, ...]:
-    return model.feature_indices if model.feature_indices is not None else tuple(range(d))
-
-
 def sweep_sensitive_weight(
     split: SplitDataset,
     grid,
@@ -70,8 +66,7 @@ def sweep_pair_count(
 ) -> np.ndarray:
     """GPF score of one model for several pair counts; matrix[i, j] is the
     score for seeds[i] and n_values[j]."""
-    feats = _model_features(model, split.train.d)
-    background_source = split.train.features[:, feats]
+    background_source = split.train.features[:, model.feature_indices]
     seeds, n_values = list(seeds), list(n_values)
     matrix = np.empty((len(seeds), len(n_values)))
     for i, seed in enumerate(seeds):
@@ -106,8 +101,7 @@ def sweep_pool_size(
     full = concat_datasets(split.train, split.test)
     g1 = np.flatnonzero(full.advantaged_mask)
     g2 = np.flatnonzero(full.disadvantaged_mask)
-    feats = _model_features(model, split.train.d)
-    background_source = split.train.features[:, feats]
+    background_source = split.train.features[:, model.feature_indices]
 
     sizes = [int(s) for s in pool_sizes]
     for size in sizes:

@@ -91,8 +91,8 @@ def runs():
             audit_config.n_pairs,
             derive_seed(seed, "pairs"),
         )
-        retrain = retrain_without(unfair_model, split, ufs, train_config, audit_config)
-        modify = modify_model(unfair_model, split, ufs, ModifyConfig(seed=seed), audit_config)
+        retrain = retrain_without(unfair_model, split, ufs, unfair_report, train_config)
+        modify = modify_model(unfair_model, split, ufs, unfair_report, ModifyConfig())
         out[seed] = SeedRun(
             split, fair_model, unfair_model, fair_report, unfair_report, ufs, retrain, modify
         )

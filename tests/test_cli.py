@@ -8,7 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from procfair.attribution import read_explanations_csv
 from procfair.cli import main
+from procfair.seeding import derive_seed
+from procfair.two_sample import PermutationConfig, permutation_pvalue
 
 FAST_AUDIT = ["--n", "20", "--background", "30", "--permutations", "150"]
 
@@ -314,6 +317,81 @@ def test_boundary_modified_more_faithful(boundary_outputs):
     assert results["disagreement_modified"] <= results["disagreement_retrained"]
 
 
+def test_boundary_rejects_a_model_with_other_columns(workspace, boundary_outputs, tmp_path, capsys):
+    doc = json.loads(Path(workspace["unfair_model"]).read_text())
+    doc["feature_names"][:2] = ["x2", "x1"]
+    (tmp_path / "swapped.json").write_text(json.dumps(doc))
+    root = boundary_outputs.parent
+    assert run_cli(
+        "boundary", "--data", workspace["data"], "--schema", workspace["schema"],
+        "--model", workspace["unfair_model"], "--modified", tmp_path / "swapped.json",
+        "--retrained", root / "r" / "model_retrained.json", "--out", tmp_path, "--resolution", "5",
+    ) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "ValueError"
+    assert "'x2'" in err["error"]
+
+
+# ---------------------------------------------------------------------------
+# data/model agreement
+
+
+def test_audit_with_reordered_columns_fails(workspace, tmp_path, capsys):
+    swapped = tmp_path / "swapped.csv"
+    lines = Path(workspace["data"]).read_text().splitlines(keepends=True)
+    with open(swapped, "w") as fh:
+        for line in lines:
+            if not line.startswith("#"):
+                cells = line.split(",")
+                cells[0], cells[1] = cells[1], cells[0]
+                line = ",".join(cells)
+            fh.write(line)
+    assert run_cli(
+        "audit", "--data", swapped, "--schema", workspace["schema"],
+        "--model", workspace["unfair_model"], "--out", tmp_path / "out", *FAST_AUDIT,
+    ) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "ValueError"
+    assert "'x1'" in err["error"]
+
+
+@pytest.fixture(scope="module")
+def agreement(workspace, tmp_path_factory):
+    """audit (both pools), detect and mitigate modify of one model with the
+    same flags."""
+    root = tmp_path_factory.mktemp("agreement")
+    common = [
+        "--data", workspace["data"], "--schema", workspace["schema"],
+        "--model", workspace["unfair_model"], *FAST_AUDIT, "--seed", "3",
+    ]
+    for pool in ("test", "full"):
+        assert run_cli("audit", *common, "--pool", pool, "--export-explanations", "--out", root / pool) == 0
+    assert run_cli("detect", *common, "--out", root / "detect") == 0
+    assert run_cli("mitigate", "modify", *common, "--tau", "5", "--out", root / "modify") == 0
+    return root
+
+
+def test_mitigate_reuses_the_audit_and_the_detection(agreement):
+    audit_doc = json.loads((agreement / "test" / "audit.json").read_text())
+    detect_doc = json.loads((agreement / "detect" / "unfair_features.json").read_text())
+    mitigation = json.loads((agreement / "modify" / "mitigation.json").read_text())
+    del audit_doc["version"], audit_doc["model"]
+    assert mitigation["report_before"] == audit_doc
+    for key in ("indices", "feature_names", "pvalues"):
+        assert mitigation["unfair_features"][key] == detect_doc[key]
+    assert detect_doc["feature_names"] == ["xs", "xp"]
+
+
+@pytest.mark.parametrize("pool", ["test", "full"])
+def test_exported_explanations_reproduce_the_audit_gpf(agreement, pool):
+    audit_doc = json.loads((agreement / pool / "audit.json").read_text())
+    e1 = read_explanations_csv(agreement / pool / "explanations_group1.csv")
+    e2 = read_explanations_csv(agreement / pool / "explanations_group2.csv")
+    assert e1.n == e2.n == audit_doc["n_pairs"]
+    perm_config = PermutationConfig(audit_doc["config"]["n_permutations"], derive_seed(3, "permutation"))
+    assert permutation_pvalue(e1.values, e2.values, None, perm_config) == audit_doc["gpf_fae"]
+
+
 # ---------------------------------------------------------------------------
 # plumbing
 
@@ -366,9 +444,24 @@ def test_error_object_names_exception_type(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["type"] == "FileNotFoundError"
 
 
-def test_threads_flag_removed(tmp_path):
-    with pytest.raises(SystemExit):
-        run_cli("gen-data", "--out", tmp_path, "--threads", "2")
+def test_threads_flag_removed(tmp_path, capsys):
+    assert run_cli("gen-data", "--out", tmp_path, "--threads", "2") == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["command"] == "gen-data"
+    assert err["type"] == "ArgumentError"
+    assert "--threads" in err["error"]
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_missing_required_flag_fails_as_json(tmp_path, capsys):
+    assert run_cli("audit", "--data", "d.csv", "--schema", "d.json", "--out", tmp_path) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["command"] == "audit"
+    assert err["type"] == "ArgumentError"
+    assert "--model" in err["error"]
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("audit", "--help")
+    assert exit_info.value.code == 0
 
 
 def test_study_driver_fast_run_completes(tmp_path):

@@ -9,7 +9,7 @@ from mlp_reference import (
 from procfair import mitigation, models
 from procfair.attribution import ExplanationSet, ShapConfig, sample_background
 from procfair.datasets import SyntheticConfig, generate_synthetic, standardized_split
-from procfair.fairness import AuditConfig
+from procfair.fairness import AuditConfig, AuditReport, audit
 from procfair.mitigation import (
     ModifyConfig,
     UnfairFeatureSet,
@@ -48,6 +48,11 @@ def small_split():
 def unfair_model(small_split):
     model, _ = fit_mlp(small_split.train, TrainConfig(epochs=200, seed=0))
     return model
+
+
+@pytest.fixture(scope="module")
+def unfair_report(unfair_model, small_split):
+    return audit(unfair_model, small_split, AuditConfig(n_pairs=30, background_size=40, n_permutations=200, seed=0))
 
 
 def make_ufs(indices, d, names=("x1", "x2", "xs", "xp")):
@@ -112,6 +117,10 @@ def test_detect_on_synthetic_unfair_model(small_split, unfair_model):
         pair_seed=derive_seed(0, "pairs"),
     )
     assert ufs.feature_names == ("xs", "xp")
+    # the audit's own sets and permutation settings give the same p-values
+    gpf = audit(unfair_model, small_split, AuditConfig(n_pairs=60, background_size=60, n_permutations=400)).gpf
+    reused = unfair_features_from_sets(gpf.explanations_1, gpf.explanations_2, perm_config=gpf.perm_config)
+    assert reused.pvalues.tobytes() == ufs.pvalues.tobytes()
 
 
 def test_detect_on_fair_model_empty(small_split):
@@ -313,15 +322,24 @@ def test_modify_alpha_zero_equals_continued_training(unfair_model, small_split):
     assert modified.b2 == resumed.b2
 
 
-def test_modify_reduces_zeta(unfair_model, small_split):
+def test_modify_reduces_zeta(unfair_model, small_split, unfair_report):
     ufs = make_ufs((2, 3), 4)
-    result = modify_model(
-        unfair_model, small_split, ufs, ModifyConfig(tau=60),
-        AuditConfig(n_pairs=30, background_size=40, n_permutations=200, seed=0),
-    )
+    result = modify_model(unfair_model, small_split, ufs, unfair_report, ModifyConfig(tau=60))
     assert result.zeta_final < result.zeta_initial
     assert result.zeta_trace[0] == pytest.approx(result.zeta_initial)
+    assert result.report_before is unfair_report
+    assert result.report_after.config == unfair_report.config
     assert result.report_after.gpf_fae > result.report_before.gpf_fae
+
+
+def test_mitigation_needs_a_before_report_with_its_run(unfair_model, small_split, unfair_report):
+    ufs = make_ufs((2, 3), 4)
+    read_back = AuditReport.from_dict(unfair_report.to_dict())
+    assert read_back == unfair_report and read_back.audit_config is None
+    with pytest.raises(ValueError, match="no audit run"):
+        modify_model(unfair_model, small_split, ufs, read_back, ModifyConfig(tau=5))
+    with pytest.raises(ValueError, match="no audit run"):
+        retrain_without(unfair_model, small_split, ufs, read_back, TrainConfig(epochs=5))
 
 
 def test_modify_config_validation():
@@ -337,12 +355,9 @@ def test_modify_config_validation():
 # retraining
 
 
-def test_retrain_drops_columns(unfair_model, small_split):
+def test_retrain_drops_columns(unfair_model, small_split, unfair_report):
     ufs = make_ufs((2, 3), 4)
-    result = retrain_without(
-        unfair_model, small_split, ufs, TrainConfig(epochs=100, seed=0),
-        AuditConfig(n_pairs=30, background_size=40, n_permutations=200, seed=0),
-    )
+    result = retrain_without(unfair_model, small_split, ufs, unfair_report, TrainConfig(epochs=100, seed=0))
     assert result.model.d == 2
     assert result.model.feature_indices == (0, 1)
     assert result.removed_features == ("xs", "xp")
@@ -352,18 +367,16 @@ def test_retrain_drops_columns(unfair_model, small_split):
 
 def test_retrain_empty_ufs_keeps_all_features(unfair_model, small_split):
     ufs = UnfairFeatureSet((), (), np.ones(4))
-    result = retrain_without(
-        unfair_model, small_split, ufs, TrainConfig(epochs=50, seed=0),
-        AuditConfig(n_pairs=20, background_size=30, n_permutations=150, seed=0),
-    )
+    before = audit(unfair_model, small_split, AuditConfig(n_pairs=20, background_size=30, n_permutations=150, seed=0))
+    result = retrain_without(unfair_model, small_split, ufs, before, TrainConfig(epochs=50, seed=0))
     assert result.model.d == 4
     assert result.removed_features == ()
 
 
-def test_retrain_all_features_flagged_errors(unfair_model, small_split):
+def test_retrain_all_features_flagged_errors(unfair_model, small_split, unfair_report):
     ufs = make_ufs((0, 1, 2, 3), 4)
     with pytest.raises(ValueError, match="flagged"):
-        retrain_without(unfair_model, small_split, ufs)
+        retrain_without(unfair_model, small_split, ufs, unfair_report)
 
 
 # ---------------------------------------------------------------------------

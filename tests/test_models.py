@@ -25,6 +25,7 @@ from procfair.models import (
     default_hidden_size,
     fit_logistic,
     fit_mlp,
+    init_logistic,
     init_mlp,
     input_gradient,
     load_model,
@@ -466,3 +467,18 @@ def test_rejects_nonfinite_parameters():
         LogisticModel(np.array([np.inf]), 0.0)
     with pytest.raises(ValueError):
         MlpModel(np.ones((2, 2)), np.array([np.nan, 0.0]), np.ones(2), 0.0)
+
+
+def test_models_default_to_the_first_d_columns():
+    for model in (init_mlp(3, 4, seed=0), init_logistic(2)):
+        assert model.feature_indices == tuple(range(model.d))
+        loaded = model_from_dict(model_to_dict(model))
+        assert loaded.feature_indices == model.feature_indices
+        assert model_to_dict(loaded)["feature_indices"] == list(range(model.d))
+
+
+def test_feature_indices_length_checked():
+    with pytest.raises(ValueError, match="feature indices"):
+        init_mlp(3, 4, seed=0, feature_indices=(0, 1))
+    with pytest.raises(ValueError, match="feature indices"):
+        LogisticModel(np.array([1.0, 2.0]), 0.0, (0, 1, 2))
