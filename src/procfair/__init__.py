@@ -55,17 +55,21 @@ from .two_sample import (
     kernel_matrix,
     mmd2,
     pca_project,
+    permutation_memberships,
     permutation_pvalue,
 )
 from .fairness import (
     AuditConfig,
     AuditReport,
+    GpfPlan,
     PairSelection,
     audit,
     dp,
     eo,
     eod,
     gpf_fae,
+    gpf_plan,
+    gpf_run,
     individual_fairness,
     select_pairs,
 )

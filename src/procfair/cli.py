@@ -31,7 +31,7 @@ from .datasets import (
     write_csv,
     write_schema,
 )
-from .fairness import AuditConfig, audit, dp, eo, eod, gpf_run
+from .fairness import AuditConfig, audit, dp, eo, eod, gpf_plan, gpf_run
 from .mitigation import ModifyConfig, modify_model, retrain_without, unfair_features_from_sets
 from .models import (
     TrainConfig,
@@ -224,10 +224,12 @@ def cmd_detect(args) -> dict:
     out = _out_dir(args)
     model, doc = load_model(args.model)
     split = _load_split_for_model(args, doc, model)
-    gpf = gpf_run(
-        model, split.test, split.train.features[:, model.feature_indices], args.seed, args.n,
-        args.background, args.coalitions, KernelConfig(args.kernel, args.bandwidth), args.permutations,
+    feats = model.feature_indices
+    plan = gpf_plan(
+        split.test, split.train.features[:, feats], feats, args.seed, args.n,
+        args.background, args.coalitions, args.permutations,
     )
+    gpf = gpf_run(model, plan, KernelConfig(args.kernel, args.bandwidth))
     ufs = _unfair_features(gpf, args)
     detect_doc = {
         "version": __version__,

@@ -15,16 +15,24 @@ from .attribution import ExplanationSet, ShapConfig, explain_set, sample_backgro
 from .datasets import SplitDataset, TabularDataset, concat_datasets
 from .models import decision_score, predict_labels
 from .seeding import derive_seed
-from .two_sample import KernelConfig, PermutationConfig, euclidean, permutation_pvalue
+from .two_sample import (
+    KernelConfig,
+    PermutationConfig,
+    euclidean,
+    permutation_memberships,
+    permutation_pvalue,
+)
 
 __all__ = [
     "PairSelection",
     "GpfResult",
+    "GpfPlan",
     "AuditConfig",
     "AuditReport",
     "select_pairs",
     "matched_explanations",
     "gpf_fae",
+    "gpf_plan",
     "gpf_run",
     "dp",
     "eo",
@@ -79,10 +87,11 @@ class PairSelection:
         return float(self.distances.mean())
 
 
-def _model_feature_indices(model, pool: TabularDataset) -> tuple[int, ...]:
-    if max(model.feature_indices) >= pool.d:
-        raise ValueError("model feature indices exceed the pool's columns")
-    return model.feature_indices
+def _checked_feature_indices(feature_indices, pool: TabularDataset) -> tuple[int, ...]:
+    feats = tuple(int(i) for i in feature_indices)
+    if max(feats) >= pool.d:
+        raise ValueError("feature indices exceed the pool's columns")
+    return feats
 
 
 def select_pairs(
@@ -194,6 +203,29 @@ class GpfResult:
     perm_config: PermutationConfig
 
 
+def _pair_features(pool: TabularDataset, pairs: PairSelection, feats) -> tuple[np.ndarray, np.ndarray]:
+    return pool.features[pairs.group1_rows][:, feats], pool.features[pairs.group2_rows][:, feats]
+
+
+def _explain_both_sides(
+    model, X1, X2, shap_config: ShapConfig, pool_names
+) -> tuple[ExplanationSet, ExplanationSet]:
+    """Explain the two sides' rows with a shared background and coalition
+    sample, naming the features after the model (or, failing that, the
+    pool's columns).
+
+    Attributions explain the model's decision score (log-odds), the additive
+    scale the thresholded prediction lives on; probability-space attributions
+    would fold the sigmoid's saturation into every feature.
+    """
+    names = model.feature_names or pool_names
+
+    def score(M):
+        return decision_score(model, M)
+
+    return explain_set(score, X1, shap_config, names), explain_set(score, X2, shap_config, names)
+
+
 def matched_explanations(
     model,
     pool: TabularDataset,
@@ -202,23 +234,12 @@ def matched_explanations(
     pair_seed: int = 0,
 ) -> tuple[PairSelection, ExplanationSet, ExplanationSet]:
     """Select matched pairs and explain both sides with a shared background
-    and coalition sample.
-
-    Attributions explain the model's decision score (log-odds), the additive
-    scale the thresholded prediction lives on; probability-space attributions
-    would fold the sigmoid's saturation into every feature.
-    """
-    feats = _model_feature_indices(model, pool)
+    and coalition sample."""
+    feats = _checked_feature_indices(model.feature_indices, pool)
     pairs = select_pairs(pool, n, pair_seed, feats)
-    names = model.feature_names or tuple(pool.feature_names[i] for i in feats)
-
-    def score(M):
-        return decision_score(model, M)
-
-    X1 = pool.features[pairs.group1_rows][:, feats]
-    X2 = pool.features[pairs.group2_rows][:, feats]
-    e1 = explain_set(score, X1, shap_config, names)
-    e2 = explain_set(score, X2, shap_config, names)
+    X1, X2 = _pair_features(pool, pairs, feats)
+    names = tuple(pool.feature_names[i] for i in feats)
+    e1, e2 = _explain_both_sides(model, X1, X2, shap_config, names)
     return pairs, e1, e2
 
 
@@ -291,28 +312,71 @@ def individual_fairness(model, x_i, x_j, epsilon: float) -> tuple[float, bool]:
     return value, applicable
 
 
-def gpf_run(
-    model,
+@dataclass(frozen=True)
+class GpfPlan:
+    """Everything one GPF evaluation needs except the model: the matched
+    pairs and their rows in the model's feature space, the Kernel SHAP
+    settings (background and coalition seed), and the permutation settings
+    with their membership matrix. Any model whose ``feature_indices`` equal
+    the plan's can be scored over it with ``gpf_run``."""
+
+    pairs: PairSelection
+    rows_1: np.ndarray
+    rows_2: np.ndarray
+    feature_indices: tuple[int, ...]
+    feature_names: tuple[str, ...]
+    shap_config: ShapConfig
+    perm_config: PermutationConfig
+    memberships: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "rows_1", _readonly(self.rows_1))
+        object.__setattr__(self, "rows_2", _readonly(self.rows_2))
+
+
+def gpf_plan(
     pool: TabularDataset,
     background_source: np.ndarray,
+    feature_indices,
     seed: int = 0,
     n: int = 100,
     background_size: int = 100,
     n_coalitions: int | None = None,
-    kernel: KernelConfig | None = None,
     n_permutations: int = 1000,
-) -> GpfResult:
-    """One GPF evaluation with all sub-seeds (background sampling, coalition
-    sampling, pair selection, permutations) derived from a single seed; the
-    only place they are derived.
+) -> GpfPlan:
+    """The model-independent part of a GPF evaluation, with all sub-seeds
+    (background sampling, coalition sampling, pair selection, permutations)
+    derived from a single seed; the only place they are derived.
 
     ``background_source`` is the matrix backgrounds are sampled from, already
-    restricted to the model's feature space (normally the training split).
+    restricted to ``feature_indices`` (normally the training split).
     """
+    feats = _checked_feature_indices(feature_indices, pool)
     background = sample_background(background_source, background_size, derive_seed(seed, "background"))
     shap_config = ShapConfig(background, n_coalitions, seed=derive_seed(seed, "shap"))
     perm_config = PermutationConfig(n_permutations, derive_seed(seed, "permutation"))
-    return gpf_fae(model, pool, shap_config, kernel, perm_config, n, derive_seed(seed, "pairs"))
+    pairs = select_pairs(pool, n, derive_seed(seed, "pairs"), feats)
+    return GpfPlan(
+        pairs,
+        *_pair_features(pool, pairs, feats),
+        feats,
+        tuple(pool.feature_names[i] for i in feats),
+        shap_config,
+        perm_config,
+        permutation_memberships(2 * pairs.n, pairs.n, perm_config),
+    )
+
+
+def gpf_run(model, plan: GpfPlan, kernel: KernelConfig | None = None) -> GpfResult:
+    """Score one model over a plan: explain both sides of its pairs and test
+    the two explanation sets with the plan's permutations."""
+    if model.feature_indices != plan.feature_indices:
+        raise ValueError(
+            f"model feature indices {model.feature_indices} differ from the plan's {plan.feature_indices}"
+        )
+    e1, e2 = _explain_both_sides(model, plan.rows_1, plan.rows_2, plan.shap_config, plan.feature_names)
+    p = permutation_pvalue(e1.values, e2.values, kernel, plan.perm_config, memberships=plan.memberships)
+    return GpfResult(p, plan.pairs, e1, e2, plan.perm_config)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +472,7 @@ def audit(model, split: SplitDataset, config: AuditConfig | None = None) -> Audi
     pool (test split by default, the whole dataset with ``pool='full'``)."""
     config = config or AuditConfig()
     test = split.test
-    feats = _model_feature_indices(model, test)
+    feats = _checked_feature_indices(model.feature_indices, test)
     predictions = predict_labels(model, test.features[:, feats])
     accuracy = float((predictions == test.labels).mean())
     gmask = test.advantaged_mask
@@ -417,10 +481,11 @@ def audit(model, split: SplitDataset, config: AuditConfig | None = None) -> Audi
     eod_value = eod(predictions, test.labels, gmask)
 
     pool = test if config.pool == "test" else concat_datasets(split.train, split.test)
-    result = gpf_run(
-        model, pool, split.train.features[:, feats], config.seed, config.n_pairs,
-        config.background_size, config.n_coalitions, config.kernel, config.n_permutations,
+    plan = gpf_plan(
+        pool, split.train.features[:, feats], feats, config.seed, config.n_pairs,
+        config.background_size, config.n_coalitions, config.n_permutations,
     )
+    result = gpf_run(model, plan, config.kernel)
 
     return AuditReport(
         gpf_fae=result.p_value,

@@ -38,7 +38,7 @@ from .models import (
     predict_labels,
 )
 from .seeding import derive_seed
-from .two_sample import KernelConfig, PermutationConfig, permutation_pvalue
+from .two_sample import KernelConfig, PermutationConfig, permutation_memberships, permutation_pvalue
 
 __all__ = [
     "UnfairFeatureSet",
@@ -129,10 +129,13 @@ def unfair_features_from_sets(
     if e1.feature_names != e2.feature_names:
         raise ValueError("explanation sets cover different features")
     kernel_config = kernel_config or KernelConfig("gaussian")
+    perm_config = perm_config or PermutationConfig()
+    # every per-feature test pools the same a + b rows, so one matrix serves all
+    memberships = permutation_memberships(e1.n + e2.n, e1.n, perm_config)
     pvalues = np.empty(e1.d)
     for j in range(e1.d):
         pvalues[j] = permutation_pvalue(
-            e1.values[:, [j]], e2.values[:, [j]], kernel_config, perm_config
+            e1.values[:, [j]], e2.values[:, [j]], kernel_config, perm_config, memberships
         )
     flagged = tuple(int(i) for i in np.flatnonzero(pvalues <= threshold))
     names = tuple(e1.feature_names[i] for i in flagged)

@@ -8,12 +8,19 @@ from __future__ import annotations
 import numpy as np
 
 from .datasets import SplitDataset, concat_datasets, select_fair_features
-from .fairness import gpf_run
+from .fairness import gpf_plan, gpf_run
 from .models import TrainConfig, fit_logistic, set_sensitive_weight
 from .seeding import derive_seed
 from .two_sample import KernelConfig
 
 __all__ = ["sweep_sensitive_weight", "sweep_pair_count", "sweep_pool_size"]
+
+
+def _nonempty(name: str, values) -> list:
+    values = list(values)
+    if not values:
+        raise ValueError(f"{name} is empty; a sweep needs at least one")
+    return values
 
 
 def sweep_sensitive_weight(
@@ -31,26 +38,27 @@ def sweep_sensitive_weight(
     """Train a logistic model on the fair features plus the sensitive column,
     then override the sensitive weight along ``grid`` and score each model.
 
+    Every weight of one seed is scored over the same plan: the same pairs,
+    background, coalitions and permutations.
+
     Returns (feature_indices, matrix) where matrix[i, j] is the GPF score for
     seeds[i] and grid[j].
     """
+    grid = np.asarray(_nonempty("grid", grid), dtype=float)
+    seeds = _nonempty("seeds", seeds)
     fair = select_fair_features(split.train, fair_threshold)
     feats = tuple(sorted(set(fair) | {split.train.sensitive_index}))
     base_model, _ = fit_logistic(split.train, train_config, feats)
     background_source = split.train.features[:, feats]
 
-    grid = np.asarray(grid, dtype=float)
-    seeds = list(seeds)
     matrix = np.empty((len(seeds), grid.size))
     for i, seed in enumerate(seeds):
+        plan = gpf_plan(
+            split.test, background_source, feats, seed, n, background_size, n_coalitions, n_permutations
+        )
         for j, w_s in enumerate(grid):
             model = set_sensitive_weight(base_model, float(w_s))
-            result = gpf_run(
-                model, split.test, background_source, seed=seed, n=n,
-                background_size=background_size, n_coalitions=n_coalitions,
-                kernel=kernel, n_permutations=n_permutations,
-            )
-            matrix[i, j] = result.p_value
+            matrix[i, j] = gpf_run(model, plan, kernel).p_value
     return feats, matrix
 
 
@@ -66,17 +74,17 @@ def sweep_pair_count(
 ) -> np.ndarray:
     """GPF score of one model for several pair counts; matrix[i, j] is the
     score for seeds[i] and n_values[j]."""
-    background_source = split.train.features[:, model.feature_indices]
-    seeds, n_values = list(seeds), list(n_values)
+    feats = model.feature_indices
+    background_source = split.train.features[:, feats]
+    seeds, n_values = _nonempty("seeds", seeds), _nonempty("n_values", n_values)
     matrix = np.empty((len(seeds), len(n_values)))
     for i, seed in enumerate(seeds):
         for j, n in enumerate(n_values):
-            result = gpf_run(
-                model, split.test, background_source, seed=seed, n=int(n),
-                background_size=background_size, n_coalitions=n_coalitions,
-                kernel=kernel, n_permutations=n_permutations,
+            plan = gpf_plan(
+                split.test, background_source, feats, seed, int(n), background_size, n_coalitions,
+                n_permutations,
             )
-            matrix[i, j] = result.p_value
+            matrix[i, j] = gpf_run(model, plan, kernel).p_value
     return matrix
 
 
@@ -101,16 +109,20 @@ def sweep_pool_size(
     full = concat_datasets(split.train, split.test)
     g1 = np.flatnonzero(full.advantaged_mask)
     g2 = np.flatnonzero(full.disadvantaged_mask)
-    background_source = split.train.features[:, model.feature_indices]
+    feats = model.feature_indices
+    background_source = split.train.features[:, feats]
 
-    sizes = [int(s) for s in pool_sizes]
+    sizes = [int(s) for s in _nonempty("pool_sizes", pool_sizes)]
     for size in sizes:
         if size < 2 * n:
             raise ValueError(f"pool size {size} is below 2n = {2 * n}")
-        if size // 2 > min(g1.size, g2.size):
-            raise ValueError(f"pool size {size} exceeds the available group rows")
+        if size // 2 > g1.size or size - size // 2 > g2.size:
+            raise ValueError(
+                f"pool size {size} needs {size // 2}/{size - size // 2} rows from groups "
+                f"of sizes {g1.size}/{g2.size}"
+            )
 
-    seeds = list(seeds)
+    seeds = _nonempty("seeds", seeds)
     distances = np.empty((len(seeds), len(sizes)))
     scores = np.empty((len(seeds), len(sizes)))
     for i, seed in enumerate(seeds):
@@ -121,11 +133,10 @@ def sweep_pool_size(
             half = size // 2
             rows = np.sort(np.concatenate([order1[:half], order2[: size - half]]))
             pool = full.take(rows)
-            result = gpf_run(
-                model, pool, background_source, seed=seed, n=n,
-                background_size=background_size, n_coalitions=n_coalitions,
-                kernel=kernel, n_permutations=n_permutations,
+            plan = gpf_plan(
+                pool, background_source, feats, seed, n, background_size, n_coalitions, n_permutations
             )
+            result = gpf_run(model, plan, kernel)
             distances[i, j] = result.pairs.mean_distance
             scores[i, j] = result.p_value
     return distances, scores

@@ -17,6 +17,7 @@ __all__ = [
     "euclidean",
     "kernel_matrix",
     "mmd2",
+    "permutation_memberships",
     "permutation_pvalue",
     "pca_project",
     "isotonic_decreasing",
@@ -139,16 +140,38 @@ def _stats_for_memberships(K: np.ndarray, Z: np.ndarray, a: int, b: int) -> np.n
     return s11 / (a * a) + s22 / (b * b) - 2.0 * s12 / (a * b)
 
 
+def permutation_memberships(n: int, a: int, perm_config: PermutationConfig) -> np.ndarray:
+    """Read-only (n, P) 0/1 matrix whose column p marks the rows that the
+    p-th random permutation of the pooled sample assigns to the first sample
+    of size ``a``; the only place the permutation stream is drawn.
+
+    It depends on the sample sizes and ``perm_config`` alone, so every test
+    over samples of the same sizes can share one matrix.
+    """
+    if not 0 < a < n:
+        raise ValueError(f"first sample size {a} must lie strictly between 0 and {n}")
+    rng = np.random.default_rng(perm_config.seed)
+    P = perm_config.n_permutations
+    Z = np.zeros((n, P))
+    for p in range(P):
+        Z[rng.permutation(n)[:a], p] = 1.0
+    Z.setflags(write=False)
+    return Z
+
+
 def permutation_pvalue(
     E1,
     E2,
     kernel_config: KernelConfig | None = None,
     perm_config: PermutationConfig | None = None,
+    memberships: np.ndarray | None = None,
 ) -> float:
     """Permutation p-value of the MMD two-sample test.
 
     The kernel bandwidth is fixed once on the pooled sample and reused for
     every permutation; p = (1 + #{permuted >= observed}) / (1 + P).
+    ``memberships`` is ``permutation_memberships(a + b, a, perm_config)``,
+    built here when not given.
     """
     kernel_config = kernel_config or KernelConfig()
     perm_config = perm_config or PermutationConfig()
@@ -159,19 +182,17 @@ def permutation_pvalue(
         raise ValueError("dimension mismatch")
     a, b = E1.shape[0], E2.shape[0]
     n = a + b
+    P = perm_config.n_permutations
+    if memberships is None:
+        memberships = permutation_memberships(n, a, perm_config)
+    elif memberships.shape != (n, P):
+        raise ValueError(f"membership matrix of shape {memberships.shape}, expected {(n, P)}")
     K, _ = _pooled_kernel(E1, E2, kernel_config)
 
     observed_membership = np.zeros((n, 1))
     observed_membership[:a, 0] = 1.0
     observed = _stats_for_memberships(K, observed_membership, a, b)[0]
-
-    rng = np.random.default_rng(perm_config.seed)
-    P = perm_config.n_permutations
-    Z = np.zeros((n, P))
-    cols = np.arange(P)
-    for p in range(P):
-        Z[rng.permutation(n)[:a], cols[p]] = 1.0
-    permuted = _stats_for_memberships(K, Z, a, b)
+    permuted = _stats_for_memberships(K, memberships, a, b)
     return float((1 + int(np.sum(permuted >= observed))) / (1 + P))
 
 

@@ -279,6 +279,25 @@ def test_sweep_pool_below_2n_fails(workspace, tmp_path, capsys):
     assert "below 2n" in json.loads(capsys.readouterr().err)["error"]
 
 
+@pytest.mark.parametrize(
+    "argv, table",
+    [
+        (["sweep-ws", "--seeds", "0", "--epochs", "20"], "sweep_ws.csv"),
+        (["sweep-ws", "--points", "0", "--epochs", "20"], "sweep_ws.csv"),
+        (["sweep-n", "--seeds", "0", "--model", "fair"], "sweep_n.csv"),
+        (["sweep-pool", "--seeds", "0", "--pool-sizes", "400", "--n", "20", "--model", "fair"], "sweep_pool.csv"),
+    ],
+)
+def test_empty_sweep_fails_before_writing(workspace, tmp_path, capsys, argv, table):
+    argv = [workspace["fair_model"] if a == "fair" else a for a in argv]
+    assert run_cli(*argv, "--data", workspace["data"], "--schema", workspace["schema"], "--out", tmp_path) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert (err["command"], err["type"]) == (argv[0], "ValueError")
+    assert "is empty" in err["error"]
+    assert not (tmp_path / table).exists()
+    assert not (tmp_path / "report.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # boundary
 

@@ -21,11 +21,13 @@ from procfair.fairness import (
     eo,
     eod,
     gpf_fae,
+    gpf_plan,
     gpf_run,
     individual_fairness,
     select_pairs,
 )
-from procfair.models import LogisticModel, TrainConfig, fit_mlp
+from procfair.models import LogisticModel, TrainConfig, fit_logistic, fit_mlp
+from procfair.seeding import derive_seed
 from procfair.two_sample import KernelConfig, PermutationConfig
 
 
@@ -347,9 +349,48 @@ def test_gpf_fair_model_high_pvalue(small_split):
 
 def test_gpf_unfair_model_low_pvalue(small_split):
     model, _ = fit_mlp(small_split.train, TrainConfig(epochs=150, seed=0))
-    result = gpf_run(model, small_split.test, small_split.train.features, seed=0, n=40,
-                     background_size=50, n_permutations=300)
+    plan = gpf_plan(small_split.test, small_split.train.features, model.feature_indices, seed=0, n=40,
+                    background_size=50, n_permutations=300)
+    result = gpf_run(model, plan)
     assert result.p_value <= 0.05
+
+
+@pytest.fixture(scope="module")
+def four_feature_models(small_split):
+    mlp, _ = fit_mlp(small_split.train, TrainConfig(epochs=60, seed=0))
+    other_mlp, _ = fit_mlp(small_split.train, TrainConfig(epochs=60, seed=1))
+    logistic, _ = fit_logistic(small_split.train, TrainConfig(epochs=60, seed=0))
+    return mlp, other_mlp, logistic
+
+
+def test_one_plan_scores_every_model_as_a_fresh_plan_would(small_split, four_feature_models):
+    source, feats, seed = small_split.train.features, (0, 1, 2, 3), 9
+    sizes = dict(n=30, background_size=30, n_permutations=200)
+    shared = gpf_plan(small_split.test, source, feats, seed, **sizes)
+    # the pre-plan path: the same derived sub-seeds, every step rebuilt per model
+    shap_config = ShapConfig(sample_background(source, 30, derive_seed(seed, "background")),
+                             seed=derive_seed(seed, "shap"))
+    perm_config = PermutationConfig(200, derive_seed(seed, "permutation"))
+    for model in four_feature_models:
+        reused = gpf_run(model, shared)
+        fresh = gpf_run(model, gpf_plan(small_split.test, source, feats, seed, **sizes))
+        direct = gpf_fae(model, small_split.test, shap_config, None, perm_config, 30, derive_seed(seed, "pairs"))
+        for other in (fresh, direct):
+            assert reused.p_value == other.p_value
+            assert reused.explanations_1.values.tobytes() == other.explanations_1.values.tobytes()
+            assert reused.explanations_2.values.tobytes() == other.explanations_2.values.tobytes()
+            assert reused.pairs.group2_rows.tobytes() == other.pairs.group2_rows.tobytes()
+            assert reused.perm_config == other.perm_config
+    assert not (shared.rows_1.flags.writeable or shared.memberships.flags.writeable)
+
+
+def test_gpf_run_rejects_a_model_on_other_columns(small_split, four_feature_models):
+    plan = gpf_plan(small_split.test, small_split.train.features[:, :2], (0, 1), n=10,
+                    background_size=10, n_permutations=100)
+    swapped = LogisticModel(np.array([1.0, -1.0]), 0.0, feature_indices=(1, 0))
+    for model in (four_feature_models[0], swapped):
+        with pytest.raises(ValueError, match="feature indices"):
+            gpf_run(model, plan)
 
 
 def test_audit_report_contents(small_split):

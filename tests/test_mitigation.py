@@ -6,7 +6,7 @@ from mlp_reference import (
     reference_mlp_modified_grads,
 )
 
-from procfair import mitigation, models
+from procfair import mitigation, models, two_sample
 from procfair.attribution import ExplanationSet, ShapConfig, sample_background
 from procfair.datasets import SyntheticConfig, generate_synthetic, standardized_split
 from procfair.fairness import AuditConfig, AuditReport, audit
@@ -34,7 +34,7 @@ from procfair.models import (
     train,
 )
 from procfair.seeding import derive_seed
-from procfair.two_sample import PermutationConfig
+from procfair.two_sample import KernelConfig, PermutationConfig, permutation_pvalue
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +121,26 @@ def test_detect_on_synthetic_unfair_model(small_split, unfair_model):
     gpf = audit(unfair_model, small_split, AuditConfig(n_pairs=60, background_size=60, n_permutations=400)).gpf
     reused = unfair_features_from_sets(gpf.explanations_1, gpf.explanations_2, perm_config=gpf.perm_config)
     assert reused.pvalues.tobytes() == ufs.pvalues.tobytes()
+
+
+def test_detection_shares_one_membership_matrix_across_features(unfair_report, monkeypatch):
+    gpf = unfair_report.gpf
+    e1, e2, kernel = gpf.explanations_1, gpf.explanations_2, KernelConfig("gaussian")
+    independent = [
+        permutation_pvalue(e1.values[:, [j]], e2.values[:, [j]], kernel, gpf.perm_config) for j in range(e1.d)
+    ]
+    built = []
+    original = mitigation.permutation_memberships
+
+    def counted(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(mitigation, "permutation_memberships", counted)
+    monkeypatch.setattr(two_sample, "permutation_memberships", counted)
+    ufs = unfair_features_from_sets(e1, e2, kernel, gpf.perm_config)
+    assert ufs.pvalues.tolist() == independent
+    assert len(built) == 1
 
 
 def test_detect_on_fair_model_empty(small_split):

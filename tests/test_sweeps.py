@@ -1,17 +1,30 @@
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from procfair import sweeps
 from procfair.datasets import SyntheticConfig, generate_synthetic, standardized_split
-from procfair.models import TrainConfig, fit_logistic
-from procfair.sweeps import sweep_pair_count, sweep_sensitive_weight
+from procfair.fairness import gpf_plan, gpf_run
+from procfair.models import TrainConfig, fit_logistic, set_sensitive_weight
+from procfair.sweeps import sweep_pair_count, sweep_pool_size, sweep_sensitive_weight
 
 FAST = dict(background_size=20, n_permutations=100)
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
 @pytest.fixture(scope="module")
 def split():
     dataset = generate_synthetic(SyntheticConfig(m=800, n_advantaged=480, seed=0))
     return standardized_split(dataset, 0.8, 0)[0]
+
+
+@pytest.fixture(scope="module")
+def model(split):
+    return fit_logistic(split.train, TrainConfig(epochs=30, seed=0))[0]
 
 
 def test_sensitive_weight_sweep_accepts_generators(split):
@@ -21,8 +34,68 @@ def test_sensitive_weight_sweep_accepts_generators(split):
     np.testing.assert_array_equal(generated, listed)
 
 
-def test_pair_count_sweep_accepts_generators(split):
-    model, _ = fit_logistic(split.train, TrainConfig(epochs=30, seed=0))
+def test_pair_count_sweep_accepts_generators(split, model):
     listed = sweep_pair_count(model, split, [10, 20], [1, 2], **FAST)
     generated = sweep_pair_count(model, split, (n for n in [10, 20]), (s for s in [1, 2]), **FAST)
     np.testing.assert_array_equal(generated, listed)
+
+
+def test_sensitive_weight_sweep_equals_a_fresh_plan_per_point(split):
+    # at w_s = 0.05 the p-values lie between the 1 and 1/101 ends and differ between the seeds
+    config, grid, seeds = TrainConfig(epochs=30, seed=0), [0.0, 0.05, 3.0], [1, 2]
+    feats, matrix = sweep_sensitive_weight(split, grid, seeds, config, n=20, **FAST)
+    base, _ = fit_logistic(split.train, config, feats)
+    source = split.train.features[:, feats]
+    expected = [
+        [
+            gpf_run(set_sensitive_weight(base, w), gpf_plan(split.test, source, feats, seed, 20, **FAST)).p_value
+            for w in grid
+        ]
+        for seed in seeds
+    ]
+    np.testing.assert_array_equal(matrix, expected)
+
+
+def test_empty_sweeps_raise(split, model):
+    config = TrainConfig(epochs=30, seed=0)
+    cases = [
+        ("seeds", lambda: sweep_sensitive_weight(split, [0.0], [], config)),
+        ("grid", lambda: sweep_sensitive_weight(split, np.linspace(0.0, 5.0, 0), [1], config)),
+        ("seeds", lambda: sweep_pair_count(model, split, [10], [])),
+        ("n_values", lambda: sweep_pair_count(model, split, [], [1])),
+        ("seeds", lambda: sweep_pool_size(model, split, [400], [], n=20)),
+        ("pool_sizes", lambda: sweep_pool_size(model, split, [], [1], n=20)),
+    ]
+    for name, call in cases:
+        with pytest.raises(ValueError, match=f"{name} is empty"):
+            call()
+
+
+def test_pool_size_beyond_a_groups_share_fails(split, model):
+    # the whole dataset has 480/320 rows; a 641-row pool needs 320/321
+    with pytest.raises(ValueError, match="pool size 641 needs 320/321 rows"):
+        sweep_pool_size(model, split, [641], [1], n=20, **FAST)
+    distances, scores = sweep_pool_size(model, split, [640], [1], n=20, **FAST)
+    assert distances.shape == scores.shape == (1, 1)
+
+
+def _perfbench_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_sweep_matches_pairs_once_per_seed(split):
+    tracing = _perfbench_tracing()
+    for module_name, attr, *_ in tracing.PATCHES:
+        assert hasattr(importlib.import_module(module_name), attr), f"{module_name}.{attr}"
+    tracer = tracing.Tracer()
+    with tracer.installed(), tracer.op("sweep"):
+        sweeps.sweep_sensitive_weight(split, [0.0, 1.5, 3.0], [1, 2], TrainConfig(epochs=30, seed=0), n=20, **FAST)
+    metrics, _ = tracing.op_metrics(tracer, "sweep")
+    assert metrics["sweeps.gpf_runs"] == 6
+    assert metrics["two_sample.perm_tests"] == 6
+    assert metrics["attribution.explain_calls"] == 12
+    assert sum(s.name == "fairness.select_pairs" for s in tracer.op_spans("sweep")) == 2

@@ -13,6 +13,7 @@ from procfair.two_sample import (
     kernel_matrix,
     mmd2,
     pca_project,
+    permutation_memberships,
     permutation_pvalue,
 )
 
@@ -201,6 +202,49 @@ def test_null_calibration_smoke():
         p = permutation_pvalue(E1, E2, perm_config=PermutationConfig(200, seed=t))
         hits += p <= 0.05
     assert hits / trials <= 0.15
+
+
+def _reference_memberships(n, a, perm_config):
+    # the per-column loop permutation_pvalue ran before the matrix had a function of its own
+    rng = np.random.default_rng(perm_config.seed)
+    Z = np.zeros((n, perm_config.n_permutations))
+    for p in range(perm_config.n_permutations):
+        Z[rng.permutation(n)[:a], p] = 1.0
+    return Z
+
+
+@pytest.mark.parametrize("n, a, seed", [(200, 100, 0), (61, 20, 7), (3, 1, 2**63 + 5)])
+def test_memberships_equal_the_per_column_loop(n, a, seed):
+    config = PermutationConfig(300, seed)
+    Z = permutation_memberships(n, a, config)
+    assert Z.dtype == np.float64 and not Z.flags.writeable
+    assert Z.tobytes() == _reference_memberships(n, a, config).tobytes()
+
+
+def test_pvalue_over_given_memberships_equals_drawn():
+    rng = np.random.default_rng(11)
+    E1, E2 = rng.normal(size=(20, 2)), rng.normal(0.3, 1.0, size=(25, 2))
+    config = PermutationConfig(200, seed=3)
+    Z = permutation_memberships(45, 20, config)
+    assert permutation_pvalue(E1, E2, None, config, Z) == permutation_pvalue(E1, E2, None, config)
+
+
+def test_pvalue_rejects_memberships_of_the_wrong_shape():
+    E1, E2 = np.zeros((10, 1)), np.ones((12, 1))
+    config = PermutationConfig(100, seed=0)
+    for Z in (
+        permutation_memberships(21, 10, config),
+        permutation_memberships(22, 10, PermutationConfig(101, seed=0)),
+        permutation_memberships(22, 10, config).T,
+    ):
+        with pytest.raises(ValueError, match="membership matrix"):
+            permutation_pvalue(E1, E2, None, config, Z)
+
+
+def test_memberships_need_two_nonempty_samples():
+    for a in (0, 10):
+        with pytest.raises(ValueError):
+            permutation_memberships(10, a, PermutationConfig())
 
 
 # ---------------------------------------------------------------------------
