@@ -70,13 +70,11 @@ from .fairness import (
     gpf_fae,
     gpf_plan,
     gpf_run,
-    individual_fairness,
     select_pairs,
 )
 from .mitigation import (
     ModifyConfig,
     UnfairFeatureSet,
-    alpha_sweep,
     detect_unfair_features,
     explanation_loss,
     modify_model,

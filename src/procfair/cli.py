@@ -33,15 +33,7 @@ from .datasets import (
 )
 from .fairness import AuditConfig, audit, dp, eo, eod, gpf_plan, gpf_run
 from .mitigation import ModifyConfig, modify_model, retrain_without, unfair_features_from_sets
-from .models import (
-    TrainConfig,
-    bce_loss,
-    fit_logistic,
-    fit_mlp,
-    load_model,
-    predict_labels,
-    save_model,
-)
+from .models import MODEL_KINDS, MlpModel, TrainConfig, bce_loss, load_model, predict_labels, save_model
 from .seeding import derive_seed
 from .sweeps import sweep_pair_count, sweep_pool_size, sweep_sensitive_weight
 from .two_sample import KernelConfig, pca_project
@@ -159,10 +151,7 @@ def cmd_train(args) -> dict:
     config = TrainConfig(
         epochs=args.epochs, learning_rate=args.lr, dp_weight=args.dp_weight, seed=args.seed
     )
-    if args.kind == "mlp":
-        model, trace = fit_mlp(split.train, config, feats, args.hidden)
-    else:
-        model, trace = fit_logistic(split.train, config, feats)
+    model, trace = MODEL_KINDS[args.kind].fit(split.train, config, feats, args.hidden)
 
     X_test = split.test.features[:, model.feature_indices]
     predictions = predict_labels(model, X_test)
@@ -460,9 +449,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a classifier")
     _add_common(p)
     _add_data(p)
-    p.add_argument("--kind", choices=("mlp", "logistic"), default="mlp")
+    p.add_argument("--kind", choices=tuple(MODEL_KINDS), default=MlpModel.kind)
     p.add_argument("--features", default=None, help="comma-separated feature names (default: all)")
-    p.add_argument("--hidden", type=int, default=None, help="hidden units (default: 32, 64 if d > 18)")
+    p.add_argument(
+        "--hidden", type=int, default=None, help="MLP hidden units, at least 1 (default: 32, 64 if d > 18)"
+    )
     p.add_argument("--epochs", type=int, default=300)
     p.add_argument("--lr", type=float, default=0.01)
     p.add_argument("--dp-weight", type=float, default=0.0, help="weight of the DP term in the loss")

@@ -15,13 +15,7 @@ from .attribution import ExplanationSet, ShapConfig, explain_set, sample_backgro
 from .datasets import SplitDataset, TabularDataset, concat_datasets
 from .models import decision_score, predict_labels
 from .seeding import derive_seed
-from .two_sample import (
-    KernelConfig,
-    PermutationConfig,
-    euclidean,
-    permutation_memberships,
-    permutation_pvalue,
-)
+from .two_sample import KernelConfig, PermutationConfig, permutation_memberships, permutation_pvalue
 
 __all__ = [
     "PairSelection",
@@ -37,7 +31,6 @@ __all__ = [
     "dp",
     "eo",
     "eod",
-    "individual_fairness",
     "audit",
 ]
 
@@ -300,16 +293,6 @@ def eod(predictions, truths, group_mask) -> float:
     tpr1 = _rate(predictions, group_mask & (truths == 1), "group 1, y=1")
     tpr2 = _rate(predictions, ~group_mask & (truths == 1), "group 2, y=1")
     return float((abs(fpr1 - fpr2) + abs(tpr1 - tpr2)) / 2.0)
-
-
-def individual_fairness(model, x_i, x_j, epsilon: float) -> tuple[float, bool]:
-    """Absolute difference of the two thresholded predictions, plus a flag
-    marking whether the pair is close enough (distance <= epsilon) for the
-    comparison to apply. The value is reported either way."""
-    labels = predict_labels(model, np.vstack([np.ravel(x_i), np.ravel(x_j)]))
-    value = float(abs(int(labels[0]) - int(labels[1])))
-    applicable = euclidean(x_i, x_j) <= epsilon
-    return value, applicable
 
 
 @dataclass(frozen=True)

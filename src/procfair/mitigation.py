@@ -3,12 +3,8 @@ retraining without the flagged features, and in-place model modification that
 penalizes the explanation loss (the L1 aggregate of absolute input-gradients
 over the flagged features).
 
-The modification step needs d(zeta)/d(theta), a second-order quantity: the
-gradient of a function of the input gradients with respect to the parameters.
-It is computed in closed form for both model families (the ReLU masks and the
-signs inside the L1 norm are locally constant, so the expressions below are
-the exact forward-over-reverse derivative almost everywhere) and is verified
-against finite differences in the test suite.
+Nothing here depends on the model family: the models supply their own input
+and modified gradients and their refit on a column subset.
 """
 
 from __future__ import annotations
@@ -21,22 +17,7 @@ import numpy as np
 from .attribution import ExplanationSet, ShapConfig
 from .datasets import SplitDataset
 from .fairness import AuditConfig, AuditReport, audit, matched_explanations
-from .models import (
-    MlpModel,
-    TrainConfig,
-    TrainingDivergedError,
-    _Adam,
-    _clamped_bce,
-    _mlp_backward,
-    _mlp_forward,
-    _model_with_params,
-    _params_of,
-    _per_sample_input_gradient,
-    _sigmoid,
-    fit_logistic,
-    fit_mlp,
-    predict_labels,
-)
+from .models import TrainConfig, _adam_descent, _check_inputs
 from .seeding import derive_seed
 from .two_sample import KernelConfig, PermutationConfig, permutation_memberships, permutation_pvalue
 
@@ -50,7 +31,6 @@ __all__ = [
     "explanation_loss",
     "retrain_without",
     "modify_model",
-    "alpha_sweep",
 ]
 
 DETECTION_THRESHOLD = 0.05
@@ -165,81 +145,17 @@ def explanation_loss(model, X, y, uf_indices) -> float:
     uf = list(uf_indices)
     if not uf:
         return 0.0
-    grads = _per_sample_input_gradient(model, np.atleast_2d(np.asarray(X, float)), np.asarray(y, float))
+    grads = model.per_sample_input_gradient(_check_inputs(model, X), np.asarray(y, float))
     return float(np.abs(grads[:, uf]).sum() / grads.shape[0])
 
 
-# ---------------------------------------------------------------------------
-# Gradients of bce + alpha * zeta with respect to the parameters
-
-
-def _mlp_modified_grads(params, X, y, uf, alpha):
-    w1, b1, w2, b2 = params
-    m = X.shape[0]
-    act, p = _mlp_forward(X, w1, b1, w2, b2[0])
-    err = p - y
-
-    # Per sample the input gradient is g = err * aw with aw = act @ (w2 * w1);
-    # with v = sign(g) restricted to the flagged features,
-    # zeta = mean(v . g) = mean(err * c) where c = v . aw.
-    aw = act @ (w2[:, None] * w1)
-    v = np.zeros_like(aw)
-    v[:, uf] = np.sign(err[:, None] * aw[:, uf])
-    c = (v * aw).sum(axis=1)
-    zeta = float((err * c).sum() / m)
-
-    # alpha * zeta reaches each score through err (d err / d s = p (1 - p))
-    # and each input gradient directly, with weight alpha / m * err * v.
-    scale = alpha / m
-    delta = err / m + scale * (p * (1.0 - p) * c)
-    return _clamped_bce(p, y), zeta, _mlp_backward(X, act, w1, b1, w2, delta, scale * err[:, None] * v)
-
-
-def _logistic_modified_grads(params, X, y, uf, alpha):
-    w, b = params
-    m = X.shape[0]
-    p = _sigmoid(X @ w + b[0])
-    err = p - y
-    curv = p * (1.0 - p)
-
-    bce = _clamped_bce(p, y)
-    gw = X.T @ (err / m)
-    gb = np.array([err.sum() / m])
-
-    # g = err * w; zeta = mean(err * s) with s = v . w.
-    v = np.zeros((m, w.size))
-    v[:, uf] = np.sign(np.outer(err, w[uf]))
-    s = v @ w
-    zeta = float((err * s).sum() / m)
-
-    if alpha == 0.0:
-        return bce, zeta, [gw, gb]
-
-    qs = curv * s
-    zw = ((qs[:, None] * X) + err[:, None] * v).sum(axis=0) / m
-    zb = np.array([qs.sum() / m])
-    return bce, zeta, [gw + alpha * zw, gb + alpha * zb]
-
-
-def _modified_grads_fn(model):
-    return _mlp_modified_grads if isinstance(model, MlpModel) else _logistic_modified_grads
-
-
 def _run_modification(model, X, y, uf, config: ModifyConfig):
-    grad_fn = _modified_grads_fn(model)
-    params = _params_of(model)
-    opt = _Adam(params, config.learning_rate)
-    loss_trace = np.empty(config.tau)
-    zeta_trace = np.empty(config.tau)
-    for step in range(config.tau):
-        bce, zeta, grads = grad_fn(params, X, y, uf, config.alpha)
-        if not (np.isfinite(bce) and np.isfinite(zeta)):
-            raise TrainingDivergedError(step, f"non-finite loss at modification step {step}")
-        loss_trace[step] = bce
-        zeta_trace[step] = zeta
-        params = opt.step(params, grads)
-    new_model = model if config.tau == 0 else _model_with_params(model, params)
-    return new_model, loss_trace, zeta_trace
+    traces = np.empty((2, config.tau))
+    new_model = _adam_descent(
+        model, lambda params: model.modified_grads(params, X, y, uf, config.alpha), traces,
+        "modification step", config.learning_rate,
+    )
+    return new_model, traces[0], traces[1]
 
 
 @dataclass(frozen=True)
@@ -345,11 +261,7 @@ def retrain_without(
     removed = tuple(names[i] for i in range(model.d) if i not in keep)
 
     fresh = dataclasses.replace(train_config, seed=derive_seed(train_config.seed, "retrain"))
-    if isinstance(model, MlpModel):
-        new_model, trace = fit_mlp(split.train, fresh, kept_columns, model.hidden_size)
-    else:
-        new_model, trace = fit_logistic(split.train, fresh, kept_columns)
-
+    new_model, trace = model.refit(split.train, fresh, kept_columns)
     after = audit(new_model, split, audit_config)
     return RetrainResult(
         model=new_model,
@@ -359,34 +271,3 @@ def retrain_without(
         report_after=after,
         accuracy_drop=before.accuracy - after.accuracy,
     )
-
-
-def alpha_sweep(
-    model,
-    split: SplitDataset,
-    ufs: UnfairFeatureSet,
-    alphas,
-    config: ModifyConfig | None = None,
-) -> list[dict]:
-    """Modify the model once per penalty weight (common seed and step count)
-    and report the final explanation loss and the test-accuracy drop."""
-    config = config or ModifyConfig()
-    X = split.train.features[:, model.feature_indices]
-    y = split.train.labels.astype(float)
-    X_test = split.test.features[:, model.feature_indices]
-    base_accuracy = float((predict_labels(model, X_test) == split.test.labels).mean())
-    uf = list(ufs.indices)
-
-    rows = []
-    for alpha in alphas:
-        cfg = dataclasses.replace(config, alpha=float(alpha))
-        modified, _, zeta_trace = _run_modification(model, X, y, uf, cfg)
-        accuracy = float((predict_labels(modified, X_test) == split.test.labels).mean())
-        rows.append(
-            {
-                "alpha": float(alpha),
-                "final_zeta": explanation_loss(modified, X, y, uf),
-                "accuracy_drop": base_accuracy - accuracy,
-            }
-        )
-    return rows

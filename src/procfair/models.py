@@ -5,6 +5,18 @@ differentiable demographic-parity term (probability-mean gap) scaled by
 ``dp_weight``. Forward, backward, and input-gradient passes are explicit
 numpy so that every quantity the toolkit differentiates is exact and
 deterministic. The ReLU subgradient at 0 is taken as 0.
+
+Each model class owns every formula of its family: decision scores, the
+parameter list and its rebuild, the loss and modified (explanation-loss)
+gradients, the per-sample input gradient, its model document and how to refit
+on a column subset. Everything else here is family-agnostic.
+
+The modification step needs d(zeta)/d(theta), a second-order quantity: the
+gradient of a function of the input gradients with respect to the parameters.
+It is computed in closed form for both model families (the ReLU masks and the
+signs inside the L1 norm are locally constant, so the ``modified_grads``
+expressions are the exact forward-over-reverse derivative almost everywhere)
+and is verified against finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -21,6 +33,7 @@ from ._version import __version__
 __all__ = [
     "MlpModel",
     "LogisticModel",
+    "MODEL_KINDS",
     "TrainConfig",
     "TrainingDivergedError",
     "default_hidden_size",
@@ -62,15 +75,74 @@ def _set_features(model) -> None:
     feats = tuple(range(model.d)) if feats is None else tuple(int(i) for i in feats)
     if len(feats) != model.d:
         raise ValueError(f"{len(feats)} feature indices for a model of {model.d} features")
+    if min(feats) < 0 or len(set(feats)) != len(feats):
+        raise ValueError(f"feature indices must be distinct and non-negative, got {list(feats)}")
     object.__setattr__(model, "feature_indices", feats)
     if model.feature_names is not None:
         object.__setattr__(model, "feature_names", tuple(str(n) for n in model.feature_names))
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _hidden_layer(X: np.ndarray, w1: np.ndarray, b1: np.ndarray) -> np.ndarray:
+    """relu(X w1^T + b1), built in a single (rows x hidden) buffer."""
+    hidden = X @ w1.T
+    hidden += b1
+    return np.maximum(hidden, 0.0, out=hidden)
+
+
+def _mlp_forward(X, w1, b1, w2, b2):
+    """0/1 activation matrix (in the hidden layer's buffer) and probabilities."""
+    hidden = _hidden_layer(X, w1, b1)
+    p = _sigmoid(hidden @ w2 + b2)
+    return np.greater(hidden, 0.0, out=hidden), p
+
+
+def _mlp_backward(X, act, w1, b1, w2, delta, ev=None):
+    """Parameter gradients of sum_i delta_i * s_i + sum_i ev_i . ds_i/dx_i with
+    the activation pattern held fixed, where s_i = sum_k act_ik w2_k (w1_k . x_i
+    + b1_k). With M = act^T (delta X + ev) and n = act^T delta, unit k's
+    gradients are w2_k M_k, w2_k n_k and w1_k . M_k + b1_k n_k: one gemm."""
+    d = X.shape[1]
+    R = np.empty((X.shape[0], d + 1))
+    np.multiply(delta[:, None], X, out=R[:, :d])
+    if ev is not None:
+        R[:, :d] += ev
+    R[:, d] = delta
+    G = act.T @ R
+    M, n = G[:, :d], G[:, d]
+    return [w2[:, None] * M, w2 * n, (w1 * M).sum(axis=1) + b1 * n, np.array([delta.sum()])]
+
+
+def _delta_scores(p, y, group_mask, dp_weight, m):
+    """dLoss/dscore for BCE/m plus the soft-DP term."""
+    delta = (p - y) / m
+    loss_extra = 0.0
+    if dp_weight != 0.0:
+        n1 = int(group_mask.sum())
+        n2 = m - n1
+        gap = p[group_mask].mean() - p[~group_mask].mean()
+        sign = np.sign(gap)
+        ddp = np.where(group_mask, sign / n1, -sign / n2)
+        delta = delta + dp_weight * ddp * p * (1.0 - p)
+        loss_extra = dp_weight * abs(gap)
+    return delta, loss_extra
+
+
+def _clamped_bce(p, y) -> float:
+    pc = np.clip(p, PROBA_CLAMP, 1.0 - PROBA_CLAMP)
+    return float(np.mean(-(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc))))
 
 
 @dataclass(frozen=True)
 class MlpModel:
     """Two-layer network: sigmoid(w2 . relu(w1 x + b1) + b2) over the dataset
     columns ``feature_indices`` (default: the first ``d``)."""
+
+    kind = "mlp"
 
     w1: np.ndarray
     b1: np.ndarray
@@ -104,11 +176,80 @@ class MlpModel:
     def hidden_size(self) -> int:
         return self.w1.shape[0]
 
+    @property
+    def dims(self) -> dict:
+        return {"d": self.d, "hidden": self.hidden_size}
+
+    def scores(self, X: np.ndarray) -> np.ndarray:
+        return _hidden_layer(X, self.w1, self.b1) @ self.w2 + self.b2
+
+    def per_sample_input_gradient(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Gradient of each row's own BCE term with respect to that row."""
+        act, p = _mlp_forward(X, self.w1, self.b1, self.w2, self.b2)
+        return (p - y)[:, None] * (act @ (self.w2[:, None] * self.w1))
+
+    def params(self) -> list[np.ndarray]:
+        return [self.w1.copy(), self.b1.copy(), self.w2.copy(), np.array([self.b2])]
+
+    def with_params(self, params) -> MlpModel:
+        return dataclasses.replace(self, w1=params[0], b1=params[1], w2=params[2], b2=float(params[3][0]))
+
+    @staticmethod
+    def loss_grads(params, X, y, group_mask, dp_weight):
+        w1, b1, w2, b2 = params
+        act, p = _mlp_forward(X, w1, b1, w2, b2[0])
+        delta, extra = _delta_scores(p, y, group_mask, dp_weight, X.shape[0])
+        return _clamped_bce(p, y) + extra, _mlp_backward(X, act, w1, b1, w2, delta)
+
+    @staticmethod
+    def modified_grads(params, X, y, uf, alpha):
+        """BCE, zeta and the gradients of bce + alpha * zeta."""
+        w1, b1, w2, b2 = params
+        m = X.shape[0]
+        act, p = _mlp_forward(X, w1, b1, w2, b2[0])
+        err = p - y
+
+        # Per sample the input gradient is g = err * aw with aw = act @ (w2 * w1);
+        # with v = sign(g) restricted to the flagged features,
+        # zeta = mean(v . g) = mean(err * c) where c = v . aw.
+        aw = act @ (w2[:, None] * w1)
+        v = np.zeros_like(aw)
+        v[:, uf] = np.sign(err[:, None] * aw[:, uf])
+        c = (v * aw).sum(axis=1)
+        zeta = float((err * c).sum() / m)
+
+        # alpha * zeta reaches each score through err (d err / d s = p (1 - p))
+        # and each input gradient directly, with weight alpha / m * err * v.
+        scale = alpha / m
+        delta = err / m + scale * (p * (1.0 - p) * c)
+        return _clamped_bce(p, y), zeta, _mlp_backward(X, act, w1, b1, w2, delta, scale * err[:, None] * v)
+
+    def to_document(self) -> dict:
+        params = {"w1": self.w1.tolist(), "b1": self.b1.tolist(), "w2": self.w2.tolist(), "b2": self.b2}
+        return {"dims": self.dims, "parameters": params}
+
+    @classmethod
+    def from_document(cls, doc: dict) -> MlpModel:
+        w1, b1, w2, b2 = _fields(doc["parameters"], ("w1", "b1", "w2", "b2"), "parameters")
+        return cls(
+            np.array(w1), np.array(b1), np.array(w2), b2, doc.get("feature_indices"), doc.get("feature_names")
+        )
+
+    @classmethod
+    def fit(cls, dataset, config: TrainConfig | None = None, feature_indices=None, hidden_size=None):
+        return fit_mlp(dataset, config, feature_indices, hidden_size)
+
+    def refit(self, dataset, config: TrainConfig, feature_indices):
+        """A fresh model of the same hidden size, trained on other columns."""
+        return fit_mlp(dataset, config, feature_indices, self.hidden_size)
+
 
 @dataclass(frozen=True)
 class LogisticModel:
     """Linear model: sigmoid(w . x + b) over the dataset columns
     ``feature_indices`` (default: the first ``d``)."""
+
+    kind = "logistic"
 
     w: np.ndarray
     b: float
@@ -131,6 +272,80 @@ class LogisticModel:
     @property
     def d(self) -> int:
         return self.w.size
+
+    @property
+    def dims(self) -> dict:
+        return {"d": self.d}
+
+    def scores(self, X: np.ndarray) -> np.ndarray:
+        return X @ self.w + self.b
+
+    def per_sample_input_gradient(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Gradient of each row's own BCE term with respect to that row."""
+        return (_sigmoid(self.scores(X)) - y)[:, None] * self.w
+
+    def params(self) -> list[np.ndarray]:
+        return [self.w.copy(), np.array([self.b])]
+
+    def with_params(self, params) -> LogisticModel:
+        return dataclasses.replace(self, w=params[0], b=float(params[1][0]))
+
+    @staticmethod
+    def loss_grads(params, X, y, group_mask, dp_weight):
+        w, b = params
+        p = _sigmoid(X @ w + b[0])
+        m = X.shape[0]
+        loss = _clamped_bce(p, y)
+        delta, extra = _delta_scores(p, y, group_mask, dp_weight, m)
+        return loss + extra, [X.T @ delta, np.array([delta.sum()])]
+
+    @staticmethod
+    def modified_grads(params, X, y, uf, alpha):
+        """BCE, zeta and the gradients of bce + alpha * zeta."""
+        w, b = params
+        m = X.shape[0]
+        p = _sigmoid(X @ w + b[0])
+        err = p - y
+        curv = p * (1.0 - p)
+
+        bce = _clamped_bce(p, y)
+        gw = X.T @ (err / m)
+        gb = np.array([err.sum() / m])
+
+        # g = err * w; zeta = mean(err * s) with s = v . w.
+        v = np.zeros((m, w.size))
+        v[:, uf] = np.sign(np.outer(err, w[uf]))
+        s = v @ w
+        zeta = float((err * s).sum() / m)
+
+        qs = curv * s
+        zw = ((qs[:, None] * X) + err[:, None] * v).sum(axis=0) / m
+        zb = np.array([qs.sum() / m])
+        return bce, zeta, [gw + alpha * zw, gb + alpha * zb]
+
+    def to_document(self) -> dict:
+        params = {"w": self.w.tolist(), "b": self.b}
+        return {"dims": self.dims, "parameters": params, "sensitive_position": self.sensitive_position}
+
+    @classmethod
+    def from_document(cls, doc: dict) -> LogisticModel:
+        w, b = _fields(doc["parameters"], ("w", "b"), "parameters")
+        return cls(
+            np.array(w), b, doc.get("feature_indices"), doc.get("feature_names"), doc.get("sensitive_position")
+        )
+
+    @classmethod
+    def fit(cls, dataset, config: TrainConfig | None = None, feature_indices=None, hidden_size=None):
+        if hidden_size is not None:
+            raise ValueError(f"{cls.kind} models have no hidden layer to size")
+        return fit_logistic(dataset, config, feature_indices)
+
+    def refit(self, dataset, config: TrainConfig, feature_indices):
+        """A fresh model trained on other columns."""
+        return fit_logistic(dataset, config, feature_indices)
+
+
+MODEL_KINDS = {family.kind: family for family in (MlpModel, LogisticModel)}
 
 
 @dataclass(frozen=True)
@@ -184,47 +399,6 @@ def init_logistic(d: int, feature_indices=None, feature_names=None, sensitive_po
     return LogisticModel(np.zeros(d), 0.0, feature_indices, feature_names, sensitive_position)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def _hidden_layer(X: np.ndarray, w1: np.ndarray, b1: np.ndarray) -> np.ndarray:
-    """relu(X w1^T + b1), built in a single (rows x hidden) buffer."""
-    hidden = X @ w1.T
-    hidden += b1
-    return np.maximum(hidden, 0.0, out=hidden)
-
-
-def _mlp_forward(X, w1, b1, w2, b2):
-    """0/1 activation matrix (in the hidden layer's buffer) and probabilities."""
-    hidden = _hidden_layer(X, w1, b1)
-    p = _sigmoid(hidden @ w2 + b2)
-    return np.greater(hidden, 0.0, out=hidden), p
-
-
-def _mlp_backward(X, act, w1, b1, w2, delta, ev=None):
-    """Parameter gradients of sum_i delta_i * s_i + sum_i ev_i . ds_i/dx_i with
-    the activation pattern held fixed, where s_i = sum_k act_ik w2_k (w1_k . x_i
-    + b1_k). With M = act^T (delta X + ev) and n = act^T delta, unit k's
-    gradients are w2_k M_k, w2_k n_k and w1_k . M_k + b1_k n_k: one gemm."""
-    d = X.shape[1]
-    R = np.empty((X.shape[0], d + 1))
-    np.multiply(delta[:, None], X, out=R[:, :d])
-    if ev is not None:
-        R[:, :d] += ev
-    R[:, d] = delta
-    G = act.T @ R
-    M, n = G[:, :d], G[:, d]
-    return [w2[:, None] * M, w2 * n, (w1 * M).sum(axis=1) + b1 * n, np.array([delta.sum()])]
-
-
-def _scores(model, X: np.ndarray) -> np.ndarray:
-    if isinstance(model, MlpModel):
-        return _hidden_layer(X, model.w1, model.b1) @ model.w2 + model.b2
-    return X @ model.w + model.b
-
-
 def _check_inputs(model, X) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != model.d:
@@ -236,13 +410,13 @@ def decision_score(model, X) -> np.ndarray:
     """Pre-sigmoid score (log-odds). The predicted label is 1 iff the score
     is >= 0; this is the model's additive decision scale and is what the
     audit pipeline explains."""
-    return _scores(model, _check_inputs(model, X))
+    return model.scores(_check_inputs(model, X))
 
 
 def predict_proba(model, X) -> np.ndarray:
     """Positive-class probabilities, clipped strictly inside (0, 1)."""
     X = _check_inputs(model, X)
-    p = _sigmoid(_scores(model, X))
+    p = _sigmoid(model.scores(X))
     return np.clip(p, 1e-15, 1.0 - 1e-15)
 
 
@@ -272,17 +446,7 @@ def input_gradient(model, X, y) -> np.ndarray:
     coordinate; one row per sample."""
     X = _check_inputs(model, X)
     y = np.asarray(y, dtype=float)
-    return _per_sample_input_gradient(model, X, y) / X.shape[0]
-
-
-def _per_sample_input_gradient(model, X, y) -> np.ndarray:
-    """Gradient of each row's own BCE term with respect to that row."""
-    X = _check_inputs(model, X)
-    y = np.asarray(y, dtype=float)
-    if isinstance(model, MlpModel):
-        act, p = _mlp_forward(X, model.w1, model.b1, model.w2, model.b2)
-        return (p - y)[:, None] * (act @ (model.w2[:, None] * model.w1))
-    return (_sigmoid(_scores(model, X)) - y)[:, None] * model.w
+    return model.per_sample_input_gradient(X, y) / X.shape[0]
 
 
 def set_sensitive_weight(model: LogisticModel, w_s: float) -> LogisticModel:
@@ -317,52 +481,20 @@ class _Adam:
         return out
 
 
-def _params_of(model) -> list[np.ndarray]:
-    if isinstance(model, MlpModel):
-        return [model.w1.copy(), model.b1.copy(), model.w2.copy(), np.array([model.b2])]
-    return [model.w.copy(), np.array([model.b])]
-
-
-def _model_with_params(model, params):
-    if isinstance(model, MlpModel):
-        return dataclasses.replace(model, w1=params[0], b1=params[1], w2=params[2], b2=float(params[3][0]))
-    return dataclasses.replace(model, w=params[0], b=float(params[1][0]))
-
-
-def _delta_scores(p, y, group_mask, dp_weight, m):
-    """dLoss/dscore for BCE/m plus the soft-DP term."""
-    delta = (p - y) / m
-    loss_extra = 0.0
-    if dp_weight != 0.0:
-        n1 = int(group_mask.sum())
-        n2 = m - n1
-        gap = p[group_mask].mean() - p[~group_mask].mean()
-        sign = np.sign(gap)
-        ddp = np.where(group_mask, sign / n1, -sign / n2)
-        delta = delta + dp_weight * ddp * p * (1.0 - p)
-        loss_extra = dp_weight * abs(gap)
-    return delta, loss_extra
-
-
-def _clamped_bce(p, y) -> float:
-    pc = np.clip(p, PROBA_CLAMP, 1.0 - PROBA_CLAMP)
-    return float(np.mean(-(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc))))
-
-
-def _mlp_loss_grads(params, X, y, group_mask, dp_weight):
-    w1, b1, w2, b2 = params
-    act, p = _mlp_forward(X, w1, b1, w2, b2[0])
-    delta, extra = _delta_scores(p, y, group_mask, dp_weight, X.shape[0])
-    return _clamped_bce(p, y) + extra, _mlp_backward(X, act, w1, b1, w2, delta)
-
-
-def _logistic_loss_grads(params, X, y, group_mask, dp_weight):
-    w, b = params
-    p = _sigmoid(X @ w + b[0])
-    m = X.shape[0]
-    loss = _clamped_bce(p, y)
-    delta, extra = _delta_scores(p, y, group_mask, dp_weight, m)
-    return loss + extra, [X.T @ delta, np.array([delta.sum()])]
+def _adam_descent(model, grad_fn, traces: np.ndarray, unit: str, *adam_args):
+    """One full-batch Adam update of ``model.params()`` per column of
+    ``traces``. ``grad_fn(params)`` returns the values to trace, evaluated
+    before the update, followed by the gradients; a non-finite value stops
+    the run. Returns the updated model, or the model itself after no steps."""
+    params = model.params()
+    opt = _Adam(params, *adam_args)
+    for step in range(traces.shape[1]):
+        *values, grads = grad_fn(params)
+        if not np.isfinite(values).all():
+            raise TrainingDivergedError(step, f"non-finite loss at {unit} {step}")
+        traces[:, step] = values
+        params = opt.step(params, grads)
+    return model if traces.shape[1] == 0 else model.with_params(params)
 
 
 def train(model, dataset, config: TrainConfig | None = None):
@@ -374,27 +506,19 @@ def train(model, dataset, config: TrainConfig | None = None):
     X = dataset.features[:, model.feature_indices]
     y = dataset.labels.astype(float)
     group_mask = dataset.advantaged_mask
-    grad_fn = _mlp_loss_grads if isinstance(model, MlpModel) else _logistic_loss_grads
-
-    params = _params_of(model)
-    opt = _Adam(params, config.learning_rate, config.adam_beta1, config.adam_beta2, config.adam_eps)
-    trace = np.empty(config.epochs)
-    for epoch in range(config.epochs):
-        loss, grads = grad_fn(params, X, y, group_mask, config.dp_weight)
-        if not np.isfinite(loss):
-            raise TrainingDivergedError(epoch)
-        trace[epoch] = loss
-        params = opt.step(params, grads)
-    if config.epochs == 0:
-        return model, trace
-    return _model_with_params(model, params), trace
+    trace = np.empty((1, config.epochs))
+    trained = _adam_descent(
+        model, lambda params: model.loss_grads(params, X, y, group_mask, config.dp_weight), trace, "epoch",
+        config.learning_rate, config.adam_beta1, config.adam_beta2, config.adam_eps,
+    )
+    return trained, trace[0]
 
 
 def fit_mlp(dataset, config: TrainConfig | None = None, feature_indices=None, hidden_size=None):
     """Initialize and train an MLP on a feature subset of the dataset."""
     config = config or TrainConfig()
     feats = tuple(range(dataset.d) if feature_indices is None else feature_indices)
-    h = hidden_size or default_hidden_size(len(feats))
+    h = default_hidden_size(len(feats)) if hidden_size is None else hidden_size
     names = tuple(dataset.feature_names[i] for i in feats)
     model = init_mlp(len(feats), h, config.seed, feats, names)
     return train(model, dataset, config)
@@ -421,46 +545,35 @@ FORMAT_VERSION = 1
 
 
 def model_to_dict(model, training: dict | None = None, data_split: dict | None = None) -> dict:
-    doc: dict = {"format_version": FORMAT_VERSION, "version": __version__}
-    if isinstance(model, MlpModel):
-        doc["kind"] = "mlp"
-        doc["dims"] = {"d": model.d, "hidden": model.hidden_size}
-        doc["parameters"] = {
-            "w1": model.w1.tolist(),
-            "b1": model.b1.tolist(),
-            "w2": model.w2.tolist(),
-            "b2": model.b2,
-        }
-    elif isinstance(model, LogisticModel):
-        doc["kind"] = "logistic"
-        doc["dims"] = {"d": model.d}
-        doc["parameters"] = {"w": model.w.tolist(), "b": model.b}
-        doc["sensitive_position"] = model.sensitive_position
-    else:
-        raise TypeError(f"unsupported model type {type(model)!r}")
-    doc["feature_indices"] = list(model.feature_indices)
-    doc["feature_names"] = list(model.feature_names) if model.feature_names is not None else None
-    doc["training"] = training
-    doc["data_split"] = data_split
-    return doc
+    return {
+        "format_version": FORMAT_VERSION,
+        "version": __version__,
+        "kind": model.kind,
+        **model.to_document(),
+        "feature_indices": list(model.feature_indices),
+        "feature_names": list(model.feature_names) if model.feature_names is not None else None,
+        "training": training,
+        "data_split": data_split,
+    }
+
+
+def _fields(doc: dict, keys, where: str) -> list:
+    missing = [k for k in keys if k not in doc]
+    if missing:
+        raise ValueError(f"missing {', '.join(map(repr, missing))} in the model {where}")
+    return [doc[k] for k in keys]
 
 
 def model_from_dict(doc: dict):
     if doc.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported model format {doc.get('format_version')!r}")
-    feats = doc.get("feature_indices")
-    names = doc.get("feature_names")
-    params = doc["parameters"]
-    if doc["kind"] == "mlp":
-        return MlpModel(
-            np.array(params["w1"]), np.array(params["b1"]), np.array(params["w2"]),
-            params["b2"], feats, names,
-        )
-    if doc["kind"] == "logistic":
-        return LogisticModel(
-            np.array(params["w"]), params["b"], feats, names, doc.get("sensitive_position")
-        )
-    raise ValueError(f"unknown model kind {doc['kind']!r}")
+    kind, dims, _ = _fields(doc, ("kind", "dims", "parameters"), "document")
+    if kind not in MODEL_KINDS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    model = MODEL_KINDS[kind].from_document(doc)
+    if dims != model.dims:
+        raise ValueError(f"model document dims {dims} do not match its parameters, {model.dims}")
+    return model
 
 
 def save_model(model, path, training: dict | None = None, data_split: dict | None = None) -> None:

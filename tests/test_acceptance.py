@@ -24,15 +24,13 @@ from procfair.datasets import SyntheticConfig, generate_synthetic, standardized_
 from procfair.fairness import AuditConfig, audit
 from procfair.mitigation import (
     ModifyConfig,
-    _mlp_modified_grads,
     detect_unfair_features,
     modify_model,
     retrain_without,
 )
 from procfair.models import (
+    MlpModel,
     TrainConfig,
-    _params_of,
-    _per_sample_input_gradient,
     bce_loss,
     fit_mlp,
     init_mlp,
@@ -277,7 +275,7 @@ def _kink_free_case(seed, rows=10, d=3, h=4, uf=(0, 2), margin=1e-2, grad_floor=
         X = rng.normal(size=(rows, d))
         y = rng.integers(0, 2, size=rows).astype(float)
         pre = X @ model.w1.T + model.b1
-        grads = _per_sample_input_gradient(model, X, y)
+        grads = model.per_sample_input_gradient(X, y)
         if np.abs(pre).min() > margin and np.abs(grads[:, list(uf)]).min() > grad_floor:
             return model, X, y
     raise AssertionError("no kink-free configuration found")
@@ -301,11 +299,11 @@ def test_criterion_10_differentiation_oracle():
                 rel = abs(analytic[i, j] - fd) / max(abs(fd), 1e-8)
                 worst_input = max(worst_input, rel)
 
-        params = _params_of(model)
-        _, _, grads = _mlp_modified_grads(params, X, y, uf, alpha)
+        params = model.params()
+        _, _, grads = MlpModel.modified_grads(params, X, y, uf, alpha)
 
         def objective(ps):
-            bce, zeta, _ = _mlp_modified_grads(ps, X, y, uf, alpha)
+            bce, zeta, _ = MlpModel.modified_grads(ps, X, y, uf, alpha)
             return bce + alpha * zeta
 
         for pi, p in enumerate(params):

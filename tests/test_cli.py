@@ -122,6 +122,20 @@ def test_train_logistic_kind(workspace, tmp_path):
     assert doc["sensitive_position"] == 2
 
 
+@pytest.mark.parametrize(
+    "flags", [["--hidden", "0"], ["--kind", "logistic", "--hidden", "8"]], ids=["zero", "logistic"]
+)
+def test_train_rejects_a_hidden_size_it_cannot_use(workspace, tmp_path, capsys, flags):
+    assert run_cli(
+        "train", "--data", workspace["data"], "--schema", workspace["schema"],
+        "--out", tmp_path, *flags, "--epochs", "5",
+    ) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["command"] == "train"
+    assert err["type"] == "ValueError"
+    assert not (tmp_path / "model.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # audit
 
@@ -202,6 +216,53 @@ def test_mitigate_modify(workspace, tmp_path):
     assert doc["zeta_final"] < doc["zeta_initial"]
     assert len(doc["zeta_trace"]) == 60
     assert (tmp_path / "model_modified.json").exists()
+
+
+@pytest.fixture(scope="module")
+def logistic_model(workspace, tmp_path_factory):
+    out = tmp_path_factory.mktemp("logistic")
+    assert run_cli(
+        "train", "--data", workspace["data"], "--schema", workspace["schema"],
+        "--out", out, "--kind", "logistic", "--epochs", "150", "--seed", "0",
+    ) == 0
+    return out / "model.json"
+
+
+def test_mitigate_modify_logistic(workspace, logistic_model, tmp_path):
+    assert run_cli(
+        "mitigate", "modify", "--data", workspace["data"], "--schema", workspace["schema"],
+        "--model", logistic_model, "--out", tmp_path, *FAST_AUDIT, "--tau", "60", "--seed", "0",
+    ) == 0
+    doc = json.loads((tmp_path / "mitigation.json").read_text())
+    assert doc["unfair_features"]["feature_names"] == ["xs", "xp"]
+    assert doc["zeta_final"] < doc["zeta_initial"]
+    modified = json.loads((tmp_path / "model_modified.json").read_text())
+    assert modified["kind"] == "logistic"
+    assert modified["sensitive_position"] == 2
+    assert modified["dims"] == {"d": 4}
+
+
+def test_mitigate_retrain_logistic(workspace, logistic_model, tmp_path):
+    assert run_cli(
+        "mitigate", "retrain", "--data", workspace["data"], "--schema", workspace["schema"],
+        "--model", logistic_model, "--out", tmp_path, *FAST_AUDIT, "--seed", "0",
+    ) == 0
+    retrained = json.loads((tmp_path / "model_retrained.json").read_text())
+    assert retrained["kind"] == "logistic"
+    assert retrained["feature_names"] == ["x1", "x2"]
+    assert retrained["sensitive_position"] is None
+
+
+def test_mitigate_retrain_keeps_the_hidden_size(workspace, tmp_path):
+    data = ["--data", workspace["data"], "--schema", workspace["schema"]]
+    assert run_cli("train", *data, "--out", tmp_path, "--hidden", "8", "--epochs", "150", "--seed", "0") == 0
+    assert json.loads((tmp_path / "model.json").read_text())["dims"] == {"d": 4, "hidden": 8}
+    assert run_cli(
+        "mitigate", "retrain", *data, "--model", tmp_path / "model.json",
+        "--out", tmp_path / "r", *FAST_AUDIT, "--seed", "0",
+    ) == 0
+    retrained = json.loads((tmp_path / "r" / "model_retrained.json").read_text())
+    assert retrained["dims"] == {"d": 2, "hidden": 8}
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +414,29 @@ def test_boundary_rejects_a_model_with_other_columns(workspace, boundary_outputs
 
 # ---------------------------------------------------------------------------
 # data/model agreement
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda doc: doc.update(dims={"d": 99, "hidden": 1}), "dims"),
+        (lambda doc: doc.pop("kind"), "'kind'"),
+        (lambda doc: doc.update(feature_indices=[0, 0, 0, 0], feature_names=["x1"] * 4), "distinct"),
+        (lambda doc: doc.update(feature_indices=[0, 1, 2, -1]), "non-negative"),
+    ],
+    ids=["dims", "no-kind", "repeated-indices", "negative-index"],
+)
+def test_audit_rejects_a_malformed_model_document(workspace, tmp_path, capsys, change, message):
+    doc = json.loads(Path(workspace["unfair_model"]).read_text())
+    change(doc)
+    (tmp_path / "model.json").write_text(json.dumps(doc))
+    assert run_cli(
+        "audit", "--data", workspace["data"], "--schema", workspace["schema"],
+        "--model", tmp_path / "model.json", "--out", tmp_path / "out", *FAST_AUDIT,
+    ) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "ValueError"
+    assert message in err["error"]
 
 
 def test_audit_with_reordered_columns_fails(workspace, tmp_path, capsys):

@@ -23,7 +23,6 @@ from procfair.fairness import (
     gpf_fae,
     gpf_plan,
     gpf_run,
-    individual_fairness,
     select_pairs,
 )
 from procfair.models import LogisticModel, TrainConfig, fit_logistic, fit_mlp
@@ -301,28 +300,6 @@ def test_eod_empty_cell_named():
     mask = np.array([True, True, False, False])
     with pytest.raises(ValueError, match="y=0"):
         eod(preds, truths, mask)
-
-
-# ---------------------------------------------------------------------------
-# individual fairness
-
-
-def test_individual_fairness_identical_points():
-    model = LogisticModel(np.array([1.0, -1.0]), 0.0)
-    value, applicable = individual_fairness(model, [1.0, 2.0], [1.0, 2.0], epsilon=0.0)
-    assert value == 0.0 and applicable
-
-
-def test_individual_fairness_distance_gate():
-    model = LogisticModel(np.array([10.0, 0.0]), 0.0)
-    value, applicable = individual_fairness(model, [1.0, 0.0], [-1.0, 0.0], epsilon=0.5)
-    assert value == 1.0 and not applicable
-
-
-def test_individual_fairness_constant_model():
-    model = LogisticModel(np.array([0.0, 0.0]), 5.0)
-    value, applicable = individual_fairness(model, [3.0, 1.0], [-2.0, 4.0], epsilon=100.0)
-    assert value == 0.0 and applicable
 
 
 # ---------------------------------------------------------------------------

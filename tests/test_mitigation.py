@@ -6,17 +6,14 @@ from mlp_reference import (
     reference_mlp_modified_grads,
 )
 
-from procfair import mitigation, models, two_sample
+from procfair import mitigation, two_sample
 from procfair.attribution import ExplanationSet, ShapConfig, sample_background
 from procfair.datasets import SyntheticConfig, generate_synthetic, standardized_split
 from procfair.fairness import AuditConfig, AuditReport, audit
 from procfair.mitigation import (
     ModifyConfig,
     UnfairFeatureSet,
-    _logistic_modified_grads,
-    _mlp_modified_grads,
     _run_modification,
-    alpha_sweep,
     detect_unfair_features,
     explanation_loss,
     modify_model,
@@ -25,8 +22,9 @@ from procfair.mitigation import (
 )
 from procfair.models import (
     LogisticModel,
+    MlpModel,
     TrainConfig,
-    _params_of,
+    _sigmoid,
     fit_mlp,
     init_mlp,
     predict_labels,
@@ -199,7 +197,7 @@ def test_explanation_loss_additive_over_features():
 
 
 def zeta_objective_mlp(params, X, y, uf, alpha):
-    bce, zeta, _ = _mlp_modified_grads(params, X, y, uf, alpha)
+    bce, zeta, _ = MlpModel.modified_grads(params, X, y, uf, alpha)
     return bce + alpha * zeta
 
 
@@ -211,17 +209,15 @@ def test_mlp_modified_gradients_match_finite_differences():
         X = rng.normal(size=(12, 3))
         y = rng.integers(0, 2, size=12).astype(float)
         pre = X @ model.w1.T + model.b1
-        from procfair.models import _per_sample_input_gradient
-
-        g = _per_sample_input_gradient(model, X, y)
+        g = model.per_sample_input_gradient(X, y)
         # stay away from ReLU kinks and sign flips of the penalized gradients
         if np.abs(pre).min() > 1e-2 and np.abs(g[:, uf]).min() > 1e-4:
             break
     else:
         raise AssertionError("no kink-free configuration found")
 
-    params = _params_of(model)
-    _, _, grads = _mlp_modified_grads(params, X, y, uf, alpha)
+    params = model.params()
+    _, _, grads = MlpModel.modified_grads(params, X, y, uf, alpha)
     h = 1e-6
     for pi, p in enumerate(params):
         for idx in np.ndindex(p.shape):
@@ -239,10 +235,10 @@ def test_logistic_modified_gradients_match_finite_differences():
     y = rng.integers(0, 2, size=10).astype(float)
     params = [np.array([0.6, -0.9, 0.4]), np.array([0.2])]
     alpha, uf = 3.0, [1, 2]
-    _, _, grads = _logistic_modified_grads(params, X, y, uf, alpha)
+    _, _, grads = LogisticModel.modified_grads(params, X, y, uf, alpha)
 
     def objective(ps):
-        bce, zeta, _ = _logistic_modified_grads(ps, X, y, uf, alpha)
+        bce, zeta, _ = LogisticModel.modified_grads(ps, X, y, uf, alpha)
         return bce + alpha * zeta
 
     h = 1e-6
@@ -256,6 +252,21 @@ def test_logistic_modified_gradients_match_finite_differences():
             assert grads[pi][idx] == pytest.approx(fd, rel=1e-3, abs=1e-8)
 
 
+@pytest.mark.parametrize("uf", [[], [1], [0, 2]])
+def test_logistic_modified_grads_at_alpha_zero_are_the_bce_gradients(uf):
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(25, 3))
+    y = rng.integers(0, 2, size=25).astype(float)
+    w, b = np.array([0.6, -0.9, 0.4]), np.array([0.2])
+    _, _, grads = LogisticModel.modified_grads([w, b], X, y, uf, 0.0)
+    # the BCE gradients alone: zeta's terms enter with weight 0
+    m = X.shape[0]
+    err = _sigmoid(X @ w + b[0]) - y
+    reference = [X.T @ (err / m), np.array([err.sum() / m])]
+    for g, r in zip(grads, reference):
+        assert np.array_equal(g, r)
+
+
 @pytest.mark.parametrize("alpha", [0.0, 15.0])
 @pytest.mark.parametrize("uf", [[], [0], [2, 3], [0, 1, 2, 3]])
 def test_mlp_modified_grads_match_elementwise_reference(uf, alpha):
@@ -264,7 +275,7 @@ def test_mlp_modified_grads_match_elementwise_reference(uf, alpha):
         rng = np.random.default_rng(300 + seed)
         X = rng.normal(size=(300, 4))
         y = rng.integers(0, 2, size=300).astype(float)
-        bce, zeta, grads = _mlp_modified_grads(params, X, y, uf, alpha)
+        bce, zeta, grads = MlpModel.modified_grads(params, X, y, uf, alpha)
         ref_bce, ref_zeta, ref_grads = reference_mlp_modified_grads(params, X, y, uf, alpha)
         assert bce == ref_bce
         assert zeta == pytest.approx(ref_zeta, rel=1e-12, abs=0)
@@ -294,8 +305,8 @@ def test_training_and_modification_trajectory_matches_reference(monkeypatch):
         return wrapper
 
     new = trained_and_modified()
-    monkeypatch.setattr(models, "_mlp_loss_grads", counted("train", reference_mlp_loss_grads))
-    monkeypatch.setattr(mitigation, "_mlp_modified_grads", counted("modify", reference_mlp_modified_grads))
+    monkeypatch.setattr(MlpModel, "loss_grads", staticmethod(counted("train", reference_mlp_loss_grads)))
+    monkeypatch.setattr(MlpModel, "modified_grads", staticmethod(counted("modify", reference_mlp_modified_grads)))
     ref = trained_and_modified()
     assert calls == {"train": 300, "modify": 200}
 
@@ -311,7 +322,7 @@ def test_reported_zeta_matches_explanation_loss(unfair_model, small_split):
     X = small_split.train.features
     y = small_split.train.labels.astype(float)
     uf = [2, 3]
-    _, zeta, _ = _mlp_modified_grads(_params_of(unfair_model), X, y, uf, 1.0)
+    _, zeta, _ = MlpModel.modified_grads(unfair_model.params(), X, y, uf, 1.0)
     assert zeta == pytest.approx(explanation_loss(unfair_model, X, y, uf), abs=1e-12)
 
 
@@ -397,17 +408,3 @@ def test_retrain_all_features_flagged_errors(unfair_model, small_split, unfair_r
     ufs = make_ufs((0, 1, 2, 3), 4)
     with pytest.raises(ValueError, match="flagged"):
         retrain_without(unfair_model, small_split, ufs, unfair_report)
-
-
-# ---------------------------------------------------------------------------
-# alpha sweep
-
-
-def test_alpha_sweep_rows(unfair_model, small_split):
-    ufs = make_ufs((2, 3), 4)
-    rows = alpha_sweep(unfair_model, small_split, ufs, [0.0, 0.1, 100.0], ModifyConfig(tau=40))
-    assert [r["alpha"] for r in rows] == [0.0, 0.1, 100.0]
-    assert rows[0]["accuracy_drop"] == pytest.approx(0.0, abs=0.02)  # penalty off
-    assert rows[2]["final_zeta"] <= rows[1]["final_zeta"]  # stronger penalty, smaller term
-    for row in rows:
-        assert set(row) == {"alpha", "final_zeta", "accuracy_drop"}

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,10 +16,6 @@ from procfair.models import (
     MlpModel,
     TrainConfig,
     TrainingDivergedError,
-    _logistic_loss_grads,
-    _mlp_loss_grads,
-    _params_of,
-    _per_sample_input_gradient,
     _sigmoid,
     bce_loss,
     decision_score,
@@ -253,12 +250,12 @@ def test_parameter_gradients_finite_differences():
 
     for dp_weight in (0.0, -0.1):
         model = random_mlp(d=3, h=4, seed=4)
-        params = _params_of(model)
-        loss, grads = _mlp_loss_grads(params, X, y, mask, dp_weight)
+        params = model.params()
+        loss, grads = MlpModel.loss_grads(params, X, y, mask, dp_weight)
 
         def loss_at(flat_params):
             _, g = None, None
-            value, _ = _mlp_loss_grads(flat_params, X, y, mask, dp_weight)
+            value, _ = MlpModel.loss_grads(flat_params, X, y, mask, dp_weight)
             return value
 
         h = 1e-6
@@ -280,7 +277,7 @@ def test_logistic_parameter_gradients_finite_differences():
     y = rng.integers(0, 2, size=9).astype(float)
     mask = np.arange(9) % 2 == 0
     params = [np.array([0.3, -0.8]), np.array([0.1])]
-    _, grads = _logistic_loss_grads(params, X, y, mask, -0.05)
+    _, grads = LogisticModel.loss_grads(params, X, y, mask, -0.05)
     h = 1e-6
     for pi, p in enumerate(params):
         for idx in np.ndindex(p.shape):
@@ -288,8 +285,8 @@ def test_logistic_parameter_gradients_finite_differences():
             down = [q.copy() for q in params]
             up[pi][idx] += h
             down[pi][idx] -= h
-            fd = (_logistic_loss_grads(up, X, y, mask, -0.05)[0]
-                  - _logistic_loss_grads(down, X, y, mask, -0.05)[0]) / (2 * h)
+            fd = (LogisticModel.loss_grads(up, X, y, mask, -0.05)[0]
+                  - LogisticModel.loss_grads(down, X, y, mask, -0.05)[0]) / (2 * h)
             assert grads[pi][idx] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
 
@@ -314,7 +311,7 @@ def test_mlp_loss_grads_match_elementwise_reference(dp_weight, seed):
     X = rng.normal(size=(300, 4))
     y = rng.integers(0, 2, size=300).astype(float)
     mask = rng.random(300) < 0.6
-    loss, grads = _mlp_loss_grads(params, X, y, mask, dp_weight)
+    loss, grads = MlpModel.loss_grads(params, X, y, mask, dp_weight)
     ref_loss, ref_grads = reference_mlp_loss_grads(params, X, y, mask, dp_weight)
     assert loss == ref_loss
     for g, r in zip(grads, ref_grads):
@@ -332,7 +329,7 @@ def test_mlp_input_gradient_matches_elementwise_reference(seed):
     X = rng.normal(size=(300, 4))
     y = rng.integers(0, 2, size=300).astype(float)
     np.testing.assert_allclose(
-        _per_sample_input_gradient(model, X, y), reference_mlp_input_gradient(model, X, y),
+        model.per_sample_input_gradient(X, y), reference_mlp_input_gradient(model, X, y),
         rtol=1e-12, atol=0,
     )
 
@@ -453,6 +450,24 @@ def test_logistic_round_trip_bit_exact(tmp_path):
     assert loaded.b == model.b
     assert loaded.sensitive_position == 1
     assert doc["dims"] == {"d": 2}
+
+
+@pytest.mark.parametrize("kind", ["mlp", "logistic"])
+def test_params_and_document_round_trip(kind, small_split, tmp_path):
+    config = TrainConfig(epochs=30, seed=2)
+    if kind == "mlp":
+        model, _ = fit_mlp(small_split.train, config, (0, 1, 3), hidden_size=5)
+    else:
+        model, _ = fit_logistic(small_split.train, config, (0, 1, 2))
+    rebuilt = model.with_params(model.params())
+    assert type(rebuilt) is type(model)
+    for field in dataclasses.fields(model):
+        assert np.array_equal(getattr(rebuilt, field.name), getattr(model, field.name))
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_model(model, first, training={"epochs": 30, "seed": 2}, data_split={"ratio": 0.8, "seed": 0})
+    loaded, doc = load_model(first)
+    save_model(loaded, second, training=doc["training"], data_split=doc["data_split"])
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_model_dict_rejects_unknown_kind():
