@@ -34,9 +34,9 @@ def main() -> None:
     out = Path(args.out)
     seed = ["--seed", args.seed]
     gen = ["--m", 2000, "--n-advantaged", 1200] if args.fast else []
-    audit_knobs = (
-        ["--n", 30, "--background", 40, "--permutations", 200] if args.fast else []
-    )
+    # sweep-n sets its own pair counts and takes no --n
+    sweep_knobs = ["--background", 40, "--permutations", 200] if args.fast else []
+    audit_knobs = ["--n", 30, *sweep_knobs] if args.fast else []
     epochs = ["--epochs", 150] if args.fast else []
 
     run(["gen-data", "--out", out / "data", *gen, *seed])
@@ -58,8 +58,8 @@ def main() -> None:
     run(["sweep-ws", *data, "--out", out / "sweep-ws", *sweep_scale, *audit_knobs, *epochs, *seed])
     n_values = ["--n-values", "10,20,50"] if args.fast else ["--n-values", "10,20,50,100,200,500"]
     sweep_seeds = ["--seeds", 3] if args.fast else ["--seeds", 10]
-    run(["sweep-n", *data, *fair, "--out", out / "sweep-n-fair", *n_values, *sweep_seeds, *audit_knobs, *seed])
-    run(["sweep-n", *data, *unfair, "--out", out / "sweep-n-unfair", *n_values, *sweep_seeds, *audit_knobs, *seed])
+    run(["sweep-n", *data, *fair, "--out", out / "sweep-n-fair", *n_values, *sweep_seeds, *sweep_knobs, *seed])
+    run(["sweep-n", *data, *unfair, "--out", out / "sweep-n-unfair", *n_values, *sweep_seeds, *sweep_knobs, *seed])
     pools = ["--pool-sizes", "100,400,1600"] if args.fast else ["--pool-sizes", "300,1000,3000,8000"]
     run(["sweep-pool", *data, *fair, "--out", out / "sweep-pool", *pools, *sweep_seeds, *audit_knobs, *seed])
 

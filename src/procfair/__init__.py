@@ -17,7 +17,6 @@ from .datasets import (
     dataset_dp,
     generate_synthetic,
     load_csv,
-    oversample_to_dp,
     pearson_correlation,
     select_fair_features,
     standardized_split,
@@ -51,7 +50,6 @@ from .attribution import (
 from .two_sample import (
     KernelConfig,
     PermutationConfig,
-    euclidean,
     kernel_matrix,
     mmd2,
     pca_project,

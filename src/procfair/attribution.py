@@ -31,6 +31,9 @@ __all__ = [
 ]
 
 DEFAULT_COALITION_CAP = 2048
+# Regularization of the attribution regression, applied only when the
+# unregularized system is singular.
+RIDGE = 1e-6
 EXACT_SHAPLEY_MAX_D = 15
 
 
@@ -100,14 +103,11 @@ class ShapConfig:
 
     ``n_coalitions=None`` resolves to min(2^d - 2, 2048) at explanation time.
     The empty and full coalitions are handled by the base value and the
-    efficiency constraint rather than as regression rows. ``ridge`` is the
-    fallback regularization applied only if the unregularized system is
-    singular.
+    efficiency constraint rather than as regression rows.
     """
 
     background: np.ndarray
     n_coalitions: int | None = None
-    ridge: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
@@ -116,8 +116,6 @@ class ShapConfig:
             raise ValueError("background needs at least one row")
         if not np.isfinite(background).all():
             raise ValueError("background contains non-finite values")
-        if self.ridge < 0:
-            raise ValueError("ridge must be non-negative")
         object.__setattr__(self, "background", _readonly(background))
 
     def resolved_budget(self, d: int) -> int:
@@ -185,7 +183,7 @@ def _masked_values(predict_fn, X: np.ndarray, background: np.ndarray, Z: np.ndar
     return out
 
 
-def _solve_constrained_wls(Z, weights, V_centered, constraints, ridge):
+def _solve_constrained_wls(Z, weights, V_centered, constraints):
     """Weighted least squares per row of V_centered with the per-row equality
     constraint sum(phi) = constraints[row]. Returns an (n, d) matrix."""
     Zf = Z.astype(float)
@@ -209,7 +207,7 @@ def _solve_constrained_wls(Z, weights, V_centered, constraints, ridge):
     except np.linalg.LinAlgError:
         pass
     try:
-        phi = attempt(ridge)
+        phi = attempt(RIDGE)
         if np.isfinite(phi).all():
             return phi
     except np.linalg.LinAlgError:
@@ -238,7 +236,7 @@ def explain_set(predict_fn, X, config: ShapConfig, feature_names=None) -> Explan
     rng = np.random.default_rng(config.seed)
     Z, weights = _coalitions(d, config.resolved_budget(d), rng)
     V = _masked_values(predict_fn, X, background, Z)
-    values = _solve_constrained_wls(Z, weights, V - base, targets - base, config.ridge)
+    values = _solve_constrained_wls(Z, weights, V - base, targets - base)
     return ExplanationSet(values, np.full(n, base), targets, names)
 
 

@@ -31,7 +31,7 @@ from .datasets import (
     write_csv,
     write_schema,
 )
-from .fairness import AuditConfig, audit, dp, eo, eod, gpf_plan, gpf_run
+from .fairness import AuditConfig, audit, dp, eo, eod
 from .mitigation import ModifyConfig, modify_model, retrain_without, unfair_features_from_sets
 from .models import MODEL_KINDS, MlpModel, TrainConfig, bce_loss, load_model, predict_labels, save_model
 from .seeding import derive_seed
@@ -213,13 +213,8 @@ def cmd_detect(args) -> dict:
     out = _out_dir(args)
     model, doc = load_model(args.model)
     split = _load_split_for_model(args, doc, model)
-    feats = model.feature_indices
-    plan = gpf_plan(
-        split.test, split.train.features[:, feats], feats, args.seed, args.n,
-        args.background, args.coalitions, args.permutations,
-    )
-    gpf = gpf_run(model, plan, KernelConfig(args.kernel, args.bandwidth))
-    ufs = _unfair_features(gpf, args)
+    report = audit(model, split, _audit_config(args))
+    ufs = _unfair_features(report.gpf, args)
     detect_doc = {
         "version": __version__,
         "model": Path(args.model).name,
@@ -412,8 +407,11 @@ def _add_data(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--schema", required=True, help="schema sidecar JSON")
 
 
-def _add_audit_knobs(parser: argparse.ArgumentParser) -> None:
+def _add_pair_count(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, default=100, help="matched pairs per side")
+
+
+def _add_audit_knobs(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--background", type=int, default=100, help="background sample size")
     parser.add_argument("--coalitions", type=int, default=None, help="coalition budget")
     parser.add_argument("--kernel", choices=("exponential", "gaussian"), default="exponential")
@@ -423,7 +421,12 @@ def _add_audit_knobs(parser: argparse.ArgumentParser) -> None:
 
 class _Parser(argparse.ArgumentParser):
     """Raises on a bad flag, for ``main`` to report as a JSON error object
-    (argparse would print usage and exit 2); subparsers inherit the class."""
+    (argparse would print usage and exit 2), and takes flags only in full, so
+    a flag a command lacks cannot pass as the prefix of one it has
+    (``sweep-n --n`` for ``--n-values``); subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise argparse.ArgumentError(None, message)
@@ -465,6 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_data(p)
     p.add_argument("--model", required=True)
+    _add_pair_count(p)
     _add_audit_knobs(p)
     p.add_argument("--pool", choices=("test", "full"), default="test")
     p.add_argument("--export-explanations", action="store_true")
@@ -474,6 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_data(p)
     p.add_argument("--model", required=True)
+    _add_pair_count(p)
     _add_audit_knobs(p)
     p.add_argument("--beta", type=float, default=0.05, help="per-feature significance threshold")
     p.add_argument("--detection-kernel", choices=("exponential", "gaussian"), default="gaussian")
@@ -484,6 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data(p)
     p.add_argument("method", choices=("retrain", "modify"))
     p.add_argument("--model", required=True)
+    _add_pair_count(p)
     _add_audit_knobs(p)
     p.add_argument("--beta", type=float, default=0.05)
     p.add_argument("--detection-kernel", choices=("exponential", "gaussian"), default="gaussian")
@@ -495,6 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-ws", help="sweep the sensitive weight of a logistic model")
     _add_common(p)
     _add_data(p)
+    _add_pair_count(p)
     _add_audit_knobs(p)
     p.add_argument("--max-ws", type=float, default=5.0)
     p.add_argument("--points", type=int, default=50)
@@ -518,6 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_data(p)
     p.add_argument("--model", required=True)
+    _add_pair_count(p)
     _add_audit_knobs(p)
     p.add_argument("--pool-sizes", required=True, help="comma-separated pool sizes")
     p.add_argument("--seeds", type=int, default=10)

@@ -35,7 +35,6 @@ __all__ = [
     "standardized_split",
     "generate_synthetic",
     "dataset_dp",
-    "oversample_to_dp",
     "pearson_correlation",
     "select_fair_features",
     "concat_datasets",
@@ -316,47 +315,6 @@ def dataset_dp(dataset: TabularDataset) -> float:
     rate_adv = dataset.labels[adv].mean()
     rate_dis = dataset.labels[~adv].mean()
     return float(abs(rate_adv - rate_dis))
-
-
-def oversample_to_dp(
-    dataset: TabularDataset,
-    target_dp: float,
-    seed: int = 0,
-    max_appended: int | None = None,
-) -> TabularDataset:
-    """Append random copies of positive-labeled advantaged rows, one at a
-    time, until the dataset's DP first exceeds ``target_dp``.
-    """
-    if not 0.0 < target_dp < 1.0:
-        raise ValueError("target_dp must lie strictly between 0 and 1")
-    cap = 10 * dataset.m if max_appended is None else max_appended
-    current = dataset_dp(dataset)
-    if current >= target_dp:
-        raise ValueError(f"dataset DP {current:.4f} already >= target {target_dp}")
-    adv = dataset.advantaged_mask
-    adv_pos = np.flatnonzero(adv & (dataset.labels == 1))
-    if adv_pos.size == 0:
-        raise ValueError("no positive-labeled rows in the advantaged group")
-
-    n_adv = int(adv.sum())
-    pos_adv = int(adv_pos.size)
-    n_dis = dataset.m - n_adv
-    pos_dis = int(dataset.labels[~adv].sum())
-    rng = np.random.default_rng(seed)
-    added: list[int] = []
-    dp_now = current
-    while dp_now <= target_dp:
-        if len(added) >= cap:
-            raise ValueError(
-                f"target DP {target_dp} not reached after appending {cap} rows"
-            )
-        added.append(int(adv_pos[rng.integers(adv_pos.size)]))
-        n_adv += 1
-        pos_adv += 1
-        dp_now = abs(pos_adv / n_adv - pos_dis / n_dis)
-    rows = np.concatenate([np.arange(dataset.m), np.array(added, dtype=int)])
-    tag = f"|oversampled(dp>{target_dp}, seed={seed}, added={len(added)})"
-    return dataset.take(rows, dataset.provenance + tag)
 
 
 def pearson_correlation(dataset: TabularDataset, feature: int) -> float:

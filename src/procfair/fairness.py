@@ -6,7 +6,6 @@ that composes them into a report.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -422,27 +421,9 @@ class AuditReport:
         doc["config"] = dict(self.config)
         return doc
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
     @classmethod
     def from_dict(cls, doc: dict) -> "AuditReport":
         return cls(**doc)
-
-    @staticmethod
-    def csv_header() -> list[str]:
-        return ["gpf_fae", "dp", "eo", "eod", "accuracy", "mean_pair_distance", "procedural_verdict"]
-
-    def csv_row(self) -> list[str]:
-        return [
-            repr(self.gpf_fae),
-            repr(self.dp),
-            repr(self.eo),
-            repr(self.eod),
-            repr(self.accuracy),
-            repr(self.mean_pair_distance),
-            self.procedural_verdict,
-        ]
 
 
 def _distributive_verdict(value: float, threshold: float) -> str:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -72,7 +73,10 @@ class TrainingDivergedError(RuntimeError):
 
 def _set_features(model) -> None:
     feats = model.feature_indices
-    feats = tuple(range(model.d)) if feats is None else tuple(int(i) for i in feats)
+    try:
+        feats = tuple(range(model.d)) if feats is None else tuple(operator.index(i) for i in feats)
+    except TypeError:
+        raise ValueError(f"feature indices must be integers, got {feats!r}") from None
     if len(feats) != model.d:
         raise ValueError(f"{len(feats)} feature indices for a model of {model.d} features")
     if min(feats) < 0 or len(set(feats)) != len(feats):

@@ -14,7 +14,6 @@ __all__ = [
     "KernelConfig",
     "PermutationConfig",
     "PcaResult",
-    "euclidean",
     "kernel_matrix",
     "mmd2",
     "permutation_memberships",
@@ -52,14 +51,6 @@ class PermutationConfig:
     def __post_init__(self):
         if self.n_permutations < 100:
             raise ValueError("need at least 100 permutations")
-
-
-def euclidean(u, v) -> float:
-    u = np.asarray(u, dtype=float).ravel()
-    v = np.asarray(v, dtype=float).ravel()
-    if u.shape != v.shape:
-        raise ValueError("dimension mismatch")
-    return float(np.linalg.norm(u - v))
 
 
 def _pairwise_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:

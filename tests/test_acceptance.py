@@ -18,15 +18,15 @@ import time
 import numpy as np
 import pytest
 
-from procfair.attribution import ShapConfig, exact_shapley, kernel_shap, sample_background
+from procfair.attribution import ShapConfig, exact_shapley, kernel_shap
 from procfair.cli import main as cli_main
 from procfair.datasets import SyntheticConfig, generate_synthetic, standardized_split
 from procfair.fairness import AuditConfig, audit
 from procfair.mitigation import (
     ModifyConfig,
-    detect_unfair_features,
     modify_model,
     retrain_without,
+    unfair_features_from_sets,
 )
 from procfair.models import (
     MlpModel,
@@ -38,7 +38,6 @@ from procfair.models import (
     predict_labels,
     predict_proba,
 )
-from procfair.seeding import derive_seed
 from procfair.sweeps import sweep_sensitive_weight
 from procfair.two_sample import PermutationConfig, isotonic_decreasing, permutation_pvalue
 
@@ -77,17 +76,10 @@ def runs():
         unfair_report = audit(unfair_model, split, audit_config)
         fair_report = audit(fair_model, split, audit_config)
 
-        background = sample_background(
-            split.train.features, audit_config.background_size, derive_seed(seed, "background")
-        )
-        ufs = detect_unfair_features(
-            unfair_model,
-            split.test,
-            ShapConfig(background, seed=derive_seed(seed, "shap")),
-            None,
-            PermutationConfig(audit_config.n_permutations, derive_seed(seed, "permutation")),
-            audit_config.n_pairs,
-            derive_seed(seed, "pairs"),
+        ufs = unfair_features_from_sets(
+            unfair_report.gpf.explanations_1,
+            unfair_report.gpf.explanations_2,
+            perm_config=unfair_report.gpf.perm_config,
         )
         retrain = retrain_without(unfair_model, split, ufs, unfair_report, train_config)
         modify = modify_model(unfair_model, split, ufs, unfair_report, ModifyConfig())
@@ -347,7 +339,9 @@ def test_criterion_11_command_determinism(tmp_path):
         "--data", str(data_dir / "synthetic.csv"),
         "--schema", str(data_dir / "synthetic.schema.json"),
     ]
-    fast = ["--n", "20", "--background", "30", "--permutations", "150", "--seed", "0"]
+    # sweep-n sets its own pair counts and takes no --n
+    sweep_knobs = ["--background", "30", "--permutations", "150", "--seed", "0"]
+    fast = ["--n", "20", *sweep_knobs]
     assert cli_main(["train", *data, "--out", str(base / "model"), "--epochs", "120", "--seed", "0"]) == 0
     model = ["--model", str(base / "model" / "model.json")]
     prep = base / "prep"
@@ -362,7 +356,7 @@ def test_criterion_11_command_determinism(tmp_path):
         "mitigate-retrain": ["mitigate", "retrain", *data, *model, *fast],
         "mitigate-modify": ["mitigate", "modify", *data, *model, *fast, "--tau", "40"],
         "sweep-ws": ["sweep-ws", *data, "--points", "3", "--seeds", "2", "--epochs", "100", *fast],
-        "sweep-n": ["sweep-n", *data, *model, "--n-values", "10,20", "--seeds", "2", *fast],
+        "sweep-n": ["sweep-n", *data, *model, "--n-values", "10,20", "--seeds", "2", *sweep_knobs],
         "sweep-pool": ["sweep-pool", *data, *model, "--pool-sizes", "100,400", "--seeds", "2", *fast],
         "boundary": [
             "boundary", *data, *model,

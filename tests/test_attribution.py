@@ -106,6 +106,15 @@ def test_coalition_budget_below_d_rejected():
         kernel_shap(linear_fn(np.ones(5)), np.ones(5), ShapConfig(bg, n_coalitions=4))
 
 
+def test_singular_regression_falls_back_to_ridge():
+    # four sampled coalitions at d=4 are two complement pairs, too few to
+    # determine four attributions: the unregularized system is singular
+    bg = np.zeros((3, 4))
+    result = kernel_shap(linear_fn([1.0, 2.0, 3.0, 4.0]), np.ones(4), ShapConfig(bg, n_coalitions=4))
+    assert np.isfinite(result.values).all()
+    assert result.values.sum() == pytest.approx(10.0)
+
+
 # ---------------------------------------------------------------------------
 # exact Shapley oracle
 

@@ -318,6 +318,18 @@ def test_sweep_n_too_large_fails(workspace, tmp_path, capsys):
     assert "anchors" in json.loads(capsys.readouterr().err)["error"]
 
 
+def test_sweep_n_takes_no_pair_count_flag(workspace, tmp_path, capsys):
+    assert run_cli(
+        "sweep-n", "--data", workspace["data"], "--schema", workspace["schema"],
+        "--model", workspace["fair_model"], "--out", tmp_path,
+        "--n-values", "10", "--seeds", "1", "--n", "10",
+    ) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert (err["command"], err["type"]) == ("sweep-n", "ArgumentError")
+    assert "--n" in err["error"]
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_sweep_pool_distance_decreases(workspace, tmp_path):
     assert run_cli(
         "sweep-pool", "--data", workspace["data"], "--schema", workspace["schema"],
@@ -423,8 +435,10 @@ def test_boundary_rejects_a_model_with_other_columns(workspace, boundary_outputs
         (lambda doc: doc.pop("kind"), "'kind'"),
         (lambda doc: doc.update(feature_indices=[0, 0, 0, 0], feature_names=["x1"] * 4), "distinct"),
         (lambda doc: doc.update(feature_indices=[0, 1, 2, -1]), "non-negative"),
+        (lambda doc: doc.update(feature_indices=[0, 1, 2, 3.9]), "integers"),
+        (lambda doc: doc.update(feature_indices=[0, 1, 2, 3.0]), "integers"),
     ],
-    ids=["dims", "no-kind", "repeated-indices", "negative-index"],
+    ids=["dims", "no-kind", "repeated-indices", "negative-index", "fractional-index", "float-index"],
 )
 def test_audit_rejects_a_malformed_model_document(workspace, tmp_path, capsys, change, message):
     doc = json.loads(Path(workspace["unfair_model"]).read_text())

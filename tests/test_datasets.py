@@ -13,7 +13,6 @@ from procfair.datasets import (
     generate_synthetic,
     label_encode,
     load_csv,
-    oversample_to_dp,
     pearson_correlation,
     select_fair_features,
     standardized_split,
@@ -343,58 +342,6 @@ def test_dataset_dp_row_permutation_invariant():
     ds = toy_dataset(m=30, seed=4)
     perm = np.random.default_rng(0).permutation(ds.m)
     assert dataset_dp(ds.take(perm)) == pytest.approx(dataset_dp(ds))
-
-
-# ---------------------------------------------------------------------------
-# oversampling
-
-
-def make_low_dp_dataset(seed=0):
-    rng = np.random.default_rng(seed)
-    m = 400
-    s = (np.arange(m) < 240).astype(float)
-    labels = (rng.random(m) < 0.5).astype(int)
-    features = np.column_stack([rng.normal(size=m), s])
-    return TabularDataset(features, ("a", "s"), labels, 1, (1.0, 0.0))
-
-
-def test_oversample_stops_just_past_target():
-    ds = make_low_dp_dataset()
-    assert dataset_dp(ds) < 0.10
-    out = oversample_to_dp(ds, 0.10, seed=1)
-    assert dataset_dp(out) > 0.10
-    # removing the last appended row falls back to or below the target
-    trimmed = out.take(np.arange(out.m - 1))
-    assert dataset_dp(trimmed) <= 0.10
-
-
-def test_oversample_precondition():
-    features = np.column_stack([np.zeros(4), [1.0, 1.0, 0.0, 0.0]])
-    ds = TabularDataset(features, ("a", "s"), [1, 1, 1, 0], 1, (1.0, 0.0))
-    with pytest.raises(ValueError, match="already"):
-        oversample_to_dp(ds, 0.10)
-
-
-def test_oversample_needs_positive_advantaged_rows():
-    features = np.column_stack([np.zeros(4), [1.0, 1.0, 0.0, 0.0]])
-    ds = TabularDataset(features, ("a", "s"), [0, 0, 1, 0], 1, (1.0, 0.0))
-    with pytest.raises(ValueError, match="positive"):
-        oversample_to_dp(ds, 0.6)
-
-
-def test_oversample_unreachable_target_capped():
-    # disadvantaged rate 1.0 makes DP -> 0 as advantaged positives are added
-    features = np.column_stack([np.zeros(6), [1.0, 1.0, 1.0, 1.0, 0.0, 0.0]])
-    ds = TabularDataset(features, ("a", "s"), [1, 0, 0, 0, 1, 1], 1, (1.0, 0.0))
-    with pytest.raises(ValueError, match="not reached"):
-        oversample_to_dp(ds, 0.9, seed=0, max_appended=50)
-
-
-def test_oversample_deterministic():
-    ds = make_low_dp_dataset(seed=5)
-    a = oversample_to_dp(ds, 0.12, seed=3)
-    b = oversample_to_dp(ds, 0.12, seed=3)
-    assert np.array_equal(a.features, b.features)
 
 
 # ---------------------------------------------------------------------------

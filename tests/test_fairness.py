@@ -390,7 +390,6 @@ def test_audit_report_round_trip(small_split):
     report = audit(model, small_split, AuditConfig(n_pairs=20, background_size=30, n_permutations=150, seed=6))
     restored = AuditReport.from_dict(report.to_dict())
     assert restored == report
-    assert len(report.csv_row()) == len(AuditReport.csv_header())
 
 
 def test_audit_full_pool(small_split):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from procfair.two_sample import (
     KernelConfig,
     PermutationConfig,
-    euclidean,
     isotonic_decreasing,
     kernel_matrix,
     mmd2,
@@ -16,35 +15,6 @@ from procfair.two_sample import (
     permutation_memberships,
     permutation_pvalue,
 )
-
-finite_vectors = st.lists(
-    st.floats(min_value=-100, max_value=100, allow_nan=False), min_size=1, max_size=6
-)
-
-
-# ---------------------------------------------------------------------------
-# euclidean distance
-
-
-def test_euclidean_zero_for_equal():
-    assert euclidean([1.0, 2.0], [1.0, 2.0]) == 0.0
-
-
-def test_euclidean_3_4_5():
-    assert euclidean([0.0, 0.0], [3.0, 4.0]) == pytest.approx(5.0)
-
-
-def test_euclidean_dimension_mismatch():
-    with pytest.raises(ValueError):
-        euclidean([1.0], [1.0, 2.0])
-
-
-@given(finite_vectors, finite_vectors, finite_vectors)
-@settings(max_examples=100, deadline=None)
-def test_euclidean_triangle_inequality(u, v, w):
-    n = min(len(u), len(v), len(w))
-    u, v, w = u[:n], v[:n], w[:n]
-    assert euclidean(u, w) <= euclidean(u, v) + euclidean(v, w) + 1e-9
 
 
 # ---------------------------------------------------------------------------
