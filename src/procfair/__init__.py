@@ -65,7 +65,6 @@ from .fairness import (
     dp,
     eo,
     eod,
-    gpf_fae,
     gpf_plan,
     gpf_run,
     select_pairs,

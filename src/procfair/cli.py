@@ -99,7 +99,7 @@ def _load_split_for_model(args, doc: dict, *models):
 
 def _audit_config(args) -> AuditConfig:
     return AuditConfig(
-        n_pairs=args.n,
+        n_pairs=getattr(args, "n", AuditConfig.n_pairs),  # sweep-n takes no --n
         background_size=args.background,
         n_coalitions=args.coalitions,
         kernel=KernelConfig(args.kernel, args.bandwidth),
@@ -277,8 +277,7 @@ def cmd_sweep_ws(args) -> dict:
     feats, matrix = sweep_sensitive_weight(
         split, grid, seeds,
         TrainConfig(epochs=args.epochs, learning_rate=args.lr, seed=args.seed),
-        args.fair_threshold, args.n, args.background, args.coalitions,
-        KernelConfig(args.kernel, args.bandwidth), args.permutations,
+        args.fair_threshold, _audit_config(args),
     )
     scale = args.max_ws if args.max_ws > 0 else 1.0
     rows = [
@@ -301,10 +300,7 @@ def cmd_sweep_n(args) -> dict:
     split = _load_split_for_model(args, doc, model)
     n_values = [int(v) for v in args.n_values.split(",")]
     seeds = [derive_seed(args.seed, f"n-sweep-{i}") for i in range(args.seeds)]
-    matrix = sweep_pair_count(
-        model, split, n_values, seeds, args.background, args.coalitions,
-        KernelConfig(args.kernel, args.bandwidth), args.permutations,
-    )
+    matrix = sweep_pair_count(model, split, n_values, seeds, _audit_config(args))
     rows = [
         [n, float(matrix[:, j].mean()), float(matrix[:, j].std())] for j, n in enumerate(n_values)
     ]
@@ -319,10 +315,7 @@ def cmd_sweep_pool(args) -> dict:
     split = _load_split_for_model(args, doc, model)
     pool_sizes = [int(v) for v in args.pool_sizes.split(",")]
     seeds = [derive_seed(args.seed, f"pool-sweep-{i}") for i in range(args.seeds)]
-    distances, scores = sweep_pool_size(
-        model, split, pool_sizes, seeds, args.n, args.background, args.coalitions,
-        KernelConfig(args.kernel, args.bandwidth), args.permutations,
-    )
+    distances, scores = sweep_pool_size(model, split, pool_sizes, seeds, _audit_config(args))
     rows = [
         [
             size,

@@ -24,7 +24,6 @@ __all__ = [
     "AuditReport",
     "select_pairs",
     "matched_explanations",
-    "gpf_fae",
     "gpf_plan",
     "gpf_run",
     "dp",
@@ -80,9 +79,12 @@ class PairSelection:
 
 
 def _checked_feature_indices(feature_indices, pool: TabularDataset) -> tuple[int, ...]:
+    """The indices as ints, each a column of ``pool`` (numpy would wrap a negative one)."""
     feats = tuple(int(i) for i in feature_indices)
-    if max(feats) >= pool.d:
-        raise ValueError("feature indices exceed the pool's columns")
+    if not feats:
+        raise ValueError("need at least one feature to match on")
+    if min(feats) < 0 or max(feats) >= pool.d:
+        raise ValueError(f"feature indices {feats} are not all columns 0..{pool.d - 1} of the pool")
     return feats
 
 
@@ -111,9 +113,7 @@ def select_pairs(
     """
     if n < 2:
         raise ValueError("need at least two pairs")
-    feats = tuple(range(pool.d) if feature_indices is None else feature_indices)
-    if not feats:
-        raise ValueError("need at least one feature to match on")
+    feats = _checked_feature_indices(range(pool.d) if feature_indices is None else feature_indices, pool)
     F = pool.features[:, feats]
     g1_rows = np.flatnonzero(pool.advantaged_mask)
     g2_rows = np.flatnonzero(pool.disadvantaged_mask)
@@ -235,24 +235,6 @@ def matched_explanations(
     return pairs, e1, e2
 
 
-def gpf_fae(
-    model,
-    pool: TabularDataset,
-    shap_config: ShapConfig,
-    kernel_config: KernelConfig | None = None,
-    perm_config: PermutationConfig | None = None,
-    n: int = 100,
-    pair_seed: int = 0,
-) -> GpfResult:
-    """Group procedural fairness score: the permutation p-value of the MMD
-    between the explanation sets of the matched cross-group samples. Larger
-    means fairer."""
-    perm_config = perm_config or PermutationConfig()
-    pairs, e1, e2 = matched_explanations(model, pool, shap_config, n, pair_seed)
-    p = permutation_pvalue(e1.values, e2.values, kernel_config, perm_config)
-    return GpfResult(p, pairs, e1, e2, perm_config)
-
-
 # ---------------------------------------------------------------------------
 # Distributive metrics
 
@@ -317,27 +299,23 @@ class GpfPlan:
 
 
 def gpf_plan(
-    pool: TabularDataset,
-    background_source: np.ndarray,
-    feature_indices,
-    seed: int = 0,
-    n: int = 100,
-    background_size: int = 100,
-    n_coalitions: int | None = None,
-    n_permutations: int = 1000,
+    pool: TabularDataset, background_source: np.ndarray, feature_indices, config: AuditConfig
 ) -> GpfPlan:
-    """The model-independent part of a GPF evaluation, with all sub-seeds
-    (background sampling, coalition sampling, pair selection, permutations)
-    derived from a single seed; the only place they are derived.
+    """The model-independent part of a GPF evaluation, sized by ``config``,
+    with all sub-seeds (background sampling, coalition sampling, pair
+    selection, permutations) derived from ``config.seed``; the only place
+    they are derived.
 
     ``background_source`` is the matrix backgrounds are sampled from, already
-    restricted to ``feature_indices`` (normally the training split).
+    restricted to ``feature_indices`` (normally the training split). The
+    caller picks ``pool``; ``config.pool`` is not read here.
     """
     feats = _checked_feature_indices(feature_indices, pool)
-    background = sample_background(background_source, background_size, derive_seed(seed, "background"))
-    shap_config = ShapConfig(background, n_coalitions, seed=derive_seed(seed, "shap"))
-    perm_config = PermutationConfig(n_permutations, derive_seed(seed, "permutation"))
-    pairs = select_pairs(pool, n, derive_seed(seed, "pairs"), feats)
+    seed = config.seed
+    background = sample_background(background_source, config.background_size, derive_seed(seed, "background"))
+    shap_config = ShapConfig(background, config.n_coalitions, seed=derive_seed(seed, "shap"))
+    perm_config = PermutationConfig(config.n_permutations, derive_seed(seed, "permutation"))
+    pairs = select_pairs(pool, config.n_pairs, derive_seed(seed, "pairs"), feats)
     return GpfPlan(
         pairs,
         *_pair_features(pool, pairs, feats),
@@ -367,13 +345,14 @@ def gpf_run(model, plan: GpfPlan, kernel: KernelConfig | None = None) -> GpfResu
 
 @dataclass(frozen=True)
 class AuditConfig:
+    """Every GPF setting: the sizes and seed ``gpf_plan`` reads, the kernel
+    ``gpf_run`` takes, and the pool pairs are drawn from."""
+
     n_pairs: int = 100
     background_size: int = 100
     n_coalitions: int | None = None
     kernel: KernelConfig = field(default_factory=KernelConfig)
     n_permutations: int = 1000
-    procedural_threshold: float = PROCEDURAL_THRESHOLD
-    distributive_threshold: float = DISTRIBUTIVE_THRESHOLD
     pool: str = "test"  # "test" or "full"
     seed: int = 0
 
@@ -389,8 +368,8 @@ class AuditConfig:
             "kernel_kind": self.kernel.kind,
             "kernel_bandwidth": self.kernel.bandwidth,
             "n_permutations": self.n_permutations,
-            "procedural_threshold": self.procedural_threshold,
-            "distributive_threshold": self.distributive_threshold,
+            "procedural_threshold": PROCEDURAL_THRESHOLD,
+            "distributive_threshold": DISTRIBUTIVE_THRESHOLD,
             "pool": self.pool,
             "seed": self.seed,
         }
@@ -398,8 +377,8 @@ class AuditConfig:
 
 @dataclass(frozen=True)
 class AuditReport:
-    """``gpf`` and ``audit_config`` are the run and settings the report came
-    from; ``to_dict`` leaves them out, so ``from_dict`` restores neither."""
+    """``config`` and ``gpf`` are the settings and the run the report came
+    from; ``to_dict`` writes the config's snapshot and leaves the run out."""
 
     gpf_fae: float
     dp: float
@@ -411,23 +390,19 @@ class AuditReport:
     distributive_verdicts: dict
     n_pairs: int
     pool_size: int
-    config: dict
-    gpf: GpfResult | None = field(default=None, compare=False, repr=False)
-    audit_config: AuditConfig | None = field(default=None, compare=False, repr=False)
+    config: AuditConfig
+    gpf: GpfResult = field(compare=False, repr=False)
 
     def to_dict(self) -> dict:
         doc = {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
         doc["distributive_verdicts"] = dict(self.distributive_verdicts)
-        doc["config"] = dict(self.config)
+        doc["config"] = self.config.snapshot()
         return doc
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "AuditReport":
-        return cls(**doc)
 
-
-def _distributive_verdict(value: float, threshold: float) -> str:
-    return "fair" if value < threshold else "unfair"
+def _pair_pool(split: SplitDataset, config: AuditConfig) -> TabularDataset:
+    """The pool ``config.pool`` names: the test split, or the whole dataset."""
+    return split.test if config.pool == "test" else concat_datasets(split.train, split.test)
 
 
 def audit(model, split: SplitDataset, config: AuditConfig | None = None) -> AuditReport:
@@ -444,11 +419,7 @@ def audit(model, split: SplitDataset, config: AuditConfig | None = None) -> Audi
     eo_value = eo(predictions, test.labels, gmask)
     eod_value = eod(predictions, test.labels, gmask)
 
-    pool = test if config.pool == "test" else concat_datasets(split.train, split.test)
-    plan = gpf_plan(
-        pool, split.train.features[:, feats], feats, config.seed, config.n_pairs,
-        config.background_size, config.n_coalitions, config.n_permutations,
-    )
+    plan = gpf_plan(_pair_pool(split, config), split.train.features[:, feats], feats, config)
     result = gpf_run(model, plan, config.kernel)
 
     return AuditReport(
@@ -458,15 +429,13 @@ def audit(model, split: SplitDataset, config: AuditConfig | None = None) -> Audi
         eod=eod_value,
         accuracy=accuracy,
         mean_pair_distance=result.pairs.mean_distance,
-        procedural_verdict="unfair" if result.p_value <= config.procedural_threshold else "fair",
+        procedural_verdict="unfair" if result.p_value <= PROCEDURAL_THRESHOLD else "fair",
         distributive_verdicts={
-            "dp": _distributive_verdict(dp_value, config.distributive_threshold),
-            "eo": _distributive_verdict(eo_value, config.distributive_threshold),
-            "eod": _distributive_verdict(eod_value, config.distributive_threshold),
+            name: "fair" if value < DISTRIBUTIVE_THRESHOLD else "unfair"
+            for name, value in (("dp", dp_value), ("eo", eo_value), ("eod", eod_value))
         },
         n_pairs=result.pairs.n,
         pool_size=result.pairs.pool_size,
-        config=config.snapshot(),
+        config=config,
         gpf=result,
-        audit_config=config,
     )

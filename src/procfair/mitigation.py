@@ -16,7 +16,7 @@ import numpy as np
 
 from .attribution import ExplanationSet, ShapConfig
 from .datasets import SplitDataset
-from .fairness import AuditConfig, AuditReport, audit, matched_explanations
+from .fairness import AuditReport, audit, matched_explanations
 from .models import TrainConfig, _adam_descent, _check_inputs
 from .seeding import derive_seed
 from .two_sample import KernelConfig, PermutationConfig, permutation_memberships, permutation_pvalue
@@ -34,6 +34,9 @@ __all__ = [
 ]
 
 DETECTION_THRESHOLD = 0.05
+# The explanation loss aggregates absolute input gradients with the L1 norm,
+# the only norm implemented; mitigation.json records it as ``norm_p``.
+NORM_P = 1
 
 
 @dataclass(frozen=True)
@@ -72,12 +75,10 @@ class UnfairFeatureSet:
 
 @dataclass(frozen=True)
 class ModifyConfig:
-    """Explanation-loss modification settings. Only the L1 norm (p=1) is
-    implemented; the field exists so the norm choice stays explicit."""
+    """Explanation-loss modification settings; the norm is ``NORM_P``."""
 
     alpha: float = 15.0
     tau: int = 200
-    norm_p: int = 1
     learning_rate: float = 0.01
 
     def __post_init__(self):
@@ -85,8 +86,6 @@ class ModifyConfig:
             raise ValueError("alpha must be non-negative")
         if self.tau < 0:
             raise ValueError("tau must be non-negative")
-        if self.norm_p != 1:
-            raise ValueError("only the L1 norm is implemented")
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
 
@@ -171,9 +170,10 @@ class ModifyResult:
     config: ModifyConfig
 
     def to_dict(self) -> dict:
+        c = self.config
         return {
             "method": "modify",
-            "config": dataclasses.asdict(self.config),
+            "config": {"alpha": c.alpha, "tau": c.tau, "norm_p": NORM_P, "learning_rate": c.learning_rate},
             "zeta_initial": self.zeta_initial,
             "zeta_final": self.zeta_final,
             "accuracy_drop": self.accuracy_drop,
@@ -182,12 +182,6 @@ class ModifyResult:
             "report_before": self.report_before.to_dict(),
             "report_after": self.report_after.to_dict(),
         }
-
-
-def _audit_config_of(before: AuditReport) -> AuditConfig:
-    if before.audit_config is None:
-        raise ValueError("the 'before' report has no audit run attached; pass the one audit() returned")
-    return before.audit_config
 
 
 def modify_model(
@@ -201,13 +195,12 @@ def modify_model(
     trained parameters, on the training split. ``before`` is the model's own
     audit; the modified model is audited with the same settings."""
     config = config or ModifyConfig()
-    audit_config = _audit_config_of(before)
     X = split.train.features[:, model.feature_indices]
     y = split.train.labels.astype(float)
     uf = list(ufs.indices)
 
     new_model, loss_trace, zeta_trace = _run_modification(model, X, y, uf, config)
-    after = audit(new_model, split, audit_config)
+    after = audit(new_model, split, before.config)
     return ModifyResult(
         model=new_model,
         loss_trace=loss_trace,
@@ -251,7 +244,6 @@ def retrain_without(
     hyperparameters and a fresh (derived) seed. ``before`` is the model's own
     audit; the retrained model is audited with the same settings."""
     train_config = train_config or TrainConfig()
-    audit_config = _audit_config_of(before)
     feats = model.feature_indices
     keep = [i for i in range(model.d) if i not in ufs.indices]
     if not keep:
@@ -262,7 +254,7 @@ def retrain_without(
 
     fresh = dataclasses.replace(train_config, seed=derive_seed(train_config.seed, "retrain"))
     new_model, trace = model.refit(split.train, fresh, kept_columns)
-    after = audit(new_model, split, audit_config)
+    after = audit(new_model, split, before.config)
     return RetrainResult(
         model=new_model,
         removed_features=removed,

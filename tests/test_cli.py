@@ -499,6 +499,26 @@ def test_mitigate_reuses_the_audit_and_the_detection(agreement):
     assert detect_doc["feature_names"] == ["xs", "xp"]
 
 
+def test_audit_document_keys_and_config(agreement):
+    audit_doc = json.loads((agreement / "full" / "audit.json").read_text())
+    assert list(audit_doc) == [
+        "version", "model", "gpf_fae", "dp", "eo", "eod", "accuracy", "mean_pair_distance",
+        "procedural_verdict", "distributive_verdicts", "n_pairs", "pool_size", "config",
+    ]
+    assert list(audit_doc["config"].items()) == [
+        ("n_pairs", 20),
+        ("background_size", 30),
+        ("n_coalitions", None),
+        ("kernel_kind", "exponential"),
+        ("kernel_bandwidth", None),
+        ("n_permutations", 150),
+        ("procedural_threshold", 0.05),
+        ("distributive_threshold", 0.1),
+        ("pool", "full"),
+        ("seed", 3),
+    ]
+
+
 @pytest.mark.parametrize("pool", ["test", "full"])
 def test_exported_explanations_reproduce_the_audit_gpf(agreement, pool):
     audit_doc = json.loads((agreement / pool / "audit.json").read_text())

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -15,19 +16,19 @@ from procfair.datasets import (
 from procfair.fairness import (
     _MATCH_CELLS,
     AuditConfig,
-    AuditReport,
+    GpfResult,
     audit,
     dp,
     eo,
     eod,
-    gpf_fae,
     gpf_plan,
     gpf_run,
+    matched_explanations,
     select_pairs,
 )
 from procfair.models import LogisticModel, TrainConfig, fit_logistic, fit_mlp
 from procfair.seeding import derive_seed
-from procfair.two_sample import KernelConfig, PermutationConfig
+from procfair.two_sample import PermutationConfig, permutation_pvalue
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +140,17 @@ def test_select_pairs_insufficient_group():
         select_pairs(pool, n=1, seed=0)
     with pytest.raises(ValueError, match="feature"):
         select_pairs(pool, n=4, seed=0, feature_indices=())
+
+
+@pytest.mark.parametrize("feats", [(-1,), (0, -3), (3,), (0, 5)])
+def test_feature_indices_outside_the_pool_fail(feats):
+    # numpy would wrap -1 to the last column and fail on 3 with an IndexError
+    pool = pool_dataset(m=40)
+    config = AuditConfig(n_pairs=10, background_size=10, n_permutations=100)
+    with pytest.raises(ValueError, match="not all columns 0..2"):
+        select_pairs(pool, n=10, seed=0, feature_indices=feats)
+    with pytest.raises(ValueError, match="not all columns 0..2"):
+        gpf_plan(pool, pool.features[:, : len(feats)], feats, config)
 
 
 def one_shot_pairs(pool, n, seed, feature_indices=None):
@@ -308,16 +320,8 @@ def test_eod_empty_cell_named():
 
 def test_gpf_fair_model_high_pvalue(small_split):
     model, _ = fit_mlp(small_split.train, TrainConfig(epochs=150, seed=0), feature_indices=(0, 1))
-    background = sample_background(small_split.train.features[:, :2], 50, seed=1)
-    result = gpf_fae(
-        model,
-        small_split.test,
-        ShapConfig(background, seed=2),
-        KernelConfig(),
-        PermutationConfig(300, seed=3),
-        n=40,
-        pair_seed=4,
-    )
+    config = AuditConfig(n_pairs=40, background_size=50, n_permutations=300, seed=0)
+    result = gpf_run(model, gpf_plan(small_split.test, small_split.train.features[:, :2], (0, 1), config))
     assert result.p_value >= 0.9
     assert result.explanations_1.n == 40
     assert result.explanations_2.d == 2
@@ -326,10 +330,9 @@ def test_gpf_fair_model_high_pvalue(small_split):
 
 def test_gpf_unfair_model_low_pvalue(small_split):
     model, _ = fit_mlp(small_split.train, TrainConfig(epochs=150, seed=0))
-    plan = gpf_plan(small_split.test, small_split.train.features, model.feature_indices, seed=0, n=40,
-                    background_size=50, n_permutations=300)
-    result = gpf_run(model, plan)
-    assert result.p_value <= 0.05
+    config = AuditConfig(n_pairs=40, background_size=50, n_permutations=300, seed=0)
+    plan = gpf_plan(small_split.test, small_split.train.features, model.feature_indices, config)
+    assert gpf_run(model, plan).p_value <= 0.05
 
 
 @pytest.fixture(scope="module")
@@ -342,16 +345,20 @@ def four_feature_models(small_split):
 
 def test_one_plan_scores_every_model_as_a_fresh_plan_would(small_split, four_feature_models):
     source, feats, seed = small_split.train.features, (0, 1, 2, 3), 9
-    sizes = dict(n=30, background_size=30, n_permutations=200)
-    shared = gpf_plan(small_split.test, source, feats, seed, **sizes)
-    # the pre-plan path: the same derived sub-seeds, every step rebuilt per model
+    config = AuditConfig(n_pairs=30, background_size=30, n_permutations=200, seed=seed)
+    shared = gpf_plan(small_split.test, source, feats, config)
+    # without a plan: the documented sub-seed tags, every step rebuilt per model
     shap_config = ShapConfig(sample_background(source, 30, derive_seed(seed, "background")),
                              seed=derive_seed(seed, "shap"))
     perm_config = PermutationConfig(200, derive_seed(seed, "permutation"))
     for model in four_feature_models:
         reused = gpf_run(model, shared)
-        fresh = gpf_run(model, gpf_plan(small_split.test, source, feats, seed, **sizes))
-        direct = gpf_fae(model, small_split.test, shap_config, None, perm_config, 30, derive_seed(seed, "pairs"))
+        fresh = gpf_run(model, gpf_plan(small_split.test, source, feats, config))
+        pairs, e1, e2 = matched_explanations(
+            model, small_split.test, shap_config, 30, derive_seed(seed, "pairs")
+        )
+        p_value = permutation_pvalue(e1.values, e2.values, None, perm_config)
+        direct = GpfResult(p_value, pairs, e1, e2, perm_config)
         for other in (fresh, direct):
             assert reused.p_value == other.p_value
             assert reused.explanations_1.values.tobytes() == other.explanations_1.values.tobytes()
@@ -362,8 +369,8 @@ def test_one_plan_scores_every_model_as_a_fresh_plan_would(small_split, four_fea
 
 
 def test_gpf_run_rejects_a_model_on_other_columns(small_split, four_feature_models):
-    plan = gpf_plan(small_split.test, small_split.train.features[:, :2], (0, 1), n=10,
-                    background_size=10, n_permutations=100)
+    config = AuditConfig(n_pairs=10, background_size=10, n_permutations=100)
+    plan = gpf_plan(small_split.test, small_split.train.features[:, :2], (0, 1), config)
     swapped = LogisticModel(np.array([1.0, -1.0]), 0.0, feature_indices=(1, 0))
     for model in (four_feature_models[0], swapped):
         with pytest.raises(ValueError, match="feature indices"):
@@ -382,14 +389,15 @@ def test_audit_report_contents(small_split):
         assert report.distributive_verdicts[name] == ("fair" if value < 0.10 else "unfair")
     assert report.n_pairs == 30
     assert report.pool_size == small_split.test.m
-    assert report.config["seed"] == 5
+    assert report.config is config
 
 
 def test_audit_report_round_trip(small_split):
     model, _ = fit_mlp(small_split.train, TrainConfig(epochs=100, seed=1), feature_indices=(0, 1))
-    report = audit(model, small_split, AuditConfig(n_pairs=20, background_size=30, n_permutations=150, seed=6))
-    restored = AuditReport.from_dict(report.to_dict())
-    assert restored == report
+    config = AuditConfig(n_pairs=20, background_size=30, n_permutations=150, seed=6)
+    doc = audit(model, small_split, config).to_dict()
+    assert json.loads(json.dumps(doc)) == doc
+    assert doc["config"] == config.snapshot()
 
 
 def test_audit_full_pool(small_split):

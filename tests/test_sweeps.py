@@ -1,18 +1,19 @@
 import importlib
 import importlib.util
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from procfair import sweeps
-from procfair.datasets import SyntheticConfig, generate_synthetic, standardized_split
-from procfair.fairness import gpf_plan, gpf_run
+from procfair.datasets import SyntheticConfig, concat_datasets, generate_synthetic, standardized_split
+from procfair.fairness import AuditConfig, gpf_plan, gpf_run
 from procfair.models import TrainConfig, fit_logistic, set_sensitive_weight
 from procfair.sweeps import sweep_pair_count, sweep_pool_size, sweep_sensitive_weight
 
-FAST = dict(background_size=20, n_permutations=100)
+FAST = AuditConfig(n_pairs=20, background_size=20, n_permutations=100)
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
@@ -29,31 +30,44 @@ def model(split):
 
 def test_sensitive_weight_sweep_accepts_generators(split):
     config = TrainConfig(epochs=30, seed=0)
-    _, listed = sweep_sensitive_weight(split, [0.0, 3.0], [1, 2], config, n=20, **FAST)
-    _, generated = sweep_sensitive_weight(split, [0.0, 3.0], (s for s in [1, 2]), config, n=20, **FAST)
+    _, listed = sweep_sensitive_weight(split, [0.0, 3.0], [1, 2], config, config=FAST)
+    _, generated = sweep_sensitive_weight(split, [0.0, 3.0], (s for s in [1, 2]), config, config=FAST)
     np.testing.assert_array_equal(generated, listed)
 
 
 def test_pair_count_sweep_accepts_generators(split, model):
-    listed = sweep_pair_count(model, split, [10, 20], [1, 2], **FAST)
-    generated = sweep_pair_count(model, split, (n for n in [10, 20]), (s for s in [1, 2]), **FAST)
+    listed = sweep_pair_count(model, split, [10, 20], [1, 2], FAST)
+    generated = sweep_pair_count(model, split, (n for n in [10, 20]), (s for s in [1, 2]), FAST)
     np.testing.assert_array_equal(generated, listed)
 
 
 def test_sensitive_weight_sweep_equals_a_fresh_plan_per_point(split):
     # at w_s = 0.05 the p-values lie between the 1 and 1/101 ends and differ between the seeds
     config, grid, seeds = TrainConfig(epochs=30, seed=0), [0.0, 0.05, 3.0], [1, 2]
-    feats, matrix = sweep_sensitive_weight(split, grid, seeds, config, n=20, **FAST)
+    feats, matrix = sweep_sensitive_weight(split, grid, seeds, config, config=FAST)
     base, _ = fit_logistic(split.train, config, feats)
     source = split.train.features[:, feats]
-    expected = [
-        [
-            gpf_run(set_sensitive_weight(base, w), gpf_plan(split.test, source, feats, seed, 20, **FAST)).p_value
-            for w in grid
-        ]
-        for seed in seeds
-    ]
+    plans = [gpf_plan(split.test, source, feats, replace(FAST, seed=seed)) for seed in seeds]
+    expected = [[gpf_run(set_sensitive_weight(base, w), plan).p_value for w in grid] for plan in plans]
     np.testing.assert_array_equal(matrix, expected)
+
+
+def test_sweeps_draw_pairs_from_the_configured_pool(split, model):
+    full_pool, train_config = replace(FAST, pool="full"), TrainConfig(epochs=30, seed=0)
+    full = concat_datasets(split.train, split.test)
+    feats, ws_matrix = sweep_sensitive_weight(split, [3.0], [1], train_config, config=full_pool)
+    base, _ = fit_logistic(split.train, train_config, feats)
+    plan = gpf_plan(full, split.train.features[:, feats], feats, replace(full_pool, seed=1))
+    assert ws_matrix[0, 0] == gpf_run(set_sensitive_weight(base, 3.0), plan).p_value
+    assert plan.pairs.pool_size == full.m
+
+    n_matrix = sweep_pair_count(model, split, [10], [1], full_pool)
+    feats = model.feature_indices
+    plan = gpf_plan(full, split.train.features[:, feats], feats, replace(full_pool, n_pairs=10, seed=1))
+    assert n_matrix[0, 0] == gpf_run(model, plan).p_value
+
+    with pytest.raises(ValueError, match="draws its own pools"):
+        sweep_pool_size(model, split, [400], [1], full_pool)
 
 
 def test_empty_sweeps_raise(split, model):
@@ -63,8 +77,8 @@ def test_empty_sweeps_raise(split, model):
         ("grid", lambda: sweep_sensitive_weight(split, np.linspace(0.0, 5.0, 0), [1], config)),
         ("seeds", lambda: sweep_pair_count(model, split, [10], [])),
         ("n_values", lambda: sweep_pair_count(model, split, [], [1])),
-        ("seeds", lambda: sweep_pool_size(model, split, [400], [], n=20)),
-        ("pool_sizes", lambda: sweep_pool_size(model, split, [], [1], n=20)),
+        ("seeds", lambda: sweep_pool_size(model, split, [400], [], FAST)),
+        ("pool_sizes", lambda: sweep_pool_size(model, split, [], [1], FAST)),
     ]
     for name, call in cases:
         with pytest.raises(ValueError, match=f"{name} is empty"):
@@ -74,8 +88,8 @@ def test_empty_sweeps_raise(split, model):
 def test_pool_size_beyond_a_groups_share_fails(split, model):
     # the whole dataset has 480/320 rows; a 641-row pool needs 320/321
     with pytest.raises(ValueError, match="pool size 641 needs 320/321 rows"):
-        sweep_pool_size(model, split, [641], [1], n=20, **FAST)
-    distances, scores = sweep_pool_size(model, split, [640], [1], n=20, **FAST)
+        sweep_pool_size(model, split, [641], [1], FAST)
+    distances, scores = sweep_pool_size(model, split, [640], [1], FAST)
     assert distances.shape == scores.shape == (1, 1)
 
 
@@ -93,7 +107,7 @@ def test_traced_sweep_matches_pairs_once_per_seed(split):
         assert hasattr(importlib.import_module(module_name), attr), f"{module_name}.{attr}"
     tracer = tracing.Tracer()
     with tracer.installed(), tracer.op("sweep"):
-        sweeps.sweep_sensitive_weight(split, [0.0, 1.5, 3.0], [1, 2], TrainConfig(epochs=30, seed=0), n=20, **FAST)
+        sweeps.sweep_sensitive_weight(split, [0.0, 1.5, 3.0], [1, 2], TrainConfig(epochs=30, seed=0), config=FAST)
     metrics, _ = tracing.op_metrics(tracer, "sweep")
     assert metrics["sweeps.gpf_runs"] == 6
     assert metrics["two_sample.perm_tests"] == 6
