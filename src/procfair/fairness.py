@@ -6,6 +6,7 @@ that composes them into a report.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -79,8 +80,9 @@ class PairSelection:
 
 
 def _checked_feature_indices(feature_indices, pool: TabularDataset) -> tuple[int, ...]:
-    """The indices as ints, each a column of ``pool`` (numpy would wrap a negative one)."""
-    feats = tuple(int(i) for i in feature_indices)
+    """The indices as ints, each a column of ``pool`` (numpy would wrap a negative one).
+    ``operator.index`` refuses a non-integer index such as 0.9 with a TypeError."""
+    feats = tuple(operator.index(i) for i in feature_indices)
     if not feats:
         raise ValueError("need at least one feature to match on")
     if min(feats) < 0 or max(feats) >= pool.d:
@@ -400,11 +402,6 @@ class AuditReport:
         return doc
 
 
-def _pair_pool(split: SplitDataset, config: AuditConfig) -> TabularDataset:
-    """The pool ``config.pool`` names: the test split, or the whole dataset."""
-    return split.test if config.pool == "test" else concat_datasets(split.train, split.test)
-
-
 def audit(model, split: SplitDataset, config: AuditConfig | None = None) -> AuditReport:
     """Full audit: accuracy and DP/EO/EOD on the test split, plus the group
     procedural fairness score over matched pairs drawn from the configured
@@ -419,7 +416,8 @@ def audit(model, split: SplitDataset, config: AuditConfig | None = None) -> Audi
     eo_value = eo(predictions, test.labels, gmask)
     eod_value = eod(predictions, test.labels, gmask)
 
-    plan = gpf_plan(_pair_pool(split, config), split.train.features[:, feats], feats, config)
+    pool = test if config.pool == "test" else concat_datasets(split.train, split.test)
+    plan = gpf_plan(pool, split.train.features[:, feats], feats, config)
     result = gpf_run(model, plan, config.kernel)
 
     return AuditReport(

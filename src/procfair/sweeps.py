@@ -4,6 +4,8 @@ returns the raw per-seed score matrix so callers can aggregate as they need.
 
 Every sweep takes its GPF settings from one ``AuditConfig`` and varies only
 the seed (and, in ``sweep_pair_count``, the pair count) across its points.
+Sweeps draw pairs from the test split (the pool sweep from its own
+subsampled pools), so each rejects ``config.pool='full'``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from .datasets import SplitDataset, concat_datasets, select_fair_features
-from .fairness import AuditConfig, _pair_pool, gpf_plan, gpf_run
+from .fairness import AuditConfig, gpf_plan, gpf_run
 from .models import TrainConfig, fit_logistic, set_sensitive_weight
 from .seeding import derive_seed
 
@@ -25,6 +27,13 @@ def _nonempty(name: str, values) -> list:
     if not values:
         raise ValueError(f"{name} is empty; a sweep needs at least one")
     return values
+
+
+def _sweep_config(config: AuditConfig | None) -> AuditConfig:
+    config = config or AuditConfig()
+    if config.pool != "test":
+        raise ValueError(f"sweeps draw their own pairs; config.pool is {config.pool!r}, not 'test'")
+    return config
 
 
 def sweep_sensitive_weight(
@@ -39,23 +48,22 @@ def sweep_sensitive_weight(
     then override the sensitive weight along ``grid`` and score each model.
 
     Every weight of one seed is scored over the same plan: the same pairs
-    (from the pool ``config.pool`` names), background, coalitions and
-    permutations.
+    (from the test split), background, coalitions and permutations.
 
     Returns (feature_indices, matrix) where matrix[i, j] is the GPF score for
     seeds[i] and grid[j].
     """
-    config = config or AuditConfig()
+    config = _sweep_config(config)
     grid = np.asarray(_nonempty("grid", grid), dtype=float)
     seeds = _nonempty("seeds", seeds)
     fair = select_fair_features(split.train, fair_threshold)
     feats = tuple(sorted(set(fair) | {split.train.sensitive_index}))
     base_model, _ = fit_logistic(split.train, train_config, feats)
-    pool, background_source = _pair_pool(split, config), split.train.features[:, feats]
+    background_source = split.train.features[:, feats]
 
     matrix = np.empty((len(seeds), grid.size))
     for i, seed in enumerate(seeds):
-        plan = gpf_plan(pool, background_source, feats, replace(config, seed=seed))
+        plan = gpf_plan(split.test, background_source, feats, replace(config, seed=seed))
         for j, w_s in enumerate(grid):
             model = set_sensitive_weight(base_model, float(w_s))
             matrix[i, j] = gpf_run(model, plan, config.kernel).p_value
@@ -69,17 +77,16 @@ def sweep_pair_count(
     seeds,
     config: AuditConfig | None = None,
 ) -> np.ndarray:
-    """GPF score of one model for several pair counts, drawn from the pool
-    ``config.pool`` names; matrix[i, j] is the score for seeds[i] and
-    n_values[j]."""
-    config = config or AuditConfig()
+    """GPF score of one model for several pair counts, drawn from the test
+    split; matrix[i, j] is the score for seeds[i] and n_values[j]."""
+    config = _sweep_config(config)
     feats = model.feature_indices
-    pool, background_source = _pair_pool(split, config), split.train.features[:, feats]
+    background_source = split.train.features[:, feats]
     seeds, n_values = _nonempty("seeds", seeds), _nonempty("n_values", n_values)
     matrix = np.empty((len(seeds), len(n_values)))
     for i, seed in enumerate(seeds):
         for j, n in enumerate(n_values):
-            plan = gpf_plan(pool, background_source, feats, replace(config, n_pairs=int(n), seed=seed))
+            plan = gpf_plan(split.test, background_source, feats, replace(config, n_pairs=int(n), seed=seed))
             matrix[i, j] = gpf_run(model, plan, config.kernel).p_value
     return matrix
 
@@ -96,12 +103,9 @@ def sweep_pool_size(
 
     Per seed, each group's rows are permuted once and every pool takes the
     first N/2 rows of each permutation, so pools are nested across sizes.
-    The sweep draws its own pools, so it rejects ``config.pool='full'``.
     Returns (distance_matrix, gpf_matrix), both (len(seeds), len(pool_sizes)).
     """
-    config = config or AuditConfig()
-    if config.pool != "test":
-        raise ValueError(f"the pool sweep draws its own pools; config.pool is {config.pool!r}, not 'test'")
+    config = _sweep_config(config)
     full = concat_datasets(split.train, split.test)
     g1 = np.flatnonzero(full.advantaged_mask)
     g2 = np.flatnonzero(full.disadvantaged_mask)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from procfair import sweeps
-from procfair.datasets import SyntheticConfig, concat_datasets, generate_synthetic, standardized_split
+from procfair.datasets import SyntheticConfig, generate_synthetic, standardized_split
 from procfair.fairness import AuditConfig, gpf_plan, gpf_run
 from procfair.models import TrainConfig, fit_logistic, set_sensitive_weight
 from procfair.sweeps import sweep_pair_count, sweep_pool_size, sweep_sensitive_weight
@@ -52,22 +52,17 @@ def test_sensitive_weight_sweep_equals_a_fresh_plan_per_point(split):
     np.testing.assert_array_equal(matrix, expected)
 
 
-def test_sweeps_draw_pairs_from_the_configured_pool(split, model):
+def test_sweeps_reject_a_full_pool(split, model):
+    # every sweep draws its pairs from the test split or its own pools
     full_pool, train_config = replace(FAST, pool="full"), TrainConfig(epochs=30, seed=0)
-    full = concat_datasets(split.train, split.test)
-    feats, ws_matrix = sweep_sensitive_weight(split, [3.0], [1], train_config, config=full_pool)
-    base, _ = fit_logistic(split.train, train_config, feats)
-    plan = gpf_plan(full, split.train.features[:, feats], feats, replace(full_pool, seed=1))
-    assert ws_matrix[0, 0] == gpf_run(set_sensitive_weight(base, 3.0), plan).p_value
-    assert plan.pairs.pool_size == full.m
-
-    n_matrix = sweep_pair_count(model, split, [10], [1], full_pool)
-    feats = model.feature_indices
-    plan = gpf_plan(full, split.train.features[:, feats], feats, replace(full_pool, n_pairs=10, seed=1))
-    assert n_matrix[0, 0] == gpf_run(model, plan).p_value
-
-    with pytest.raises(ValueError, match="draws its own pools"):
-        sweep_pool_size(model, split, [400], [1], full_pool)
+    calls = [
+        lambda: sweep_sensitive_weight(split, [3.0], [1], train_config, config=full_pool),
+        lambda: sweep_pair_count(model, split, [10], [1], full_pool),
+        lambda: sweep_pool_size(model, split, [400], [1], full_pool),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="config.pool is 'full'"):
+            call()
 
 
 def test_empty_sweeps_raise(split, model):
