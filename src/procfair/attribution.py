@@ -151,7 +151,7 @@ def _sampled_coalitions(d: int, budget: int, rng: np.random.Generator) -> tuple[
     sizes = np.arange(1, d)
     probs = (d - 1) / (sizes * (d - sizes))
     probs = probs / probs.sum()
-    n_pairs = max(budget // 2, 1)
+    n_pairs = (budget + 1) // 2  # an odd budget rounds up, never down to too few rows
     Z = np.zeros((2 * n_pairs, d), dtype=bool)
     drawn = rng.choice(sizes, size=n_pairs, p=probs)
     for i, s in enumerate(drawn):
@@ -167,57 +167,74 @@ def _coalitions(d: int, budget: int, rng: np.random.Generator) -> tuple[np.ndarr
     return _sampled_coalitions(d, budget, rng)
 
 
-def _masked_values(predict_fn, X: np.ndarray, background: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """Mean model output per (row, coalition): present features come from the
-    row, absent ones from each background row, averaged."""
+def _masked_values(predict_fns, X: np.ndarray, background: np.ndarray, Z: np.ndarray) -> list[np.ndarray]:
+    """Mean output of each function per (row, coalition): present features
+    come from the row, absent ones from each background row, averaged.
+
+    Each chunk of masked rows is built once, read-only, and evaluated by
+    every function in turn; each function's predictions are reduced to its
+    block before the next function runs."""
     n, d = X.shape
     n_c = Z.shape[0]
     k = background.shape[0]
-    out = np.empty((n, n_c))
+    outs = [np.empty((n, n_c)) for _ in predict_fns]
     rows_per_chunk = max(1, 500_000 // (n_c * k))
     for start in range(0, n, rows_per_chunk):
         chunk = X[start : start + rows_per_chunk]
         masked = np.where(Z[None, :, None, :], chunk[:, None, None, :], background[None, None, :, :])
-        preds = np.asarray(predict_fn(masked.reshape(-1, d)), dtype=float)
-        out[start : start + len(chunk)] = preds.reshape(len(chunk), n_c, k).mean(axis=2)
-    return out
+        masked = masked.reshape(-1, d)
+        masked.setflags(write=False)
+        for predict_fn, out in zip(predict_fns, outs):
+            preds = np.asarray(predict_fn(masked), dtype=float).reshape(len(chunk), n_c, k)
+            out[start : start + len(chunk)] = preds.mean(axis=2)
+            del preds  # one function's predictions at a time
+    return outs
 
 
-def _solve_constrained_wls(Z, weights, V_centered, constraints):
-    """Weighted least squares per row of V_centered with the per-row equality
-    constraint sum(phi) = constraints[row]. Returns an (n, d) matrix."""
+def _constrained_wls(Z, weights):
+    """Solver of the weighted least squares per row of V_centered with the
+    per-row equality constraint sum(phi) = constraints[row]; the KKT
+    matrices depend on the coalitions alone and are built once for every
+    ``solve(V_centered, constraints)``, which returns an (n, d) matrix."""
     Zf = Z.astype(float)
     d = Zf.shape[1]
     A = Zf.T @ (weights[:, None] * Zf)
-    B = (Zf * weights[:, None]).T @ V_centered.T  # (d, n)
-    rhs = np.vstack([B, np.asarray(constraints, dtype=float)[None, :]])
-
-    def attempt(reg: float) -> np.ndarray:
+    weighted_T = (Zf * weights[:, None]).T
+    kkts = []
+    for reg in (0.0, RIDGE):
         kkt = np.zeros((d + 1, d + 1))
         kkt[:d, :d] = A + reg * np.eye(d) if reg else A
         kkt[:d, d] = 1.0
         kkt[d, :d] = 1.0
-        solution = np.linalg.solve(kkt, rhs)
-        return solution[:d].T
+        kkts.append(kkt)
 
-    try:
-        phi = attempt(0.0)
-        if np.isfinite(phi).all():
-            return phi
-    except np.linalg.LinAlgError:
-        pass
-    try:
-        phi = attempt(RIDGE)
-        if np.isfinite(phi).all():
-            return phi
-    except np.linalg.LinAlgError:
-        pass
-    raise np.linalg.LinAlgError("singular attribution regression system (even with ridge)")
+    def solve(V_centered, constraints) -> np.ndarray:
+        B = weighted_T @ V_centered.T  # (d, n)
+        rhs = np.vstack([B, np.asarray(constraints, dtype=float)[None, :]])
+        # the ridge system is tried only when the unregularized one is singular
+        for kkt in kkts:
+            try:
+                phi = np.linalg.solve(kkt, rhs)[:d].T
+            except np.linalg.LinAlgError:
+                continue
+            if np.isfinite(phi).all():
+                return phi
+        raise np.linalg.LinAlgError("singular attribution regression system (even with ridge)")
+
+    return solve
 
 
-def explain_set(predict_fn, X, config: ShapConfig, feature_names=None) -> ExplanationSet:
-    """Kernel SHAP for every row of X with a shared background and a shared
-    coalition sample, so equal rows receive equal explanations."""
+def explain_set(predict_fns, X, config: ShapConfig, feature_names=None) -> list[ExplanationSet]:
+    """Kernel SHAP for every row of X under each of ``predict_fns``, with a
+    shared background and a shared coalition sample, so equal rows receive
+    equal explanations; returns one ExplanationSet per function, in order.
+
+    The coalitions, the KKT matrices and each chunk of masked rows are built
+    once per call and shared by all functions; each function's result is the
+    one a call with that function alone returns."""
+    predict_fns = list(predict_fns)
+    if not predict_fns:
+        raise ValueError("explain_set needs at least one function")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n, d = X.shape
     background = config.background
@@ -227,23 +244,25 @@ def explain_set(predict_fn, X, config: ShapConfig, feature_names=None) -> Explan
     if len(names) != d:
         raise ValueError("feature_names length does not match d")
 
-    targets = np.asarray(predict_fn(X), dtype=float).ravel()
-    base = float(np.mean(predict_fn(background)))
+    targets = [np.asarray(fn(X), dtype=float).ravel() for fn in predict_fns]
+    bases = [float(np.mean(fn(background))) for fn in predict_fns]
     if d == 1:
-        values = (targets - base)[:, None]
-        return ExplanationSet(values, np.full(n, base), targets, names)
+        return [ExplanationSet((t - b)[:, None], np.full(n, b), t, names) for t, b in zip(targets, bases)]
 
     rng = np.random.default_rng(config.seed)
     Z, weights = _coalitions(d, config.resolved_budget(d), rng)
-    V = _masked_values(predict_fn, X, background, Z)
-    values = _solve_constrained_wls(Z, weights, V - base, targets - base)
-    return ExplanationSet(values, np.full(n, base), targets, names)
+    solve = _constrained_wls(Z, weights)
+    masked_values = _masked_values(predict_fns, X, background, Z)
+    return [
+        ExplanationSet(solve(V - b, t - b), np.full(n, b), t, names)
+        for V, t, b in zip(masked_values, targets, bases)
+    ]
 
 
 def kernel_shap(predict_fn, x, config: ShapConfig) -> Explanation:
     """Kernel SHAP attribution of a single instance."""
     x = np.asarray(x, dtype=float).ravel()
-    return explain_set(predict_fn, x[None, :], config).row(0)
+    return explain_set([predict_fn], x[None, :], config)[0].row(0)
 
 
 def exact_shapley(predict_fn, x, background) -> Explanation:

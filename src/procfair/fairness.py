@@ -7,7 +7,8 @@ that composes them into a report.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -202,22 +203,25 @@ def _pair_features(pool: TabularDataset, pairs: PairSelection, feats) -> tuple[n
 
 
 def _explain_both_sides(
-    model, X1, X2, shap_config: ShapConfig, pool_names
-) -> tuple[ExplanationSet, ExplanationSet]:
-    """Explain the two sides' rows with a shared background and coalition
-    sample, naming the features after the model (or, failing that, the
-    pool's columns).
+    models, X1, X2, shap_config: ShapConfig, pool_names
+) -> tuple[list[ExplanationSet], list[ExplanationSet]]:
+    """Explain the two sides' rows for every model, one ``explain_set`` call
+    per side, with a shared background and coalition sample; each model's
+    sets name the features after the model (or, failing that, the pool's
+    columns).
 
     Attributions explain the model's decision score (log-odds), the additive
     scale the thresholded prediction lives on; probability-space attributions
     would fold the sigmoid's saturation into every feature.
     """
-    names = model.feature_names or pool_names
+    scores = [partial(decision_score, model) for model in models]
+    names = [model.feature_names or pool_names for model in models]
 
-    def score(M):
-        return decision_score(model, M)
+    def explain(X):
+        sets = explain_set(scores, X, shap_config, pool_names)
+        return [e if e.feature_names == own else replace(e, feature_names=own) for e, own in zip(sets, names)]
 
-    return explain_set(score, X1, shap_config, names), explain_set(score, X2, shap_config, names)
+    return explain(X1), explain(X2)
 
 
 def matched_explanations(
@@ -233,7 +237,7 @@ def matched_explanations(
     pairs = select_pairs(pool, n, pair_seed, feats)
     X1, X2 = _pair_features(pool, pairs, feats)
     names = tuple(pool.feature_names[i] for i in feats)
-    e1, e2 = _explain_both_sides(model, X1, X2, shap_config, names)
+    (e1,), (e2,) = _explain_both_sides([model], X1, X2, shap_config, names)
     return pairs, e1, e2
 
 
@@ -329,16 +333,26 @@ def gpf_plan(
     )
 
 
-def gpf_run(model, plan: GpfPlan, kernel: KernelConfig | None = None) -> GpfResult:
-    """Score one model over a plan: explain both sides of its pairs and test
-    the two explanation sets with the plan's permutations."""
-    if model.feature_indices != plan.feature_indices:
-        raise ValueError(
-            f"model feature indices {model.feature_indices} differ from the plan's {plan.feature_indices}"
-        )
-    e1, e2 = _explain_both_sides(model, plan.rows_1, plan.rows_2, plan.shap_config, plan.feature_names)
-    p = permutation_pvalue(e1.values, e2.values, kernel, plan.perm_config, memberships=plan.memberships)
-    return GpfResult(p, plan.pairs, e1, e2, plan.perm_config)
+def gpf_run(models, plan: GpfPlan, kernel: KernelConfig | None = None) -> list[GpfResult]:
+    """Score models over one plan, returning one result per model, in order:
+    explain both sides of the plan's pairs for all models (each side in one
+    pass that builds the masked rows once), then test each model's two
+    explanation sets with the plan's permutations. Each result equals the
+    one a call with that model alone returns."""
+    models = list(models)
+    if not models:
+        raise ValueError("gpf_run needs at least one model")
+    for model in models:
+        if model.feature_indices != plan.feature_indices:
+            raise ValueError(
+                f"model feature indices {model.feature_indices} differ from the plan's {plan.feature_indices}"
+            )
+    sides_1, sides_2 = _explain_both_sides(models, plan.rows_1, plan.rows_2, plan.shap_config, plan.feature_names)
+    results = []
+    for e1, e2 in zip(sides_1, sides_2):
+        p = permutation_pvalue(e1.values, e2.values, kernel, plan.perm_config, memberships=plan.memberships)
+        results.append(GpfResult(p, plan.pairs, e1, e2, plan.perm_config))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +432,7 @@ def audit(model, split: SplitDataset, config: AuditConfig | None = None) -> Audi
 
     pool = test if config.pool == "test" else concat_datasets(split.train, split.test)
     plan = gpf_plan(pool, split.train.features[:, feats], feats, config)
-    result = gpf_run(model, plan, config.kernel)
+    (result,) = gpf_run([model], plan, config.kernel)
 
     return AuditReport(
         gpf_fae=result.p_value,

@@ -47,8 +47,9 @@ def sweep_sensitive_weight(
     """Train a logistic model on the fair features plus the sensitive column,
     then override the sensitive weight along ``grid`` and score each model.
 
-    Every weight of one seed is scored over the same plan: the same pairs
-    (from the test split), background, coalitions and permutations.
+    Every weight of one seed is scored over the same plan, in one
+    ``gpf_run`` call: the same pairs (from the test split), background,
+    coalitions, masked rows and permutations.
 
     Returns (feature_indices, matrix) where matrix[i, j] is the GPF score for
     seeds[i] and grid[j].
@@ -60,13 +61,12 @@ def sweep_sensitive_weight(
     feats = tuple(sorted(set(fair) | {split.train.sensitive_index}))
     base_model, _ = fit_logistic(split.train, train_config, feats)
     background_source = split.train.features[:, feats]
+    models = [set_sensitive_weight(base_model, float(w_s)) for w_s in grid]
 
     matrix = np.empty((len(seeds), grid.size))
     for i, seed in enumerate(seeds):
         plan = gpf_plan(split.test, background_source, feats, replace(config, seed=seed))
-        for j, w_s in enumerate(grid):
-            model = set_sensitive_weight(base_model, float(w_s))
-            matrix[i, j] = gpf_run(model, plan, config.kernel).p_value
+        matrix[i] = [result.p_value for result in gpf_run(models, plan, config.kernel)]
     return feats, matrix
 
 
@@ -87,7 +87,7 @@ def sweep_pair_count(
     for i, seed in enumerate(seeds):
         for j, n in enumerate(n_values):
             plan = gpf_plan(split.test, background_source, feats, replace(config, n_pairs=int(n), seed=seed))
-            matrix[i, j] = gpf_run(model, plan, config.kernel).p_value
+            matrix[i, j] = gpf_run([model], plan, config.kernel)[0].p_value
     return matrix
 
 
@@ -133,7 +133,7 @@ def sweep_pool_size(
             half = size // 2
             rows = np.sort(np.concatenate([order1[:half], order2[: size - half]]))
             plan = gpf_plan(full.take(rows), background_source, feats, replace(config, seed=seed))
-            result = gpf_run(model, plan, config.kernel)
+            (result,) = gpf_run([model], plan, config.kernel)
             distances[i, j] = result.pairs.mean_distance
             scores[i, j] = result.p_value
     return distances, scores

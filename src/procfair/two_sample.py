@@ -143,9 +143,10 @@ def permutation_memberships(n: int, a: int, perm_config: PermutationConfig) -> n
         raise ValueError(f"first sample size {a} must lie strictly between 0 and {n}")
     rng = np.random.default_rng(perm_config.seed)
     P = perm_config.n_permutations
+    # row p is the p-th permutation of 0..n-1, drawn as rng.permutation(n) would draw it
+    perms = rng.permuted(np.tile(np.arange(n), (P, 1)), axis=1)
     Z = np.zeros((n, P))
-    for p in range(P):
-        Z[rng.permutation(n)[:a], p] = 1.0
+    Z[perms[:, :a].T, np.arange(P)] = 1.0
     Z.setflags(write=False)
     return Z
 

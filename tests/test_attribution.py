@@ -115,6 +115,18 @@ def test_singular_regression_falls_back_to_ridge():
     assert result.values.sum() == pytest.approx(10.0)
 
 
+def test_odd_coalition_budget_rounds_the_pairs_up():
+    # 3 of d=3's 6 proper coalitions are sampled as complement pairs: one pair
+    # (2 rows) leaves the 3 attributions underdetermined, two pairs fix them
+    rng = np.random.default_rng(12)
+    w = np.array([1.0, 2.0, 3.0])
+    bg = rng.normal(size=(10, 3))
+    x = rng.normal(size=3)
+    for seed in range(6):
+        result = kernel_shap(linear_fn(w), x, ShapConfig(bg, n_coalitions=3, seed=seed))
+        np.testing.assert_allclose(result.values, w * (x - bg.mean(axis=0)), atol=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # exact Shapley oracle
 
@@ -166,13 +178,13 @@ def test_duplicate_rows_identical_explanations():
     bg = rng.normal(size=(20, 4))
     row = rng.normal(size=4)
     X = np.vstack([row, rng.normal(size=4), row])
-    result = explain_set(mlp_fn(model), X, ShapConfig(bg, seed=4))
+    result = explain_set([mlp_fn(model)], X, ShapConfig(bg, seed=4))[0]
     np.testing.assert_array_equal(result.values[0], result.values[2])
 
 
 def test_explain_set_single_row():
     bg = np.random.default_rng(8).normal(size=(10, 2))
-    result = explain_set(linear_fn([1.0, -1.0]), np.array([[0.5, 0.5]]), ShapConfig(bg))
+    result = explain_set([linear_fn([1.0, -1.0])], np.array([[0.5, 0.5]]), ShapConfig(bg))[0]
     assert result.n == 1 and result.d == 2
 
 
@@ -181,14 +193,14 @@ def test_explain_set_deterministic():
     model = init_mlp(4, 5, seed=5)
     bg = rng.normal(size=(15, 4))
     X = rng.normal(size=(6, 4))
-    a = explain_set(mlp_fn(model), X, ShapConfig(bg, seed=11))
-    b = explain_set(mlp_fn(model), X, ShapConfig(bg, seed=11))
+    a = explain_set([mlp_fn(model)], X, ShapConfig(bg, seed=11))[0]
+    b = explain_set([mlp_fn(model)], X, ShapConfig(bg, seed=11))[0]
     np.testing.assert_array_equal(a.values, b.values)
 
 
 def test_explain_set_row_accessor_and_names():
     bg = np.zeros((4, 2))
-    result = explain_set(linear_fn([1.0, 2.0]), np.ones((3, 2)), ShapConfig(bg), ("u", "v"))
+    result = explain_set([linear_fn([1.0, 2.0])], np.ones((3, 2)), ShapConfig(bg), ("u", "v"))[0]
     assert result.feature_names == ("u", "v")
     row = result.row(1)
     assert isinstance(row, Explanation)
@@ -200,7 +212,7 @@ def test_explain_set_local_accuracy_all_rows():
     model = init_mlp(4, 8, seed=6)
     bg = rng.normal(size=(30, 4))
     X = rng.normal(size=(25, 4))
-    result = explain_set(mlp_fn(model), X, ShapConfig(bg, seed=1))
+    result = explain_set([mlp_fn(model)], X, ShapConfig(bg, seed=1))[0]
     reconstructed = result.base_values + result.values.sum(axis=1)
     np.testing.assert_allclose(reconstructed, result.targets, atol=1e-6)
 
@@ -208,7 +220,7 @@ def test_explain_set_local_accuracy_all_rows():
 def test_background_dimension_mismatch():
     bg = np.zeros((5, 3))
     with pytest.raises(ValueError, match="dimensionality"):
-        explain_set(linear_fn([1.0, 1.0]), np.ones((2, 2)), ShapConfig(bg))
+        explain_set([linear_fn([1.0, 1.0])], np.ones((2, 2)), ShapConfig(bg))
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +240,7 @@ def test_explanations_csv_round_trip(tmp_path):
     model = init_mlp(3, 4, seed=8)
     bg = rng.normal(size=(10, 3))
     X = rng.normal(size=(7, 3))
-    original = explain_set(mlp_fn(model), X, ShapConfig(bg, seed=2), ("a", "b", "c"))
+    original = explain_set([mlp_fn(model)], X, ShapConfig(bg, seed=2), ("a", "b", "c"))[0]
     path = tmp_path / "explanations.csv"
     write_explanations_csv(original, path)
     loaded = read_explanations_csv(path)

@@ -26,7 +26,7 @@ from procfair.fairness import (
     matched_explanations,
     select_pairs,
 )
-from procfair.models import LogisticModel, TrainConfig, fit_logistic, fit_mlp
+from procfair.models import LogisticModel, TrainConfig, fit_logistic, fit_mlp, init_mlp
 from procfair.seeding import derive_seed
 from procfair.two_sample import PermutationConfig, permutation_pvalue
 
@@ -326,7 +326,7 @@ def test_eod_empty_cell_named():
 def test_gpf_fair_model_high_pvalue(small_split):
     model, _ = fit_mlp(small_split.train, TrainConfig(epochs=150, seed=0), feature_indices=(0, 1))
     config = AuditConfig(n_pairs=40, background_size=50, n_permutations=300, seed=0)
-    result = gpf_run(model, gpf_plan(small_split.test, small_split.train.features[:, :2], (0, 1), config))
+    (result,) = gpf_run([model], gpf_plan(small_split.test, small_split.train.features[:, :2], (0, 1), config))
     assert result.p_value >= 0.9
     assert result.explanations_1.n == 40
     assert result.explanations_2.d == 2
@@ -337,7 +337,7 @@ def test_gpf_unfair_model_low_pvalue(small_split):
     model, _ = fit_mlp(small_split.train, TrainConfig(epochs=150, seed=0))
     config = AuditConfig(n_pairs=40, background_size=50, n_permutations=300, seed=0)
     plan = gpf_plan(small_split.test, small_split.train.features, model.feature_indices, config)
-    assert gpf_run(model, plan).p_value <= 0.05
+    assert gpf_run([model], plan)[0].p_value <= 0.05
 
 
 @pytest.fixture(scope="module")
@@ -357,8 +357,8 @@ def test_one_plan_scores_every_model_as_a_fresh_plan_would(small_split, four_fea
                              seed=derive_seed(seed, "shap"))
     perm_config = PermutationConfig(200, derive_seed(seed, "permutation"))
     for model in four_feature_models:
-        reused = gpf_run(model, shared)
-        fresh = gpf_run(model, gpf_plan(small_split.test, source, feats, config))
+        (reused,) = gpf_run([model], shared)
+        (fresh,) = gpf_run([model], gpf_plan(small_split.test, source, feats, config))
         pairs, e1, e2 = matched_explanations(
             model, small_split.test, shap_config, 30, derive_seed(seed, "pairs")
         )
@@ -377,9 +377,73 @@ def test_gpf_run_rejects_a_model_on_other_columns(small_split, four_feature_mode
     config = AuditConfig(n_pairs=10, background_size=10, n_permutations=100)
     plan = gpf_plan(small_split.test, small_split.train.features[:, :2], (0, 1), config)
     swapped = LogisticModel(np.array([1.0, -1.0]), 0.0, feature_indices=(1, 0))
+    fitting = LogisticModel(np.array([1.0, -1.0]), 0.0, feature_indices=(0, 1))
     for model in (four_feature_models[0], swapped):
-        with pytest.raises(ValueError, match="feature indices"):
-            gpf_run(model, plan)
+        for models in ([model], [fitting, model]):
+            with pytest.raises(ValueError, match="feature indices"):
+                gpf_run(models, plan)
+    with pytest.raises(ValueError, match="at least one model"):
+        gpf_run([], plan)
+
+
+def _random_pool(d: int, m: int = 400) -> TabularDataset:
+    """d standard-normal columns plus a 0/1 sensitive column at index d."""
+    rng = np.random.default_rng(d)
+    features = np.column_stack([rng.normal(size=(m, d)), np.arange(m) % 2])
+    names = tuple(f"x{j}" for j in range(d)) + ("s",)
+    return TabularDataset(features, names, np.arange(m) % 2, d, (1.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "d, n_pairs, background_size",
+    [
+        (4, 30, 30),
+        (8, 40, 100),  # 40 rows x 254 coalitions x 100 background rows: each side masked in 3 chunks
+        (1, 20, 20),  # the d=1 shortcut, no coalitions
+    ],
+)
+def test_models_scored_together_equal_each_scored_alone(d, n_pairs, background_size):
+    pool, feats = _random_pool(d), tuple(range(d))
+    config = AuditConfig(n_pairs=n_pairs, background_size=background_size, n_permutations=100, seed=3)
+    plan = gpf_plan(pool, pool.features[:, feats], feats, config)
+    rng = np.random.default_rng(5)
+    models = [
+        LogisticModel(rng.normal(size=d), 0.3, feature_indices=feats),
+        init_mlp(d, 8, seed=1, feature_indices=feats),
+        # named after its own columns, unlike the plan
+        LogisticModel(rng.normal(size=d), -0.2, feature_indices=feats, feature_names=[f"m{j}" for j in feats]),
+        init_mlp(d, 6, seed=2, feature_indices=feats),
+    ]
+    together = gpf_run(models, plan)
+    assert len(together) == len(models)
+    for model, batched in zip(models, together):
+        (alone,) = gpf_run([model], plan)
+        assert batched.p_value == alone.p_value
+        for side in ("explanations_1", "explanations_2"):
+            got, want = getattr(batched, side), getattr(alone, side)
+            assert got.feature_names == want.feature_names == (model.feature_names or plan.feature_names)
+            for attr in ("values", "base_values", "targets"):
+                np.testing.assert_array_equal(getattr(got, attr), getattr(want, attr))
+
+
+def test_gpf_run_memory_does_not_grow_with_the_model_count():
+    # one masked chunk (50 x 14 x 100 rows, 2.2 MB) and one model's 0.56 MB of
+    # predictions at a time; each further model adds only its small results
+    pool, feats = _random_pool(4), (0, 1, 2, 3)
+    config = AuditConfig(n_pairs=50, background_size=100, n_permutations=100, seed=1)
+    plan = gpf_plan(pool, pool.features[:, feats], feats, config)
+    rng = np.random.default_rng(0)
+    models = [LogisticModel(rng.normal(size=4), 0.0, feature_indices=feats) for _ in range(20)]
+
+    def peak(ms) -> int:
+        tracemalloc.start()
+        try:
+            gpf_run(ms, plan)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(models) <= peak(models[:1]) + 2**20
 
 
 def test_audit_report_contents(small_split):

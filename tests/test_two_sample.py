@@ -183,12 +183,15 @@ def _reference_memberships(n, a, perm_config):
     return Z
 
 
-@pytest.mark.parametrize("n, a, seed", [(200, 100, 0), (61, 20, 7), (3, 1, 2**63 + 5)])
+@pytest.mark.parametrize(
+    "n, a, seed", [(200, 100, 0), (61, 20, 7), (3, 1, 2**63 + 5), (40, 1, 1), (40, 39, 2), (2, 1, 3)]
+)
 def test_memberships_equal_the_per_column_loop(n, a, seed):
-    config = PermutationConfig(300, seed)
-    Z = permutation_memberships(n, a, config)
-    assert Z.dtype == np.float64 and not Z.flags.writeable
-    assert Z.tobytes() == _reference_memberships(n, a, config).tobytes()
+    for P in (100, 300, 1000):
+        config = PermutationConfig(P, seed)
+        Z = permutation_memberships(n, a, config)
+        assert Z.dtype == np.float64 and Z.flags.c_contiguous and not Z.flags.writeable
+        assert Z.tobytes() == _reference_memberships(n, a, config).tobytes()
 
 
 def test_pvalue_over_given_memberships_equals_drawn():
