@@ -114,7 +114,7 @@ def _unfair_features(gpf, args):
         gpf.explanations_1,
         gpf.explanations_2,
         KernelConfig(args.detection_kernel, args.bandwidth),
-        gpf.perm_config,
+        gpf.plan.perm_config,
         args.beta,
     )
 

@@ -7,7 +7,7 @@ that composes them into a report.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -57,7 +57,6 @@ class PairSelection:
     group2_rows: np.ndarray
     distances: np.ndarray
     pool_size: int
-    seed: int
 
     def __post_init__(self):
         g1 = np.asarray(self.group1_rows, dtype=np.int64)
@@ -182,20 +181,18 @@ def select_pairs(
         np.concatenate([partners2, anchors2]),
         np.concatenate([dist1, dist2]),
         pool.m,
-        seed,
     )
 
 
 @dataclass(frozen=True)
 class GpfResult:
-    """The p-value, the matched pairs and their explanation sets, and the
-    permutation settings the p-value used."""
+    """The p-value and explanation sets of one model, and the plan they came
+    from, which holds the pairs and the permutation settings."""
 
     p_value: float
-    pairs: PairSelection
+    plan: GpfPlan
     explanations_1: ExplanationSet
     explanations_2: ExplanationSet
-    perm_config: PermutationConfig
 
 
 def _pair_features(pool: TabularDataset, pairs: PairSelection, feats) -> tuple[np.ndarray, np.ndarray]:
@@ -203,25 +200,22 @@ def _pair_features(pool: TabularDataset, pairs: PairSelection, feats) -> tuple[n
 
 
 def _explain_both_sides(
-    models, X1, X2, shap_config: ShapConfig, pool_names
+    models, X1, X2, shap_config: ShapConfig, names: tuple[str, ...]
 ) -> tuple[list[ExplanationSet], list[ExplanationSet]]:
     """Explain the two sides' rows for every model, one ``explain_set`` call
-    per side, with a shared background and coalition sample; each model's
-    sets name the features after the model (or, failing that, the pool's
-    columns).
+    per side, with a shared background and coalition sample. Every set names
+    the features ``names``, the pool's columns, so a model that names its
+    features must name them so.
 
     Attributions explain the model's decision score (log-odds), the additive
     scale the thresholded prediction lives on; probability-space attributions
     would fold the sigmoid's saturation into every feature.
     """
+    for model in models:
+        if model.feature_names is not None and model.feature_names != names:
+            raise ValueError(f"model feature names {model.feature_names} differ from the pool's columns {names}")
     scores = [partial(decision_score, model) for model in models]
-    names = [model.feature_names or pool_names for model in models]
-
-    def explain(X):
-        sets = explain_set(scores, X, shap_config, pool_names)
-        return [e if e.feature_names == own else replace(e, feature_names=own) for e, own in zip(sets, names)]
-
-    return explain(X1), explain(X2)
+    return explain_set(scores, X1, shap_config, names), explain_set(scores, X2, shap_config, names)
 
 
 def matched_explanations(
@@ -286,9 +280,9 @@ def eod(predictions, truths, group_mask) -> float:
 class GpfPlan:
     """Everything one GPF evaluation needs except the model: the matched
     pairs and their rows in the model's feature space, the Kernel SHAP
-    settings (background and coalition seed), and the permutation settings
-    with their membership matrix. Any model whose ``feature_indices`` equal
-    the plan's can be scored over it with ``gpf_run``."""
+    settings (background and coalition seed), the permutation settings with
+    their membership matrix, and the ``AuditConfig`` it was built from. Any
+    model on the plan's columns can be scored over it with ``gpf_run``."""
 
     pairs: PairSelection
     rows_1: np.ndarray
@@ -298,27 +292,26 @@ class GpfPlan:
     shap_config: ShapConfig
     perm_config: PermutationConfig
     memberships: np.ndarray
+    config: AuditConfig
 
     def __post_init__(self):
         object.__setattr__(self, "rows_1", _readonly(self.rows_1))
         object.__setattr__(self, "rows_2", _readonly(self.rows_2))
 
 
-def gpf_plan(
-    pool: TabularDataset, background_source: np.ndarray, feature_indices, config: AuditConfig
-) -> GpfPlan:
-    """The model-independent part of a GPF evaluation, sized by ``config``,
-    with all sub-seeds (background sampling, coalition sampling, pair
-    selection, permutations) derived from ``config.seed``; the only place
-    they are derived.
-
-    ``background_source`` is the matrix backgrounds are sampled from, already
-    restricted to ``feature_indices`` (normally the training split). The
-    caller picks ``pool``; ``config.pool`` is not read here.
-    """
-    feats = _checked_feature_indices(feature_indices, pool)
+def gpf_plan(split: SplitDataset, feature_indices, config: AuditConfig) -> GpfPlan:
+    """The model-independent part of a GPF evaluation over the columns
+    ``feature_indices``: pairs drawn from ``config.pool`` (the test split, or
+    train and test together for ``"full"``) and a background sampled from
+    the training split, sized by ``config``, with all sub-seeds (background,
+    coalitions, pairs, permutations) derived from ``config.seed``; the only
+    place they are derived."""
+    feats = _checked_feature_indices(feature_indices, split.test)
+    pool = split.test if config.pool == "test" else concat_datasets(split.train, split.test)
     seed = config.seed
-    background = sample_background(background_source, config.background_size, derive_seed(seed, "background"))
+    background = sample_background(
+        split.train.features[:, feats], config.background_size, derive_seed(seed, "background")
+    )
     shap_config = ShapConfig(background, config.n_coalitions, seed=derive_seed(seed, "shap"))
     perm_config = PermutationConfig(config.n_permutations, derive_seed(seed, "permutation"))
     pairs = select_pairs(pool, config.n_pairs, derive_seed(seed, "pairs"), feats)
@@ -330,15 +323,16 @@ def gpf_plan(
         shap_config,
         perm_config,
         permutation_memberships(2 * pairs.n, pairs.n, perm_config),
+        config,
     )
 
 
-def gpf_run(models, plan: GpfPlan, kernel: KernelConfig | None = None) -> list[GpfResult]:
+def gpf_run(models, plan: GpfPlan) -> list[GpfResult]:
     """Score models over one plan, returning one result per model, in order:
     explain both sides of the plan's pairs for all models (each side in one
     pass that builds the masked rows once), then test each model's two
-    explanation sets with the plan's permutations. Each result equals the
-    one a call with that model alone returns."""
+    explanation sets with the plan's permutations and kernel. Each result
+    equals the one a call with that model alone returns."""
     models = list(models)
     if not models:
         raise ValueError("gpf_run needs at least one model")
@@ -350,8 +344,8 @@ def gpf_run(models, plan: GpfPlan, kernel: KernelConfig | None = None) -> list[G
     sides_1, sides_2 = _explain_both_sides(models, plan.rows_1, plan.rows_2, plan.shap_config, plan.feature_names)
     results = []
     for e1, e2 in zip(sides_1, sides_2):
-        p = permutation_pvalue(e1.values, e2.values, kernel, plan.perm_config, memberships=plan.memberships)
-        results.append(GpfResult(p, plan.pairs, e1, e2, plan.perm_config))
+        p = permutation_pvalue(e1.values, e2.values, plan.config.kernel, plan.perm_config, plan.memberships)
+        results.append(GpfResult(p, plan, e1, e2))
     return results
 
 
@@ -361,8 +355,8 @@ def gpf_run(models, plan: GpfPlan, kernel: KernelConfig | None = None) -> list[G
 
 @dataclass(frozen=True)
 class AuditConfig:
-    """Every GPF setting: the sizes and seed ``gpf_plan`` reads, the kernel
-    ``gpf_run`` takes, and the pool pairs are drawn from."""
+    """Every GPF setting: the sizes, seed and pool ``gpf_plan`` reads, and
+    the kernel ``gpf_run`` reads from the plan."""
 
     n_pairs: int = 100
     background_size: int = 100
@@ -416,11 +410,17 @@ class AuditReport:
         return doc
 
 
-def audit(model, split: SplitDataset, config: AuditConfig | None = None) -> AuditReport:
+def audit(model, split: SplitDataset, config: AuditConfig | None = None, plan: GpfPlan | None = None) -> AuditReport:
     """Full audit: accuracy and DP/EO/EOD on the test split, plus the group
     procedural fairness score over matched pairs drawn from the configured
-    pool (test split by default, the whole dataset with ``pool='full'``)."""
-    config = config or AuditConfig()
+    pool (test split by default, the whole dataset with ``pool='full'``).
+
+    Given ``plan`` (a ``gpf_plan`` of this split, say another audit's
+    ``gpf.plan``), the score is computed over it and the report's config is
+    the plan's; a ``config`` other than that is an error."""
+    if plan is not None and config not in (None, plan.config):
+        raise ValueError(f"config {config} differs from the plan's {plan.config}")
+    config = (config or AuditConfig()) if plan is None else plan.config
     test = split.test
     feats = _checked_feature_indices(model.feature_indices, test)
     predictions = predict_labels(model, test.features[:, feats])
@@ -430,9 +430,8 @@ def audit(model, split: SplitDataset, config: AuditConfig | None = None) -> Audi
     eo_value = eo(predictions, test.labels, gmask)
     eod_value = eod(predictions, test.labels, gmask)
 
-    pool = test if config.pool == "test" else concat_datasets(split.train, split.test)
-    plan = gpf_plan(pool, split.train.features[:, feats], feats, config)
-    (result,) = gpf_run([model], plan, config.kernel)
+    plan = plan or gpf_plan(split, feats, config)
+    (result,) = gpf_run([model], plan)
 
     return AuditReport(
         gpf_fae=result.p_value,
@@ -440,14 +439,14 @@ def audit(model, split: SplitDataset, config: AuditConfig | None = None) -> Audi
         eo=eo_value,
         eod=eod_value,
         accuracy=accuracy,
-        mean_pair_distance=result.pairs.mean_distance,
+        mean_pair_distance=plan.pairs.mean_distance,
         procedural_verdict="unfair" if result.p_value <= PROCEDURAL_THRESHOLD else "fair",
         distributive_verdicts={
             name: "fair" if value < DISTRIBUTIVE_THRESHOLD else "unfair"
             for name, value in (("dp", dp_value), ("eo", eo_value), ("eod", eod_value))
         },
-        n_pairs=result.pairs.n,
-        pool_size=result.pairs.pool_size,
+        n_pairs=plan.pairs.n,
+        pool_size=plan.pairs.pool_size,
         config=config,
         gpf=result,
     )

@@ -193,14 +193,14 @@ def modify_model(
 ) -> ModifyResult:
     """Run ``tau`` Adam steps on grad(bce + alpha * zeta) starting from the
     trained parameters, on the training split. ``before`` is the model's own
-    audit; the modified model is audited with the same settings."""
+    audit; the modified model is audited over its plan."""
     config = config or ModifyConfig()
     X = split.train.features[:, model.feature_indices]
     y = split.train.labels.astype(float)
     uf = list(ufs.indices)
 
     new_model, loss_trace, zeta_trace = _run_modification(model, X, y, uf, config)
-    after = audit(new_model, split, before.config)
+    after = audit(new_model, split, plan=before.gpf.plan)
     return ModifyResult(
         model=new_model,
         loss_trace=loss_trace,

@@ -60,13 +60,12 @@ def sweep_sensitive_weight(
     fair = select_fair_features(split.train, fair_threshold)
     feats = tuple(sorted(set(fair) | {split.train.sensitive_index}))
     base_model, _ = fit_logistic(split.train, train_config, feats)
-    background_source = split.train.features[:, feats]
     models = [set_sensitive_weight(base_model, float(w_s)) for w_s in grid]
 
     matrix = np.empty((len(seeds), grid.size))
     for i, seed in enumerate(seeds):
-        plan = gpf_plan(split.test, background_source, feats, replace(config, seed=seed))
-        matrix[i] = [result.p_value for result in gpf_run(models, plan, config.kernel)]
+        plan = gpf_plan(split, feats, replace(config, seed=seed))
+        matrix[i] = [result.p_value for result in gpf_run(models, plan)]
     return feats, matrix
 
 
@@ -81,13 +80,12 @@ def sweep_pair_count(
     split; matrix[i, j] is the score for seeds[i] and n_values[j]."""
     config = _sweep_config(config)
     feats = model.feature_indices
-    background_source = split.train.features[:, feats]
     seeds, n_values = _nonempty("seeds", seeds), _nonempty("n_values", n_values)
     matrix = np.empty((len(seeds), len(n_values)))
     for i, seed in enumerate(seeds):
         for j, n in enumerate(n_values):
-            plan = gpf_plan(split.test, background_source, feats, replace(config, n_pairs=int(n), seed=seed))
-            matrix[i, j] = gpf_run([model], plan, config.kernel)[0].p_value
+            plan = gpf_plan(split, feats, replace(config, n_pairs=int(n), seed=seed))
+            matrix[i, j] = gpf_run([model], plan)[0].p_value
     return matrix
 
 
@@ -103,14 +101,14 @@ def sweep_pool_size(
 
     Per seed, each group's rows are permuted once and every pool takes the
     first N/2 rows of each permutation, so pools are nested across sizes.
+    A pool is scored as ``replace(split, test=pool)``, a "split" that is not
+    disjoint: the pool shares rows with the training split (the background's).
     Returns (distance_matrix, gpf_matrix), both (len(seeds), len(pool_sizes)).
     """
     config = _sweep_config(config)
     full = concat_datasets(split.train, split.test)
     g1 = np.flatnonzero(full.advantaged_mask)
     g2 = np.flatnonzero(full.disadvantaged_mask)
-    feats = model.feature_indices
-    background_source = split.train.features[:, feats]
 
     sizes = [int(s) for s in _nonempty("pool_sizes", pool_sizes)]
     for size in sizes:
@@ -132,8 +130,8 @@ def sweep_pool_size(
         for j, size in enumerate(sizes):
             half = size // 2
             rows = np.sort(np.concatenate([order1[:half], order2[: size - half]]))
-            plan = gpf_plan(full.take(rows), background_source, feats, replace(config, seed=seed))
-            (result,) = gpf_run([model], plan, config.kernel)
-            distances[i, j] = result.pairs.mean_distance
+            plan = gpf_plan(replace(split, test=full.take(rows)), model.feature_indices, replace(config, seed=seed))
+            (result,) = gpf_run([model], plan)
+            distances[i, j] = plan.pairs.mean_distance
             scores[i, j] = result.p_value
     return distances, scores

@@ -79,7 +79,7 @@ def runs():
         ufs = unfair_features_from_sets(
             unfair_report.gpf.explanations_1,
             unfair_report.gpf.explanations_2,
-            perm_config=unfair_report.gpf.perm_config,
+            perm_config=unfair_report.gpf.plan.perm_config,
         )
         retrain = retrain_without(unfair_model, split, ufs, unfair_report, train_config)
         modify = modify_model(unfair_model, split, ufs, unfair_report, ModifyConfig())

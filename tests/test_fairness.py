@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from procfair.attribution import ShapConfig, sample_background
 from procfair.datasets import (
+    SplitDataset,
     SyntheticConfig,
     TabularDataset,
     generate_synthetic,
@@ -16,7 +18,6 @@ from procfair.datasets import (
 from procfair.fairness import (
     _MATCH_CELLS,
     AuditConfig,
-    GpfResult,
     audit,
     dp,
     eo,
@@ -155,7 +156,7 @@ def test_feature_indices_outside_the_pool_fail(feats, error):
     with pytest.raises(error):
         select_pairs(pool, n=10, seed=0, feature_indices=feats)
     with pytest.raises(error):
-        gpf_plan(pool, pool.features[:, : len(feats)], feats, config)
+        gpf_plan(SplitDataset(pool, pool), feats, config)
 
 
 def one_shot_pairs(pool, n, seed, feature_indices=None):
@@ -326,17 +327,17 @@ def test_eod_empty_cell_named():
 def test_gpf_fair_model_high_pvalue(small_split):
     model, _ = fit_mlp(small_split.train, TrainConfig(epochs=150, seed=0), feature_indices=(0, 1))
     config = AuditConfig(n_pairs=40, background_size=50, n_permutations=300, seed=0)
-    (result,) = gpf_run([model], gpf_plan(small_split.test, small_split.train.features[:, :2], (0, 1), config))
+    (result,) = gpf_run([model], gpf_plan(small_split, (0, 1), config))
     assert result.p_value >= 0.9
     assert result.explanations_1.n == 40
     assert result.explanations_2.d == 2
-    assert result.pairs.mean_distance > 0
+    assert result.plan.pairs.mean_distance > 0
 
 
 def test_gpf_unfair_model_low_pvalue(small_split):
     model, _ = fit_mlp(small_split.train, TrainConfig(epochs=150, seed=0))
     config = AuditConfig(n_pairs=40, background_size=50, n_permutations=300, seed=0)
-    plan = gpf_plan(small_split.test, small_split.train.features, model.feature_indices, config)
+    plan = gpf_plan(small_split, model.feature_indices, config)
     assert gpf_run([model], plan)[0].p_value <= 0.05
 
 
@@ -351,37 +352,44 @@ def four_feature_models(small_split):
 def test_one_plan_scores_every_model_as_a_fresh_plan_would(small_split, four_feature_models):
     source, feats, seed = small_split.train.features, (0, 1, 2, 3), 9
     config = AuditConfig(n_pairs=30, background_size=30, n_permutations=200, seed=seed)
-    shared = gpf_plan(small_split.test, source, feats, config)
+    shared = gpf_plan(small_split, feats, config)
     # without a plan: the documented sub-seed tags, every step rebuilt per model
     shap_config = ShapConfig(sample_background(source, 30, derive_seed(seed, "background")),
                              seed=derive_seed(seed, "shap"))
     perm_config = PermutationConfig(200, derive_seed(seed, "permutation"))
+
+    def outputs(p_value, pairs, e1, e2, perm_config):
+        return p_value, pairs.group2_rows.tobytes(), e1.values.tobytes(), e2.values.tobytes(), perm_config
+
     for model in four_feature_models:
-        (reused,) = gpf_run([model], shared)
-        (fresh,) = gpf_run([model], gpf_plan(small_split.test, source, feats, config))
         pairs, e1, e2 = matched_explanations(
             model, small_split.test, shap_config, 30, derive_seed(seed, "pairs")
         )
-        p_value = permutation_pvalue(e1.values, e2.values, None, perm_config)
-        direct = GpfResult(p_value, pairs, e1, e2, perm_config)
-        for other in (fresh, direct):
-            assert reused.p_value == other.p_value
-            assert reused.explanations_1.values.tobytes() == other.explanations_1.values.tobytes()
-            assert reused.explanations_2.values.tobytes() == other.explanations_2.values.tobytes()
-            assert reused.pairs.group2_rows.tobytes() == other.pairs.group2_rows.tobytes()
-            assert reused.perm_config == other.perm_config
+        direct = outputs(permutation_pvalue(e1.values, e2.values, None, perm_config), pairs, e1, e2, perm_config)
+        (reused,) = gpf_run([model], shared)
+        (fresh,) = gpf_run([model], gpf_plan(small_split, feats, config))
+        for result in (reused, fresh):
+            got = outputs(result.p_value, result.plan.pairs, result.explanations_1, result.explanations_2,
+                          result.plan.perm_config)
+            assert got == direct
     assert not (shared.rows_1.flags.writeable or shared.memberships.flags.writeable)
 
 
 def test_gpf_run_rejects_a_model_on_other_columns(small_split, four_feature_models):
     config = AuditConfig(n_pairs=10, background_size=10, n_permutations=100)
-    plan = gpf_plan(small_split.test, small_split.train.features[:, :2], (0, 1), config)
+    plan = gpf_plan(small_split, (0, 1), config)
     swapped = LogisticModel(np.array([1.0, -1.0]), 0.0, feature_indices=(1, 0))
     fitting = LogisticModel(np.array([1.0, -1.0]), 0.0, feature_indices=(0, 1))
-    for model in (four_feature_models[0], swapped):
+    # on the plan's columns, but named after other ones
+    renamed = LogisticModel(np.array([1.0, -1.0]), 0.0, feature_indices=(0, 1), feature_names=["m0", "m1"])
+    both_names = r"\('m0', 'm1'\).*\('x1', 'x2'\)"
+    cases = [(four_feature_models[0], "feature indices"), (swapped, "feature indices"), (renamed, both_names)]
+    for model, message in cases:
         for models in ([model], [fitting, model]):
-            with pytest.raises(ValueError, match="feature indices"):
+            with pytest.raises(ValueError, match=message):
                 gpf_run(models, plan)
+    with pytest.raises(ValueError, match=both_names):
+        matched_explanations(renamed, small_split.test, plan.shap_config, 10)
     with pytest.raises(ValueError, match="at least one model"):
         gpf_run([], plan)
 
@@ -405,13 +413,11 @@ def _random_pool(d: int, m: int = 400) -> TabularDataset:
 def test_models_scored_together_equal_each_scored_alone(d, n_pairs, background_size):
     pool, feats = _random_pool(d), tuple(range(d))
     config = AuditConfig(n_pairs=n_pairs, background_size=background_size, n_permutations=100, seed=3)
-    plan = gpf_plan(pool, pool.features[:, feats], feats, config)
+    plan = gpf_plan(SplitDataset(pool, pool), feats, config)
     rng = np.random.default_rng(5)
     models = [
         LogisticModel(rng.normal(size=d), 0.3, feature_indices=feats),
         init_mlp(d, 8, seed=1, feature_indices=feats),
-        # named after its own columns, unlike the plan
-        LogisticModel(rng.normal(size=d), -0.2, feature_indices=feats, feature_names=[f"m{j}" for j in feats]),
         init_mlp(d, 6, seed=2, feature_indices=feats),
     ]
     together = gpf_run(models, plan)
@@ -421,7 +427,7 @@ def test_models_scored_together_equal_each_scored_alone(d, n_pairs, background_s
         assert batched.p_value == alone.p_value
         for side in ("explanations_1", "explanations_2"):
             got, want = getattr(batched, side), getattr(alone, side)
-            assert got.feature_names == want.feature_names == (model.feature_names or plan.feature_names)
+            assert got.feature_names == want.feature_names == plan.feature_names
             for attr in ("values", "base_values", "targets"):
                 np.testing.assert_array_equal(getattr(got, attr), getattr(want, attr))
 
@@ -431,7 +437,7 @@ def test_gpf_run_memory_does_not_grow_with_the_model_count():
     # predictions at a time; each further model adds only its small results
     pool, feats = _random_pool(4), (0, 1, 2, 3)
     config = AuditConfig(n_pairs=50, background_size=100, n_permutations=100, seed=1)
-    plan = gpf_plan(pool, pool.features[:, feats], feats, config)
+    plan = gpf_plan(SplitDataset(pool, pool), feats, config)
     rng = np.random.default_rng(0)
     models = [LogisticModel(rng.normal(size=4), 0.0, feature_indices=feats) for _ in range(20)]
 
@@ -474,6 +480,19 @@ def test_audit_full_pool(small_split):
     report = audit(model, small_split, AuditConfig(n_pairs=20, background_size=30,
                                                    n_permutations=150, pool="full", seed=7))
     assert report.pool_size == small_split.train.m + small_split.test.m
+
+
+def test_audit_over_a_given_plan(small_split):
+    model, _ = fit_mlp(small_split.train, TrainConfig(epochs=100, seed=1), feature_indices=(0, 1))
+    config = AuditConfig(n_pairs=20, background_size=30, n_permutations=150, seed=6)
+    plan = gpf_plan(small_split, (0, 1), config)
+    report = audit(model, small_split, plan=plan)
+    assert report.gpf.plan is plan and report.config is plan.config
+    assert audit(model, small_split, config, plan).to_dict() == audit(model, small_split, config).to_dict()
+    with pytest.raises(ValueError, match="differs from the plan's"):
+        audit(model, small_split, replace(config, seed=7), plan)
+    with pytest.raises(ValueError, match="feature indices"):
+        audit(model, small_split, config, gpf_plan(small_split, (0, 2), config))
 
 
 def test_mean_pair_distance_shrinks_with_pool_size():

@@ -33,6 +33,7 @@ from procfair.models import (
 )
 from procfair.seeding import derive_seed
 from procfair.two_sample import KernelConfig, PermutationConfig, permutation_pvalue
+from test_sweeps import _perfbench_tracing
 
 
 @pytest.fixture(scope="module")
@@ -117,7 +118,7 @@ def test_detect_on_synthetic_unfair_model(small_split, unfair_model):
     assert ufs.feature_names == ("xs", "xp")
     # the audit's own sets and permutation settings give the same p-values
     gpf = audit(unfair_model, small_split, AuditConfig(n_pairs=60, background_size=60, n_permutations=400)).gpf
-    reused = unfair_features_from_sets(gpf.explanations_1, gpf.explanations_2, perm_config=gpf.perm_config)
+    reused = unfair_features_from_sets(gpf.explanations_1, gpf.explanations_2, perm_config=gpf.plan.perm_config)
     assert reused.pvalues.tobytes() == ufs.pvalues.tobytes()
 
 
@@ -125,7 +126,7 @@ def test_detection_shares_one_membership_matrix_across_features(unfair_report, m
     gpf = unfair_report.gpf
     e1, e2, kernel = gpf.explanations_1, gpf.explanations_2, KernelConfig("gaussian")
     independent = [
-        permutation_pvalue(e1.values[:, [j]], e2.values[:, [j]], kernel, gpf.perm_config) for j in range(e1.d)
+        permutation_pvalue(e1.values[:, [j]], e2.values[:, [j]], kernel, gpf.plan.perm_config) for j in range(e1.d)
     ]
     built = []
     original = mitigation.permutation_memberships
@@ -136,7 +137,7 @@ def test_detection_shares_one_membership_matrix_across_features(unfair_report, m
 
     monkeypatch.setattr(mitigation, "permutation_memberships", counted)
     monkeypatch.setattr(two_sample, "permutation_memberships", counted)
-    ufs = unfair_features_from_sets(e1, e2, kernel, gpf.perm_config)
+    ufs = unfair_features_from_sets(e1, e2, kernel, gpf.plan.perm_config)
     assert ufs.pvalues.tolist() == independent
     assert len(built) == 1
 
@@ -361,6 +362,25 @@ def test_modify_reduces_zeta(unfair_model, small_split, unfair_report):
     assert result.report_before is unfair_report
     assert result.report_after.config == unfair_report.config
     assert result.report_after.gpf_fae > result.report_before.gpf_fae
+
+
+def test_modify_audits_the_modified_model_over_the_before_plan(unfair_model, small_split, unfair_report):
+    ufs, config = make_ufs((2, 3), 4), ModifyConfig(tau=20)
+    result = modify_model(unfair_model, small_split, ufs, unfair_report, config)
+    after = result.report_after
+    assert after.gpf.plan is unfair_report.gpf.plan
+    # the same report as a fresh audit with the before-audit's settings
+    fresh = audit(result.model, small_split, unfair_report.config)
+    assert after.to_dict() == fresh.to_dict()
+    for side in ("explanations_1", "explanations_2"):
+        assert getattr(after.gpf, side).values.tobytes() == getattr(fresh.gpf, side).values.tobytes()
+
+    tracing = _perfbench_tracing()
+    tracer = tracing.Tracer()
+    with tracer.installed(), tracer.op("modify"):
+        modify_model(unfair_model, small_split, ufs, unfair_report, config)
+    assert sum(s.name == "fairness.select_pairs" for s in tracer.op_spans("modify")) == 0
+    assert sum(s.name == "fairness.audit" for s in tracer.op_spans("modify")) == 1
 
 
 def test_modify_config_validation():

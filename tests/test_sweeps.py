@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from procfair import sweeps
-from procfair.datasets import SyntheticConfig, generate_synthetic, standardized_split
+from procfair.datasets import SyntheticConfig, concat_datasets, generate_synthetic, standardized_split
 from procfair.fairness import AuditConfig, gpf_plan, gpf_run
 from procfair.models import TrainConfig, fit_logistic, set_sensitive_weight
+from procfair.seeding import derive_seed
 from procfair.sweeps import sweep_pair_count, sweep_pool_size, sweep_sensitive_weight
 
 FAST = AuditConfig(n_pairs=20, background_size=20, n_permutations=100)
@@ -46,10 +47,28 @@ def test_sensitive_weight_sweep_equals_a_fresh_plan_per_point(split):
     config, grid, seeds = TrainConfig(epochs=30, seed=0), [0.0, 0.05, 3.0], [1, 2]
     feats, matrix = sweep_sensitive_weight(split, grid, seeds, config, config=FAST)
     base, _ = fit_logistic(split.train, config, feats)
-    source = split.train.features[:, feats]
-    plans = [gpf_plan(split.test, source, feats, replace(FAST, seed=seed)) for seed in seeds]
+    plans = [gpf_plan(split, feats, replace(FAST, seed=seed)) for seed in seeds]
     expected = [[gpf_run([set_sensitive_weight(base, w)], plan)[0].p_value for w in grid] for plan in plans]
     np.testing.assert_array_equal(matrix, expected)
+
+
+def test_pool_size_sweep_equals_a_plan_per_pool(split):
+    # at w_s = 0.05 every pool's p-value lies between the 1 and 1/101 ends
+    base, _ = fit_logistic(split.train, TrainConfig(epochs=30, seed=0), (0, 1, 2))
+    model, sizes, seeds = set_sensitive_weight(base, 0.05), [200, 500], [1, 2]
+    distances, scores = sweep_pool_size(model, split, sizes, seeds, FAST)
+    full = concat_datasets(split.train, split.test)
+    g1, g2 = np.flatnonzero(full.advantaged_mask), np.flatnonzero(full.disadvantaged_mask)
+    for i, seed in enumerate(seeds):
+        # nested group-balanced pools: the first size/2 rows of one permutation per group
+        rng = np.random.default_rng(derive_seed(seed, "pool"))
+        order1, order2 = rng.permutation(g1), rng.permutation(g2)
+        for j, size in enumerate(sizes):
+            rows = np.sort(np.concatenate([order1[: size // 2], order2[: size - size // 2]]))
+            plan = gpf_plan(replace(split, test=full.take(rows)), model.feature_indices, replace(FAST, seed=seed))
+            assert distances[i, j] == plan.pairs.mean_distance
+            assert scores[i, j] == gpf_run([model], plan)[0].p_value
+            assert plan.pairs.pool_size == size
 
 
 def test_sweeps_reject_a_full_pool(split, model):
