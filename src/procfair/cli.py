@@ -31,7 +31,7 @@ from .datasets import (
     write_csv,
     write_schema,
 )
-from .fairness import AuditConfig, audit, dp, eo, eod
+from .fairness import AuditConfig, audit, prediction_metrics
 from .mitigation import ModifyConfig, modify_model, retrain_without, unfair_features_from_sets
 from .models import MODEL_KINDS, MlpModel, TrainConfig, bce_loss, load_model, predict_labels, save_model
 from .seeding import derive_seed
@@ -153,17 +153,9 @@ def cmd_train(args) -> dict:
     )
     model, trace = MODEL_KINDS[args.kind].fit(split.train, config, feats, args.hidden)
 
+    metrics = prediction_metrics(model, split.test)
     X_test = split.test.features[:, model.feature_indices]
-    predictions = predict_labels(model, X_test)
-    accuracy = float((predictions == split.test.labels).mean())
-    gmask = split.test.advantaged_mask
-    metrics = {
-        "accuracy": accuracy,
-        "dp": dp(predictions, gmask),
-        "eo": eo(predictions, split.test.labels, gmask),
-        "eod": eod(predictions, split.test.labels, gmask),
-        "final_loss": float(trace[-1]) if len(trace) else bce_loss(model, X_test, split.test.labels),
-    }
+    metrics["final_loss"] = float(trace[-1]) if len(trace) else bce_loss(model, X_test, split.test.labels)
     model_path = out / f"{args.model_name}.json"
     save_model(
         model,
@@ -172,7 +164,7 @@ def cmd_train(args) -> dict:
         data_split={"ratio": args.split_ratio, "seed": args.seed},
     )
     print(
-        f"wrote {model_path}; accuracy = {_fmt(accuracy)}, dp = {_fmt(metrics['dp'])}, "
+        f"wrote {model_path}; accuracy = {_fmt(metrics['accuracy'])}, dp = {_fmt(metrics['dp'])}, "
         f"eo = {_fmt(metrics['eo'])}, eod = {_fmt(metrics['eod'])}"
     )
     return {"model": model_path.name, "features": list(model.feature_names), **metrics}
@@ -242,12 +234,12 @@ def cmd_mitigate(args) -> dict:
             dp_weight=float(training.get("dp_weight", 0.0)),
             seed=int(training.get("seed", args.seed)),
         )
-        result = retrain_without(model, split, ufs, before, train_config)
+        result = retrain_without(before, ufs, train_config)
         model_path = out / "model_retrained.json"
     else:
         config = ModifyConfig(alpha=args.alpha, tau=args.tau, learning_rate=args.lr)
         # by keyword: perfbench/tracing.py reads the step count from ``config``
-        result = modify_model(model, split, ufs, before, config=config)
+        result = modify_model(before, ufs, config=config)
         model_path = out / "model_modified.json"
 
     save_model(result.model, model_path, training=doc.get("training"), data_split=doc.get("data_split"))

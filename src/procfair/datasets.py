@@ -160,8 +160,6 @@ class SplitDataset:
 
     train: TabularDataset
     test: TabularDataset
-    ratio: float = 0.8
-    seed: int = 0
 
 
 def generate_synthetic(config: SyntheticConfig | None = None) -> TabularDataset:
@@ -294,8 +292,6 @@ def train_test_split(dataset: TabularDataset, ratio: float = 0.8, seed: int = 0)
     return SplitDataset(
         dataset.take(train_idx, dataset.provenance + tag + "[train]"),
         dataset.take(test_idx, dataset.provenance + tag + "[test]"),
-        ratio,
-        seed,
     )
 
 
@@ -306,7 +302,7 @@ def standardized_split(
     split = train_test_split(dataset, ratio, seed)
     train, stats = zscore_normalize(split.train)
     test = apply_zscore(split.test, stats)
-    return SplitDataset(train, test, ratio, seed), stats
+    return SplitDataset(train, test), stats
 
 
 def dataset_dp(dataset: TabularDataset) -> float:

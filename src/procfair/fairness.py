@@ -31,6 +31,7 @@ __all__ = [
     "dp",
     "eo",
     "eod",
+    "prediction_metrics",
     "audit",
 ]
 
@@ -276,14 +277,29 @@ def eod(predictions, truths, group_mask) -> float:
     return float((abs(fpr1 - fpr2) + abs(tpr1 - tpr2)) / 2.0)
 
 
+def prediction_metrics(model, dataset: TabularDataset) -> dict:
+    """Accuracy and the DP/EO/EOD gaps of the model's predictions on ``dataset``."""
+    feats = _checked_feature_indices(model.feature_indices, dataset)
+    predictions = predict_labels(model, dataset.features[:, feats])
+    gmask = dataset.advantaged_mask
+    return {
+        "accuracy": float((predictions == dataset.labels).mean()),
+        "dp": dp(predictions, gmask),
+        "eo": eo(predictions, dataset.labels, gmask),
+        "eod": eod(predictions, dataset.labels, gmask),
+    }
+
+
 @dataclass(frozen=True)
 class GpfPlan:
-    """Everything one GPF evaluation needs except the model: the matched
-    pairs and their rows in the model's feature space, the Kernel SHAP
-    settings (background and coalition seed), the permutation settings with
-    their membership matrix, and the ``AuditConfig`` it was built from. Any
-    model on the plan's columns can be scored over it with ``gpf_run``."""
+    """Everything one GPF evaluation needs except the model: the split it
+    was drawn from, the matched pairs and their rows in the model's feature
+    space, the Kernel SHAP settings (background and coalition seed), the
+    permutation settings with their membership matrix, and the
+    ``AuditConfig`` it was built from. Any model on the plan's columns can be
+    scored over it with ``gpf_run``."""
 
+    split: SplitDataset = field(compare=False, repr=False)
     pairs: PairSelection
     rows_1: np.ndarray
     rows_2: np.ndarray
@@ -316,6 +332,7 @@ def gpf_plan(split: SplitDataset, feature_indices, config: AuditConfig) -> GpfPl
     perm_config = PermutationConfig(config.n_permutations, derive_seed(seed, "permutation"))
     pairs = select_pairs(pool, config.n_pairs, derive_seed(seed, "pairs"), feats)
     return GpfPlan(
+        split,
         pairs,
         *_pair_features(pool, pairs, feats),
         feats,
@@ -387,8 +404,9 @@ class AuditConfig:
 
 @dataclass(frozen=True)
 class AuditReport:
-    """``config`` and ``gpf`` are the settings and the run the report came
-    from; ``to_dict`` writes the config's snapshot and leaves the run out."""
+    """``config``, ``gpf`` and ``model`` are the settings, the run and the
+    model the report came from (the run's plan holds the split); ``to_dict``
+    writes the config's snapshot and leaves the run and the model out."""
 
     gpf_fae: float
     dp: float
@@ -402,6 +420,7 @@ class AuditReport:
     pool_size: int
     config: AuditConfig
     gpf: GpfResult = field(compare=False, repr=False)
+    model: object = field(compare=False, repr=False)
 
     def to_dict(self) -> dict:
         doc = {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
@@ -415,38 +434,30 @@ def audit(model, split: SplitDataset, config: AuditConfig | None = None, plan: G
     procedural fairness score over matched pairs drawn from the configured
     pool (test split by default, the whole dataset with ``pool='full'``).
 
-    Given ``plan`` (a ``gpf_plan`` of this split, say another audit's
+    Given ``plan`` (a ``gpf_plan`` of this very split, say another audit's
     ``gpf.plan``), the score is computed over it and the report's config is
-    the plan's; a ``config`` other than that is an error."""
+    the plan's; a plan of another split, or a ``config`` other than the
+    plan's, is an error."""
+    if plan is not None and plan.split is not split:
+        raise ValueError("the plan was built from another split")
     if plan is not None and config not in (None, plan.config):
         raise ValueError(f"config {config} differs from the plan's {plan.config}")
     config = (config or AuditConfig()) if plan is None else plan.config
-    test = split.test
-    feats = _checked_feature_indices(model.feature_indices, test)
-    predictions = predict_labels(model, test.features[:, feats])
-    accuracy = float((predictions == test.labels).mean())
-    gmask = test.advantaged_mask
-    dp_value = dp(predictions, gmask)
-    eo_value = eo(predictions, test.labels, gmask)
-    eod_value = eod(predictions, test.labels, gmask)
-
-    plan = plan or gpf_plan(split, feats, config)
+    metrics = prediction_metrics(model, split.test)
+    plan = plan or gpf_plan(split, model.feature_indices, config)
     (result,) = gpf_run([model], plan)
 
     return AuditReport(
         gpf_fae=result.p_value,
-        dp=dp_value,
-        eo=eo_value,
-        eod=eod_value,
-        accuracy=accuracy,
+        **metrics,
         mean_pair_distance=plan.pairs.mean_distance,
         procedural_verdict="unfair" if result.p_value <= PROCEDURAL_THRESHOLD else "fair",
         distributive_verdicts={
-            name: "fair" if value < DISTRIBUTIVE_THRESHOLD else "unfair"
-            for name, value in (("dp", dp_value), ("eo", eo_value), ("eod", eod_value))
+            name: "fair" if metrics[name] < DISTRIBUTIVE_THRESHOLD else "unfair" for name in ("dp", "eo", "eod")
         },
         n_pairs=plan.pairs.n,
         pool_size=plan.pairs.pool_size,
         config=config,
         gpf=result,
+        model=model,
     )

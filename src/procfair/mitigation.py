@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attribution import ExplanationSet, ShapConfig
-from .datasets import SplitDataset
 from .fairness import AuditReport, audit, matched_explanations
 from .models import TrainConfig, _adam_descent, _check_inputs
 from .seeding import derive_seed
@@ -148,6 +147,17 @@ def explanation_loss(model, X, y, uf_indices) -> float:
     return float(np.abs(grads[:, uf]).sum() / grads.shape[0])
 
 
+def _audited(before: AuditReport, ufs: UnfairFeatureSet):
+    """The model and split ``before`` audited, once ``ufs`` is checked to
+    cover that model's features."""
+    model, names = before.model, before.gpf.plan.feature_names
+    if ufs.pvalues.size != model.d or any(names[i] != n for i, n in zip(ufs.indices, ufs.feature_names)):
+        raise ValueError(
+            f"unfair features {ufs.feature_names} of {ufs.pvalues.size} are not the audited model's features {names}"
+        )
+    return model, before.gpf.plan.split
+
+
 def _run_modification(model, X, y, uf, config: ModifyConfig):
     traces = np.empty((2, config.tau))
     new_model = _adam_descent(
@@ -184,17 +194,13 @@ class ModifyResult:
         }
 
 
-def modify_model(
-    model,
-    split: SplitDataset,
-    ufs: UnfairFeatureSet,
-    before: AuditReport,
-    config: ModifyConfig | None = None,
-) -> ModifyResult:
+def modify_model(before: AuditReport, ufs: UnfairFeatureSet, config: ModifyConfig | None = None) -> ModifyResult:
     """Run ``tau`` Adam steps on grad(bce + alpha * zeta) starting from the
-    trained parameters, on the training split. ``before`` is the model's own
-    audit; the modified model is audited over its plan."""
+    audited model's trained parameters, on its training split. ``before`` is
+    that model's audit and ``ufs`` the features it flagged; the modified
+    model is audited over the same plan."""
     config = config or ModifyConfig()
+    model, split = _audited(before, ufs)
     X = split.train.features[:, model.feature_indices]
     y = split.train.labels.astype(float)
     uf = list(ufs.indices)
@@ -234,30 +240,25 @@ class RetrainResult:
 
 
 def retrain_without(
-    model,
-    split: SplitDataset,
-    ufs: UnfairFeatureSet,
-    before: AuditReport,
-    train_config: TrainConfig | None = None,
+    before: AuditReport, ufs: UnfairFeatureSet, train_config: TrainConfig | None = None
 ) -> RetrainResult:
-    """Drop the flagged columns and retrain from scratch with the same
-    hyperparameters and a fresh (derived) seed. ``before`` is the model's own
-    audit; the retrained model is audited with the same settings."""
+    """Drop the flagged columns from the audited model and retrain from
+    scratch on its training split, with the same hyperparameters and a fresh
+    (derived) seed. ``before`` is that model's audit and ``ufs`` the features
+    it flagged; the retrained model is audited with the same settings."""
     train_config = train_config or TrainConfig()
-    feats = model.feature_indices
+    model, split = _audited(before, ufs)
     keep = [i for i in range(model.d) if i not in ufs.indices]
     if not keep:
         raise ValueError("every feature was flagged; nothing left to train on")
-    kept_columns = tuple(feats[i] for i in keep)
-    names = model.feature_names or tuple(str(c) for c in feats)
-    removed = tuple(names[i] for i in range(model.d) if i not in keep)
+    kept_columns = tuple(model.feature_indices[i] for i in keep)
 
     fresh = dataclasses.replace(train_config, seed=derive_seed(train_config.seed, "retrain"))
     new_model, trace = model.refit(split.train, fresh, kept_columns)
     after = audit(new_model, split, before.config)
     return RetrainResult(
         model=new_model,
-        removed_features=removed,
+        removed_features=ufs.feature_names,
         train_trace=trace,
         report_before=before,
         report_after=after,

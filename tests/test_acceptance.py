@@ -81,8 +81,8 @@ def runs():
             unfair_report.gpf.explanations_2,
             perm_config=unfair_report.gpf.plan.perm_config,
         )
-        retrain = retrain_without(unfair_model, split, ufs, unfair_report, train_config)
-        modify = modify_model(unfair_model, split, ufs, unfair_report, ModifyConfig())
+        retrain = retrain_without(unfair_report, ufs, train_config)
+        modify = modify_model(unfair_report, ufs, ModifyConfig())
         out[seed] = SeedRun(
             split, fair_model, unfair_model, fair_report, unfair_report, ufs, retrain, modify
         )

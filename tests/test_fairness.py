@@ -495,6 +495,19 @@ def test_audit_over_a_given_plan(small_split):
         audit(model, small_split, config, gpf_plan(small_split, (0, 2), config))
 
 
+def test_audit_rejects_a_plan_of_another_split(small_split):
+    model, _ = fit_mlp(small_split.train, TrainConfig(epochs=50, seed=1), feature_indices=(0, 1))
+    config = AuditConfig(n_pairs=20, background_size=30, n_permutations=150, seed=6)
+    report = audit(model, small_split, plan=gpf_plan(small_split, (0, 1), config))
+    assert report.model is model and report.gpf.plan.split is small_split
+    other, _ = standardized_split(generate_synthetic(SyntheticConfig(m=4000, n_advantaged=2400, seed=1)), 0.8, 1)
+    with pytest.raises(ValueError, match="another split"):
+        audit(model, small_split, plan=gpf_plan(other, (0, 1), config))
+    # the same rows split again are still another split object
+    with pytest.raises(ValueError, match="another split"):
+        audit(model, small_split, plan=gpf_plan(replace(small_split), (0, 1), config))
+
+
 def test_mean_pair_distance_shrinks_with_pool_size():
     # averaged over seeds, nearest neighbors get closer as the pool grows
     dataset = generate_synthetic(SyntheticConfig(m=3000, n_advantaged=1800, seed=1))

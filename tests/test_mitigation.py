@@ -356,7 +356,7 @@ def test_modify_alpha_zero_equals_continued_training(unfair_model, small_split):
 
 def test_modify_reduces_zeta(unfair_model, small_split, unfair_report):
     ufs = make_ufs((2, 3), 4)
-    result = modify_model(unfair_model, small_split, ufs, unfair_report, ModifyConfig(tau=60))
+    result = modify_model(unfair_report, ufs, ModifyConfig(tau=60))
     assert result.zeta_final < result.zeta_initial
     assert result.zeta_trace[0] == pytest.approx(result.zeta_initial)
     assert result.report_before is unfair_report
@@ -366,7 +366,7 @@ def test_modify_reduces_zeta(unfair_model, small_split, unfair_report):
 
 def test_modify_audits_the_modified_model_over_the_before_plan(unfair_model, small_split, unfair_report):
     ufs, config = make_ufs((2, 3), 4), ModifyConfig(tau=20)
-    result = modify_model(unfair_model, small_split, ufs, unfair_report, config)
+    result = modify_model(unfair_report, ufs, config)
     after = result.report_after
     assert after.gpf.plan is unfair_report.gpf.plan
     # the same report as a fresh audit with the before-audit's settings
@@ -378,7 +378,7 @@ def test_modify_audits_the_modified_model_over_the_before_plan(unfair_model, sma
     tracing = _perfbench_tracing()
     tracer = tracing.Tracer()
     with tracer.installed(), tracer.op("modify"):
-        modify_model(unfair_model, small_split, ufs, unfair_report, config)
+        modify_model(unfair_report, ufs, config)
     assert sum(s.name == "fairness.select_pairs" for s in tracer.op_spans("modify")) == 0
     assert sum(s.name == "fairness.audit" for s in tracer.op_spans("modify")) == 1
 
@@ -396,7 +396,7 @@ def test_modify_config_validation():
 
 def test_retrain_drops_columns(unfair_model, small_split, unfair_report):
     ufs = make_ufs((2, 3), 4)
-    result = retrain_without(unfair_model, small_split, ufs, unfair_report, TrainConfig(epochs=100, seed=0))
+    result = retrain_without(unfair_report, ufs, TrainConfig(epochs=100, seed=0))
     assert result.model.d == 2
     assert result.model.feature_indices == (0, 1)
     assert result.removed_features == ("xs", "xp")
@@ -407,12 +407,30 @@ def test_retrain_drops_columns(unfair_model, small_split, unfair_report):
 def test_retrain_empty_ufs_keeps_all_features(unfair_model, small_split):
     ufs = UnfairFeatureSet((), (), np.ones(4))
     before = audit(unfair_model, small_split, AuditConfig(n_pairs=20, background_size=30, n_permutations=150, seed=0))
-    result = retrain_without(unfair_model, small_split, ufs, before, TrainConfig(epochs=50, seed=0))
+    result = retrain_without(before, ufs, TrainConfig(epochs=50, seed=0))
     assert result.model.d == 4
     assert result.removed_features == ()
+
+
+@pytest.mark.parametrize(
+    "ufs",
+    [
+        UnfairFeatureSet((2, 3), ("xs", "xp"), np.array([1.0, 1.0, 0.01, 0.01])),
+        UnfairFeatureSet((1,), ("xs",), np.array([1.0, 0.01])),
+    ],
+    ids=["four-features", "renamed"],
+)
+def test_repairs_reject_unfair_features_of_other_features(small_split, ufs):
+    model, _ = fit_mlp(small_split.train, TrainConfig(epochs=50, seed=0), feature_indices=(0, 1))
+    before = audit(model, small_split, AuditConfig(n_pairs=20, background_size=30, n_permutations=150, seed=0))
+    both = r"\('xs'.*\('x1', 'x2'\)"
+    with pytest.raises(ValueError, match=both):
+        modify_model(before, ufs, ModifyConfig(tau=5))
+    with pytest.raises(ValueError, match=both):
+        retrain_without(before, ufs, TrainConfig(epochs=5, seed=0))
 
 
 def test_retrain_all_features_flagged_errors(unfair_model, small_split, unfair_report):
     ufs = make_ufs((0, 1, 2, 3), 4)
     with pytest.raises(ValueError, match="flagged"):
-        retrain_without(unfair_model, small_split, ufs, unfair_report)
+        retrain_without(unfair_report, ufs)

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from procfair.two_sample import (
     KernelConfig,
     PermutationConfig,
+    _pooled_kernel,
+    _stats_for_memberships,
     isotonic_decreasing,
     kernel_matrix,
     mmd2,
@@ -66,6 +68,25 @@ def test_kernel_config_validation():
 
 # ---------------------------------------------------------------------------
 # mmd2
+
+
+@pytest.mark.parametrize("kind", ["exponential", "gaussian"])
+def test_membership_statistics_match_the_textbook_estimator(kind):
+    # a = 7, b = 12 rows: the quadratic forms against mmd2 on the rows each
+    # membership column assigns to either sample, for the observed split too
+    rng = np.random.default_rng(3)
+    E1, E2 = rng.normal(size=(7, 3)), rng.normal(0.5, 1.5, size=(12, 3))
+    config = KernelConfig(kind)
+    pooled = np.vstack([E1, E2])
+    K, _ = _pooled_kernel(E1, E2, config)
+    observed = np.zeros((19, 1))
+    observed[:7, 0] = 1.0
+    Z = np.hstack([observed, permutation_memberships(19, 7, PermutationConfig(100, seed=5))[:, :4]])
+    stats = _stats_for_memberships(K, Z, 7, 12)
+    for p in range(Z.shape[1]):
+        first = Z[:, p] == 1.0
+        assert stats[p] == pytest.approx(mmd2(pooled[first], pooled[~first], config), abs=1e-12)
+    assert stats[0] == pytest.approx(mmd2(E1, E2, config), abs=1e-12)
 
 
 def test_mmd2_identical_sets_is_zero():
