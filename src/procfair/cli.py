@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import sys
 import time
@@ -32,15 +31,14 @@ from .datasets import (
     write_schema,
 )
 from .fairness import AuditConfig, audit, prediction_metrics
-from .mitigation import ModifyConfig, modify_model, retrain_without, unfair_features_from_sets
+from .mitigation import ModifyConfig, detect_unfair_features, modify_model, retrain_without
 from .models import MODEL_KINDS, MlpModel, TrainConfig, bce_loss, load_model, predict_labels, save_model
 from .seeding import derive_seed
 from .sweeps import sweep_pair_count, sweep_pool_size, sweep_sensitive_weight
 from .two_sample import KernelConfig, pca_project
 
-# Unused here; perfbench/tracing.py rebinds these names in this module.
+# Unused here; perfbench/tracing.py rebinds this name in this module.
 from .attribution import sample_background  # noqa: F401
-from .mitigation import detect_unfair_features  # noqa: F401
 
 __all__ = ["main", "build_parser"]
 
@@ -109,16 +107,6 @@ def _audit_config(args) -> AuditConfig:
     )
 
 
-def _unfair_features(gpf, args):
-    return unfair_features_from_sets(
-        gpf.explanations_1,
-        gpf.explanations_2,
-        KernelConfig(args.detection_kernel, args.bandwidth),
-        gpf.plan.perm_config,
-        args.beta,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -160,7 +148,7 @@ def cmd_train(args) -> dict:
     save_model(
         model,
         model_path,
-        training=dataclasses.asdict(config),
+        training=config.snapshot(),
         data_split={"ratio": args.split_ratio, "seed": args.seed},
     )
     print(
@@ -206,7 +194,7 @@ def cmd_detect(args) -> dict:
     model, doc = load_model(args.model)
     split = _load_split_for_model(args, doc, model)
     report = audit(model, split, _audit_config(args))
-    ufs = _unfair_features(report.gpf, args)
+    ufs = detect_unfair_features(report, KernelConfig(args.detection_kernel, args.bandwidth), args.beta)
     detect_doc = {
         "version": __version__,
         "model": Path(args.model).name,
@@ -224,7 +212,7 @@ def cmd_mitigate(args) -> dict:
     model, doc = load_model(args.model)
     split = _load_split_for_model(args, doc, model)
     before = audit(model, split, _audit_config(args))
-    ufs = _unfair_features(before.gpf, args)
+    ufs = detect_unfair_features(before, KernelConfig(args.detection_kernel, args.bandwidth), args.beta)
 
     if args.method == "retrain":
         training = doc.get("training") or {}

@@ -443,6 +443,11 @@ def load_csv(path, schema) -> TabularDataset:
         raise ValueError(f"unknown sensitive column {sensitive_name!r}")
 
     columns = list(zip(*data))
+    # the toolkit has no missing-value handling, and a blank would be encoded as a category
+    for name, column in zip(header, columns):
+        if not all(map(str.strip, column)):
+            i = next(i for i, cell in enumerate(column) if not cell.strip())
+            raise ValueError(f"blank cell in column {name!r}, row {i + 2}")
     labels = _encode_label_column(list(columns[header.index(label_name)]), schema.get("positive_label"))
 
     feature_positions = [i for i, name in enumerate(header) if name != label_name]

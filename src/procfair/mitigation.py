@@ -14,11 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attribution import ExplanationSet, ShapConfig
-from .fairness import AuditReport, audit, matched_explanations
+from .attribution import ExplanationSet
+from .fairness import AuditReport, audit
 from .models import TrainConfig, _adam_descent, _check_inputs
 from .seeding import derive_seed
 from .two_sample import KernelConfig, PermutationConfig, permutation_memberships, permutation_pvalue
+
+# Unused here; perfbench/tracing.py rebinds this name in this module.
+from .fairness import matched_explanations  # noqa: F401
 
 __all__ = [
     "UnfairFeatureSet",
@@ -92,12 +95,13 @@ class ModifyConfig:
 def unfair_features_from_sets(
     e1: ExplanationSet,
     e2: ExplanationSet,
+    perm_config: PermutationConfig,
     kernel_config: KernelConfig | None = None,
-    perm_config: PermutationConfig | None = None,
     threshold: float = DETECTION_THRESHOLD,
 ) -> UnfairFeatureSet:
     """Per-feature 1-D MMD permutation tests between the two explanation
-    sets; features at or below the threshold are flagged.
+    sets, with the permutations of ``perm_config``; features at or below the
+    threshold are flagged.
 
     The per-feature tests default to the gaussian kernel: on matched
     near-duplicate samples the exponential kernel's cusp at zero distance
@@ -107,7 +111,6 @@ def unfair_features_from_sets(
     if e1.feature_names != e2.feature_names:
         raise ValueError("explanation sets cover different features")
     kernel_config = kernel_config or KernelConfig("gaussian")
-    perm_config = perm_config or PermutationConfig()
     # every per-feature test pools the same a + b rows, so one matrix serves all
     memberships = permutation_memberships(e1.n + e2.n, e1.n, perm_config)
     pvalues = np.empty(e1.d)
@@ -121,19 +124,15 @@ def unfair_features_from_sets(
 
 
 def detect_unfair_features(
-    model,
-    pool,
-    shap_config: ShapConfig,
-    kernel_config: KernelConfig | None = None,
-    perm_config: PermutationConfig | None = None,
-    n: int = 100,
-    pair_seed: int = 0,
-    threshold: float = DETECTION_THRESHOLD,
+    report: AuditReport, kernel_config: KernelConfig | None = None, threshold: float = DETECTION_THRESHOLD
 ) -> UnfairFeatureSet:
-    """Select matched pairs, explain both sides, and flag the features whose
-    explanation distributions differ between the groups."""
-    _, e1, e2 = matched_explanations(model, pool, shap_config, n, pair_seed)
-    return unfair_features_from_sets(e1, e2, kernel_config, perm_config, threshold)
+    """Flag the features whose explanation distributions differ between the
+    groups, testing the audit's own two matched explanation sets with its
+    permutations."""
+    gpf = report.gpf
+    return unfair_features_from_sets(
+        gpf.explanations_1, gpf.explanations_2, gpf.plan.perm_config, kernel_config, threshold
+    )
 
 
 def explanation_loss(model, X, y, uf_indices) -> float:

@@ -57,6 +57,10 @@ __all__ = [
 ]
 
 PROBA_CLAMP = 1e-7  # BCE numerical floor
+# Adam's moment decay rates and denominator floor, for training and modification
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -356,9 +360,6 @@ MODEL_KINDS = {family.kind: family for family in (MlpModel, LogisticModel)}
 class TrainConfig:
     epochs: int = 300
     learning_rate: float = 0.01
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     dp_weight: float = 0.0
     seed: int = 0
 
@@ -367,6 +368,18 @@ class TrainConfig:
             raise ValueError("epochs must be non-negative")
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
+
+    def snapshot(self) -> dict:
+        """The settings as model documents record them, Adam's constants included."""
+        return {
+            "epochs": self.epochs,
+            "learning_rate": self.learning_rate,
+            "adam_beta1": ADAM_BETA1,
+            "adam_beta2": ADAM_BETA2,
+            "adam_eps": ADAM_EPS,
+            "dp_weight": self.dp_weight,
+            "seed": self.seed,
+        }
 
 
 def default_hidden_size(d: int) -> int:
@@ -430,9 +443,7 @@ def predict_labels(model, X) -> np.ndarray:
 
 def bce_loss(model, X, y) -> float:
     """Mean binary cross-entropy with probabilities clamped to [1e-7, 1-1e-7]."""
-    y = np.asarray(y, dtype=float)
-    p = np.clip(predict_proba(model, X), PROBA_CLAMP, 1.0 - PROBA_CLAMP)
-    return float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
+    return _clamped_bce(predict_proba(model, X), np.asarray(y, dtype=float))
 
 
 def soft_dp(model, X, group_mask) -> float:
@@ -466,38 +477,28 @@ def set_sensitive_weight(model: LogisticModel, w_s: float) -> LogisticModel:
 # Training
 
 
-class _Adam:
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
-
-    def step(self, params, grads):
-        self.t += 1
-        out = []
-        for i, (p, g) in enumerate(zip(params, grads)):
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[i] / (1.0 - self.beta1**self.t)
-            v_hat = self.v[i] / (1.0 - self.beta2**self.t)
-            out.append(p - self.lr * m_hat / (np.sqrt(v_hat) + self.eps))
-        return out
-
-
-def _adam_descent(model, grad_fn, traces: np.ndarray, unit: str, *adam_args):
+def _adam_descent(model, grad_fn, traces: np.ndarray, unit: str, learning_rate: float):
     """One full-batch Adam update of ``model.params()`` per column of
     ``traces``. ``grad_fn(params)`` returns the values to trace, evaluated
     before the update, followed by the gradients; a non-finite value stops
     the run. Returns the updated model, or the model itself after no steps."""
     params = model.params()
-    opt = _Adam(params, *adam_args)
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
     for step in range(traces.shape[1]):
         *values, grads = grad_fn(params)
         if not np.isfinite(values).all():
             raise TrainingDivergedError(step, f"non-finite loss at {unit} {step}")
         traces[:, step] = values
-        params = opt.step(params, grads)
+        t = step + 1
+        updated = []
+        for i, (p, g) in enumerate(zip(params, grads)):
+            m[i] = ADAM_BETA1 * m[i] + (1.0 - ADAM_BETA1) * g
+            v[i] = ADAM_BETA2 * v[i] + (1.0 - ADAM_BETA2) * g * g
+            m_hat = m[i] / (1.0 - ADAM_BETA1**t)
+            v_hat = v[i] / (1.0 - ADAM_BETA2**t)
+            updated.append(p - learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
+        params = updated
     return model if traces.shape[1] == 0 else model.with_params(params)
 
 
@@ -513,7 +514,7 @@ def train(model, dataset, config: TrainConfig | None = None):
     trace = np.empty((1, config.epochs))
     trained = _adam_descent(
         model, lambda params: model.loss_grads(params, X, y, group_mask, config.dp_weight), trace, "epoch",
-        config.learning_rate, config.adam_beta1, config.adam_beta2, config.adam_eps,
+        config.learning_rate,
     )
     return trained, trace[0]
 

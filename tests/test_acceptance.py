@@ -24,9 +24,9 @@ from procfair.datasets import SyntheticConfig, generate_synthetic, standardized_
 from procfair.fairness import AuditConfig, audit
 from procfair.mitigation import (
     ModifyConfig,
+    detect_unfair_features,
     modify_model,
     retrain_without,
-    unfair_features_from_sets,
 )
 from procfair.models import (
     MlpModel,
@@ -76,11 +76,7 @@ def runs():
         unfair_report = audit(unfair_model, split, audit_config)
         fair_report = audit(fair_model, split, audit_config)
 
-        ufs = unfair_features_from_sets(
-            unfair_report.gpf.explanations_1,
-            unfair_report.gpf.explanations_2,
-            perm_config=unfair_report.gpf.plan.perm_config,
-        )
+        ufs = detect_unfair_features(unfair_report)
         retrain = retrain_without(unfair_report, ufs, train_config)
         modify = modify_model(unfair_report, ufs, ModifyConfig())
         out[seed] = SeedRun(

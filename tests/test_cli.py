@@ -8,10 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from procfair import cli
 from procfair.attribution import read_explanations_csv
 from procfair.cli import main
 from procfair.seeding import derive_seed
 from procfair.two_sample import PermutationConfig, permutation_pvalue
+from test_sweeps import _perfbench_tracing
 
 FAST_AUDIT = ["--n", "20", "--background", "30", "--permutations", "150"]
 
@@ -87,6 +89,19 @@ def test_train_writes_model_and_metrics(workspace, capsys):
     assert doc["feature_names"] == ["x1", "x2", "xs", "xp"]
     assert doc["data_split"] == {"ratio": 0.8, "seed": 0}
     assert doc["training"]["epochs"] == 150
+
+
+def test_train_records_its_training_settings_in_order(workspace):
+    doc = json.loads(Path(workspace["unfair_model"]).read_text())
+    assert list(doc["training"].items()) == [
+        ("epochs", 150),
+        ("learning_rate", 0.01),
+        ("adam_beta1", 0.9),
+        ("adam_beta2", 0.999),
+        ("adam_eps", 1e-8),
+        ("dp_weight", 0.0),
+        ("seed", 0),
+    ]
 
 
 def test_train_feature_subset(workspace):
@@ -191,6 +206,25 @@ def test_detect_flags_sensitive_and_proxy(workspace, tmp_path, capsys):
     assert doc["feature_names"] == ["xs", "xp"]
     assert len(doc["pvalues"]) == 4
     assert "xs, xp" in capsys.readouterr().out
+
+
+def test_traced_detect_nests_the_feature_tests_under_one_detect_span(workspace, tmp_path):
+    tracing = _perfbench_tracing()
+    tracer = tracing.Tracer()
+    with tracer.installed(), tracer.op("detect"):
+        code = cli.main([
+            "detect", "--data", str(workspace["data"]), "--schema", str(workspace["schema"]),
+            "--model", str(workspace["unfair_model"]), "--out", str(tmp_path), *FAST_AUDIT,
+        ])
+    assert code == 0
+    spans = tracer.op_spans("detect")
+    detects = [i for i, s in enumerate(tracer.spans) if s.op == "detect" and s.name == "mitigation.detect"]
+    assert len(detects) == 1
+    tests = [s for s in spans if s.name == "two_sample.permutation_pvalue"]
+    # the audit's GPF test, then one test per feature inside detection
+    assert [s.parent == detects[0] for s in tests] == [False, True, True, True, True]
+    metrics, _ = tracing.op_metrics(tracer, "detect")
+    assert metrics["mitigation.detect_self_s"] > 0
 
 
 def test_mitigate_retrain(workspace, tmp_path):

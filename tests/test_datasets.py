@@ -108,6 +108,22 @@ def test_load_csv_ragged_row(tmp_path):
         load_csv(path, SCHEMA)
 
 
+@pytest.mark.parametrize(
+    "text, column, row",
+    [
+        ("x1,sex,label\n1.5,1,0\n,0,1\n2.5,1,1\n3.5,0,0\n0.5,1,1\n4.5,0,0\n", "x1", 3),
+        ("color,sex,label\nred,1,0\nblue,0,1\n  ,1,1\n", "color", 4),
+        ("a,sex,label\n1,1,1\n2,0,\n3,1,1\n", "label", 3),
+    ],
+    ids=["numeric", "categorical", "label"],
+)
+def test_load_csv_blank_cell(tmp_path, text, column, row):
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"blank cell in column '{column}', row {row}$"):
+        load_csv(path, SCHEMA)
+
+
 def test_load_csv_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_csv(tmp_path / "nope.csv", SCHEMA)

@@ -7,7 +7,7 @@ from mlp_reference import (
 )
 
 from procfair import mitigation, two_sample
-from procfair.attribution import ExplanationSet, ShapConfig, sample_background
+from procfair.attribution import ExplanationSet
 from procfair.datasets import SyntheticConfig, generate_synthetic, standardized_split
 from procfair.fairness import AuditConfig, audit
 from procfair.mitigation import (
@@ -31,7 +31,6 @@ from procfair.models import (
     predict_proba,
     train,
 )
-from procfair.seeding import derive_seed
 from procfair.two_sample import KernelConfig, PermutationConfig, permutation_pvalue
 from test_sweeps import _perfbench_tracing
 
@@ -105,21 +104,25 @@ def test_detection_separated_column_flagged():
 
 
 def test_detect_on_synthetic_unfair_model(small_split, unfair_model):
-    background = sample_background(small_split.train.features, 60, derive_seed(0, "background"))
-    ufs = detect_unfair_features(
-        unfair_model,
-        small_split.test,
-        ShapConfig(background, seed=derive_seed(0, "shap")),
-        None,
-        PermutationConfig(400, seed=derive_seed(0, "permutation")),
-        n=60,
-        pair_seed=derive_seed(0, "pairs"),
-    )
+    report = audit(unfair_model, small_split, AuditConfig(n_pairs=60, background_size=60, n_permutations=400))
+    ufs = detect_unfair_features(report)
     assert ufs.feature_names == ("xs", "xp")
-    # the audit's own sets and permutation settings give the same p-values
-    gpf = audit(unfair_model, small_split, AuditConfig(n_pairs=60, background_size=60, n_permutations=400)).gpf
-    reused = unfair_features_from_sets(gpf.explanations_1, gpf.explanations_2, perm_config=gpf.plan.perm_config)
-    assert reused.pvalues.tobytes() == ufs.pvalues.tobytes()
+
+
+@pytest.mark.parametrize("kernel, threshold", [(None, 0.05), (KernelConfig("exponential"), 0.2)])
+def test_detect_tests_the_reports_sets_with_its_permutations(unfair_report, kernel, threshold):
+    gpf = unfair_report.gpf
+    ufs = detect_unfair_features(unfair_report, kernel, threshold)
+    expected = unfair_features_from_sets(gpf.explanations_1, gpf.explanations_2, gpf.plan.perm_config, kernel, threshold)
+    assert ufs.pvalues.tobytes() == expected.pvalues.tobytes()
+    assert (ufs.indices, ufs.feature_names, ufs.threshold) == (expected.indices, expected.feature_names, threshold)
+
+
+def test_detect_uses_the_audits_permutation_count(unfair_report):
+    assert unfair_report.config.n_permutations == 200
+    counts = detect_unfair_features(unfair_report).pvalues * 201
+    np.testing.assert_allclose(counts, np.rint(counts), rtol=0, atol=1e-9)
+    assert counts.min() == pytest.approx(1.0)  # the flagged features sit at the 1/201 floor
 
 
 def test_detection_shares_one_membership_matrix_across_features(unfair_report, monkeypatch):
@@ -137,23 +140,15 @@ def test_detection_shares_one_membership_matrix_across_features(unfair_report, m
 
     monkeypatch.setattr(mitigation, "permutation_memberships", counted)
     monkeypatch.setattr(two_sample, "permutation_memberships", counted)
-    ufs = unfair_features_from_sets(e1, e2, kernel, gpf.plan.perm_config)
+    ufs = unfair_features_from_sets(e1, e2, gpf.plan.perm_config, kernel)
     assert ufs.pvalues.tolist() == independent
     assert len(built) == 1
 
 
 def test_detect_on_fair_model_empty(small_split):
     fair_model, _ = fit_mlp(small_split.train, TrainConfig(epochs=200, seed=0), feature_indices=(0, 1))
-    background = sample_background(small_split.train.features[:, :2], 60, derive_seed(0, "background"))
-    ufs = detect_unfair_features(
-        fair_model,
-        small_split.test,
-        ShapConfig(background, seed=derive_seed(0, "shap")),
-        None,
-        PermutationConfig(400, seed=derive_seed(0, "permutation")),
-        n=60,
-        pair_seed=derive_seed(0, "pairs"),
-    )
+    report = audit(fair_model, small_split, AuditConfig(n_pairs=60, background_size=60, n_permutations=400))
+    ufs = detect_unfair_features(report)
     assert ufs.indices == ()
 
 
