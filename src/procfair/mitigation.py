@@ -98,10 +98,13 @@ def unfair_features_from_sets(
     perm_config: PermutationConfig,
     kernel_config: KernelConfig | None = None,
     threshold: float = DETECTION_THRESHOLD,
+    memberships: np.ndarray | None = None,
 ) -> UnfairFeatureSet:
     """Per-feature 1-D MMD permutation tests between the two explanation
     sets, with the permutations of ``perm_config``; features at or below the
-    threshold are flagged.
+    threshold are flagged. ``memberships`` is
+    ``permutation_memberships(e1.n + e2.n, e1.n, perm_config)``, built here
+    once for all features when not given.
 
     The per-feature tests default to the gaussian kernel: on matched
     near-duplicate samples the exponential kernel's cusp at zero distance
@@ -112,7 +115,8 @@ def unfair_features_from_sets(
         raise ValueError("explanation sets cover different features")
     kernel_config = kernel_config or KernelConfig("gaussian")
     # every per-feature test pools the same a + b rows, so one matrix serves all
-    memberships = permutation_memberships(e1.n + e2.n, e1.n, perm_config)
+    if memberships is None:
+        memberships = permutation_memberships(e1.n + e2.n, e1.n, perm_config)
     pvalues = np.empty(e1.d)
     for j in range(e1.d):
         pvalues[j] = permutation_pvalue(
@@ -130,8 +134,9 @@ def detect_unfair_features(
     groups, testing the audit's own two matched explanation sets with its
     permutations."""
     gpf = report.gpf
+    plan = gpf.plan
     return unfair_features_from_sets(
-        gpf.explanations_1, gpf.explanations_2, gpf.plan.perm_config, kernel_config, threshold
+        gpf.explanations_1, gpf.explanations_2, plan.perm_config, kernel_config, threshold, plan.memberships
     )
 
 

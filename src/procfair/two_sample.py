@@ -30,7 +30,10 @@ class KernelConfig:
     """Kernel for comparing explanation sets.
 
     ``bandwidth=None`` selects the median heuristic: the median of the
-    nonzero pairwise distances of the pooled sample.
+    nonzero pairwise distances of the pooled sample, picked by selection.
+    ``permutation_pvalue`` fixes it once per test; it then screens the
+    permuted statistics in float32 and settles the near ones in float64,
+    counting ties.
     """
 
     kind: str = "exponential"
@@ -63,13 +66,18 @@ def _pairwise_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def _resolve_bandwidth(pooled_distances: np.ndarray, config: KernelConfig) -> float:
     if config.bandwidth is not None:
         return config.bandwidth
-    iu = np.triu_indices(pooled_distances.shape[0], k=1)
-    offdiag = pooled_distances[iu]
-    nonzero = offdiag[offdiag > 0]
+    r = np.arange(pooled_distances.shape[0])
+    nonzero = pooled_distances[(r[:, None] < r) & (pooled_distances > 0)]
     if nonzero.size == 0:
         warnings.warn("all pairwise distances are zero; falling back to bandwidth 1.0", stacklevel=3)
         return 1.0
-    return float(np.median(nonzero))
+    # np.median by selection: after partitioning at m the m smallest come
+    # first, so an even count averages their maximum with the m-th
+    m = nonzero.size // 2
+    nonzero.partition(m)
+    if nonzero.size % 2:
+        return float(nonzero[m])
+    return float((nonzero[:m].max() + nonzero[m]) / 2)
 
 
 def _apply_kernel(distances: np.ndarray, kind: str, sigma: float) -> np.ndarray:
@@ -119,16 +127,61 @@ def mmd2(E1, E2, config: KernelConfig | None = None) -> float:
     return float(k11 + k22 - 2.0 * k12)
 
 
-def _stats_for_memberships(K: np.ndarray, Z: np.ndarray, a: int, b: int) -> np.ndarray:
-    """Biased MMD^2 for each membership column z of Z via quadratic forms."""
-    row_sums = K.sum(axis=1)
-    total = row_sums.sum()
-    KZ = K @ Z
-    s11 = np.einsum("ip,ip->p", Z, KZ)
-    zK1 = row_sums @ Z
+def _mmd_from_sums(s11, zK1, total, a: int, b: int):
+    """Biased MMD^2 from s11 = z'Kz, zK1 = z'K1 and total = 1'K1, where the
+    membership z marks the a rows of the first sample."""
     s22 = total - 2.0 * zK1 + s11
     s12 = zK1 - s11
     return s11 / (a * a) + s22 / (b * b) - 2.0 * s12 / (a * b)
+
+
+def _stats_for_memberships(K: np.ndarray, Z: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Biased MMD^2 for each membership column z of Z via quadratic forms."""
+    row_sums = K.sum(axis=1)
+    s11 = np.einsum("ip,ip->p", Z, K @ Z)
+    return _mmd_from_sums(s11, row_sums @ Z, row_sums.sum(), a, b)
+
+
+def _gamma(k: int, u: float) -> float:
+    """Higham's gamma_k = ku / (1 - ku): the relative error bound of k
+    roundings with unit roundoff u."""
+    return k * u / (1.0 - k * u)
+
+
+def _tie_margin(a: int, b: int) -> float:
+    """Float64 tie margin tau of the statistic of an a-vs-b split.
+
+    K's entries lie in [0, 1] and the membership products are exact, so each
+    K_ij in s11, zK1 and the total goes through at most 2n - 2 roundings,
+    then at most 5 more in ``_mmd_from_sums``. A float64 statistic is thus
+    within gamma_{2n+5} times its sum of absolute terms, at most 4 (n/b)^2,
+    of its exact value. Two splits that tie in exact arithmetic, such as the
+    observed split and its mirror, land within twice that of each other.
+    """
+    n = a + b
+    return 8.0 * _gamma(2 * n + 5, 2.0**-53) * (n / b) ** 2
+
+
+def _screen(K: np.ndarray, Z: np.ndarray, a: int, b: int):
+    """Statistics of Z's columns with s11 = z'Kz summed in float32, and per
+    column a bound on their distance from the float64 ones, tau aside.
+
+    Rounding K to float32 and the two float32 sums of non-negative terms keep
+    s11 within c = (1 + u)(1 + gamma_n)^2 - 1 of the exact s11 (u = 2^-24),
+    so within c / (1 - c) of the float32 one; entries and partial sums below
+    float32's normal range add at most n^2 2^-125. The float64 rest adds at
+    most tau / 2, and gamma_n for n - 1 additions leaves a slack of u, which
+    covers the float64 rounding of the bound and of the comparisons with it.
+    So |screened - _stats_for_memberships| <= bound + tau.
+    """
+    n = a + b
+    row_sums = K.sum(axis=1)
+    Z32 = Z.astype(np.float32)
+    s11 = np.einsum("ip,ip->p", Z32, K.astype(np.float32) @ Z32).astype(np.float64)
+    c = (1.0 + 2.0**-24) * (1.0 + _gamma(n, 2.0**-24)) ** 2 - 1.0
+    r = (1.0 + c / (1.0 - c)) * (1.0 + _gamma(5, 2.0**-53)) - 1.0
+    bound = (r * s11 + n * n * 2.0**-124) * (n / (a * b)) ** 2
+    return _mmd_from_sums(s11, row_sums @ Z, row_sums.sum(), a, b), bound
 
 
 def permutation_memberships(n: int, a: int, perm_config: PermutationConfig) -> np.ndarray:
@@ -161,7 +214,12 @@ def permutation_pvalue(
     """Permutation p-value of the MMD two-sample test.
 
     The kernel bandwidth is fixed once on the pooled sample and reused for
-    every permutation; p = (1 + #{permuted >= observed}) / (1 + P).
+    every permutation; p = (1 + #{permuted >= observed}) / (1 + P), where
+    ties count: a permuted split counts when its float64 statistic is at
+    least the observed one less a float64 rounding bound, so a split with
+    the observed statistic in exact arithmetic (its mirror, say) counts.
+    The permuted statistics are screened in float32, and those the screen's
+    error bound cannot place are settled in float64.
     ``memberships`` is ``permutation_memberships(a + b, a, perm_config)``,
     built here when not given.
     """
@@ -184,8 +242,14 @@ def permutation_pvalue(
     observed_membership = np.zeros((n, 1))
     observed_membership[:a, 0] = 1.0
     observed = _stats_for_memberships(K, observed_membership, a, b)[0]
-    permuted = _stats_for_memberships(K, memberships, a, b)
-    return float((1 + int(np.sum(permuted >= observed))) / (1 + P))
+    # a screened column above observed + bound counts and one below
+    # observed - bound - 2 tau does not; the rest are scored again in float64
+    fast, bound = _screen(K, memberships, a, b)
+    tau = _tie_margin(a, b)
+    near = np.abs(fast - observed) <= bound + 2.0 * tau
+    exact = _stats_for_memberships(K, memberships[:, near], a, b)
+    count = int(np.sum(fast[~near] > observed)) + int(np.sum(exact >= observed - tau))
+    return float((1 + count) / (1 + P))
 
 
 # ---------------------------------------------------------------------------

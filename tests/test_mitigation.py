@@ -143,6 +143,10 @@ def test_detection_shares_one_membership_matrix_across_features(unfair_report, m
     ufs = unfair_features_from_sets(e1, e2, gpf.plan.perm_config, kernel)
     assert ufs.pvalues.tolist() == independent
     assert len(built) == 1
+    # detection tests with the matrix the audit's plan already holds
+    built.clear()
+    assert detect_unfair_features(unfair_report, kernel).pvalues.tolist() == independent
+    assert built == []
 
 
 def test_detect_on_fair_model_empty(small_split):

@@ -1,15 +1,26 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from procfair import fairness
+from procfair.datasets import SyntheticConfig, generate_synthetic, standardized_split
+from procfair.models import TrainConfig
+from procfair.sweeps import sweep_sensitive_weight
 from procfair.two_sample import (
     KernelConfig,
     PermutationConfig,
+    _as_matrix,
+    _gamma,
+    _pairwise_distances,
     _pooled_kernel,
+    _resolve_bandwidth,
+    _screen,
     _stats_for_memberships,
+    _tie_margin,
     isotonic_decreasing,
     kernel_matrix,
     mmd2,
@@ -55,6 +66,31 @@ def test_kernel_median_heuristic_fallback():
     with pytest.warns(UserWarning, match="bandwidth"):
         K = kernel_matrix(A, A, KernelConfig())
     np.testing.assert_allclose(K, 1.0)
+
+
+def _resampled(n_rows):
+    # rows drawn with replacement from 40: duplicates, some at distance 0
+    return np.random.default_rng(3).normal(size=(40, 2))[np.random.default_rng(4).integers(0, 40, n_rows)]
+
+
+@pytest.mark.parametrize(
+    "rows, nonzero",
+    [
+        (np.arange(3.0)[:, None], 3),
+        (np.arange(4.0)[:, None], 6),
+        (np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 2.0], [3.0, 1.0]]), 5),
+        (np.array([[0.0], [0.0], [1.0], [1.0], [5.0], [5.0]]), 12),
+        (np.random.default_rng(0).normal(size=(50, 3)), 1225),
+        (_resampled(61), 1788),
+        (_resampled(60), 1729),
+    ],
+)
+def test_median_bandwidth_by_selection_equals_np_median(rows, nonzero):
+    # odd and even counts of nonzero distances, with and without duplicate rows
+    D = _pairwise_distances(rows, rows)
+    offdiag = D[np.triu_indices(D.shape[0], 1)]
+    assert int(np.sum(offdiag > 0)) == nonzero
+    assert _resolve_bandwidth(D, KernelConfig()) == float(np.median(offdiag[offdiag > 0]))
 
 
 def test_kernel_config_validation():
@@ -213,6 +249,106 @@ def test_memberships_equal_the_per_column_loop(n, a, seed):
         Z = permutation_memberships(n, a, config)
         assert Z.dtype == np.float64 and Z.flags.c_contiguous and not Z.flags.writeable
         assert Z.tobytes() == _reference_memberships(n, a, config).tobytes()
+
+
+def _observed_column(a, b):
+    z = np.zeros((a + b, 1))
+    z[:a, 0] = 1.0
+    return z
+
+
+def _exact_with_ties(E1, E2, kernel_config, Z):
+    # the p-value rule scored wholly in float64: a column counts when its
+    # statistic is at least the observed one less the tie margin
+    E1, E2 = _as_matrix(E1), _as_matrix(E2)
+    a, b = E1.shape[0], E2.shape[0]
+    K, _ = _pooled_kernel(E1, E2, kernel_config or KernelConfig())
+    observed = _stats_for_memberships(K, _observed_column(a, b), a, b)[0]
+    exact = _stats_for_memberships(K, Z, a, b)
+    return (1 + int(np.sum(exact >= observed - _tie_margin(a, b)))) / (1 + Z.shape[1])
+
+
+def test_pvalue_counts_the_splits_that_tie_with_the_observed_one():
+    # 6 vs 6: the observed split, its mirror (the same MMD in exact arithmetic)
+    # and a permutation listing the observed rows in another order (the same
+    # column) all count, wherever rounding puts them
+    checked = 0
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        E1, E2 = rng.normal(size=(6, 2)), rng.normal(size=(6, 2))
+        K, _ = _pooled_kernel(E1, E2, KernelConfig())
+        observed_split = _observed_column(6, 6)[:, 0]
+        reordered = np.zeros(12)
+        reordered[np.r_[rng.permutation(6), 6 + rng.permutation(6)][:6]] = 1.0
+        others = permutation_memberships(12, 6, PermutationConfig(100, seed))[:, :97]
+        ties = np.column_stack([observed_split, 1.0 - observed_split, reordered])
+        Z = np.insert(others, np.sort(rng.integers(0, 98, 3)), ties, axis=1)
+        assert Z.shape == (12, 100)
+        observed = _stats_for_memberships(K, observed_split[:, None], 6, 6)[0]
+        other_stats = _stats_for_memberships(K, others, 6, 6)
+        if np.any(np.abs(other_stats - observed) < 1e-9):
+            continue
+        checked += 1
+        expected = (1 + 3 + int(np.sum(other_stats >= observed))) / 101
+        assert permutation_pvalue(E1, E2, None, PermutationConfig(100, seed), Z) == expected
+    assert checked >= 15
+
+
+def _screen_cases():
+    rng = np.random.default_rng(21)
+    base = rng.normal(size=(30, 3))
+    return [
+        ("exponential", None, rng.normal(size=(30, 3)), rng.normal(0.3, 1.0, size=(40, 3))),
+        ("gaussian", None, rng.normal(size=(35, 2)), rng.normal(size=(25, 2))),
+        ("exponential", 0.5, rng.normal(size=(20, 4)), rng.normal(0.2, 1.0, size=(20, 4))),
+        ("gaussian", 2.0, rng.normal(size=(20, 4)), rng.normal(size=(30, 4))),
+        ("exponential", None, rng.normal(size=50), rng.normal(0.1, 1.0, size=60)),
+        ("gaussian", None, rng.normal(size=17), rng.normal(size=17)),
+        ("exponential", None, base, base[rng.integers(0, 30, 30)]),
+        ("gaussian", None, base[rng.integers(0, 30, 25)], base[rng.integers(0, 30, 35)]),
+        ("exponential", None, np.full((10, 3), 0.7), np.full((12, 3), 0.7)),
+        ("gaussian", 1.0, np.full((15, 2), -2.0), np.full((15, 2), -2.0)),
+        ("exponential", None, np.zeros((8, 2)), np.zeros((9, 2))),
+    ]
+
+
+@pytest.mark.parametrize("kind, bandwidth, E1, E2", _screen_cases())
+def test_screened_statistics_lie_within_the_bound_and_the_pvalue_follows_the_rule(kind, bandwidth, E1, E2):
+    kernel = KernelConfig(kind, bandwidth)
+    a, b = _as_matrix(E1).shape[0], _as_matrix(E2).shape[0]
+    n = a + b
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the all-zero sets fall back to bandwidth 1.0
+        K, _ = _pooled_kernel(_as_matrix(E1), _as_matrix(E2), kernel)
+        for seed in range(3):
+            config = PermutationConfig(300, seed)
+            Z = permutation_memberships(n, a, config)
+            fast, bound = _screen(K, Z, a, b)
+            exact = _stats_for_memberships(K, Z, a, b)
+            assert np.all(np.abs(fast - exact) <= bound + _tie_margin(a, b))
+            # at least the proven worst-case float32 error, c = (1+u)(1+gamma_n)^2 - 1
+            c = (1 + 2.0**-24) * (1 + _gamma(n, 2.0**-24)) ** 2 - 1
+            s11 = np.einsum("ip,ip->p", Z, K @ Z)
+            assert np.all(bound >= c * s11 * (1 / a + 1 / b) ** 2 * (1 - 1e-12))
+            assert permutation_pvalue(E1, E2, kernel, config, Z) == _exact_with_ties(E1, E2, kernel, Z)
+
+
+def test_sweep_pvalues_follow_the_rule(monkeypatch):
+    # every test of a 2-seed x 50-weight sweep at the default GPF settings;
+    # weights up to 0.3 take the p-values from 1 down to the 1/1001 floor
+    split = standardized_split(generate_synthetic(SyntheticConfig(seed=0)), 0.8, 0)[0]
+    original = fairness.permutation_pvalue
+    matches = []
+
+    def checked(E1, E2, kernel_config, perm_config, memberships):
+        p = original(E1, E2, kernel_config, perm_config, memberships)
+        matches.append(p == _exact_with_ties(E1, E2, kernel_config, memberships))
+        return p
+
+    monkeypatch.setattr(fairness, "permutation_pvalue", checked)
+    _, matrix = sweep_sensitive_weight(split, np.linspace(0.0, 0.3, 50), [1, 2], TrainConfig())
+    assert len(matches) == 100 and all(matches)
+    assert matrix.max() == 1.0 and matrix.min() == 1 / 1001 and len(np.unique(matrix)) > 40
 
 
 def test_pvalue_over_given_memberships_equals_drawn():
