@@ -14,7 +14,6 @@ from .datasets import (
     SplitDataset,
     SyntheticConfig,
     TabularDataset,
-    dataset_dp,
     generate_synthetic,
     load_csv,
     pearson_correlation,
@@ -31,27 +30,20 @@ from .models import (
     fit_logistic,
     fit_mlp,
     init_mlp,
-    input_gradient,
     predict_labels,
     predict_proba,
     set_sensitive_weight,
-    soft_dp,
     train,
 )
 from .attribution import (
-    Explanation,
     ExplanationSet,
     ShapConfig,
-    exact_shapley,
     explain_set,
-    kernel_shap,
     sample_background,
 )
 from .two_sample import (
     KernelConfig,
     PermutationConfig,
-    kernel_matrix,
-    mmd2,
     pca_project,
     permutation_memberships,
     permutation_pvalue,

@@ -1,13 +1,11 @@
 """Shapley-value feature attribution.
 
-``kernel_shap`` solves the Shapley-kernel-weighted least squares over feature
+``explain_set`` solves the Shapley-kernel-weighted least squares over feature
 coalitions, with absent features replaced by background rows (marginal
 expectation) and the efficiency constraint sum(values) = f(x) - base enforced
 exactly through a KKT system. When the coalition budget covers all 2^d - 2
-proper coalitions the result equals the exact Shapley values.
-
-``exact_shapley`` is an independent enumeration oracle used to verify the
-approximation; it deliberately shares no solver code with ``kernel_shap``.
+proper coalitions the result equals the exact Shapley values; the test suite
+checks it against an independent enumeration oracle.
 """
 
 from __future__ import annotations
@@ -19,45 +17,23 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Explanation",
     "ExplanationSet",
     "ShapConfig",
-    "kernel_shap",
-    "exact_shapley",
     "explain_set",
     "sample_background",
     "write_explanations_csv",
-    "read_explanations_csv",
 ]
 
 DEFAULT_COALITION_CAP = 2048
 # Regularization of the attribution regression, applied only when the
 # unregularized system is singular.
 RIDGE = 1e-6
-EXACT_SHAPLEY_MAX_D = 15
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float, copy=True)
     out.setflags(write=False)
     return out
-
-
-@dataclass(frozen=True)
-class Explanation:
-    """Importance score per feature for one prediction."""
-
-    values: np.ndarray
-    base_value: float
-    target: float
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float).ravel()
-        if not np.isfinite(values).all():
-            raise ValueError("non-finite attribution values")
-        object.__setattr__(self, "values", _readonly(values))
-        object.__setattr__(self, "base_value", float(self.base_value))
-        object.__setattr__(self, "target", float(self.target))
 
 
 @dataclass(frozen=True)
@@ -92,9 +68,6 @@ class ExplanationSet:
     @property
     def d(self) -> int:
         return self.values.shape[1]
-
-    def row(self, i: int) -> Explanation:
-        return Explanation(self.values[i], float(self.base_values[i]), float(self.targets[i]))
 
 
 @dataclass(frozen=True)
@@ -259,45 +232,8 @@ def explain_set(predict_fns, X, config: ShapConfig, feature_names=None) -> list[
     ]
 
 
-def kernel_shap(predict_fn, x, config: ShapConfig) -> Explanation:
-    """Kernel SHAP attribution of a single instance."""
-    x = np.asarray(x, dtype=float).ravel()
-    return explain_set([predict_fn], x[None, :], config)[0].row(0)
-
-
-def exact_shapley(predict_fn, x, background) -> Explanation:
-    """Exact Shapley values by full coalition enumeration with the
-    marginal-expectation value function. Cost 2^d; refuses d > 15.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    d = x.size
-    if d > EXACT_SHAPLEY_MAX_D:
-        raise ValueError(f"exact enumeration limited to d <= {EXACT_SHAPLEY_MAX_D}")
-    background = np.atleast_2d(np.asarray(background, dtype=float))
-    if background.shape[1] != d:
-        raise ValueError("background dimensionality does not match x")
-
-    values = np.empty(2**d)
-    for code in range(2**d):
-        present = np.array([(code >> j) & 1 for j in range(d)], dtype=bool)
-        masked = np.where(present, x, background)
-        values[code] = float(np.mean(predict_fn(masked)))
-
-    factorial = [math.factorial(i) for i in range(d + 1)]
-    phi = np.zeros(d)
-    for j in range(d):
-        bit = 1 << j
-        for code in range(2**d):
-            if code & bit:
-                continue
-            s = bin(code).count("1")
-            weight = factorial[s] * factorial[d - 1 - s] / factorial[d]
-            phi[j] += weight * (values[code | bit] - values[code])
-    return Explanation(phi, float(values[0]), float(values[2**d - 1]))
-
-
 # ---------------------------------------------------------------------------
-# CSV interchange (consumed by plotting and the two-sample tests)
+# CSV interchange
 
 
 def write_explanations_csv(explanations: ExplanationSet, path) -> None:
@@ -309,13 +245,3 @@ def write_explanations_csv(explanations: ExplanationSet, path) -> None:
             row.append(repr(float(explanations.base_values[i])))
             row.append(repr(float(explanations.targets[i])))
             writer.writerow(row)
-
-
-def read_explanations_csv(path) -> ExplanationSet:
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    header = rows[0]
-    if header[-2:] != ["base", "target"]:
-        raise ValueError("not an explanation CSV (missing base/target columns)")
-    data = np.array([[float(c) for c in row] for row in rows[1:]])
-    return ExplanationSet(data[:, :-2], data[:, -2], data[:, -1], tuple(header[:-2]))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -23,14 +24,13 @@ from .attribution import write_explanations_csv
 from .datasets import (
     SyntheticConfig,
     concat_datasets,
-    dataset_dp,
     generate_synthetic,
     load_csv,
     standardized_split,
     write_csv,
     write_schema,
 )
-from .fairness import AuditConfig, audit, prediction_metrics
+from .fairness import AuditConfig, audit, dp, prediction_metrics
 from .mitigation import ModifyConfig, detect_unfair_features, modify_model, retrain_without
 from .models import MODEL_KINDS, MlpModel, TrainConfig, bce_loss, load_model, predict_labels, save_model
 from .seeding import derive_seed
@@ -126,7 +126,7 @@ def cmd_gen_data(args) -> dict:
     schema_path = out / f"{args.name}.schema.json"
     write_csv(dataset, csv_path)
     write_schema(dataset, schema_path)
-    dp_value = dataset_dp(dataset)
+    dp_value = dp(dataset.labels, dataset.advantaged_mask)
     print(f"wrote {csv_path} ({dataset.m} rows); dataset DP = {_fmt(dp_value)}")
     return {"rows": dataset.m, "dataset_dp": dp_value, "files": [csv_path.name, schema_path.name]}
 
@@ -311,6 +311,8 @@ def cmd_sweep_pool(args) -> dict:
 
 
 def cmd_boundary(args) -> dict:
+    if args.resolution < 1:
+        raise ValueError(f"--resolution must be at least 1, got {args.resolution}")
     out = _out_dir(args)
     original, doc = load_model(args.model)
     modified, _ = load_model(args.modified)
@@ -369,6 +371,17 @@ def cmd_boundary(args) -> dict:
 # Parser
 
 
+def _finite_float(text: str) -> float:
+    """The type of every float flag: NaN and infinities fail as bad flags."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"invalid finite float value: {text!r}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="global seed recorded in every output")
     parser.add_argument("--out", default=".", help="output directory")
@@ -388,7 +401,7 @@ def _add_audit_knobs(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--background", type=int, default=100, help="background sample size")
     parser.add_argument("--coalitions", type=int, default=None, help="coalition budget")
     parser.add_argument("--kernel", choices=("exponential", "gaussian"), default="exponential")
-    parser.add_argument("--bandwidth", type=float, default=None, help="fixed kernel bandwidth")
+    parser.add_argument("--bandwidth", type=_finite_float, default=None, help="fixed kernel bandwidth")
     parser.add_argument("--permutations", type=int, default=1000)
 
 
@@ -416,9 +429,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--m", type=int, default=10000)
     p.add_argument("--n-advantaged", type=int, default=6000)
-    p.add_argument("--weights", type=float, nargs=5, default=[-0.2, 1.5, 0.5, 0.5, 0.5])
-    p.add_argument("--proxy-std", type=float, default=0.1)
-    p.add_argument("--noise-std", type=float, default=1.0)
+    p.add_argument("--weights", type=_finite_float, nargs=5, default=[-0.2, 1.5, 0.5, 0.5, 0.5])
+    p.add_argument("--proxy-std", type=_finite_float, default=0.1)
+    p.add_argument("--noise-std", type=_finite_float, default=1.0)
     p.add_argument("--name", default="synthetic")
     p.set_defaults(func=cmd_gen_data)
 
@@ -431,9 +444,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--hidden", type=int, default=None, help="MLP hidden units, at least 1 (default: 32, 64 if d > 18)"
     )
     p.add_argument("--epochs", type=int, default=300)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--dp-weight", type=float, default=0.0, help="weight of the DP term in the loss")
-    p.add_argument("--split-ratio", type=float, default=0.8)
+    p.add_argument("--lr", type=_finite_float, default=0.01)
+    p.add_argument("--dp-weight", type=_finite_float, default=0.0, help="weight of the DP term in the loss")
+    p.add_argument("--split-ratio", type=_finite_float, default=0.8)
     p.add_argument("--model-name", default="model")
     p.set_defaults(func=cmd_train)
 
@@ -453,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     _add_pair_count(p)
     _add_audit_knobs(p)
-    p.add_argument("--beta", type=float, default=0.05, help="per-feature significance threshold")
+    p.add_argument("--beta", type=_finite_float, default=0.05, help="per-feature significance threshold")
     p.add_argument("--detection-kernel", choices=("exponential", "gaussian"), default="gaussian")
     p.set_defaults(func=cmd_detect)
 
@@ -464,11 +477,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     _add_pair_count(p)
     _add_audit_knobs(p)
-    p.add_argument("--beta", type=float, default=0.05)
+    p.add_argument("--beta", type=_finite_float, default=0.05)
     p.add_argument("--detection-kernel", choices=("exponential", "gaussian"), default="gaussian")
-    p.add_argument("--alpha", type=float, default=15.0, help="explanation-loss weight")
+    p.add_argument("--alpha", type=_finite_float, default=15.0, help="explanation-loss weight")
     p.add_argument("--tau", type=int, default=200, help="modification steps")
-    p.add_argument("--lr", type=float, default=0.01)
+    p.add_argument("--lr", type=_finite_float, default=0.01)
     p.set_defaults(func=cmd_mitigate)
 
     p = sub.add_parser("sweep-ws", help="sweep the sensitive weight of a logistic model")
@@ -476,13 +489,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data(p)
     _add_pair_count(p)
     _add_audit_knobs(p)
-    p.add_argument("--max-ws", type=float, default=5.0)
+    p.add_argument("--max-ws", type=_finite_float, default=5.0)
     p.add_argument("--points", type=int, default=50)
     p.add_argument("--seeds", type=int, default=10)
-    p.add_argument("--fair-threshold", type=float, default=0.10)
+    p.add_argument("--fair-threshold", type=_finite_float, default=0.10)
     p.add_argument("--epochs", type=int, default=300)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--split-ratio", type=float, default=0.8)
+    p.add_argument("--lr", type=_finite_float, default=0.01)
+    p.add_argument("--split-ratio", type=_finite_float, default=0.8)
     p.set_defaults(func=cmd_sweep_ws)
 
     p = sub.add_parser("sweep-n", help="sweep the number of matched pairs")
@@ -511,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modified", required=True)
     p.add_argument("--retrained", required=True)
     p.add_argument("--resolution", type=int, default=100)
-    p.add_argument("--margin", type=float, default=0.1, help="bounding-box margin fraction")
+    p.add_argument("--margin", type=_finite_float, default=0.1, help="bounding-box margin fraction")
     p.set_defaults(func=cmd_boundary)
 
     return parser

@@ -34,7 +34,6 @@ __all__ = [
     "train_test_split",
     "standardized_split",
     "generate_synthetic",
-    "dataset_dp",
     "pearson_correlation",
     "select_fair_features",
     "concat_datasets",
@@ -146,7 +145,7 @@ class SyntheticConfig:
             raise ValueError("need 0 < n_advantaged < m")
         if not self.proxy_std > 0:
             raise ValueError("proxy_std must be positive")
-        if self.noise_std < 0:
+        if not self.noise_std >= 0:
             raise ValueError("noise_std must be non-negative")
 
     def config_hash(self) -> str:
@@ -303,14 +302,6 @@ def standardized_split(
     train, stats = zscore_normalize(split.train)
     test = apply_zscore(split.test, stats)
     return SplitDataset(train, test), stats
-
-
-def dataset_dp(dataset: TabularDataset) -> float:
-    """Demographic-parity gap of the raw labels between the two groups."""
-    adv = dataset.advantaged_mask
-    rate_adv = dataset.labels[adv].mean()
-    rate_dis = dataset.labels[~adv].mean()
-    return float(abs(rate_adv - rate_dis))
 
 
 def pearson_correlation(dataset: TabularDataset, feature: int) -> float:

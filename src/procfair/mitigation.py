@@ -55,8 +55,10 @@ class UnfairFeatureSet:
 
     def __post_init__(self):
         pvalues = np.asarray(self.pvalues, dtype=float)
-        if ((pvalues < 0) | (pvalues > 1)).any():
+        if not ((pvalues >= 0) & (pvalues <= 1)).all():
             raise ValueError("p-values must lie in [0, 1]")
+        if not 0 <= self.threshold <= 1:
+            raise ValueError(f"threshold must lie in [0, 1], got {self.threshold}")
         expected = tuple(int(i) for i in np.flatnonzero(pvalues <= self.threshold))
         if tuple(self.indices) != expected:
             raise ValueError("indices must be exactly the features at or below the threshold")
@@ -84,7 +86,7 @@ class ModifyConfig:
     learning_rate: float = 0.01
 
     def __post_init__(self):
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise ValueError("alpha must be non-negative")
         if self.tau < 0:
             raise ValueError("tau must be non-negative")
@@ -228,7 +230,6 @@ def modify_model(before: AuditReport, ufs: UnfairFeatureSet, config: ModifyConfi
 class RetrainResult:
     model: object
     removed_features: tuple[str, ...]
-    train_trace: np.ndarray
     report_before: AuditReport
     report_after: AuditReport
     accuracy_drop: float
@@ -258,12 +259,11 @@ def retrain_without(
     kept_columns = tuple(model.feature_indices[i] for i in keep)
 
     fresh = dataclasses.replace(train_config, seed=derive_seed(train_config.seed, "retrain"))
-    new_model, trace = model.refit(split.train, fresh, kept_columns)
+    new_model, _ = model.refit(split.train, fresh, kept_columns)
     after = audit(new_model, split, before.config)
     return RetrainResult(
         model=new_model,
         removed_features=ufs.feature_names,
-        train_trace=trace,
         report_before=before,
         report_after=after,
         accuracy_drop=before.accuracy - after.accuracy,

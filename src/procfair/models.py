@@ -44,11 +44,9 @@ __all__ = [
     "predict_proba",
     "predict_labels",
     "bce_loss",
-    "soft_dp",
     "train",
     "fit_mlp",
     "fit_logistic",
-    "input_gradient",
     "set_sensitive_weight",
     "save_model",
     "load_model",
@@ -446,24 +444,6 @@ def bce_loss(model, X, y) -> float:
     return _clamped_bce(predict_proba(model, X), np.asarray(y, dtype=float))
 
 
-def soft_dp(model, X, group_mask) -> float:
-    """Differentiable demographic-parity surrogate: absolute gap between the
-    mean predicted probabilities of the two groups."""
-    group_mask = np.asarray(group_mask, dtype=bool)
-    if not group_mask.any() or group_mask.all():
-        raise ValueError("both groups must be present")
-    p = predict_proba(model, X)
-    return float(abs(p[group_mask].mean() - p[~group_mask].mean()))
-
-
-def input_gradient(model, X, y) -> np.ndarray:
-    """Exact gradient of the mean BCE loss with respect to every input
-    coordinate; one row per sample."""
-    X = _check_inputs(model, X)
-    y = np.asarray(y, dtype=float)
-    return model.per_sample_input_gradient(X, y) / X.shape[0]
-
-
 def set_sensitive_weight(model: LogisticModel, w_s: float) -> LogisticModel:
     """Copy of the model with the sensitive coordinate's weight replaced."""
     if model.sensitive_position is None:
@@ -503,8 +483,8 @@ def _adam_descent(model, grad_fn, traces: np.ndarray, unit: str, learning_rate: 
 
 
 def train(model, dataset, config: TrainConfig | None = None):
-    """Full-batch Adam on BCE + dp_weight * soft_dp for ``config.epochs``
-    steps. Returns the trained model and the per-epoch loss trace (the loss
+    """Full-batch Adam on BCE + dp_weight * |gap of the groups' mean
+    probabilities| for ``config.epochs`` steps. Returns the trained model and the per-epoch loss trace (the loss
     evaluated before each update).
     """
     config = config or TrainConfig()

@@ -1,6 +1,7 @@
 """Kernel two-sample machinery: pairwise distances, exponential/gaussian
-kernels, the (biased) MMD statistic, and its permutation test, plus the small
-linear-algebra helpers the experiments need (PCA projection, isotonic fit).
+kernels, and the permutation test of the (biased) MMD statistic, plus the PCA
+projection of the decision-boundary experiment. The test suite holds the
+statistic to the textbook estimator.
 """
 
 from __future__ import annotations
@@ -14,12 +15,9 @@ __all__ = [
     "KernelConfig",
     "PermutationConfig",
     "PcaResult",
-    "kernel_matrix",
-    "mmd2",
     "permutation_memberships",
     "permutation_pvalue",
     "pca_project",
-    "isotonic_decreasing",
 ]
 
 KERNEL_KINDS = ("exponential", "gaussian")
@@ -98,33 +96,6 @@ def _pooled_kernel(E1: np.ndarray, E2: np.ndarray, config: KernelConfig):
     distances = _pairwise_distances(pooled, pooled)
     sigma = _resolve_bandwidth(distances, config)
     return _apply_kernel(distances, config.kind, sigma), sigma
-
-
-def kernel_matrix(A, B, config: KernelConfig | None = None) -> np.ndarray:
-    """Cross kernel matrix; the median-heuristic bandwidth is computed on the
-    pooled sample A ++ B."""
-    config = config or KernelConfig()
-    A, B = _as_matrix(A), _as_matrix(B)
-    if A.shape[1] != B.shape[1]:
-        raise ValueError("dimension mismatch")
-    K, _ = _pooled_kernel(A, B, config)
-    return K[: A.shape[0], A.shape[0]:]
-
-
-def mmd2(E1, E2, config: KernelConfig | None = None) -> float:
-    """Biased squared-MMD estimator mean(K11) + mean(K22) - 2 mean(K12)."""
-    config = config or KernelConfig()
-    E1, E2 = _as_matrix(E1), _as_matrix(E2)
-    if E1.shape[0] < 2 or E2.shape[0] < 2:
-        raise ValueError("need at least two rows per sample")
-    if E1.shape[1] != E2.shape[1]:
-        raise ValueError("dimension mismatch")
-    K, _ = _pooled_kernel(E1, E2, config)
-    a = E1.shape[0]
-    k11 = K[:a, :a].mean()
-    k22 = K[a:, a:].mean()
-    k12 = K[:a, a:].mean()
-    return float(k11 + k22 - 2.0 * k12)
 
 
 def _mmd_from_sums(s11, zK1, total, a: int, b: int):
@@ -253,7 +224,7 @@ def permutation_pvalue(
 
 
 # ---------------------------------------------------------------------------
-# Small linear-algebra utilities
+# PCA projection
 
 
 @dataclass(frozen=True)
@@ -262,9 +233,6 @@ class PcaResult:
     components: np.ndarray
     explained_variance_ratio: np.ndarray
     mean: np.ndarray
-
-    def project(self, X: np.ndarray) -> np.ndarray:
-        return (np.asarray(X, dtype=float) - self.mean) @ self.components.T
 
     def inverse(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(points, dtype=float) @ self.components + self.mean
@@ -291,28 +259,3 @@ def pca_project(X, k: int = 2) -> PcaResult:
     total = float(np.sum(singular**2))
     ratios = (singular[:k] ** 2) / total if total > 0 else np.zeros(k)
     return PcaResult(centered @ components.T, components, ratios, mean)
-
-
-def isotonic_decreasing(values) -> np.ndarray:
-    """Least-squares projection onto non-increasing sequences
-    (pool-adjacent-violators)."""
-    y = -np.asarray(values, dtype=float)
-    level = list(y)
-    weight = [1.0] * len(level)
-    i = 0
-    while i < len(level) - 1:
-        if level[i] > level[i + 1]:
-            merged = (level[i] * weight[i] + level[i + 1] * weight[i + 1]) / (weight[i] + weight[i + 1])
-            weight[i] += weight[i + 1]
-            level[i] = merged
-            del level[i + 1], weight[i + 1]
-            while i > 0 and level[i - 1] > level[i]:
-                merged = (level[i - 1] * weight[i - 1] + level[i] * weight[i]) / (weight[i - 1] + weight[i])
-                weight[i - 1] += weight[i]
-                level[i - 1] = merged
-                del level[i], weight[i]
-                i -= 1
-        else:
-            i += 1
-    out = np.concatenate([np.full(int(w), v) for v, w in zip(level, weight)])
-    return -out

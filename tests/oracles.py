@@ -1,0 +1,126 @@
+"""Independent references the library is checked against, kept out of the
+package because no program path calls them.
+
+- ``exact_shapley`` enumerates all 2^d coalitions; Kernel SHAP must match it
+  whenever its budget covers every proper coalition (Lundberg & Lee 2017).
+  It shares no solver code with ``procfair.attribution.explain_set``.
+- ``mmd2`` is the textbook biased MMD^2 estimator (Gretton et al. 2012) that
+  the permutation test's quadratic forms are held to.
+- ``isotonic_decreasing`` smooths criterion 07's sweep medians.
+- ``read_explanations_csv`` reads what ``audit --export-explanations`` writes.
+- ``soft_dp`` and ``input_gradient`` state the training penalty and the
+  input gradients in their plain form.
+"""
+
+import csv
+import math
+
+import numpy as np
+
+from procfair.attribution import ExplanationSet
+from procfair.models import _check_inputs, predict_proba
+from procfair.two_sample import KernelConfig, _as_matrix, _pooled_kernel
+
+EXACT_SHAPLEY_MAX_D = 15
+
+
+def exact_shapley(predict_fn, x, background) -> ExplanationSet:
+    """Exact Shapley values by full coalition enumeration with the
+    marginal-expectation value function, as a one-row ExplanationSet. Cost
+    2^d; refuses d > 15.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    d = x.size
+    if d > EXACT_SHAPLEY_MAX_D:
+        raise ValueError(f"exact enumeration limited to d <= {EXACT_SHAPLEY_MAX_D}")
+    background = np.atleast_2d(np.asarray(background, dtype=float))
+    if background.shape[1] != d:
+        raise ValueError("background dimensionality does not match x")
+
+    values = np.empty(2**d)
+    for code in range(2**d):
+        present = np.array([(code >> j) & 1 for j in range(d)], dtype=bool)
+        masked = np.where(present, x, background)
+        values[code] = float(np.mean(predict_fn(masked)))
+
+    factorial = [math.factorial(i) for i in range(d + 1)]
+    phi = np.zeros(d)
+    for j in range(d):
+        bit = 1 << j
+        for code in range(2**d):
+            if code & bit:
+                continue
+            s = bin(code).count("1")
+            weight = factorial[s] * factorial[d - 1 - s] / factorial[d]
+            phi[j] += weight * (values[code | bit] - values[code])
+    names = tuple(f"f{j}" for j in range(d))
+    return ExplanationSet(phi[None, :], [values[0]], [values[2**d - 1]], names)
+
+
+def mmd2(E1, E2, config: KernelConfig | None = None) -> float:
+    """Biased squared-MMD estimator mean(K11) + mean(K22) - 2 mean(K12)."""
+    config = config or KernelConfig()
+    E1, E2 = _as_matrix(E1), _as_matrix(E2)
+    if E1.shape[0] < 2 or E2.shape[0] < 2:
+        raise ValueError("need at least two rows per sample")
+    if E1.shape[1] != E2.shape[1]:
+        raise ValueError("dimension mismatch")
+    K, _ = _pooled_kernel(E1, E2, config)
+    a = E1.shape[0]
+    k11 = K[:a, :a].mean()
+    k22 = K[a:, a:].mean()
+    k12 = K[:a, a:].mean()
+    return float(k11 + k22 - 2.0 * k12)
+
+
+def isotonic_decreasing(values) -> np.ndarray:
+    """Least-squares projection onto non-increasing sequences
+    (pool-adjacent-violators)."""
+    y = -np.asarray(values, dtype=float)
+    level = list(y)
+    weight = [1.0] * len(level)
+    i = 0
+    while i < len(level) - 1:
+        if level[i] > level[i + 1]:
+            merged = (level[i] * weight[i] + level[i + 1] * weight[i + 1]) / (weight[i] + weight[i + 1])
+            weight[i] += weight[i + 1]
+            level[i] = merged
+            del level[i + 1], weight[i + 1]
+            while i > 0 and level[i - 1] > level[i]:
+                merged = (level[i - 1] * weight[i - 1] + level[i] * weight[i]) / (weight[i - 1] + weight[i])
+                weight[i - 1] += weight[i]
+                level[i - 1] = merged
+                del level[i], weight[i]
+                i -= 1
+        else:
+            i += 1
+    out = np.concatenate([np.full(int(w), v) for v, w in zip(level, weight)])
+    return -out
+
+
+def read_explanations_csv(path) -> ExplanationSet:
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    header = rows[0]
+    if header[-2:] != ["base", "target"]:
+        raise ValueError("not an explanation CSV (missing base/target columns)")
+    data = np.array([[float(c) for c in row] for row in rows[1:]])
+    return ExplanationSet(data[:, :-2], data[:, -2], data[:, -1], tuple(header[:-2]))
+
+
+def soft_dp(model, X, group_mask) -> float:
+    """Differentiable demographic-parity surrogate: absolute gap between the
+    mean predicted probabilities of the two groups."""
+    group_mask = np.asarray(group_mask, dtype=bool)
+    if not group_mask.any() or group_mask.all():
+        raise ValueError("both groups must be present")
+    p = predict_proba(model, X)
+    return float(abs(p[group_mask].mean() - p[~group_mask].mean()))
+
+
+def input_gradient(model, X, y) -> np.ndarray:
+    """Exact gradient of the mean BCE loss with respect to every input
+    coordinate; one row per sample."""
+    X = _check_inputs(model, X)
+    y = np.asarray(y, dtype=float)
+    return model.per_sample_input_gradient(X, y) / X.shape[0]

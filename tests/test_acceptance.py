@@ -17,8 +17,9 @@ import time
 
 import numpy as np
 import pytest
+from oracles import exact_shapley, input_gradient, isotonic_decreasing
 
-from procfair.attribution import ShapConfig, exact_shapley, kernel_shap
+from procfair.attribution import ShapConfig, explain_set
 from procfair.cli import main as cli_main
 from procfair.datasets import SyntheticConfig, generate_synthetic, standardized_split
 from procfair.fairness import AuditConfig, audit
@@ -34,12 +35,11 @@ from procfair.models import (
     bce_loss,
     fit_mlp,
     init_mlp,
-    input_gradient,
     predict_labels,
     predict_proba,
 )
 from procfair.sweeps import sweep_sensitive_weight
-from procfair.two_sample import PermutationConfig, isotonic_decreasing, permutation_pvalue
+from procfair.two_sample import PermutationConfig, permutation_pvalue
 
 SEEDS = range(10)
 
@@ -238,13 +238,13 @@ def test_criterion_09_attribution_oracle():
         def proba(M):
             return predict_proba(model, M)
 
-        approx = kernel_shap(proba, x, ShapConfig(background, seed=trial))
+        approx = explain_set([proba], x[None, :], ShapConfig(background, seed=trial))[0]
         exact = exact_shapley(proba, x, background)
         worst_gap = max(worst_gap, float(np.abs(approx.values - exact.values).max()))
         worst_local = max(
             worst_local,
-            abs(approx.base_value + approx.values.sum() - approx.target),
-            abs(exact.base_value + exact.values.sum() - exact.target),
+            abs(approx.base_values[0] + approx.values.sum() - approx.targets[0]),
+            abs(exact.base_values[0] + exact.values.sum() - exact.targets[0]),
         )
     ok = worst_gap <= 1e-6 and worst_local <= 1e-6
     report(9, "attribution oracle", ok, f"max |kernel - exact| = {worst_gap:.2e}, max local-accuracy gap = {worst_local:.2e}")

@@ -1,14 +1,11 @@
 import numpy as np
 import pytest
+from oracles import exact_shapley, read_explanations_csv
 
 from procfair.attribution import (
-    Explanation,
     ExplanationSet,
     ShapConfig,
-    exact_shapley,
     explain_set,
-    kernel_shap,
-    read_explanations_csv,
     sample_background,
     write_explanations_csv,
 )
@@ -33,8 +30,8 @@ def test_linear_model_exact_attribution():
     w = np.array([1.5, -2.0, 0.3, 0.7])
     bg = rng.normal(size=(50, 4))
     x = rng.normal(size=4)
-    result = kernel_shap(linear_fn(w, b=0.4), x, ShapConfig(bg, seed=1))
-    np.testing.assert_allclose(result.values, w * (x - bg.mean(axis=0)), atol=1e-10)
+    result = explain_set([linear_fn(w, b=0.4)], x[None, :], ShapConfig(bg, seed=1))[0]
+    np.testing.assert_allclose(result.values[0], w * (x - bg.mean(axis=0)), atol=1e-10)
 
 
 def test_linear_model_exact_with_sampled_coalitions():
@@ -43,15 +40,15 @@ def test_linear_model_exact_with_sampled_coalitions():
     w = rng.normal(size=d)
     bg = rng.normal(size=(20, d))
     x = rng.normal(size=d)
-    result = kernel_shap(linear_fn(w), x, ShapConfig(bg, n_coalitions=600, seed=2))
-    np.testing.assert_allclose(result.values, w * (x - bg.mean(axis=0)), atol=1e-8)
+    result = explain_set([linear_fn(w)], x[None, :], ShapConfig(bg, n_coalitions=600, seed=2))[0]
+    np.testing.assert_allclose(result.values[0], w * (x - bg.mean(axis=0)), atol=1e-8)
 
 
 def test_constant_model_all_zero():
     bg = np.random.default_rng(2).normal(size=(10, 3))
-    result = kernel_shap(lambda X: np.full(len(np.atleast_2d(X)), 0.7), np.ones(3), ShapConfig(bg))
+    result = explain_set([lambda X: np.full(len(np.atleast_2d(X)), 0.7)], np.ones((1, 3)), ShapConfig(bg))[0]
     np.testing.assert_allclose(result.values, 0.0, atol=1e-12)
-    assert result.base_value == pytest.approx(0.7)
+    assert result.base_values[0] == pytest.approx(0.7)
 
 
 def test_kernel_shap_matches_exact_oracle_on_mlps():
@@ -60,10 +57,10 @@ def test_kernel_shap_matches_exact_oracle_on_mlps():
         model = init_mlp(d, 8, seed=trial)
         bg = rng.normal(size=(25, d))
         x = rng.normal(size=d)
-        approx = kernel_shap(mlp_fn(model), x, ShapConfig(bg, seed=trial))
+        approx = explain_set([mlp_fn(model)], x[None, :], ShapConfig(bg, seed=trial))[0]
         exact = exact_shapley(mlp_fn(model), x, bg)
         np.testing.assert_allclose(approx.values, exact.values, atol=1e-6)
-        assert approx.base_value == pytest.approx(exact.base_value, abs=1e-12)
+        assert approx.base_values[0] == pytest.approx(exact.base_values[0], abs=1e-12)
 
 
 def test_local_accuracy_enforced():
@@ -72,8 +69,8 @@ def test_local_accuracy_enforced():
     bg = rng.normal(size=(15, 5))
     for _ in range(5):
         x = rng.normal(size=5)
-        result = kernel_shap(mlp_fn(model), x, ShapConfig(bg, seed=0))
-        assert abs(result.base_value + result.values.sum() - result.target) <= 1e-6
+        result = explain_set([mlp_fn(model)], x[None, :], ShapConfig(bg, seed=0))[0]
+        assert abs(result.base_values[0] + result.values.sum() - result.targets[0]) <= 1e-6
 
 
 def test_null_feature_gets_no_credit():
@@ -82,35 +79,35 @@ def test_null_feature_gets_no_credit():
     bg = rng.normal(size=(30, 3))
     x = rng.normal(size=3)
     exact = exact_shapley(linear_fn(w), x, bg)
-    assert abs(exact.values[1]) <= 1e-8
+    assert abs(exact.values[0, 1]) <= 1e-8
 
     w_wide = np.zeros(10)
     w_wide[0], w_wide[9] = 2.0, -1.0  # middle features ignored
     bg_wide = rng.normal(size=(20, 10))
     x_wide = rng.normal(size=10)
-    sampled = kernel_shap(linear_fn(w_wide), x_wide, ShapConfig(bg_wide, n_coalitions=500, seed=6))
-    assert np.abs(sampled.values[1:9]).max() <= 0.01 * np.abs(sampled.values).max()
+    sampled = explain_set([linear_fn(w_wide)], x_wide[None, :], ShapConfig(bg_wide, n_coalitions=500, seed=6))[0]
+    assert np.abs(sampled.values[0, 1:9]).max() <= 0.01 * np.abs(sampled.values).max()
 
 
 def test_single_feature_edge_case():
     bg = np.array([[0.0], [2.0]])
-    result = kernel_shap(linear_fn([3.0]), np.array([1.0]), ShapConfig(bg))
-    assert result.values[0] == pytest.approx(3.0 * (1.0 - 1.0))
-    result2 = kernel_shap(linear_fn([3.0]), np.array([2.0]), ShapConfig(bg))
-    assert result2.values[0] == pytest.approx(3.0)
+    result = explain_set([linear_fn([3.0])], np.array([[1.0]]), ShapConfig(bg))[0]
+    assert result.values[0, 0] == pytest.approx(3.0 * (1.0 - 1.0))
+    result2 = explain_set([linear_fn([3.0])], np.array([[2.0]]), ShapConfig(bg))[0]
+    assert result2.values[0, 0] == pytest.approx(3.0)
 
 
 def test_coalition_budget_below_d_rejected():
     bg = np.zeros((3, 5))
     with pytest.raises(ValueError, match="n_coalitions"):
-        kernel_shap(linear_fn(np.ones(5)), np.ones(5), ShapConfig(bg, n_coalitions=4))
+        explain_set([linear_fn(np.ones(5))], np.ones((1, 5)), ShapConfig(bg, n_coalitions=4))
 
 
 def test_singular_regression_falls_back_to_ridge():
     # four sampled coalitions at d=4 are two complement pairs, too few to
     # determine four attributions: the unregularized system is singular
     bg = np.zeros((3, 4))
-    result = kernel_shap(linear_fn([1.0, 2.0, 3.0, 4.0]), np.ones(4), ShapConfig(bg, n_coalitions=4))
+    result = explain_set([linear_fn([1.0, 2.0, 3.0, 4.0])], np.ones((1, 4)), ShapConfig(bg, n_coalitions=4))[0]
     assert np.isfinite(result.values).all()
     assert result.values.sum() == pytest.approx(10.0)
 
@@ -123,8 +120,8 @@ def test_odd_coalition_budget_rounds_the_pairs_up():
     bg = rng.normal(size=(10, 3))
     x = rng.normal(size=3)
     for seed in range(6):
-        result = kernel_shap(linear_fn(w), x, ShapConfig(bg, n_coalitions=3, seed=seed))
-        np.testing.assert_allclose(result.values, w * (x - bg.mean(axis=0)), atol=1e-10)
+        result = explain_set([linear_fn(w)], x[None, :], ShapConfig(bg, n_coalitions=3, seed=seed))[0]
+        np.testing.assert_allclose(result.values[0], w * (x - bg.mean(axis=0)), atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +136,9 @@ def test_exact_shapley_hand_case():
         return X[:, 0] * X[:, 1]
 
     result = exact_shapley(product, np.array([1.0, 1.0]), np.array([[0.0, 0.0]]))
-    np.testing.assert_allclose(result.values, [0.5, 0.5], atol=1e-12)
-    assert result.base_value == pytest.approx(0.0)
-    assert result.target == pytest.approx(1.0)
+    np.testing.assert_allclose(result.values[0], [0.5, 0.5], atol=1e-12)
+    assert result.base_values[0] == pytest.approx(0.0)
+    assert result.targets[0] == pytest.approx(1.0)
 
 
 def test_exact_shapley_symmetry_axiom():
@@ -151,7 +148,7 @@ def test_exact_shapley_symmetry_axiom():
 
     bg = np.array([[0.3, 0.3], [-0.3, -0.3]])
     result = exact_shapley(symmetric, np.array([1.2, 1.2]), bg)
-    assert result.values[0] == pytest.approx(result.values[1], abs=1e-12)
+    assert result.values[0, 0] == pytest.approx(result.values[0, 1], abs=1e-12)
 
 
 def test_exact_shapley_efficiency_axiom():
@@ -160,7 +157,7 @@ def test_exact_shapley_efficiency_axiom():
     bg = rng.normal(size=(12, 3))
     x = rng.normal(size=3)
     result = exact_shapley(mlp_fn(model), x, bg)
-    assert result.base_value + result.values.sum() == pytest.approx(result.target, abs=1e-12)
+    assert result.base_values[0] + result.values.sum() == pytest.approx(result.targets[0], abs=1e-12)
 
 
 def test_exact_shapley_dimension_guard():
@@ -198,13 +195,11 @@ def test_explain_set_deterministic():
     np.testing.assert_array_equal(a.values, b.values)
 
 
-def test_explain_set_row_accessor_and_names():
+def test_explain_set_row_and_names():
     bg = np.zeros((4, 2))
     result = explain_set([linear_fn([1.0, 2.0])], np.ones((3, 2)), ShapConfig(bg), ("u", "v"))[0]
     assert result.feature_names == ("u", "v")
-    row = result.row(1)
-    assert isinstance(row, Explanation)
-    assert row.base_value + row.values.sum() == pytest.approx(row.target, abs=1e-9)
+    assert result.base_values[1] + result.values[1].sum() == pytest.approx(result.targets[1], abs=1e-9)
 
 
 def test_explain_set_local_accuracy_all_rows():

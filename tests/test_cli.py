@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -7,9 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import read_explanations_csv
 
 from procfair import cli
-from procfair.attribution import read_explanations_csv
 from procfair.cli import main
 from procfair.seeding import derive_seed
 from procfair.two_sample import PermutationConfig, permutation_pvalue
@@ -20,6 +21,16 @@ FAST_AUDIT = ["--n", "20", "--background", "30", "--permutations", "150"]
 
 def run_cli(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def strict_json(text: str):
+    """json.loads that rejects the NaN and Infinity json.dump writes for
+    non-finite floats, as a strict JSON reader does."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 @pytest.fixture(scope="module")
@@ -59,9 +70,9 @@ def test_gen_data_outputs(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "dataset DP" in out
     assert (tmp_path / "synthetic.csv").exists()
-    schema = json.loads((tmp_path / "synthetic.schema.json").read_text())
+    schema = strict_json((tmp_path / "synthetic.schema.json").read_text())
     assert schema["sensitive"] == "xs"
-    report = json.loads((tmp_path / "report.json").read_text())
+    report = strict_json((tmp_path / "report.json").read_text())
     assert report["command"] == "gen-data"
     assert set(report) == {"version", "command", "config", "results", "timing"}
 
@@ -74,7 +85,7 @@ def test_gen_data_deterministic(tmp_path):
 
 def test_gen_data_bad_config_fails(tmp_path, capsys):
     assert run_cli("gen-data", "--out", tmp_path, "--m", "10", "--n-advantaged", "20") == 1
-    err = json.loads(capsys.readouterr().err)
+    err = strict_json(capsys.readouterr().err)
     assert err["command"] == "gen-data"
     assert "n_advantaged" in err["error"]
 
@@ -84,7 +95,7 @@ def test_gen_data_bad_config_fails(tmp_path, capsys):
 
 
 def test_train_writes_model_and_metrics(workspace, capsys):
-    doc = json.loads(Path(workspace["unfair_model"]).read_text())
+    doc = strict_json(Path(workspace["unfair_model"]).read_text())
     assert doc["kind"] == "mlp"
     assert doc["feature_names"] == ["x1", "x2", "xs", "xp"]
     assert doc["data_split"] == {"ratio": 0.8, "seed": 0}
@@ -92,7 +103,7 @@ def test_train_writes_model_and_metrics(workspace, capsys):
 
 
 def test_train_records_its_training_settings_in_order(workspace):
-    doc = json.loads(Path(workspace["unfair_model"]).read_text())
+    doc = strict_json(Path(workspace["unfair_model"]).read_text())
     assert list(doc["training"].items()) == [
         ("epochs", 150),
         ("learning_rate", 0.01),
@@ -105,7 +116,7 @@ def test_train_records_its_training_settings_in_order(workspace):
 
 
 def test_train_feature_subset(workspace):
-    doc = json.loads(Path(workspace["fair_model"]).read_text())
+    doc = strict_json(Path(workspace["fair_model"]).read_text())
     assert doc["feature_names"] == ["x1", "x2"]
     assert doc["feature_indices"] == [0, 1]
 
@@ -115,7 +126,7 @@ def test_train_epochs_zero_saves_initial_model(workspace, tmp_path):
         "train", "--data", workspace["data"], "--schema", workspace["schema"],
         "--out", tmp_path, "--epochs", "0", "--seed", "3",
     ) == 0
-    doc = json.loads((tmp_path / "model.json").read_text())
+    doc = strict_json((tmp_path / "model.json").read_text())
     assert np.allclose(doc["parameters"]["b1"], 0.0)
 
 
@@ -124,7 +135,7 @@ def test_train_unknown_feature_fails(workspace, tmp_path, capsys):
         "train", "--data", workspace["data"], "--schema", workspace["schema"],
         "--out", tmp_path, "--features", "nope",
     ) == 1
-    assert "unknown feature" in json.loads(capsys.readouterr().err)["error"]
+    assert "unknown feature" in strict_json(capsys.readouterr().err)["error"]
 
 
 def test_train_logistic_kind(workspace, tmp_path):
@@ -132,7 +143,7 @@ def test_train_logistic_kind(workspace, tmp_path):
         "train", "--data", workspace["data"], "--schema", workspace["schema"],
         "--out", tmp_path, "--kind", "logistic", "--epochs", "80", "--seed", "0",
     ) == 0
-    doc = json.loads((tmp_path / "model.json").read_text())
+    doc = strict_json((tmp_path / "model.json").read_text())
     assert doc["kind"] == "logistic"
     assert doc["sensitive_position"] == 2
 
@@ -145,7 +156,7 @@ def test_train_rejects_a_hidden_size_it_cannot_use(workspace, tmp_path, capsys, 
         "train", "--data", workspace["data"], "--schema", workspace["schema"],
         "--out", tmp_path, *flags, "--epochs", "5",
     ) == 1
-    err = json.loads(capsys.readouterr().err)
+    err = strict_json(capsys.readouterr().err)
     assert err["command"] == "train"
     assert err["type"] == "ValueError"
     assert not (tmp_path / "model.json").exists()
@@ -160,7 +171,7 @@ def test_audit_verdicts(workspace, tmp_path, capsys):
         "audit", "--data", workspace["data"], "--schema", workspace["schema"],
         "--model", workspace["unfair_model"], "--out", tmp_path / "u", *FAST_AUDIT, "--seed", "0",
     ) == 0
-    unfair = json.loads((tmp_path / "u/audit.json").read_text())
+    unfair = strict_json((tmp_path / "u/audit.json").read_text())
     assert unfair["procedural_verdict"] == "unfair"
     assert unfair["gpf_fae"] <= 0.05
 
@@ -168,7 +179,7 @@ def test_audit_verdicts(workspace, tmp_path, capsys):
         "audit", "--data", workspace["data"], "--schema", workspace["schema"],
         "--model", workspace["fair_model"], "--out", tmp_path / "f", *FAST_AUDIT, "--seed", "0",
     ) == 0
-    fair = json.loads((tmp_path / "f/audit.json").read_text())
+    fair = strict_json((tmp_path / "f/audit.json").read_text())
     assert fair["procedural_verdict"] == "fair"
     assert fair["gpf_fae"] >= 0.9
     assert fair["version"]
@@ -202,7 +213,7 @@ def test_detect_flags_sensitive_and_proxy(workspace, tmp_path, capsys):
         "detect", "--data", workspace["data"], "--schema", workspace["schema"],
         "--model", workspace["unfair_model"], "--out", tmp_path, *FAST_AUDIT, "--seed", "0",
     ) == 0
-    doc = json.loads((tmp_path / "unfair_features.json").read_text())
+    doc = strict_json((tmp_path / "unfair_features.json").read_text())
     assert doc["feature_names"] == ["xs", "xp"]
     assert len(doc["pvalues"]) == 4
     assert "xs, xp" in capsys.readouterr().out
@@ -232,10 +243,10 @@ def test_mitigate_retrain(workspace, tmp_path):
         "mitigate", "retrain", "--data", workspace["data"], "--schema", workspace["schema"],
         "--model", workspace["unfair_model"], "--out", tmp_path, *FAST_AUDIT, "--seed", "0",
     ) == 0
-    doc = json.loads((tmp_path / "mitigation.json").read_text())
+    doc = strict_json((tmp_path / "mitigation.json").read_text())
     assert doc["method"] == "retrain"
     assert doc["report_after"]["gpf_fae"] > doc["report_before"]["gpf_fae"]
-    retrained = json.loads((tmp_path / "model_retrained.json").read_text())
+    retrained = strict_json((tmp_path / "model_retrained.json").read_text())
     assert retrained["feature_names"] == ["x1", "x2"]
 
 
@@ -245,7 +256,7 @@ def test_mitigate_modify(workspace, tmp_path):
         "--model", workspace["unfair_model"], "--out", tmp_path, *FAST_AUDIT,
         "--tau", "60", "--seed", "0",
     ) == 0
-    doc = json.loads((tmp_path / "mitigation.json").read_text())
+    doc = strict_json((tmp_path / "mitigation.json").read_text())
     assert doc["method"] == "modify"
     assert doc["zeta_final"] < doc["zeta_initial"]
     assert len(doc["zeta_trace"]) == 60
@@ -267,10 +278,10 @@ def test_mitigate_modify_logistic(workspace, logistic_model, tmp_path):
         "mitigate", "modify", "--data", workspace["data"], "--schema", workspace["schema"],
         "--model", logistic_model, "--out", tmp_path, *FAST_AUDIT, "--tau", "60", "--seed", "0",
     ) == 0
-    doc = json.loads((tmp_path / "mitigation.json").read_text())
+    doc = strict_json((tmp_path / "mitigation.json").read_text())
     assert doc["unfair_features"]["feature_names"] == ["xs", "xp"]
     assert doc["zeta_final"] < doc["zeta_initial"]
-    modified = json.loads((tmp_path / "model_modified.json").read_text())
+    modified = strict_json((tmp_path / "model_modified.json").read_text())
     assert modified["kind"] == "logistic"
     assert modified["sensitive_position"] == 2
     assert modified["dims"] == {"d": 4}
@@ -281,7 +292,7 @@ def test_mitigate_retrain_logistic(workspace, logistic_model, tmp_path):
         "mitigate", "retrain", "--data", workspace["data"], "--schema", workspace["schema"],
         "--model", logistic_model, "--out", tmp_path, *FAST_AUDIT, "--seed", "0",
     ) == 0
-    retrained = json.loads((tmp_path / "model_retrained.json").read_text())
+    retrained = strict_json((tmp_path / "model_retrained.json").read_text())
     assert retrained["kind"] == "logistic"
     assert retrained["feature_names"] == ["x1", "x2"]
     assert retrained["sensitive_position"] is None
@@ -290,12 +301,12 @@ def test_mitigate_retrain_logistic(workspace, logistic_model, tmp_path):
 def test_mitigate_retrain_keeps_the_hidden_size(workspace, tmp_path):
     data = ["--data", workspace["data"], "--schema", workspace["schema"]]
     assert run_cli("train", *data, "--out", tmp_path, "--hidden", "8", "--epochs", "150", "--seed", "0") == 0
-    assert json.loads((tmp_path / "model.json").read_text())["dims"] == {"d": 4, "hidden": 8}
+    assert strict_json((tmp_path / "model.json").read_text())["dims"] == {"d": 4, "hidden": 8}
     assert run_cli(
         "mitigate", "retrain", *data, "--model", tmp_path / "model.json",
         "--out", tmp_path / "r", *FAST_AUDIT, "--seed", "0",
     ) == 0
-    retrained = json.loads((tmp_path / "r" / "model_retrained.json").read_text())
+    retrained = strict_json((tmp_path / "r" / "model_retrained.json").read_text())
     assert retrained["dims"] == {"d": 2, "hidden": 8}
 
 
@@ -349,7 +360,7 @@ def test_sweep_n_too_large_fails(workspace, tmp_path, capsys):
         "--model", workspace["fair_model"], "--out", tmp_path,
         "--n-values", "5000", "--seeds", "1",
     ) == 1
-    assert "anchors" in json.loads(capsys.readouterr().err)["error"]
+    assert "anchors" in strict_json(capsys.readouterr().err)["error"]
 
 
 def test_sweep_n_takes_no_pair_count_flag(workspace, tmp_path, capsys):
@@ -358,7 +369,7 @@ def test_sweep_n_takes_no_pair_count_flag(workspace, tmp_path, capsys):
         "--model", workspace["fair_model"], "--out", tmp_path,
         "--n-values", "10", "--seeds", "1", "--n", "10",
     ) == 1
-    err = json.loads(capsys.readouterr().err)
+    err = strict_json(capsys.readouterr().err)
     assert (err["command"], err["type"]) == ("sweep-n", "ArgumentError")
     assert "--n" in err["error"]
     assert not (tmp_path / "report.json").exists()
@@ -383,7 +394,7 @@ def test_sweep_pool_below_2n_fails(workspace, tmp_path, capsys):
         "--model", workspace["fair_model"], "--out", tmp_path,
         "--pool-sizes", "30", "--n", "20", "--seeds", "1",
     ) == 1
-    assert "below 2n" in json.loads(capsys.readouterr().err)["error"]
+    assert "below 2n" in strict_json(capsys.readouterr().err)["error"]
 
 
 @pytest.mark.parametrize(
@@ -398,7 +409,7 @@ def test_sweep_pool_below_2n_fails(workspace, tmp_path, capsys):
 def test_empty_sweep_fails_before_writing(workspace, tmp_path, capsys, argv, table):
     argv = [workspace["fair_model"] if a == "fair" else a for a in argv]
     assert run_cli(*argv, "--data", workspace["data"], "--schema", workspace["schema"], "--out", tmp_path) == 1
-    err = json.loads(capsys.readouterr().err)
+    err = strict_json(capsys.readouterr().err)
     assert (err["command"], err["type"]) == (argv[0], "ValueError")
     assert "is empty" in err["error"]
     assert not (tmp_path / table).exists()
@@ -438,13 +449,28 @@ def test_boundary_grid_shape(boundary_outputs):
 
 
 def test_boundary_modified_more_faithful(boundary_outputs):
-    report = json.loads((boundary_outputs / "report.json").read_text())
+    report = strict_json((boundary_outputs / "report.json").read_text())
     results = report["results"]
     assert results["disagreement_modified"] <= results["disagreement_retrained"]
 
 
+@pytest.mark.parametrize("resolution", ["0", "-3"])
+def test_boundary_rejects_a_resolution_below_one(workspace, boundary_outputs, tmp_path, capsys, resolution):
+    root = boundary_outputs.parent
+    assert run_cli(
+        "boundary", "--data", workspace["data"], "--schema", workspace["schema"],
+        "--model", workspace["unfair_model"], "--modified", root / "m" / "model_modified.json",
+        "--retrained", root / "r" / "model_retrained.json", "--out", tmp_path, "--resolution", resolution,
+    ) == 1
+    err = strict_json(capsys.readouterr().err)
+    assert err["type"] == "ValueError"
+    assert "--resolution" in err["error"]
+    assert not (tmp_path / "boundary.csv").exists()
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_boundary_rejects_a_model_with_other_columns(workspace, boundary_outputs, tmp_path, capsys):
-    doc = json.loads(Path(workspace["unfair_model"]).read_text())
+    doc = strict_json(Path(workspace["unfair_model"]).read_text())
     doc["feature_names"][:2] = ["x2", "x1"]
     (tmp_path / "swapped.json").write_text(json.dumps(doc))
     root = boundary_outputs.parent
@@ -453,7 +479,7 @@ def test_boundary_rejects_a_model_with_other_columns(workspace, boundary_outputs
         "--model", workspace["unfair_model"], "--modified", tmp_path / "swapped.json",
         "--retrained", root / "r" / "model_retrained.json", "--out", tmp_path, "--resolution", "5",
     ) == 1
-    err = json.loads(capsys.readouterr().err)
+    err = strict_json(capsys.readouterr().err)
     assert err["type"] == "ValueError"
     assert "'x2'" in err["error"]
 
@@ -475,14 +501,14 @@ def test_boundary_rejects_a_model_with_other_columns(workspace, boundary_outputs
     ids=["dims", "no-kind", "repeated-indices", "negative-index", "fractional-index", "float-index"],
 )
 def test_audit_rejects_a_malformed_model_document(workspace, tmp_path, capsys, change, message):
-    doc = json.loads(Path(workspace["unfair_model"]).read_text())
+    doc = strict_json(Path(workspace["unfair_model"]).read_text())
     change(doc)
     (tmp_path / "model.json").write_text(json.dumps(doc))
     assert run_cli(
         "audit", "--data", workspace["data"], "--schema", workspace["schema"],
         "--model", tmp_path / "model.json", "--out", tmp_path / "out", *FAST_AUDIT,
     ) == 1
-    err = json.loads(capsys.readouterr().err)
+    err = strict_json(capsys.readouterr().err)
     assert err["type"] == "ValueError"
     assert message in err["error"]
 
@@ -501,7 +527,7 @@ def test_audit_with_reordered_columns_fails(workspace, tmp_path, capsys):
         "audit", "--data", swapped, "--schema", workspace["schema"],
         "--model", workspace["unfair_model"], "--out", tmp_path / "out", *FAST_AUDIT,
     ) == 1
-    err = json.loads(capsys.readouterr().err)
+    err = strict_json(capsys.readouterr().err)
     assert err["type"] == "ValueError"
     assert "'x1'" in err["error"]
 
@@ -523,9 +549,9 @@ def agreement(workspace, tmp_path_factory):
 
 
 def test_mitigate_reuses_the_audit_and_the_detection(agreement):
-    audit_doc = json.loads((agreement / "test" / "audit.json").read_text())
-    detect_doc = json.loads((agreement / "detect" / "unfair_features.json").read_text())
-    mitigation = json.loads((agreement / "modify" / "mitigation.json").read_text())
+    audit_doc = strict_json((agreement / "test" / "audit.json").read_text())
+    detect_doc = strict_json((agreement / "detect" / "unfair_features.json").read_text())
+    mitigation = strict_json((agreement / "modify" / "mitigation.json").read_text())
     del audit_doc["version"], audit_doc["model"]
     assert mitigation["report_before"] == audit_doc
     for key in ("indices", "feature_names", "pvalues"):
@@ -534,7 +560,7 @@ def test_mitigate_reuses_the_audit_and_the_detection(agreement):
 
 
 def test_audit_document_keys_and_config(agreement):
-    audit_doc = json.loads((agreement / "full" / "audit.json").read_text())
+    audit_doc = strict_json((agreement / "full" / "audit.json").read_text())
     assert list(audit_doc) == [
         "version", "model", "gpf_fae", "dp", "eo", "eod", "accuracy", "mean_pair_distance",
         "procedural_verdict", "distributive_verdicts", "n_pairs", "pool_size", "config",
@@ -555,7 +581,7 @@ def test_audit_document_keys_and_config(agreement):
 
 @pytest.mark.parametrize("pool", ["test", "full"])
 def test_exported_explanations_reproduce_the_audit_gpf(agreement, pool):
-    audit_doc = json.loads((agreement / pool / "audit.json").read_text())
+    audit_doc = strict_json((agreement / pool / "audit.json").read_text())
     e1 = read_explanations_csv(agreement / pool / "explanations_group1.csv")
     e2 = read_explanations_csv(agreement / pool / "explanations_group2.csv")
     assert e1.n == e2.n == audit_doc["n_pairs"]
@@ -571,7 +597,7 @@ def test_config_file_supplies_defaults(workspace, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"m": 700, "n_advantaged": 400, "seed": 5}))
     assert run_cli("gen-data", "--out", tmp_path, "--config", config) == 0
-    report = json.loads((tmp_path / "report.json").read_text())
+    report = strict_json((tmp_path / "report.json").read_text())
     assert report["config"]["m"] == 700
     assert report["config"]["seed"] == 5
 
@@ -580,7 +606,7 @@ def test_config_file_cli_overrides(workspace, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"m": 700, "n_advantaged": 400}))
     assert run_cli("gen-data", "--out", tmp_path, "--config", config, "--m", "900") == 0
-    report = json.loads((tmp_path / "report.json").read_text())
+    report = strict_json((tmp_path / "report.json").read_text())
     assert report["config"]["m"] == 900
 
 
@@ -588,14 +614,14 @@ def test_config_equals_form(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"m": 700, "n_advantaged": 400}))
     assert run_cli("gen-data", "--out", tmp_path, f"--config={config}") == 0
-    report = json.loads((tmp_path / "report.json").read_text())
+    report = strict_json((tmp_path / "report.json").read_text())
     assert report["config"]["m"] == 700
 
 
 def test_config_missing_file_fails(tmp_path, capsys):
     missing = tmp_path / "absent.json"
     assert run_cli("gen-data", "--out", tmp_path, f"--config={missing}") == 1
-    err = json.loads(capsys.readouterr().err)
+    err = strict_json(capsys.readouterr().err)
     assert err["command"] == "gen-data"
     assert "absent.json" in err["error"]
     assert not (tmp_path / "report.json").exists()
@@ -603,30 +629,78 @@ def test_config_missing_file_fails(tmp_path, capsys):
 
 def test_config_without_value_fails(tmp_path, capsys):
     assert run_cli("gen-data", "--out", tmp_path, "--config") == 1
-    err = json.loads(capsys.readouterr().err)
+    err = strict_json(capsys.readouterr().err)
     assert err["command"] == "gen-data"
     assert "--config" in err["error"]
 
 
 def test_error_object_names_exception_type(tmp_path, capsys):
     assert run_cli("gen-data", "--out", tmp_path, "--m", "10", "--n-advantaged", "20") == 1
-    assert json.loads(capsys.readouterr().err)["type"] == "ValueError"
+    assert strict_json(capsys.readouterr().err)["type"] == "ValueError"
     assert run_cli("gen-data", "--out", tmp_path, f"--config={tmp_path / 'absent.json'}") == 1
-    assert json.loads(capsys.readouterr().err)["type"] == "FileNotFoundError"
+    assert strict_json(capsys.readouterr().err)["type"] == "FileNotFoundError"
 
 
 def test_threads_flag_removed(tmp_path, capsys):
     assert run_cli("gen-data", "--out", tmp_path, "--threads", "2") == 1
-    err = json.loads(capsys.readouterr().err)
+    err = strict_json(capsys.readouterr().err)
     assert err["command"] == "gen-data"
     assert err["type"] == "ArgumentError"
     assert "--threads" in err["error"]
     assert not (tmp_path / "report.json").exists()
 
 
+# the flags each command requires, as paths that need not exist: a bad float
+# flag must fail while parsing, before any file is read
+_REQUIRED = {
+    "gen-data": [],
+    "train": ["--data", "absent.csv", "--schema", "absent.json"],
+    "audit": ["--data", "absent.csv", "--schema", "absent.json", "--model", "absent.json"],
+    "detect": ["--data", "absent.csv", "--schema", "absent.json", "--model", "absent.json"],
+    "mitigate": ["modify", "--data", "absent.csv", "--schema", "absent.json", "--model", "absent.json"],
+    "sweep-ws": ["--data", "absent.csv", "--schema", "absent.json"],
+    "sweep-n": ["--data", "absent.csv", "--schema", "absent.json", "--model", "absent.json"],
+    "sweep-pool": [
+        "--data", "absent.csv", "--schema", "absent.json", "--model", "absent.json", "--pool-sizes", "50",
+    ],
+    "boundary": [
+        "--data", "absent.csv", "--schema", "absent.json", "--model", "absent.json",
+        "--modified", "absent.json", "--retrained", "absent.json",
+    ],
+}
+
+
+def _float_flags():
+    """(command, flag, nargs) for every float-valued flag of every command."""
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(commands) == set(_REQUIRED)
+    return [
+        pytest.param(
+            command, action.option_strings[0], action.nargs or 1, id=command + action.option_strings[0]
+        )
+        for command, sub in commands.items()
+        for action in sub._actions
+        if action.type not in (None, int, str)
+    ]
+
+
+# "-inf" would read as a flag; "1e999" overflows to inf
+@pytest.mark.parametrize("value", ["nan", "inf", "1e999"])
+@pytest.mark.parametrize("command, flag, nargs", _float_flags())
+def test_float_flags_reject_non_finite_values(tmp_path, capsys, command, flag, nargs, value):
+    argv = [command, *_REQUIRED[command], flag, *[value] * nargs, "--out", tmp_path]
+    assert run_cli(*argv) == 1
+    err = strict_json(capsys.readouterr().err)
+    assert err["command"] == command
+    assert err["type"] == "ArgumentError"
+    assert flag in err["error"] and repr(value) in err["error"]
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_missing_required_flag_fails_as_json(tmp_path, capsys):
     assert run_cli("audit", "--data", "d.csv", "--schema", "d.json", "--out", tmp_path) == 1
-    err = json.loads(capsys.readouterr().err)
+    err = strict_json(capsys.readouterr().err)
     assert err["command"] == "audit"
     assert err["type"] == "ArgumentError"
     assert "--model" in err["error"]
@@ -659,7 +733,7 @@ def test_report_embeds_version_and_config(workspace, tmp_path):
         "audit", "--data", workspace["data"], "--schema", workspace["schema"],
         "--model", workspace["fair_model"], "--out", tmp_path, *FAST_AUDIT, "--seed", "2",
     ) == 0
-    report = json.loads((tmp_path / "report.json").read_text())
+    report = strict_json((tmp_path / "report.json").read_text())
     assert report["version"]
     assert report["config"]["seed"] == 2
     assert report["config"]["n"] == 20

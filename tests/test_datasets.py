@@ -9,7 +9,6 @@ from procfair.datasets import (
     SyntheticConfig,
     TabularDataset,
     concat_datasets,
-    dataset_dp,
     generate_synthetic,
     label_encode,
     load_csv,
@@ -21,6 +20,7 @@ from procfair.datasets import (
     write_schema,
     zscore_normalize,
 )
+from procfair.fairness import dp
 
 SCHEMA = {
     "label": "label",
@@ -313,7 +313,7 @@ def test_synthetic_forced_positive_labels():
     config = SyntheticConfig(m=500, n_advantaged=300, weights=(100.0, 0, 0, 0, 0), noise_std=0.0, seed=0)
     ds = generate_synthetic(config)
     assert ds.labels.min() == 1
-    assert dataset_dp(ds) == 0.0
+    assert dp(ds.labels, ds.advantaged_mask) == 0.0
 
 
 def test_synthetic_label_rule_noiseless():
@@ -325,7 +325,8 @@ def test_synthetic_label_rule_noiseless():
 
 
 def test_synthetic_dp_near_expected():
-    assert dataset_dp(generate_synthetic(SyntheticConfig(seed=0))) == pytest.approx(0.2, abs=0.05)
+    ds = generate_synthetic(SyntheticConfig(seed=0))
+    assert dp(ds.labels, ds.advantaged_mask) == pytest.approx(0.2, abs=0.05)
 
 
 def test_synthetic_config_validation():
@@ -333,16 +334,20 @@ def test_synthetic_config_validation():
         SyntheticConfig(m=10, n_advantaged=10)
     with pytest.raises(ValueError):
         SyntheticConfig(proxy_std=0.0)
+    with pytest.raises(ValueError, match="noise_std"):
+        SyntheticConfig(noise_std=-1.0)
+    with pytest.raises(ValueError, match="noise_std"):
+        SyntheticConfig(noise_std=float("nan"))
 
 
 # ---------------------------------------------------------------------------
-# dataset_dp
+# dataset DP: fairness.dp of the labels, as gen-data reports it
 
 
 def test_dataset_dp_hand_case():
     features = np.column_stack([np.zeros(4), [1.0, 1.0, 0.0, 0.0]])
     ds = TabularDataset(features, ("a", "s"), [1, 1, 1, 0], 1, (1.0, 0.0))
-    assert dataset_dp(ds) == pytest.approx(0.5)
+    assert dp(ds.labels, ds.advantaged_mask) == pytest.approx(0.5)
 
 
 def test_dataset_dp_group_swap_symmetric():
@@ -351,13 +356,14 @@ def test_dataset_dp_group_swap_symmetric():
         ds.features, ds.feature_names, ds.labels, ds.sensitive_index,
         (ds.group_values[1], ds.group_values[0]),
     )
-    assert dataset_dp(ds) == pytest.approx(dataset_dp(swapped))
+    assert dp(ds.labels, ds.advantaged_mask) == pytest.approx(dp(swapped.labels, swapped.advantaged_mask))
 
 
 def test_dataset_dp_row_permutation_invariant():
     ds = toy_dataset(m=30, seed=4)
     perm = np.random.default_rng(0).permutation(ds.m)
-    assert dataset_dp(ds.take(perm)) == pytest.approx(dataset_dp(ds))
+    taken = ds.take(perm)
+    assert dp(taken.labels, taken.advantaged_mask) == pytest.approx(dp(ds.labels, ds.advantaged_mask))
 
 
 # ---------------------------------------------------------------------------

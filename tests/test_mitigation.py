@@ -67,11 +67,16 @@ def make_ufs(indices, d, names=("x1", "x2", "xs", "xp")):
 def test_ufs_invariant_checked():
     with pytest.raises(ValueError, match="threshold"):
         UnfairFeatureSet((0,), ("a",), np.array([0.5, 0.01]))
+    for threshold in (np.nan, -0.01, 1.5):
+        with pytest.raises(ValueError, match=r"threshold must lie in \[0, 1\]"):
+            UnfairFeatureSet((), (), np.array([0.5, 0.9]), threshold)
 
 
 def test_ufs_pvalue_range_checked():
     with pytest.raises(ValueError, match="p-values"):
         UnfairFeatureSet((0,), ("a",), np.array([-0.1, 0.5]))
+    with pytest.raises(ValueError, match="p-values"):
+        UnfairFeatureSet((), (), np.array([np.nan, 0.5]))
 
 
 def test_detection_identical_sets_empty():
@@ -385,6 +390,8 @@ def test_modify_audits_the_modified_model_over_the_before_plan(unfair_model, sma
 def test_modify_config_validation():
     with pytest.raises(ValueError):
         ModifyConfig(alpha=-1.0)
+    with pytest.raises(ValueError, match="alpha"):
+        ModifyConfig(alpha=float("nan"))
     with pytest.raises(ValueError):
         ModifyConfig(tau=-1)
 

@@ -9,6 +9,7 @@ from mlp_reference import (
     reference_mlp_loss_grads,
     reference_sigmoid,
 )
+from oracles import input_gradient, soft_dp
 
 from procfair.datasets import SyntheticConfig, generate_synthetic, standardized_split
 from procfair.models import (
@@ -24,7 +25,6 @@ from procfair.models import (
     fit_mlp,
     init_logistic,
     init_mlp,
-    input_gradient,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -32,7 +32,6 @@ from procfair.models import (
     predict_proba,
     save_model,
     set_sensitive_weight,
-    soft_dp,
     train,
 )
 
