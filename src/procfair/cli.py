@@ -313,6 +313,8 @@ def cmd_sweep_pool(args) -> dict:
 def cmd_boundary(args) -> dict:
     if args.resolution < 1:
         raise ValueError(f"--resolution must be at least 1, got {args.resolution}")
+    if args.margin < 0:
+        raise ValueError(f"--margin must be at least 0, got {args.margin}")
     out = _out_dir(args)
     original, doc = load_model(args.model)
     modified, _ = load_model(args.modified)
@@ -445,7 +447,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--epochs", type=int, default=300)
     p.add_argument("--lr", type=_finite_float, default=0.01)
-    p.add_argument("--dp-weight", type=_finite_float, default=0.0, help="weight of the DP term in the loss")
+    p.add_argument(
+        "--dp-weight", type=_finite_float, default=0.0,
+        help="weight of the DP term in the loss; a negative weight rewards the group gap",
+    )
     p.add_argument("--split-ratio", type=_finite_float, default=0.8)
     p.add_argument("--model-name", default="model")
     p.set_defaults(func=cmd_train)
@@ -524,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modified", required=True)
     p.add_argument("--retrained", required=True)
     p.add_argument("--resolution", type=int, default=100)
-    p.add_argument("--margin", type=_finite_float, default=0.1, help="bounding-box margin fraction")
+    p.add_argument("--margin", type=_finite_float, default=0.1, help="bounding-box margin fraction, at least 0")
     p.set_defaults(func=cmd_boundary)
 
     return parser

@@ -37,8 +37,9 @@ __all__ = [
 
 PROCEDURAL_THRESHOLD = 0.05
 DISTRIBUTIVE_THRESHOLD = 0.10
-# Pair matching holds at most this many anchor x candidate x feature
-# difference cells at a time (about 4 MB of float64).
+# Pair matching scans candidate blocks of this many anchor x candidate x
+# feature cells: the exact pass's difference cells when a whole block ties,
+# about 4 MB of float64 (the fast pass's block of distances is 1/d of it).
 _MATCH_CELLS = 500_000
 
 
@@ -91,6 +92,36 @@ def _checked_feature_indices(feature_indices, pool: TabularDataset) -> tuple[int
     return feats
 
 
+def _screen(D2: np.ndarray, upper: np.ndarray, norms: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Shortlist the (anchor, column) cells of one block of fast squared
+    distances ``D2`` over ``d`` features that the exact pass must re-score.
+    ``norms`` is |a|^2 + max |c|^2 per anchor over the block; ``upper``, the
+    running minimum of D2 + e over the blocks so far, is updated in place.
+    A cell is kept when D2 <= upper (1 + delta) + e.
+
+    With u the unit roundoff and gamma_n = n u / (1 - n u) (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., section 3.1): the norms
+    carry a relative error of at most gamma_d, and the GEMM's depth-(d+2)
+    dot product of [a, |a|^2, 1] and [-2c, 1, |c|^2] errs by at most
+    gamma_{d+2} (2|a||c| + |a|^2 + |c|^2), where 2|a||c| <= |a|^2 + |c|^2.
+    So |D2 - D^2| <= 3.01 gamma_{d+2} (|a|^2 + |c|^2) <= 4(d+3)u norms = e,
+    and ``upper`` bounds the exact D^2 of a candidate already seen. The
+    exact pass's squared sum is D^2 (1 + theta) with |theta| <= gamma_{d+2}
+    (a subtraction, a product and d - 1 additions per term), and two sums
+    whose square roots round to the same distance differ by a factor of at
+    most ((1 + u) / (1 - u))^2. So a candidate the exact pass ranks at or
+    below that one has D2 <= upper (1 + 2 gamma_{d+2} + 5u) + e; delta =
+    4(d+5)u also covers the roundings of this threshold. Products that
+    underflow add at most half the smallest subnormal each, so e adds
+    8(d+2) subnormals. Every constant is rounded up: widening the bound
+    costs time, never a pair."""
+    u = np.finfo(float).eps / 2
+    e = 4.0 * (d + 3) * u * norms + 8.0 * (d + 2) * np.finfo(float).smallest_subnormal
+    np.minimum(upper, D2.min(axis=1) + e, out=upper)
+    keep = np.flatnonzero(D2 <= (upper * (1.0 + 4.0 * (d + 5) * u) + e)[:, None])
+    return np.divmod(keep, D2.shape[1])
+
+
 def select_pairs(
     pool: TabularDataset,
     n: int = 100,
@@ -105,14 +136,22 @@ def select_pairs(
     Distances are Euclidean over ``feature_indices`` (default: all columns),
     i.e. the audited model's input space.
 
-    Matching scans the candidates in blocks, so besides copies of the pool's
-    columns it holds at most ``_MATCH_CELLS`` anchor x candidate x feature
-    cells at a time, whatever the pool size. A fast pass accumulates squared
-    differences feature by feature and shortlists each anchor's candidates
-    within a rounding bound of its running minimum; an exact pass re-scores
-    the shortlist with ``sqrt(sum(diff * diff))``. Rows and distances are
-    therefore bit-identical to scoring every candidate with that formula,
-    ties included. The cost is about anchors x candidates x d flops.
+    Matching scans the candidates in blocks of ``_MATCH_CELLS // (anchors x d)``
+    columns, so besides copies of the pool's columns it holds about
+    ``_MATCH_CELLS`` anchor x candidate x feature cells at a time, whatever
+    the pool size. A fast pass gives each block's squared distances in one
+    GEMM: with U = [A, |a|^2, 1] and V^T = [-2 C^T; 1; |c|^2], built once
+    per side, D~^2 = U @ V^T[:, block], about anchors x candidates x (d+2)
+    flops in BLAS. It keeps each anchor's candidates with
+    D~^2 <= upper (1 + delta) + e, where e bounds the GEMM's rounding error
+    (about 3 gamma_{d+2} (|a|^2 + max |c|^2), the max over the block) plus a
+    term for subnormal products, delta covers the rounding of the exact
+    distances, and upper is the running minimum of D~^2 + e (derived at
+    ``_screen``). An exact pass re-scores that shortlist with
+    ``sqrt(sum(diff * diff))``. Rows and distances are therefore
+    bit-identical to scoring every candidate with that formula, ties
+    included. Norms so large that the GEMM could overflow (coordinates
+    beyond about 1e153) send every candidate to the exact pass.
     """
     if n < 2:
         raise ValueError("need at least two pairs")
@@ -130,34 +169,33 @@ def select_pairs(
 
     rng = np.random.default_rng(seed)
     d = F.shape[1]
-    # Both passes add the same d non-negative squares, in different orders;
-    # a candidate the exact pass can pick lies within this factor of the
-    # fast pass's running minimum.
-    slack = 1.0 + 4.0 * (d + 2) * np.finfo(float).eps
 
     def match(anchor_rows: np.ndarray, candidate_rows: np.ndarray):
         A = F[anchor_rows]
-        Ct = np.ascontiguousarray(F[candidate_rows].T)
-        n_a = len(anchor_rows)
-        block = min(candidate_rows.size, max(1, _MATCH_CELLS // (n_a * d)))
-        fast_min = np.full(n_a, np.inf)
+        n_a, n_c = len(anchor_rows), candidate_rows.size
+        U = np.empty((n_a, d + 2))
+        U[:, :d] = A
+        U[:, d] = np.einsum("ij,ij->i", A, A)
+        U[:, d + 1] = 1.0
+        Vt = np.empty((d + 2, n_c))
+        Vt[:d] = F[candidate_rows].T
+        c_sq = np.einsum("ij,ij->j", Vt[:d], Vt[:d], out=Vt[d + 1])
+        Vt[:d] *= -2.0
+        Vt[d] = 1.0
+        # beyond this the GEMM's partial sums may overflow to inf or nan
+        screened = np.isfinite(4.0 * (U[:, d].max() + c_sq.max()))
+        block = min(n_c, max(1, _MATCH_CELLS // (n_a * d)))
+        upper = np.full(n_a, np.inf)
         best_pos = np.zeros(n_a, dtype=np.int64)
         best_dist = np.full(n_a, np.inf)
         D_buf = np.empty(n_a * block)
-        tmp_buf = np.empty(n_a * block)
-        for lo in range(0, candidate_rows.size, block):
-            hi = min(lo + block, candidate_rows.size)
-            # contiguous anchors x (hi - lo) views, also for the last block
-            Db = D_buf[: n_a * (hi - lo)].reshape(n_a, hi - lo)
-            tb = tmp_buf[: n_a * (hi - lo)].reshape(n_a, hi - lo)
-            for j in range(d):
-                out = Db if j == 0 else tb
-                np.subtract(Ct[j, lo:hi], A[:, j : j + 1], out=out)
-                np.multiply(out, out, out=out)
-                if j:
-                    Db += tb
-            np.minimum(fast_min, Db.min(axis=1), out=fast_min)
-            ai, cj = np.nonzero(Db <= (fast_min * slack)[:, None])
+        for lo in range(0, n_c, block):
+            hi = min(lo + block, n_c)
+            if screened:
+                D2 = np.matmul(U, Vt[:, lo:hi], out=D_buf[: n_a * (hi - lo)].reshape(n_a, hi - lo))
+                ai, cj = _screen(D2, upper, U[:, d] + c_sq[lo:hi].max(), d)
+            else:
+                ai, cj = np.divmod(np.arange(n_a * (hi - lo)), hi - lo)
             cj += lo
             # exact pass: the one-shot formula, over the shortlist only
             diff = A[ai] - F[candidate_rows[cj]]

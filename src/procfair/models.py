@@ -55,6 +55,9 @@ __all__ = [
 ]
 
 PROBA_CLAMP = 1e-7  # BCE numerical floor
+# MLP scoring evaluates rows in blocks of about this many hidden cells
+# (2048 rows at 32 hidden units, 512 KB of float64).
+_SCORE_CELLS = 65536
 # Adam's moment decay rates and denominator floor, for training and modification
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -187,7 +190,30 @@ class MlpModel:
         return {"d": self.d, "hidden": self.hidden_size}
 
     def scores(self, X: np.ndarray) -> np.ndarray:
-        return _hidden_layer(X, self.w1, self.b1) @ self.w2 + self.b2
+        """relu(X w1^T + b1) w2 + b2, evaluated in row blocks through one
+        hidden buffer of about ``_SCORE_CELLS`` cells, so no (rows x hidden)
+        layer is built. Blocks hold a multiple of 64 rows and a last block of
+        a single row joins the one before it (numpy scores a lone row through
+        a vector product): with one BLAS thread, each block then takes the
+        same kernels as its rows take in one product over all of X, and the
+        scores are bit-identical to it. (A threaded BLAS splits a large
+        product at size-dependent points, so neither form is then
+        thread-count invariant at every width.)"""
+        rows = X.shape[0]
+        block = max(64, _SCORE_CELLS // self.hidden_size // 64 * 64)
+        hidden_buf = np.empty((min(rows, block + 1), self.hidden_size))
+        out = np.empty(rows)
+        lo = 0
+        while lo < rows:
+            hi = rows if rows - lo <= block + 1 else lo + block
+            # _hidden_layer's formula, into the shared buffer
+            hidden = np.matmul(X[lo:hi], self.w1.T, out=hidden_buf[: hi - lo])
+            hidden += self.b1
+            np.maximum(hidden, 0.0, out=hidden)
+            np.matmul(hidden, self.w2, out=out[lo:hi])
+            lo = hi
+        out += self.b2
+        return out
 
     def per_sample_input_gradient(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Gradient of each row's own BCE term with respect to that row."""
@@ -356,6 +382,12 @@ MODEL_KINDS = {family.kind: family for family in (MlpModel, LogisticModel)}
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Full-batch Adam settings. ``dp_weight`` scales the soft demographic
+    parity term added to the loss: a positive weight penalises the gap
+    between the groups' mean probabilities, and a negative weight rewards it,
+    training a model that is deliberately less fair (as a baseline or test
+    fixture)."""
+
     epochs: int = 300
     learning_rate: float = 0.01
     dp_weight: float = 0.0

@@ -469,6 +469,23 @@ def test_boundary_rejects_a_resolution_below_one(workspace, boundary_outputs, tm
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("margin", ["-3", "-0.1"])
+def test_boundary_rejects_a_negative_margin(workspace, boundary_outputs, tmp_path, capsys, margin):
+    # --margin -3 would otherwise walk the box of --margin 2 backwards
+    root = boundary_outputs.parent
+    assert run_cli(
+        "boundary", "--data", workspace["data"], "--schema", workspace["schema"],
+        "--model", workspace["unfair_model"], "--modified", root / "m" / "model_modified.json",
+        "--retrained", root / "r" / "model_retrained.json", "--out", tmp_path, "--resolution", "5",
+        "--margin", margin,
+    ) == 1
+    err = strict_json(capsys.readouterr().err)
+    assert err["type"] == "ValueError"
+    assert "--margin" in err["error"]
+    assert not (tmp_path / "boundary.csv").exists()
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_boundary_rejects_a_model_with_other_columns(workspace, boundary_outputs, tmp_path, capsys):
     doc = strict_json(Path(workspace["unfair_model"]).read_text())
     doc["feature_names"][:2] = ["x2", "x1"]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from procfair import fairness
 from procfair.attribution import ShapConfig, sample_background
 from procfair.datasets import (
     SplitDataset,
@@ -227,6 +228,72 @@ def test_select_pairs_rounding_near_ties(d):
     features = np.column_stack([np.vstack([np.zeros((m, d)), candidates]), np.r_[np.ones(m), np.zeros(m)]])
     ds = TabularDataset(features, tuple(f"f{i}" for i in range(d + 1)), np.arange(2 * m) % 2, d, (1.0, 0.0))
     assert_matches_one_shot(ds, n=100, seed=0, feature_indices=range(d))
+
+
+def stress_pool(values):
+    """Features ``values`` (m x d) split into two alternating groups by an
+    extra sensitive column, which the stress tests leave out of matching."""
+    m, d = values.shape
+    features = np.column_stack([values, np.arange(m) % 2])
+    return TabularDataset(features, tuple(f"f{i}" for i in range(d + 1)), np.arange(m) % 2, d, (1.0, 0.0))
+
+
+@pytest.mark.parametrize("d", [1, 4, 20])
+def test_select_pairs_common_offset_cancellation(d):
+    # |a|^2 + |c|^2 - 2 a.c cancels almost every digit: norms near d * 1e12,
+    # squared distances near d
+    rng = np.random.default_rng(d)
+    ds = stress_pool(1e6 + rng.normal(size=(1500, d)))
+    for seed in range(3):
+        assert_matches_one_shot(ds, n=60, seed=seed, feature_indices=range(d))
+
+
+@pytest.mark.parametrize("d", [1, 4, 20])
+def test_select_pairs_subnormal_squares(d):
+    # squares of 1e-160 fall among the subnormals, where products lose
+    # relative precision
+    rng = np.random.default_rng(d)
+    ds = stress_pool(1e-160 * rng.normal(size=(1500, d)))
+    for seed in range(3):
+        assert_matches_one_shot(ds, n=60, seed=seed, feature_indices=range(d))
+
+
+def test_select_pairs_underflow_ties_every_distance_at_zero():
+    # every square underflows to 0, so every distance ties at 0 and each
+    # anchor's partner is the lowest row of the other group
+    ds = stress_pool(1e-170 * np.random.default_rng(0).normal(size=(1500, 4)))
+    pairs = assert_matches_one_shot(ds, n=60, seed=0, feature_indices=range(4))
+    assert (pairs.distances == 0.0).all()
+    assert (pairs.group2_rows[:30] == 0).all()  # group 2 holds the even rows
+    assert (pairs.group1_rows[30:] == 1).all()
+
+
+def test_select_pairs_norms_that_overflow():
+    # |a|^2 overflows while the differences stay finite: the matrix product
+    # cannot be trusted, and the exact pass scores every candidate
+    rng = np.random.default_rng(0)
+    ds = stress_pool(1e154 + 1e150 * rng.normal(size=(600, 4)))
+    assert_matches_one_shot(ds, n=40, seed=0, feature_indices=range(4))
+
+
+def test_select_pairs_exact_pass_rescores_a_few_candidates(monkeypatch):
+    # a bound loose enough to send O(pool) candidates to the exact pass would
+    # show here as many shortlisted cells per anchor and block
+    counts = []
+
+    def counting_screen(D2, *args):
+        ai, cj = screen(D2, *args)
+        counts.append(np.bincount(ai, minlength=D2.shape[0]))
+        return ai, cj
+
+    screen = fairness._screen
+    monkeypatch.setattr(fairness, "_screen", counting_screen)
+    ds = stress_pool(np.random.default_rng(0).normal(size=(100_000, 4)))
+    assert_matches_one_shot(ds, n=100, seed=0, feature_indices=range(4))
+    counts = np.stack(counts)
+    assert len(counts) >= 2 * 20  # 50k candidates per side in blocks of 2500
+    assert counts.max() <= 3
+    assert counts.sum() <= counts.size  # at most one per anchor and block on average
 
 
 def test_select_pairs_blocks_keep_lowest_index_tie():

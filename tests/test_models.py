@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from oracles import input_gradient, soft_dp
 
 from procfair.datasets import SyntheticConfig, generate_synthetic, standardized_split
 from procfair.models import (
+    _SCORE_CELLS,
     LogisticModel,
     MlpModel,
     TrainConfig,
@@ -333,12 +335,27 @@ def test_mlp_input_gradient_matches_elementwise_reference(seed):
     )
 
 
-def test_scores_in_place_hidden_layer_bit_identical():
-    w1, b1, w2, b2 = random_mlp_params(4, 16, 9)
+@pytest.mark.parametrize("h, blocks, extra", [(16, 0, 500), (32, 3, 777), (32, 2, 1), (8, 1, 63)])
+def test_scores_in_place_hidden_layer_bit_identical(h, blocks, extra):
+    # whole row blocks plus a ragged last one; a lone last row joins the block before
+    w1, b1, w2, b2 = random_mlp_params(4, h, 9)
     model = MlpModel(w1, b1, w2, b2[0])
-    X = np.random.default_rng(9).normal(size=(500, 4))
+    X = np.random.default_rng(9).normal(size=(blocks * (_SCORE_CELLS // h) + extra, 4))
     expected = np.maximum(X @ w1.T + b1, 0.0) @ w2 + b2[0]
     assert decision_score(model, X).tobytes() == expected.tobytes()
+
+
+def test_decision_score_memory_bounded():
+    # one (rows x 32) hidden layer would take 49 MB here
+    model = init_mlp(4, 32, seed=0)
+    X = np.random.default_rng(0).normal(size=(200_000, 4))
+    tracemalloc.start()
+    try:
+        decision_score(model, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 # ---------------------------------------------------------------------------
