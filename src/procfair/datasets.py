@@ -186,8 +186,10 @@ def generate_synthetic(config: SyntheticConfig | None = None) -> TabularDataset:
 
 
 def label_encode(values) -> tuple[np.ndarray, dict[str, int] | None]:
-    """Encode one column: numeric columns pass through, anything else gets
-    integer codes in first-appearance order.
+    """Encode one column: numeric columns (every value parses with Python
+    ``float``) pass through, anything else gets integer codes in
+    first-appearance order, keyed by the value with surrounding whitespace
+    stripped.
 
     Returns the encoded column and the code mapping (None for numeric input).
     """
@@ -195,16 +197,11 @@ def label_encode(values) -> tuple[np.ndarray, dict[str, int] | None]:
     if not raw:
         raise ValueError("empty column")
     try:
-        return np.array([float(v) for v in raw]), None
+        return np.fromiter(map(float, raw), float, len(raw)), None
     except (TypeError, ValueError):
         pass
     mapping: dict[str, int] = {}
-    codes = np.empty(len(raw))
-    for i, v in enumerate(raw):
-        key = str(v)
-        if key not in mapping:
-            mapping[key] = len(mapping)
-        codes[i] = mapping[key]
+    codes = np.fromiter((mapping.setdefault(str(v).strip(), len(mapping)) for v in raw), float, len(raw))
     return codes, mapping
 
 
@@ -355,13 +352,6 @@ def concat_datasets(a: TabularDataset, b: TabularDataset) -> TabularDataset:
 # CSV + schema sidecar I/O
 
 
-def _coerce(value):
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        return str(value).strip()
-
-
 def load_schema(schema) -> dict:
     if isinstance(schema, dict):
         doc = dict(schema)
@@ -374,57 +364,42 @@ def load_schema(schema) -> dict:
     return doc
 
 
-def _encode_label_column(column: list[str], positive) -> np.ndarray:
-    parsed = [_coerce(c) for c in column]
-    distinct: list = []
-    for v in parsed:
-        if v not in distinct:
-            distinct.append(v)
-    if positive is not None:
-        pos = _coerce(positive)
-        if len(distinct) > 2:
-            raise ValueError(f"non-binary label column: values {distinct}")
-        if pos not in distinct:
-            raise ValueError(f"positive label {positive!r} absent from the label column")
-        return np.array([1 if v == pos else 0 for v in parsed], dtype=np.int64)
-    if not set(distinct) <= {0.0, 1.0}:
-        raise ValueError(f"non-binary label column: values {distinct}")
-    return np.array([int(v) for v in parsed], dtype=np.int64)
-
-
-def _resolve_group_value(value, mapping: dict[str, int] | None) -> float:
-    if mapping is not None:
-        key = str(value)
-        if key not in mapping:
-            raise ValueError(f"group value {value!r} absent from the sensitive column")
-        return float(mapping[key])
-    return float(value)
+def _schema_code(value, mapping: dict[str, int] | None, absent: str) -> float:
+    """A schema value's code: its entry in the column's ``label_encode``
+    mapping, or the value parsed with float when the column is numeric."""
+    try:
+        return float(value) if mapping is None else float(mapping[str(value).strip()])
+    except (KeyError, TypeError, ValueError):
+        raise ValueError(absent.format(value)) from None
 
 
 def load_csv(path, schema) -> TabularDataset:
     """Read a UTF-8 comma-separated file with one header row.
 
     ``schema`` designates the label and sensitive columns and the raw values
-    marking the groups and the positive label. Non-numeric columns are
-    integer-coded in first-appearance order; the code maps are recorded in the
-    dataset provenance. Lines starting with '#' (the provenance footer) are
-    skipped.
+    marking the groups and the positive label. Every column, the label's
+    included, is coded by ``label_encode``, and the schema values are looked
+    up in its codes; the features' code maps are recorded in the dataset
+    provenance. Lines starting with '#' (the provenance footer) are skipped.
     """
     schema = load_schema(schema)
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(str(path))
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
-    if len(rows) < 2:
+        rows = (r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#"))
+        header = [h.strip() for h in next(rows, ())]
+        if len(set(header)) != len(header):
+            raise ValueError("duplicate header names")
+        columns = [[] for _ in header]
+        appends = [column.append for column in columns]
+        for n, row in enumerate(rows, 2):
+            if len(row) != len(header):
+                raise ValueError(f"ragged row {n}: expected {len(header)} cells, got {len(row)}")
+            for append, cell in zip(appends, row):
+                append(cell)
+    if not columns or not columns[0]:
         raise ValueError("CSV needs a header row and at least one data row")
-    header = [h.strip() for h in rows[0]]
-    if len(set(header)) != len(header):
-        raise ValueError("duplicate header names")
-    data = rows[1:]
-    for i, row in enumerate(data):
-        if len(row) != len(header):
-            raise ValueError(f"ragged row {i + 2}: expected {len(header)} cells, got {len(row)}")
 
     label_name = str(schema["label"])
     sensitive_name = str(schema["sensitive"])
@@ -433,40 +408,48 @@ def load_csv(path, schema) -> TabularDataset:
     if sensitive_name not in header:
         raise ValueError(f"unknown sensitive column {sensitive_name!r}")
 
-    columns = list(zip(*data))
-    # the toolkit has no missing-value handling, and a blank would be encoded as a category
-    for name, column in zip(header, columns):
-        if not all(map(str.strip, column)):
-            i = next(i for i, cell in enumerate(column) if not cell.strip())
-            raise ValueError(f"blank cell in column {name!r}, row {i + 2}")
-    labels = _encode_label_column(list(columns[header.index(label_name)]), schema.get("positive_label"))
-
-    feature_positions = [i for i, name in enumerate(header) if name != label_name]
-    names = tuple(header[i] for i in feature_positions)
-    encoded = []
+    names = tuple(name for name in header if name != label_name)
+    features = np.empty((len(columns[0]), len(names)))
     mappings: dict[str, dict[str, int]] = {}
-    for i in feature_positions:
-        codes, mapping = label_encode(list(columns[i]))
-        encoded.append(codes)
+    for j, name in enumerate(header):
+        codes, mapping = label_encode(columns[j])
+        columns[j] = None  # free the column's strings once it is coded
+        # the toolkit has no missing-value handling, and a blank is coded as the category ""
+        if "" in (mapping or ()):
+            row = int(np.argmax(codes == mapping[""])) + 2
+            raise ValueError(f"blank cell in column {name!r}, row {row}")
+        if name == label_name:
+            labels, label_mapping = codes, mapping
+            continue
+        features[:, names.index(name)] = codes
         if mapping is not None:
-            mappings[header[i]] = mapping
-    features = np.column_stack(encoded)
-    sensitive_index = names.index(sensitive_name)
-    group_values = (
-        _resolve_group_value(schema["advantaged_value"], mappings.get(sensitive_name)),
-        _resolve_group_value(schema["disadvantaged_value"], mappings.get(sensitive_name)),
+            mappings[name] = mapping
+
+    positive = schema.get("positive_label")
+    distinct = list(label_mapping or dict.fromkeys(labels.tolist()))
+    if len(distinct) > 2 or positive is None and not set(distinct) <= {0.0, 1.0}:
+        raise ValueError(f"non-binary label column: values {distinct}")
+    if positive is not None:
+        absent = "positive label {!r} absent from the label column"
+        labels = labels == _schema_code(positive, label_mapping, absent)
+        if not labels.any():
+            raise ValueError(absent.format(positive))
+    absent = "group value {!r} absent from the sensitive column"
+    group_values = tuple(
+        _schema_code(schema[key], mappings.get(sensitive_name), absent)
+        for key in ("advantaged_value", "disadvantaged_value")
     )
     provenance = f"csv:{path.name}"
     if mappings:
         provenance += "|encoded=" + json.dumps(mappings, sort_keys=True)
-    return TabularDataset(features, names, labels, sensitive_index, group_values, provenance)
+    return TabularDataset(features, names, labels, names.index(sensitive_name), group_values, provenance)
 
 
-def write_csv(dataset: TabularDataset, path, label_name: str = "label") -> None:
+def write_csv(dataset: TabularDataset, path) -> None:
     """Write the dataset with a provenance footer comment line."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(dataset.feature_names) + [label_name])
+        writer.writerow(list(dataset.feature_names) + ["label"])
         for i in range(dataset.m):
             row = [repr(float(v)) for v in dataset.features[i]]
             row.append(str(int(dataset.labels[i])))
@@ -474,13 +457,13 @@ def write_csv(dataset: TabularDataset, path, label_name: str = "label") -> None:
         fh.write(f"# provenance: {dataset.provenance}\n")
 
 
-def write_schema(dataset: TabularDataset, path, label_name: str = "label", positive_label=1) -> None:
+def write_schema(dataset: TabularDataset, path) -> None:
     doc = {
-        "label": label_name,
+        "label": "label",
         "sensitive": dataset.feature_names[dataset.sensitive_index],
         "advantaged_value": dataset.group_values[0],
         "disadvantaged_value": dataset.group_values[1],
-        "positive_label": positive_label,
+        "positive_label": 1,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)

@@ -96,9 +96,9 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _hidden_layer(X: np.ndarray, w1: np.ndarray, b1: np.ndarray) -> np.ndarray:
-    """relu(X w1^T + b1), built in a single (rows x hidden) buffer."""
-    hidden = X @ w1.T
+def _hidden_layer(X: np.ndarray, w1: np.ndarray, b1: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """relu(X w1^T + b1), built in a single (rows x hidden) buffer (``out`` if given)."""
+    hidden = np.matmul(X, w1.T, out=out)
     hidden += b1
     return np.maximum(hidden, 0.0, out=hidden)
 
@@ -206,10 +206,7 @@ class MlpModel:
         lo = 0
         while lo < rows:
             hi = rows if rows - lo <= block + 1 else lo + block
-            # _hidden_layer's formula, into the shared buffer
-            hidden = np.matmul(X[lo:hi], self.w1.T, out=hidden_buf[: hi - lo])
-            hidden += self.b1
-            np.maximum(hidden, 0.0, out=hidden)
+            hidden = _hidden_layer(X[lo:hi], self.w1, self.b1, out=hidden_buf[: hi - lo])
             np.matmul(hidden, self.w2, out=out[lo:hi])
             lo = hi
         out += self.b2
@@ -468,7 +465,7 @@ def predict_proba(model, X) -> np.ndarray:
 
 
 def predict_labels(model, X) -> np.ndarray:
-    return (predict_proba(model, X) >= 0.5).astype(np.int64)
+    return (decision_score(model, X) >= 0).astype(np.int64)
 
 
 def bce_loss(model, X, y) -> float:

@@ -10,14 +10,20 @@ package because no program path calls them.
 - ``read_explanations_csv`` reads what ``audit --export-explanations`` writes.
 - ``soft_dp`` and ``input_gradient`` state the training penalty and the
   input gradients in their plain form.
+- ``reference_load_csv`` is the earlier row-list CSV loader with its own
+  label and group-value rules; on files without padded cells
+  ``procfair.datasets.load_csv`` must return the same dataset.
 """
 
 import csv
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 
 from procfair.attribution import ExplanationSet
+from procfair.datasets import TabularDataset, load_schema
 from procfair.models import _check_inputs, predict_proba
 from procfair.two_sample import KernelConfig, _as_matrix, _pooled_kernel
 
@@ -124,3 +130,109 @@ def input_gradient(model, X, y) -> np.ndarray:
     X = _check_inputs(model, X)
     y = np.asarray(y, dtype=float)
     return model.per_sample_input_gradient(X, y) / X.shape[0]
+
+
+def reference_label_encode(values) -> tuple[np.ndarray, dict[str, int] | None]:
+    """The earlier ``label_encode``: categorical cells are keyed unstripped."""
+    raw = list(values)
+    if not raw:
+        raise ValueError("empty column")
+    try:
+        return np.array([float(v) for v in raw]), None
+    except (TypeError, ValueError):
+        pass
+    mapping: dict[str, int] = {}
+    codes = np.empty(len(raw))
+    for i, v in enumerate(raw):
+        key = str(v)
+        if key not in mapping:
+            mapping[key] = len(mapping)
+        codes[i] = mapping[key]
+    return codes, mapping
+
+
+def _coerce(value):
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return str(value).strip()
+
+
+def _encode_label_column(column: list[str], positive) -> np.ndarray:
+    parsed = [_coerce(c) for c in column]
+    distinct: list = []
+    for v in parsed:
+        if v not in distinct:
+            distinct.append(v)
+    if positive is not None:
+        pos = _coerce(positive)
+        if len(distinct) > 2:
+            raise ValueError(f"non-binary label column: values {distinct}")
+        if pos not in distinct:
+            raise ValueError(f"positive label {positive!r} absent from the label column")
+        return np.array([1 if v == pos else 0 for v in parsed], dtype=np.int64)
+    if not set(distinct) <= {0.0, 1.0}:
+        raise ValueError(f"non-binary label column: values {distinct}")
+    return np.array([int(v) for v in parsed], dtype=np.int64)
+
+
+def _resolve_group_value(value, mapping: dict[str, int] | None) -> float:
+    if mapping is not None:
+        key = str(value)
+        if key not in mapping:
+            raise ValueError(f"group value {value!r} absent from the sensitive column")
+        return float(mapping[key])
+    return float(value)
+
+
+def reference_load_csv(path, schema) -> TabularDataset:
+    schema = load_schema(schema)
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(str(path))
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
+    if len(rows) < 2:
+        raise ValueError("CSV needs a header row and at least one data row")
+    header = [h.strip() for h in rows[0]]
+    if len(set(header)) != len(header):
+        raise ValueError("duplicate header names")
+    data = rows[1:]
+    for i, row in enumerate(data):
+        if len(row) != len(header):
+            raise ValueError(f"ragged row {i + 2}: expected {len(header)} cells, got {len(row)}")
+
+    label_name = str(schema["label"])
+    sensitive_name = str(schema["sensitive"])
+    if label_name not in header:
+        raise ValueError(f"unknown label column {label_name!r}")
+    if sensitive_name not in header:
+        raise ValueError(f"unknown sensitive column {sensitive_name!r}")
+
+    columns = list(zip(*data))
+    # the toolkit has no missing-value handling, and a blank would be encoded as a category
+    for name, column in zip(header, columns):
+        if not all(map(str.strip, column)):
+            i = next(i for i, cell in enumerate(column) if not cell.strip())
+            raise ValueError(f"blank cell in column {name!r}, row {i + 2}")
+    labels = _encode_label_column(list(columns[header.index(label_name)]), schema.get("positive_label"))
+
+    feature_positions = [i for i, name in enumerate(header) if name != label_name]
+    names = tuple(header[i] for i in feature_positions)
+    encoded = []
+    mappings: dict[str, dict[str, int]] = {}
+    for i in feature_positions:
+        codes, mapping = reference_label_encode(list(columns[i]))
+        encoded.append(codes)
+        if mapping is not None:
+            mappings[header[i]] = mapping
+    features = np.column_stack(encoded)
+    sensitive_index = names.index(sensitive_name)
+    group_values = (
+        _resolve_group_value(schema["advantaged_value"], mappings.get(sensitive_name)),
+        _resolve_group_value(schema["disadvantaged_value"], mappings.get(sensitive_name)),
+    )
+    provenance = f"csv:{path.name}"
+    if mappings:
+        provenance += "|encoded=" + json.dumps(mappings, sort_keys=True)
+    return TabularDataset(features, names, labels, sensitive_index, group_values, provenance)

@@ -1,9 +1,13 @@
+import csv
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import reference_load_csv
 
 from procfair.datasets import (
     SyntheticConfig,
@@ -150,6 +154,124 @@ def test_load_csv_categorical_sensitive(tmp_path):
     assert list(ds.features[:, 0]) == [0.0, 1.0, 0.0]
     assert ds.group_values == (0.0, 1.0)  # first-appearance codes
     assert list(ds.labels) == [1, 0, 1]
+
+
+ADULT_ROWS = [
+    ("39", "State-gov", "Male", "<=50K"),
+    ("50", "Self-emp", "Female", ">50K"),
+    ("38", "Private", "Male", ">50K"),
+    ("53", "Private", "Female", "<=50K"),
+    ("28", "Private", "Female", "<=50K"),
+]
+ADULT_SCHEMA = {
+    "label": "income",
+    "sensitive": "sex",
+    "advantaged_value": "Male",
+    "disadvantaged_value": "Female",
+    "positive_label": ">50K",
+}
+
+
+def test_load_csv_adult_style_padding(tmp_path):
+    # UCI Adult separates cells with ", ": padded cells load as their unpadded twins
+    (tmp_path / "padded").mkdir()
+    (tmp_path / "plain").mkdir()
+    lines = [("age", "workclass", "sex", "income")] + ADULT_ROWS
+    (tmp_path / "padded" / "adult.csv").write_text("".join(", ".join(r) + "\n" for r in lines))
+    (tmp_path / "plain" / "adult.csv").write_text("".join(",".join(r) + "\n" for r in lines))
+    padded = load_csv(tmp_path / "padded" / "adult.csv", ADULT_SCHEMA)
+    plain = load_csv(tmp_path / "plain" / "adult.csv", ADULT_SCHEMA)
+    assert padded.features.tobytes() == plain.features.tobytes()
+    assert list(padded.labels) == list(plain.labels) == [0, 1, 1, 0, 0]
+    assert padded.feature_names == plain.feature_names == ("age", "workclass", "sex")
+    assert padded.sensitive_index == plain.sensitive_index == 2
+    assert padded.group_values == plain.group_values == (0.0, 1.0)
+    assert padded.provenance == plain.provenance
+    codes = json.loads(padded.provenance.split("|encoded=")[1])
+    assert codes == {"sex": {"Male": 0, "Female": 1}, "workclass": {"State-gov": 0, "Self-emp": 1, "Private": 2}}
+
+
+NUMBERS = st.one_of(
+    st.integers(-50, 50).map(str),
+    st.floats(-1e6, 1e6, allow_nan=False).map(repr),
+)
+WORDS = st.sampled_from(["red", "blue", "green", "a b", "x,y", "1a", "-"])
+
+
+@st.composite
+def well_formed_csv(draw):
+    """A CSV without padded cells plus its schema: numeric and categorical
+    features, a numeric or categorical sensitive column, 0/1 or text labels."""
+    m = draw(st.integers(2, 12))
+    columns = {}
+    for j in range(draw(st.integers(0, 3))):
+        cells = st.one_of(NUMBERS, WORDS) if draw(st.booleans()) else NUMBERS
+        columns[f"f{j}"] = draw(st.lists(cells, min_size=m, max_size=m))
+    groups = draw(st.sampled_from([("1", "0"), ("2.5", "-1"), ("male", "female"), ("b", "a")]))
+    sex = list(groups) + draw(st.lists(st.sampled_from(groups), min_size=m - 2, max_size=m - 2))
+    columns["sex"] = draw(st.permutations(sex))
+    classes = draw(st.sampled_from([("1", "0"), ("yes", "no"), ("1", "yes")]))
+    labels = draw(st.lists(st.sampled_from(classes), min_size=m, max_size=m))
+    positive = draw(st.sampled_from(labels))
+    numeric_labels = set(labels) <= {"0", "1"}
+    if numeric_labels and draw(st.booleans()):
+        positive = None
+    elif numeric_labels and draw(st.booleans()):
+        positive = int(positive)
+    columns["label"] = labels
+    order = draw(st.permutations(list(columns)))
+    schema = {"label": "label", "sensitive": "sex"}
+    schema["advantaged_value"], schema["disadvantaged_value"] = (
+        (float(g) for g in groups) if groups[0][0].isdigit() and draw(st.booleans()) else groups
+    )
+    if positive is not None:
+        schema["positive_label"] = positive
+    rows = [order] + [[columns[name][i] for name in order] for i in range(m)]
+    return rows, schema, draw(st.booleans())
+
+
+@given(well_formed_csv())
+@settings(max_examples=150, deadline=None)
+def test_load_csv_matches_reference_loader(tmp_path_factory, case):
+    rows, schema, footer = case
+    path = tmp_path_factory.mktemp("csv") / "d.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+        if footer:
+            fh.write("# provenance: generated\n")
+    ds, ref = load_csv(path, schema), reference_load_csv(path, schema)
+    assert ds.features.tobytes() == ref.features.tobytes()
+    assert ds.labels.tobytes() == ref.labels.tobytes()
+    assert ds.feature_names == ref.feature_names
+    assert ds.sensitive_index == ref.sensitive_index
+    assert ds.group_values == ref.group_values
+    assert ds.provenance == ref.provenance
+
+
+@pytest.mark.parametrize(
+    "text, schema",
+    [
+        ("a,sex,label\n", SCHEMA),
+        ("a,sex,y\n1,1,0\n2,0,1\n", SCHEMA),
+        ("a,sex,label\n1,1,0\n2,0,0\n", SCHEMA),
+        ("a,sex,label\n1,1,0\n2,0,0\n", {**SCHEMA, "positive_label": "yes"}),
+        ("a,sex,label\n1,1,no\n2,0,no\n", {**SCHEMA, "positive_label": "yes"}),
+        ("a,sex,label\n1,1,1\n2,0,0\n3,1,2\n", SCHEMA),
+        ("a,sex,label\n1,1,yes\n2,0,no\n", {**SCHEMA, "positive_label": None}),
+        ("a,sex,label\n1,male,0\n2,female,1\n", {**SCHEMA, "advantaged_value": "Male"}),
+    ],
+    ids=[
+        "no-rows", "unknown-label", "positive-absent", "positive-unparsed", "positive-text",
+        "non-binary", "text-labels", "group-absent",
+    ],
+)
+def test_load_csv_errors_match_reference_loader(tmp_path, text, schema):
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as expected:
+        reference_load_csv(path, schema)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+        load_csv(path, schema)
 
 
 def test_csv_round_trip_exact(tmp_path):
@@ -433,10 +555,11 @@ def test_split_same_seed_identical(seed):
     assert np.array_equal(a.train.features, b.train.features)
 
 
-@given(st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=30))
+@given(st.lists(st.sampled_from(["a", "b", "c", "d", " a", "b  "]), min_size=1, max_size=30))
 @settings(max_examples=50, deadline=None)
 def test_label_encode_codes_are_consistent(column):
+    # padded cells share their stripped twin's code
     codes, mapping = label_encode(column)
     assert mapping is not None
     decoded = [ {v: k for k, v in mapping.items()}[int(c)] for c in codes ]
-    assert decoded == column
+    assert decoded == [cell.strip() for cell in column]

@@ -118,8 +118,9 @@ def test_proba_strictly_inside_unit_interval():
 
 def test_labels_threshold():
     model = LogisticModel(np.array([1.0]), 0.0)
-    labels = predict_labels(model, [[-0.1], [0.0], [0.1]])
-    assert list(labels) == [0, 1, 1]
+    labels = predict_labels(model, [[-0.1], [0.0], [0.1], [-1e-17]])
+    # the label is the sign of the score, also where the sigmoid rounds to 0.5
+    assert list(labels) == [0, 1, 1, 0]
 
 
 def test_decision_score_matches_logit():
