@@ -6,6 +6,10 @@ expectation) and the efficiency constraint sum(values) = f(x) - base enforced
 exactly through a KKT system. When the coalition budget covers all 2^d - 2
 proper coalitions the result equals the exact Shapley values; the test suite
 checks it against an independent enumeration oracle.
+
+The audit pipeline sends only models without a closed form here: a logistic
+model's Shapley values are exact in closed form (``LogisticModel.shapley_values``),
+and ``explanation_inputs`` holds the checks both routes apply.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ __all__ = [
     "ExplanationSet",
     "ShapConfig",
     "explain_set",
+    "explanation_inputs",
     "sample_background",
     "write_explanations_csv",
 ]
@@ -197,6 +202,23 @@ def _constrained_wls(Z, weights):
     return solve
 
 
+def explanation_inputs(X, config: ShapConfig, feature_names=None) -> tuple[np.ndarray, tuple[str, ...]]:
+    """X as an (n, d) float matrix and its feature names (default f0, f1, ...),
+    checked as every explanation of X under ``config`` needs them: the
+    background's width and the names' count must be d and, when d > 1, the
+    coalition budget must cover d."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    d = X.shape[1]
+    if config.background.shape[1] != d:
+        raise ValueError("background dimensionality does not match the data")
+    names = tuple(feature_names) if feature_names is not None else tuple(f"f{j}" for j in range(d))
+    if len(names) != d:
+        raise ValueError("feature_names length does not match d")
+    if d > 1:
+        config.resolved_budget(d)
+    return X, names
+
+
 def explain_set(predict_fns, X, config: ShapConfig, feature_names=None) -> list[ExplanationSet]:
     """Kernel SHAP for every row of X under each of ``predict_fns``, with a
     shared background and a shared coalition sample, so equal rows receive
@@ -208,14 +230,9 @@ def explain_set(predict_fns, X, config: ShapConfig, feature_names=None) -> list[
     predict_fns = list(predict_fns)
     if not predict_fns:
         raise ValueError("explain_set needs at least one function")
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X, names = explanation_inputs(X, config, feature_names)
     n, d = X.shape
     background = config.background
-    if background.shape[1] != d:
-        raise ValueError("background dimensionality does not match the data")
-    names = tuple(feature_names) if feature_names is not None else tuple(f"f{j}" for j in range(d))
-    if len(names) != d:
-        raise ValueError("feature_names length does not match d")
 
     targets = [np.asarray(fn(X), dtype=float).ravel() for fn in predict_fns]
     bases = [float(np.mean(fn(background))) for fn in predict_fns]

@@ -407,6 +407,8 @@ def load_csv(path, schema) -> TabularDataset:
         raise ValueError(f"unknown label column {label_name!r}")
     if sensitive_name not in header:
         raise ValueError(f"unknown sensitive column {sensitive_name!r}")
+    if label_name == sensitive_name:
+        raise ValueError(f"column {label_name!r} cannot be both the label and the sensitive column")
 
     names = tuple(name for name in header if name != label_name)
     features = np.empty((len(columns[0]), len(names)))
@@ -418,6 +420,9 @@ def load_csv(path, schema) -> TabularDataset:
         if "" in (mapping or ()):
             row = int(np.argmax(codes == mapping[""])) + 2
             raise ValueError(f"blank cell in column {name!r}, row {row}")
+        if mapping is None and not np.isfinite(codes).all():
+            row = int(np.argmin(np.isfinite(codes))) + 2
+            raise ValueError(f"non-finite cell in column {name!r}, row {row}")
         if name == label_name:
             labels, label_mapping = codes, mapping
             continue

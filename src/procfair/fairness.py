@@ -12,9 +12,9 @@ from functools import partial
 
 import numpy as np
 
-from .attribution import ExplanationSet, ShapConfig, explain_set, sample_background
+from .attribution import ExplanationSet, ShapConfig, explain_set, explanation_inputs, sample_background
 from .datasets import SplitDataset, TabularDataset, concat_datasets
-from .models import decision_score, predict_labels
+from .models import LogisticModel, decision_score, predict_labels
 from .seeding import derive_seed
 from .two_sample import KernelConfig, PermutationConfig, permutation_memberships, permutation_pvalue
 
@@ -241,9 +241,13 @@ def _pair_features(pool: TabularDataset, pairs: PairSelection, feats) -> tuple[n
 def _explain_both_sides(
     models, X1, X2, shap_config: ShapConfig, names: tuple[str, ...]
 ) -> tuple[list[ExplanationSet], list[ExplanationSet]]:
-    """Explain the two sides' rows for every model, one ``explain_set`` call
-    per side, with a shared background and coalition sample. Every set names
-    the features ``names``, the pool's columns, so a model that names its
+    """Explain the two sides' rows for every model with a shared background.
+    A logistic model's exact Shapley values come in closed form
+    (``LogisticModel.shapley_values``); the other models share one
+    ``explain_set`` call per side, and so its coalition sample and masked
+    rows. Either way a model's sets are the ones it gets explained alone,
+    and the inputs pass ``explain_set``'s checks. Every set names the
+    features ``names``, the pool's columns, so a model that names its
     features must name them so.
 
     Attributions explain the model's decision score (log-odds), the additive
@@ -253,8 +257,20 @@ def _explain_both_sides(
     for model in models:
         if model.feature_names is not None and model.feature_names != names:
             raise ValueError(f"model feature names {model.feature_names} differ from the pool's columns {names}")
-    scores = [partial(decision_score, model) for model in models]
-    return explain_set(scores, X1, shap_config, names), explain_set(scores, X2, shap_config, names)
+    background = shap_config.background
+
+    def closed_form(model, X) -> ExplanationSet:
+        base = float(np.mean(decision_score(model, background)))
+        values = model.shapley_values(X, background)
+        return ExplanationSet(values, np.full(len(X), base), decision_score(model, X), names)
+
+    kernel_scores = [partial(decision_score, model) for model in models if not isinstance(model, LogisticModel)]
+    sides = []
+    for X in (X1, X2):
+        X, _ = explanation_inputs(X, shap_config, names)
+        kernel_sets = iter(explain_set(kernel_scores, X, shap_config, names) if kernel_scores else ())
+        sides.append([closed_form(m, X) if isinstance(m, LogisticModel) else next(kernel_sets) for m in models])
+    return sides[0], sides[1]
 
 
 def matched_explanations(
@@ -384,10 +400,11 @@ def gpf_plan(split: SplitDataset, feature_indices, config: AuditConfig) -> GpfPl
 
 def gpf_run(models, plan: GpfPlan) -> list[GpfResult]:
     """Score models over one plan, returning one result per model, in order:
-    explain both sides of the plan's pairs for all models (each side in one
-    pass that builds the masked rows once), then test each model's two
-    explanation sets with the plan's permutations and kernel. Each result
-    equals the one a call with that model alone returns."""
+    explain both sides of the plan's pairs for all models (logistic models
+    in closed form, the others in one Kernel SHAP pass per side that builds
+    the masked rows once), then test each model's two explanation sets with
+    the plan's permutations and kernel. Each result equals the one a call
+    with that model alone returns."""
     models = list(models)
     if not models:
         raise ValueError("gpf_run needs at least one model")

@@ -309,6 +309,14 @@ class LogisticModel:
     def scores(self, X: np.ndarray) -> np.ndarray:
         return X @ self.w + self.b
 
+    def shapley_values(self, X: np.ndarray, background: np.ndarray) -> np.ndarray:
+        """Exact Shapley values of the decision score for each row of X, with
+        absent features taken from ``background`` (marginal expectation): the
+        score is linear, so feature j's value is w_j (x_j - mean(background_j)).
+        This is Linear SHAP (Lundberg & Lee 2017), the value Kernel SHAP's
+        regression recovers whenever its system is nonsingular."""
+        return (X - background.mean(axis=0)) * self.w
+
     def per_sample_input_gradient(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Gradient of each row's own BCE term with respect to that row."""
         return (_sigmoid(self.scores(X)) - y)[:, None] * self.w

@@ -48,8 +48,9 @@ def sweep_sensitive_weight(
     then override the sensitive weight along ``grid`` and score each model.
 
     Every weight of one seed is scored over the same plan, in one
-    ``gpf_run`` call: the same pairs (from the test split), background,
-    coalitions, masked rows and permutations.
+    ``gpf_run`` call: the same pairs (from the test split), background and
+    permutations. The models are logistic, so each is explained by its exact
+    Shapley values in closed form, with no coalitions or masked rows.
 
     Returns (feature_indices, matrix) where matrix[i, j] is the GPF score for
     seeds[i] and grid[j].

@@ -54,11 +54,18 @@ class PermutationConfig:
             raise ValueError("need at least 100 permutations")
 
 
-def _pairwise_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    a2 = np.sum(A * A, axis=1)[:, None]
-    b2 = np.sum(B * B, axis=1)[None, :]
-    sq = np.maximum(a2 + b2 - 2.0 * (A @ B.T), 0.0)
-    return np.sqrt(sq)
+def _self_distances(X: np.ndarray) -> np.ndarray:
+    """Euclidean distances between X's rows, sqrt(max(|a|^2 + |b|^2 - 2 a.b, 0)),
+    from one vector of squared norms and, beside the Gram matrix, one (n, n)
+    buffer that every later step overwrites."""
+    norms = np.sum(X * X, axis=1)
+    gram = X @ X.T
+    gram *= -2.0  # exact, and adding -2 a.b rounds as subtracting 2 a.b does
+    D = np.add(norms[:, None], norms[None, :])
+    D += gram
+    del gram
+    np.maximum(D, 0.0, out=D)
+    return np.sqrt(D, out=D)
 
 
 def _resolve_bandwidth(pooled_distances: np.ndarray, config: KernelConfig) -> float:
@@ -79,9 +86,16 @@ def _resolve_bandwidth(pooled_distances: np.ndarray, config: KernelConfig) -> fl
 
 
 def _apply_kernel(distances: np.ndarray, kind: str, sigma: float) -> np.ndarray:
+    """exp(-D / sigma) or exp(-D^2 / (2 sigma^2)), computed in ``distances``."""
+    K = distances
     if kind == "exponential":
-        return np.exp(-distances / sigma)
-    return np.exp(-(distances**2) / (2.0 * sigma**2))
+        np.negative(K, out=K)
+        K /= sigma
+    else:
+        np.square(K, out=K)
+        np.negative(K, out=K)
+        K /= 2.0 * sigma**2
+    return np.exp(K, out=K)
 
 
 def _as_matrix(E) -> np.ndarray:
@@ -92,8 +106,7 @@ def _as_matrix(E) -> np.ndarray:
 
 
 def _pooled_kernel(E1: np.ndarray, E2: np.ndarray, config: KernelConfig):
-    pooled = np.vstack([E1, E2])
-    distances = _pairwise_distances(pooled, pooled)
+    distances = _self_distances(np.vstack([E1, E2]))
     sigma = _resolve_bandwidth(distances, config)
     return _apply_kernel(distances, config.kind, sigma), sigma
 
@@ -106,9 +119,9 @@ def _mmd_from_sums(s11, zK1, total, a: int, b: int):
     return s11 / (a * a) + s22 / (b * b) - 2.0 * s12 / (a * b)
 
 
-def _stats_for_memberships(K: np.ndarray, Z: np.ndarray, a: int, b: int) -> np.ndarray:
-    """Biased MMD^2 for each membership column z of Z via quadratic forms."""
-    row_sums = K.sum(axis=1)
+def _stats_for_memberships(K: np.ndarray, row_sums: np.ndarray, Z: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Biased MMD^2 for each membership column z of Z via quadratic forms;
+    ``row_sums`` is ``K.sum(axis=1)``."""
     s11 = np.einsum("ip,ip->p", Z, K @ Z)
     return _mmd_from_sums(s11, row_sums @ Z, row_sums.sum(), a, b)
 
@@ -133,9 +146,10 @@ def _tie_margin(a: int, b: int) -> float:
     return 8.0 * _gamma(2 * n + 5, 2.0**-53) * (n / b) ** 2
 
 
-def _screen(K: np.ndarray, Z: np.ndarray, a: int, b: int):
+def _screen(K: np.ndarray, row_sums: np.ndarray, Z: np.ndarray, a: int, b: int):
     """Statistics of Z's columns with s11 = z'Kz summed in float32, and per
-    column a bound on their distance from the float64 ones, tau aside.
+    column a bound on their distance from the float64 ones, tau aside;
+    ``row_sums`` is ``K.sum(axis=1)``.
 
     Rounding K to float32 and the two float32 sums of non-negative terms keep
     s11 within c = (1 + u)(1 + gamma_n)^2 - 1 of the exact s11 (u = 2^-24),
@@ -146,7 +160,6 @@ def _screen(K: np.ndarray, Z: np.ndarray, a: int, b: int):
     So |screened - _stats_for_memberships| <= bound + tau.
     """
     n = a + b
-    row_sums = K.sum(axis=1)
     Z32 = Z.astype(np.float32)
     s11 = np.einsum("ip,ip->p", Z32, K.astype(np.float32) @ Z32).astype(np.float64)
     c = (1.0 + 2.0**-24) * (1.0 + _gamma(n, 2.0**-24)) ** 2 - 1.0
@@ -209,16 +222,17 @@ def permutation_pvalue(
     elif memberships.shape != (n, P):
         raise ValueError(f"membership matrix of shape {memberships.shape}, expected {(n, P)}")
     K, _ = _pooled_kernel(E1, E2, kernel_config)
+    row_sums = K.sum(axis=1)
 
     observed_membership = np.zeros((n, 1))
     observed_membership[:a, 0] = 1.0
-    observed = _stats_for_memberships(K, observed_membership, a, b)[0]
+    observed = _stats_for_memberships(K, row_sums, observed_membership, a, b)[0]
     # a screened column above observed + bound counts and one below
     # observed - bound - 2 tau does not; the rest are scored again in float64
-    fast, bound = _screen(K, memberships, a, b)
+    fast, bound = _screen(K, row_sums, memberships, a, b)
     tau = _tie_margin(a, b)
     near = np.abs(fast - observed) <= bound + 2.0 * tau
-    exact = _stats_for_memberships(K, memberships[:, near], a, b)
+    exact = _stats_for_memberships(K, row_sums, memberships[:, near], a, b)
     count = int(np.sum(fast[~near] > observed)) + int(np.sum(exact >= observed - tau))
     return float((1 + count) / (1 + P))
 

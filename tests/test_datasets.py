@@ -128,6 +128,30 @@ def test_load_csv_blank_cell(tmp_path, text, column, row):
         load_csv(path, SCHEMA)
 
 
+@pytest.mark.parametrize(
+    "text, column, row",
+    [
+        ("a,sex,label\nnan,1,1\n2,0,0\n", "a", 2),
+        ("a,sex,label\n1,1,1\n2,0,0\n inf ,1,0\n", "a", 4),
+        ("a,sex,label\n1,1,1\n2,-Infinity,0\n", "sex", 3),
+        ("a,sex,label\n1,1,1\n2,0,NaN\n", "label", 3),
+    ],
+    ids=["nan", "inf", "-Infinity", "label"],
+)
+def test_load_csv_non_finite_cell(tmp_path, text, column, row):
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"non-finite cell in column '{column}', row {row}$"):
+        load_csv(path, SCHEMA)
+
+
+def test_load_csv_label_and_sensitive_on_one_column(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("a,sex\n1,1\n2,0\n")
+    with pytest.raises(ValueError, match="'sex' cannot be both the label and the sensitive column"):
+        load_csv(path, {**SCHEMA, "label": "sex"})
+
+
 def test_load_csv_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_csv(tmp_path / "nope.csv", SCHEMA)

@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from procfair import fairness
-from procfair.attribution import ShapConfig, sample_background
+from procfair.attribution import ShapConfig, explain_set, sample_background
 from procfair.datasets import (
     SplitDataset,
     SyntheticConfig,
@@ -28,7 +29,7 @@ from procfair.fairness import (
     matched_explanations,
     select_pairs,
 )
-from procfair.models import LogisticModel, TrainConfig, fit_logistic, fit_mlp, init_mlp
+from procfair.models import LogisticModel, TrainConfig, decision_score, fit_logistic, fit_mlp, init_mlp
 from procfair.seeding import derive_seed
 from procfair.two_sample import PermutationConfig, permutation_pvalue
 
@@ -499,14 +500,19 @@ def test_models_scored_together_equal_each_scored_alone(d, n_pairs, background_s
                 np.testing.assert_array_equal(getattr(got, attr), getattr(want, attr))
 
 
-def test_gpf_run_memory_does_not_grow_with_the_model_count():
-    # one masked chunk (50 x 14 x 100 rows, 2.2 MB) and one model's 0.56 MB of
-    # predictions at a time; each further model adds only its small results
+@pytest.mark.parametrize("family", ["logistic", "mlp"])
+def test_gpf_run_memory_does_not_grow_with_the_model_count(family):
+    # MLPs: one masked chunk (50 x 14 x 100 rows, 2.2 MB) and one model's 0.56 MB
+    # of predictions at a time; logistic models build no masked rows at all.
+    # Either way each further model adds only its small results
     pool, feats = _random_pool(4), (0, 1, 2, 3)
     config = AuditConfig(n_pairs=50, background_size=100, n_permutations=100, seed=1)
     plan = gpf_plan(SplitDataset(pool, pool), feats, config)
     rng = np.random.default_rng(0)
-    models = [LogisticModel(rng.normal(size=4), 0.0, feature_indices=feats) for _ in range(20)]
+    if family == "logistic":
+        models = [LogisticModel(rng.normal(size=4), 0.0, feature_indices=feats) for _ in range(20)]
+    else:
+        models = [init_mlp(4, 8, seed=i, feature_indices=feats) for i in range(20)]
 
     def peak(ms) -> int:
         tracemalloc.start()
@@ -517,6 +523,39 @@ def test_gpf_run_memory_does_not_grow_with_the_model_count():
             tracemalloc.stop()
 
     assert peak(models) <= peak(models[:1]) + 2**20
+
+
+@pytest.mark.parametrize("d", [4, 13])  # all 14 proper coalitions; 2048 sampled ones
+def test_logistic_explanations_are_kernel_shap_in_closed_form(d):
+    pool, feats = _random_pool(d), tuple(range(d))
+    model = LogisticModel(np.random.default_rng(d).normal(size=d), -0.4, feature_indices=feats)
+    config = AuditConfig(n_pairs=20, background_size=30, n_permutations=100, seed=4)
+    plan = gpf_plan(SplitDataset(pool, pool), feats, config)
+    (result,) = gpf_run([model], plan)
+    score = partial(decision_score, model)
+    for rows, got in ((plan.rows_1, result.explanations_1), (plan.rows_2, result.explanations_2)):
+        (want,) = explain_set([score], rows, plan.shap_config, plan.feature_names)
+        scale = np.abs(want.values).max()
+        assert np.abs(got.values - want.values).max() <= 1e-12 * scale
+        assert got.base_values.tobytes() == want.base_values.tobytes()
+        assert got.targets.tobytes() == want.targets.tobytes()
+        local = got.values.sum(axis=1) - (got.targets - got.base_values)
+        assert np.abs(local).max() <= 1e-12 * scale
+
+
+def test_logistic_explanations_keep_the_coalition_budget_check():
+    pool = _random_pool(4)
+    feats = (0, 1, 2, 3)
+    model = LogisticModel(np.ones(4), 0.0, feature_indices=feats)
+    config = AuditConfig(n_pairs=10, background_size=10, n_coalitions=3, n_permutations=100)
+    with pytest.raises(ValueError, match="n_coalitions=3 is below the feature count 4"):
+        gpf_run([model], gpf_plan(SplitDataset(pool, pool), feats, config))
+    # a single feature needs no coalitions, so no budget is checked
+    pool = _random_pool(1)
+    model = LogisticModel(np.array([2.0]), 0.5, feature_indices=(0,))
+    (result,) = gpf_run([model], gpf_plan(SplitDataset(pool, pool), (0,), replace(config, n_coalitions=0)))
+    for e in (result.explanations_1, result.explanations_2):
+        np.testing.assert_allclose(e.values[:, 0], e.targets - e.base_values, rtol=0, atol=1e-12)
 
 
 def test_audit_report_contents(small_split):

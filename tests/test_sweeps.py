@@ -123,8 +123,10 @@ def test_traced_sweep_matches_pairs_once_per_seed(split):
     with tracer.installed(), tracer.op("sweep"):
         sweeps.sweep_sensitive_weight(split, [0.0, 1.5, 3.0], [1, 2], TrainConfig(epochs=30, seed=0), config=FAST)
     metrics, _ = tracing.op_metrics(tracer, "sweep")
-    # one gpf_run (two explain_set calls) per seed scores the whole grid
+    # one gpf_run per seed scores the whole grid; the logistic models are
+    # explained in closed form, with no Kernel SHAP call or masked row
     assert metrics["sweeps.gpf_runs"] == 2
     assert metrics["two_sample.perm_tests"] == 6
-    assert metrics["attribution.explain_calls"] == 4
+    assert metrics["attribution.explain_calls"] == 0
+    assert metrics["attribution.model_rows"] == 0
     assert sum(s.name == "fairness.select_pairs" for s in tracer.op_spans("sweep")) == 2

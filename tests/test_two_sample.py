@@ -16,10 +16,10 @@ from procfair.two_sample import (
     PermutationConfig,
     _as_matrix,
     _gamma,
-    _pairwise_distances,
     _pooled_kernel,
     _resolve_bandwidth,
     _screen,
+    _self_distances,
     _stats_for_memberships,
     _tie_margin,
     pca_project,
@@ -86,7 +86,7 @@ def _resampled(n_rows):
 )
 def test_median_bandwidth_by_selection_equals_np_median(rows, nonzero):
     # odd and even counts of nonzero distances, with and without duplicate rows
-    D = _pairwise_distances(rows, rows)
+    D = _self_distances(rows)
     offdiag = D[np.triu_indices(D.shape[0], 1)]
     assert int(np.sum(offdiag > 0)) == nonzero
     assert _resolve_bandwidth(D, KernelConfig()) == float(np.median(offdiag[offdiag > 0]))
@@ -117,7 +117,7 @@ def test_membership_statistics_match_the_textbook_estimator(kind):
     observed = np.zeros((19, 1))
     observed[:7, 0] = 1.0
     Z = np.hstack([observed, permutation_memberships(19, 7, PermutationConfig(100, seed=5))[:, :4]])
-    stats = _stats_for_memberships(K, Z, 7, 12)
+    stats = _stats_for_memberships(K, K.sum(axis=1), Z, 7, 12)
     for p in range(Z.shape[1]):
         first = Z[:, p] == 1.0
         assert stats[p] == pytest.approx(mmd2(pooled[first], pooled[~first], config), abs=1e-12)
@@ -262,8 +262,8 @@ def _exact_with_ties(E1, E2, kernel_config, Z):
     E1, E2 = _as_matrix(E1), _as_matrix(E2)
     a, b = E1.shape[0], E2.shape[0]
     K, _ = _pooled_kernel(E1, E2, kernel_config or KernelConfig())
-    observed = _stats_for_memberships(K, _observed_column(a, b), a, b)[0]
-    exact = _stats_for_memberships(K, Z, a, b)
+    observed = _stats_for_memberships(K, K.sum(axis=1), _observed_column(a, b), a, b)[0]
+    exact = _stats_for_memberships(K, K.sum(axis=1), Z, a, b)
     return (1 + int(np.sum(exact >= observed - _tie_margin(a, b)))) / (1 + Z.shape[1])
 
 
@@ -283,8 +283,8 @@ def test_pvalue_counts_the_splits_that_tie_with_the_observed_one():
         ties = np.column_stack([observed_split, 1.0 - observed_split, reordered])
         Z = np.insert(others, np.sort(rng.integers(0, 98, 3)), ties, axis=1)
         assert Z.shape == (12, 100)
-        observed = _stats_for_memberships(K, observed_split[:, None], 6, 6)[0]
-        other_stats = _stats_for_memberships(K, others, 6, 6)
+        observed = _stats_for_memberships(K, K.sum(axis=1), observed_split[:, None], 6, 6)[0]
+        other_stats = _stats_for_memberships(K, K.sum(axis=1), others, 6, 6)
         if np.any(np.abs(other_stats - observed) < 1e-9):
             continue
         checked += 1
@@ -322,8 +322,8 @@ def test_screened_statistics_lie_within_the_bound_and_the_pvalue_follows_the_rul
         for seed in range(3):
             config = PermutationConfig(300, seed)
             Z = permutation_memberships(n, a, config)
-            fast, bound = _screen(K, Z, a, b)
-            exact = _stats_for_memberships(K, Z, a, b)
+            fast, bound = _screen(K, K.sum(axis=1), Z, a, b)
+            exact = _stats_for_memberships(K, K.sum(axis=1), Z, a, b)
             assert np.all(np.abs(fast - exact) <= bound + _tie_margin(a, b))
             # at least the proven worst-case float32 error, c = (1+u)(1+gamma_n)^2 - 1
             c = (1 + 2.0**-24) * (1 + _gamma(n, 2.0**-24)) ** 2 - 1
