@@ -7,9 +7,12 @@ exactly through a KKT system. When the coalition budget covers all 2^d - 2
 proper coalitions the result equals the exact Shapley values; the test suite
 checks it against an independent enumeration oracle.
 
-The audit pipeline sends only models without a closed form here: a logistic
-model's Shapley values are exact in closed form (``LogisticModel.shapley_values``),
-and ``explanation_inputs`` holds the checks both routes apply.
+It explains one model at a time, through the model's own value function
+(``MlpModel.masked_values``, which builds no masked rows; Lundberg & Lee 2017
+recommend such model-specific forms over generic masking). The audit pipeline
+sends only models without a closed form here: a logistic model's Shapley
+values are exact in closed form (``LogisticModel.shapley_values``), and
+``explanation_inputs`` holds the checks both routes apply.
 """
 
 from __future__ import annotations
@@ -30,9 +33,6 @@ __all__ = [
 ]
 
 DEFAULT_COALITION_CAP = 2048
-# Regularization of the attribution regression, applied only when the
-# unregularized system is singular.
-RIDGE = 1e-6
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -145,59 +145,30 @@ def _coalitions(d: int, budget: int, rng: np.random.Generator) -> tuple[np.ndarr
     return _sampled_coalitions(d, budget, rng)
 
 
-def _masked_values(predict_fns, X: np.ndarray, background: np.ndarray, Z: np.ndarray) -> list[np.ndarray]:
-    """Mean output of each function per (row, coalition): present features
-    come from the row, absent ones from each background row, averaged.
-
-    Each chunk of masked rows is built once, read-only, and evaluated by
-    every function in turn; each function's predictions are reduced to its
-    block before the next function runs."""
-    n, d = X.shape
-    n_c = Z.shape[0]
-    k = background.shape[0]
-    outs = [np.empty((n, n_c)) for _ in predict_fns]
-    rows_per_chunk = max(1, 500_000 // (n_c * k))
-    for start in range(0, n, rows_per_chunk):
-        chunk = X[start : start + rows_per_chunk]
-        masked = np.where(Z[None, :, None, :], chunk[:, None, None, :], background[None, None, :, :])
-        masked = masked.reshape(-1, d)
-        masked.setflags(write=False)
-        for predict_fn, out in zip(predict_fns, outs):
-            preds = np.asarray(predict_fn(masked), dtype=float).reshape(len(chunk), n_c, k)
-            out[start : start + len(chunk)] = preds.mean(axis=2)
-            del preds  # one function's predictions at a time
-    return outs
-
-
-def _constrained_wls(Z, weights):
+def _constrained_wls(Z, weights, budget: int):
     """Solver of the weighted least squares per row of V_centered with the
     per-row equality constraint sum(phi) = constraints[row]; the KKT
-    matrices depend on the coalitions alone and are built once for every
-    ``solve(V_centered, constraints)``, which returns an (n, d) matrix."""
+    matrix depends on the coalitions alone and is built, and checked for
+    full rank, once for every ``solve(V_centered, constraints)``, which
+    returns an (n, d) matrix. A sample whose coalitions leave the system
+    singular does not determine the attributions, so it raises instead of
+    returning a regularized guess."""
     Zf = Z.astype(float)
     d = Zf.shape[1]
-    A = Zf.T @ (weights[:, None] * Zf)
     weighted_T = (Zf * weights[:, None]).T
-    kkts = []
-    for reg in (0.0, RIDGE):
-        kkt = np.zeros((d + 1, d + 1))
-        kkt[:d, :d] = A + reg * np.eye(d) if reg else A
-        kkt[:d, d] = 1.0
-        kkt[d, :d] = 1.0
-        kkts.append(kkt)
+    kkt = np.zeros((d + 1, d + 1))
+    kkt[:d, :d] = Zf.T @ (weights[:, None] * Zf)
+    kkt[:d, d] = 1.0
+    kkt[d, :d] = 1.0
+    if np.linalg.matrix_rank(kkt) <= d:
+        raise ValueError(
+            f"the attribution regression is singular for n_coalitions={budget} sampled coalitions "
+            f"at d={d}; raise the coalition budget"
+        )
 
     def solve(V_centered, constraints) -> np.ndarray:
-        B = weighted_T @ V_centered.T  # (d, n)
-        rhs = np.vstack([B, np.asarray(constraints, dtype=float)[None, :]])
-        # the ridge system is tried only when the unregularized one is singular
-        for kkt in kkts:
-            try:
-                phi = np.linalg.solve(kkt, rhs)[:d].T
-            except np.linalg.LinAlgError:
-                continue
-            if np.isfinite(phi).all():
-                return phi
-        raise np.linalg.LinAlgError("singular attribution regression system (even with ridge)")
+        rhs = np.vstack([weighted_T @ V_centered.T, np.asarray(constraints, dtype=float)[None, :]])
+        return np.linalg.solve(kkt, rhs)[:d].T
 
     return solve
 
@@ -219,34 +190,31 @@ def explanation_inputs(X, config: ShapConfig, feature_names=None) -> tuple[np.nd
     return X, names
 
 
-def explain_set(predict_fns, X, config: ShapConfig, feature_names=None) -> list[ExplanationSet]:
-    """Kernel SHAP for every row of X under each of ``predict_fns``, with a
-    shared background and a shared coalition sample, so equal rows receive
-    equal explanations; returns one ExplanationSet per function, in order.
+def explain_set(model, X, config: ShapConfig, feature_names=None) -> ExplanationSet:
+    """Kernel SHAP of ``model``'s scores for every row of X, with one
+    background and one coalition sample for all rows, so equal rows receive
+    equal explanations.
 
-    The coalitions, the KKT matrices and each chunk of masked rows are built
-    once per call and shared by all functions; each function's result is the
-    one a call with that function alone returns."""
-    predict_fns = list(predict_fns)
-    if not predict_fns:
-        raise ValueError("explain_set needs at least one function")
+    ``model`` gives its scores, ``scores(X)``, and its value function,
+    ``masked_values(X, background, Z)``: the (n, coalitions) mean score of
+    each row with the features outside each coalition taken from every
+    background row in turn. ``MlpModel`` computes it without a masked
+    design. A sampled coalition set that leaves the regression singular
+    raises a ValueError."""
     X, names = explanation_inputs(X, config, feature_names)
     n, d = X.shape
     background = config.background
 
-    targets = [np.asarray(fn(X), dtype=float).ravel() for fn in predict_fns]
-    bases = [float(np.mean(fn(background))) for fn in predict_fns]
+    target = np.asarray(model.scores(X), dtype=float).ravel()
+    base = float(np.mean(model.scores(background)))
     if d == 1:
-        return [ExplanationSet((t - b)[:, None], np.full(n, b), t, names) for t, b in zip(targets, bases)]
+        return ExplanationSet((target - base)[:, None], np.full(n, base), target, names)
 
-    rng = np.random.default_rng(config.seed)
-    Z, weights = _coalitions(d, config.resolved_budget(d), rng)
-    solve = _constrained_wls(Z, weights)
-    masked_values = _masked_values(predict_fns, X, background, Z)
-    return [
-        ExplanationSet(solve(V - b, t - b), np.full(n, b), t, names)
-        for V, t, b in zip(masked_values, targets, bases)
-    ]
+    budget = config.resolved_budget(d)
+    Z, weights = _coalitions(d, budget, np.random.default_rng(config.seed))
+    solve = _constrained_wls(Z, weights, budget)
+    values = model.masked_values(X, background, Z)
+    return ExplanationSet(solve(values - base, target - base), np.full(n, base), target, names)
 
 
 # ---------------------------------------------------------------------------

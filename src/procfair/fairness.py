@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field, fields
-from functools import partial
 
 import numpy as np
 
@@ -243,12 +242,12 @@ def _explain_both_sides(
 ) -> tuple[list[ExplanationSet], list[ExplanationSet]]:
     """Explain the two sides' rows for every model with a shared background.
     A logistic model's exact Shapley values come in closed form
-    (``LogisticModel.shapley_values``); the other models share one
-    ``explain_set`` call per side, and so its coalition sample and masked
-    rows. Either way a model's sets are the ones it gets explained alone,
-    and the inputs pass ``explain_set``'s checks. Every set names the
-    features ``names``, the pool's columns, so a model that names its
-    features must name them so.
+    (``LogisticModel.shapley_values``); each other model gets one
+    ``explain_set`` call per side, through its own value function, so a
+    model's sets do not depend on which models share the call, and the
+    inputs pass ``explain_set``'s checks. Every set names the features
+    ``names``, the pool's columns, so a model that names its features must
+    name them so.
 
     Attributions explain the model's decision score (log-odds), the additive
     scale the thresholded prediction lives on; probability-space attributions
@@ -259,17 +258,17 @@ def _explain_both_sides(
             raise ValueError(f"model feature names {model.feature_names} differ from the pool's columns {names}")
     background = shap_config.background
 
-    def closed_form(model, X) -> ExplanationSet:
+    def explain(model, X) -> ExplanationSet:
+        if not isinstance(model, LogisticModel):
+            return explain_set(model, X, shap_config, names)
         base = float(np.mean(decision_score(model, background)))
         values = model.shapley_values(X, background)
         return ExplanationSet(values, np.full(len(X), base), decision_score(model, X), names)
 
-    kernel_scores = [partial(decision_score, model) for model in models if not isinstance(model, LogisticModel)]
     sides = []
     for X in (X1, X2):
         X, _ = explanation_inputs(X, shap_config, names)
-        kernel_sets = iter(explain_set(kernel_scores, X, shap_config, names) if kernel_scores else ())
-        sides.append([closed_form(m, X) if isinstance(m, LogisticModel) else next(kernel_sets) for m in models])
+        sides.append([explain(model, X) for model in models])
     return sides[0], sides[1]
 
 
@@ -400,11 +399,12 @@ def gpf_plan(split: SplitDataset, feature_indices, config: AuditConfig) -> GpfPl
 
 def gpf_run(models, plan: GpfPlan) -> list[GpfResult]:
     """Score models over one plan, returning one result per model, in order:
-    explain both sides of the plan's pairs for all models (logistic models
-    in closed form, the others in one Kernel SHAP pass per side that builds
-    the masked rows once), then test each model's two explanation sets with
-    the plan's permutations and kernel. Each result equals the one a call
-    with that model alone returns."""
+    explain both sides of the plan's pairs for each model (logistic models
+    in closed form, the others by Kernel SHAP through their value function),
+    then test each model's two explanation sets with the plan's permutations
+    and kernel. The models share the plan's pairs, background, coalition
+    seed and permutations, and each result equals the one a call with that
+    model alone returns."""
     models = list(models)
     if not models:
         raise ValueError("gpf_run needs at least one model")

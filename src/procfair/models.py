@@ -8,8 +8,10 @@ deterministic. The ReLU subgradient at 0 is taken as 0.
 
 Each model class owns every formula of its family: decision scores, the
 parameter list and its rebuild, the loss and modified (explanation-loss)
-gradients, the per-sample input gradient, its model document and how to refit
-on a column subset. Everything else here is family-agnostic.
+gradients, the per-sample input gradient, its model document, how to refit
+on a column subset and how it is explained (the MLP's Kernel SHAP value
+function, the logistic model's closed-form Shapley values). Everything else
+here is family-agnostic.
 
 The modification step needs d(zeta)/d(theta), a second-order quantity: the
 gradient of a function of the input gradients with respect to the parameters.
@@ -55,8 +57,9 @@ __all__ = [
 ]
 
 PROBA_CLAMP = 1e-7  # BCE numerical floor
-# MLP scoring evaluates rows in blocks of about this many hidden cells
-# (2048 rows at 32 hidden units, 512 KB of float64).
+# MLP scoring evaluates rows, and its Kernel SHAP value function coalitions,
+# in blocks of about this many hidden cells (2048 rows at 32 hidden units,
+# 512 KB of float64).
 _SCORE_CELLS = 65536
 # Adam's moment decay rates and denominator floor, for training and modification
 ADAM_BETA1 = 0.9
@@ -209,6 +212,35 @@ class MlpModel:
             hidden = _hidden_layer(X[lo:hi], self.w1, self.b1, out=hidden_buf[: hi - lo])
             np.matmul(hidden, self.w2, out=out[lo:hi])
             lo = hi
+        out += self.b2
+        return out
+
+    def masked_values(self, X: np.ndarray, background: np.ndarray, Z: np.ndarray) -> np.ndarray:
+        """Kernel SHAP's value function: the (n, coalitions) mean score over
+        ``background`` of each row of X with the features outside coalition
+        z (a row of the boolean Z) taken from the background row, built with
+        no masked design. For row x, coalition z and background row g the
+        first layer's pre-activation is a + b with a = (z * x) w1^T and
+        b = ((1 - z) * g) w1^T + b1, so the present and absent features are
+        multiplied once per row and once per background row. The b terms are
+        built one coalition block of about ``_SCORE_CELLS`` hidden cells at a
+        time, and each row's ReLU, w2 product and background mean run on
+        that block."""
+        n, d = X.shape
+        k, h = background.shape[0], self.hidden_size
+        block = max(1, _SCORE_CELLS // (k * h))
+        hidden_buf = np.empty((min(block, len(Z)), k, h))
+        out = np.empty((n, len(Z)))
+        for lo in range(0, len(Z), block):
+            z = Z[lo : lo + block]
+            b = (~z[:, None, :] * background).reshape(-1, d) @ self.w1.T
+            b += self.b1
+            b = b.reshape(len(z), k, h)
+            hidden = hidden_buf[: len(z)]
+            for i in range(n):
+                np.add(b, ((z * X[i]) @ self.w1.T)[:, None, :], out=hidden)
+                np.maximum(hidden, 0.0, out=hidden)
+                out[i, lo : lo + len(z)] = (hidden.reshape(-1, h) @ self.w2).reshape(len(z), k).mean(axis=1)
         out += self.b2
         return out
 

@@ -4,6 +4,10 @@ package because no program path calls them.
 - ``exact_shapley`` enumerates all 2^d coalitions; Kernel SHAP must match it
   whenever its budget covers every proper coalition (Lundberg & Lee 2017).
   It shares no solver code with ``procfair.attribution.explain_set``.
+- ``_masked_values`` is Kernel SHAP's generic value function: it builds the
+  masked rows and scores them. ``MlpModel.masked_values`` must match it, and
+  ``ScoreFunction`` lends it to any function of rows, so ``explain_set`` can
+  explain linear functions, constants and probabilities.
 - ``mmd2`` is the textbook biased MMD^2 estimator (Gretton et al. 2012) that
   the permutation test's quadratic forms are held to.
 - ``isotonic_decreasing`` smooths criterion 07's sweep medians.
@@ -18,7 +22,9 @@ package because no program path calls them.
 import csv
 import json
 import math
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -61,6 +67,44 @@ def exact_shapley(predict_fn, x, background) -> ExplanationSet:
             phi[j] += weight * (values[code | bit] - values[code])
     names = tuple(f"f{j}" for j in range(d))
     return ExplanationSet(phi[None, :], [values[0]], [values[2**d - 1]], names)
+
+
+def _masked_values(predict_fns, X: np.ndarray, background: np.ndarray, Z: np.ndarray) -> list[np.ndarray]:
+    """Mean output of each function per (row, coalition): present features
+    come from the row, absent ones from each background row, averaged.
+
+    Each chunk of masked rows is built once, read-only, and evaluated by
+    every function in turn; each function's predictions are reduced to its
+    block before the next function runs."""
+    n, d = X.shape
+    n_c = Z.shape[0]
+    k = background.shape[0]
+    outs = [np.empty((n, n_c)) for _ in predict_fns]
+    rows_per_chunk = max(1, 500_000 // (n_c * k))
+    for start in range(0, n, rows_per_chunk):
+        chunk = X[start : start + rows_per_chunk]
+        masked = np.where(Z[None, :, None, :], chunk[:, None, None, :], background[None, None, :, :])
+        masked = masked.reshape(-1, d)
+        masked.setflags(write=False)
+        for predict_fn, out in zip(predict_fns, outs):
+            preds = np.asarray(predict_fn(masked), dtype=float).reshape(len(chunk), n_c, k)
+            out[start : start + len(chunk)] = preds.mean(axis=2)
+            del preds  # one function's predictions at a time
+    return outs
+
+
+@dataclass(frozen=True)
+class ScoreFunction:
+    """Any function of rows as ``explain_set`` takes a model: its outputs
+    are the explained scores, and its value function is the generic one."""
+
+    fn: Callable[[np.ndarray], np.ndarray]
+
+    def scores(self, X: np.ndarray) -> np.ndarray:
+        return self.fn(X)
+
+    def masked_values(self, X: np.ndarray, background: np.ndarray, Z: np.ndarray) -> np.ndarray:
+        return _masked_values([self.fn], X, background, Z)[0]
 
 
 def mmd2(E1, E2, config: KernelConfig | None = None) -> float:

@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 import pytest
-from oracles import exact_shapley, input_gradient, isotonic_decreasing
+from oracles import ScoreFunction, exact_shapley, input_gradient, isotonic_decreasing
 
 from procfair.attribution import ShapConfig, explain_set
 from procfair.cli import main as cli_main
@@ -238,7 +238,7 @@ def test_criterion_09_attribution_oracle():
         def proba(M):
             return predict_proba(model, M)
 
-        approx = explain_set([proba], x[None, :], ShapConfig(background, seed=trial))[0]
+        approx = explain_set(ScoreFunction(proba), x[None, :], ShapConfig(background, seed=trial))
         exact = exact_shapley(proba, x, background)
         worst_gap = max(worst_gap, float(np.abs(approx.values - exact.values).max()))
         worst_local = max(

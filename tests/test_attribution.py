@@ -1,6 +1,9 @@
+import tracemalloc
+from functools import partial
+
 import numpy as np
 import pytest
-from oracles import exact_shapley, read_explanations_csv
+from oracles import ScoreFunction, exact_shapley, read_explanations_csv
 
 from procfair.attribution import (
     ExplanationSet,
@@ -9,7 +12,7 @@ from procfair.attribution import (
     sample_background,
     write_explanations_csv,
 )
-from procfair.models import init_mlp, predict_proba
+from procfair.models import decision_score, init_mlp, predict_proba
 
 
 def linear_fn(w, b=0.0):
@@ -30,7 +33,7 @@ def test_linear_model_exact_attribution():
     w = np.array([1.5, -2.0, 0.3, 0.7])
     bg = rng.normal(size=(50, 4))
     x = rng.normal(size=4)
-    result = explain_set([linear_fn(w, b=0.4)], x[None, :], ShapConfig(bg, seed=1))[0]
+    result = explain_set(ScoreFunction(linear_fn(w, b=0.4)), x[None, :], ShapConfig(bg, seed=1))
     np.testing.assert_allclose(result.values[0], w * (x - bg.mean(axis=0)), atol=1e-10)
 
 
@@ -40,13 +43,13 @@ def test_linear_model_exact_with_sampled_coalitions():
     w = rng.normal(size=d)
     bg = rng.normal(size=(20, d))
     x = rng.normal(size=d)
-    result = explain_set([linear_fn(w)], x[None, :], ShapConfig(bg, n_coalitions=600, seed=2))[0]
+    result = explain_set(ScoreFunction(linear_fn(w)), x[None, :], ShapConfig(bg, n_coalitions=600, seed=2))
     np.testing.assert_allclose(result.values[0], w * (x - bg.mean(axis=0)), atol=1e-8)
 
 
 def test_constant_model_all_zero():
     bg = np.random.default_rng(2).normal(size=(10, 3))
-    result = explain_set([lambda X: np.full(len(np.atleast_2d(X)), 0.7)], np.ones((1, 3)), ShapConfig(bg))[0]
+    result = explain_set(ScoreFunction(lambda X: np.full(len(np.atleast_2d(X)), 0.7)), np.ones((1, 3)), ShapConfig(bg))
     np.testing.assert_allclose(result.values, 0.0, atol=1e-12)
     assert result.base_values[0] == pytest.approx(0.7)
 
@@ -57,7 +60,7 @@ def test_kernel_shap_matches_exact_oracle_on_mlps():
         model = init_mlp(d, 8, seed=trial)
         bg = rng.normal(size=(25, d))
         x = rng.normal(size=d)
-        approx = explain_set([mlp_fn(model)], x[None, :], ShapConfig(bg, seed=trial))[0]
+        approx = explain_set(ScoreFunction(mlp_fn(model)), x[None, :], ShapConfig(bg, seed=trial))
         exact = exact_shapley(mlp_fn(model), x, bg)
         np.testing.assert_allclose(approx.values, exact.values, atol=1e-6)
         assert approx.base_values[0] == pytest.approx(exact.base_values[0], abs=1e-12)
@@ -69,7 +72,7 @@ def test_local_accuracy_enforced():
     bg = rng.normal(size=(15, 5))
     for _ in range(5):
         x = rng.normal(size=5)
-        result = explain_set([mlp_fn(model)], x[None, :], ShapConfig(bg, seed=0))[0]
+        result = explain_set(ScoreFunction(mlp_fn(model)), x[None, :], ShapConfig(bg, seed=0))
         assert abs(result.base_values[0] + result.values.sum() - result.targets[0]) <= 1e-6
 
 
@@ -85,31 +88,42 @@ def test_null_feature_gets_no_credit():
     w_wide[0], w_wide[9] = 2.0, -1.0  # middle features ignored
     bg_wide = rng.normal(size=(20, 10))
     x_wide = rng.normal(size=10)
-    sampled = explain_set([linear_fn(w_wide)], x_wide[None, :], ShapConfig(bg_wide, n_coalitions=500, seed=6))[0]
+    config = ShapConfig(bg_wide, n_coalitions=500, seed=6)
+    sampled = explain_set(ScoreFunction(linear_fn(w_wide)), x_wide[None, :], config)
     assert np.abs(sampled.values[0, 1:9]).max() <= 0.01 * np.abs(sampled.values).max()
 
 
 def test_single_feature_edge_case():
     bg = np.array([[0.0], [2.0]])
-    result = explain_set([linear_fn([3.0])], np.array([[1.0]]), ShapConfig(bg))[0]
+    result = explain_set(ScoreFunction(linear_fn([3.0])), np.array([[1.0]]), ShapConfig(bg))
     assert result.values[0, 0] == pytest.approx(3.0 * (1.0 - 1.0))
-    result2 = explain_set([linear_fn([3.0])], np.array([[2.0]]), ShapConfig(bg))[0]
+    result2 = explain_set(ScoreFunction(linear_fn([3.0])), np.array([[2.0]]), ShapConfig(bg))
     assert result2.values[0, 0] == pytest.approx(3.0)
 
 
 def test_coalition_budget_below_d_rejected():
     bg = np.zeros((3, 5))
     with pytest.raises(ValueError, match="n_coalitions"):
-        explain_set([linear_fn(np.ones(5))], np.ones((1, 5)), ShapConfig(bg, n_coalitions=4))
+        explain_set(ScoreFunction(linear_fn(np.ones(5))), np.ones((1, 5)), ShapConfig(bg, n_coalitions=4))
 
 
-def test_singular_regression_falls_back_to_ridge():
+def test_underdetermined_coalition_sample_raises():
     # four sampled coalitions at d=4 are two complement pairs, too few to
-    # determine four attributions: the unregularized system is singular
+    # determine four attributions: the regression system is singular
     bg = np.zeros((3, 4))
-    result = explain_set([linear_fn([1.0, 2.0, 3.0, 4.0])], np.ones((1, 4)), ShapConfig(bg, n_coalitions=4))[0]
-    assert np.isfinite(result.values).all()
-    assert result.values.sum() == pytest.approx(10.0)
+    with pytest.raises(ValueError, match="singular for n_coalitions=4 sampled coalitions at d=4"):
+        explain_set(ScoreFunction(linear_fn([1.0, 2.0, 3.0, 4.0])), np.ones((1, 4)), ShapConfig(bg, n_coalitions=4))
+
+
+def test_singular_sample_of_enough_coalitions_raises():
+    # d=6 with 10 coalitions: in each of the five complement pairs seed 1
+    # draws, features 0 and 5 are present or absent together, so nothing
+    # splits their credit and the regression is singular though 10 > d
+    rng = np.random.default_rng(13)
+    bg = rng.normal(size=(10, 6))
+    config = ShapConfig(bg, n_coalitions=10, seed=1)
+    with pytest.raises(ValueError, match="singular for n_coalitions=10 sampled coalitions at d=6"):
+        explain_set(ScoreFunction(linear_fn(np.arange(1.0, 7.0))), rng.normal(size=(2, 6)), config)
 
 
 def test_odd_coalition_budget_rounds_the_pairs_up():
@@ -120,8 +134,43 @@ def test_odd_coalition_budget_rounds_the_pairs_up():
     bg = rng.normal(size=(10, 3))
     x = rng.normal(size=3)
     for seed in range(6):
-        result = explain_set([linear_fn(w)], x[None, :], ShapConfig(bg, n_coalitions=3, seed=seed))[0]
+        result = explain_set(ScoreFunction(linear_fn(w)), x[None, :], ShapConfig(bg, n_coalitions=3, seed=seed))
         np.testing.assert_allclose(result.values[0], w * (x - bg.mean(axis=0)), atol=1e-10)
+
+
+@pytest.mark.parametrize("d, h", [(3, 1), (5, 8), (7, 32)])
+def test_mlp_decision_scores_through_the_value_function_match_the_exact_oracle(d, h):
+    rng = np.random.default_rng(d)
+    model = init_mlp(d, h, seed=d)
+    bg = rng.normal(size=(20, d))
+    X = rng.normal(size=(4, d))
+    result = explain_set(model, X, ShapConfig(bg, seed=d))  # every proper coalition
+    for row, x in enumerate(X):
+        exact = exact_shapley(partial(decision_score, model), x, bg)
+        np.testing.assert_allclose(result.values[row], exact.values[0], rtol=0, atol=1e-6)
+        assert result.base_values[row] == pytest.approx(exact.base_values[0], abs=1e-12)
+        assert result.targets[row] == pytest.approx(exact.targets[0], abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "n, d, h, bound_mb",
+    [
+        (100, 4, 32, 2),  # one pipeline audit side: all 14 coalitions (5.9 MB as a masked design)
+        (20, 20, 64, 4),  # a d=20 side: 2048 sampled coalitions (126 MB as a masked design)
+    ],
+)
+def test_explain_set_memory_builds_no_masked_design(n, d, h, bound_mb):
+    rng = np.random.default_rng(d)
+    model = init_mlp(d, h, seed=0)
+    X = rng.normal(size=(n, d))
+    config = ShapConfig(rng.normal(size=(100, d)), seed=1)
+    tracemalloc.start()
+    try:
+        explain_set(model, X, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -175,13 +224,13 @@ def test_duplicate_rows_identical_explanations():
     bg = rng.normal(size=(20, 4))
     row = rng.normal(size=4)
     X = np.vstack([row, rng.normal(size=4), row])
-    result = explain_set([mlp_fn(model)], X, ShapConfig(bg, seed=4))[0]
+    result = explain_set(ScoreFunction(mlp_fn(model)), X, ShapConfig(bg, seed=4))
     np.testing.assert_array_equal(result.values[0], result.values[2])
 
 
 def test_explain_set_single_row():
     bg = np.random.default_rng(8).normal(size=(10, 2))
-    result = explain_set([linear_fn([1.0, -1.0])], np.array([[0.5, 0.5]]), ShapConfig(bg))[0]
+    result = explain_set(ScoreFunction(linear_fn([1.0, -1.0])), np.array([[0.5, 0.5]]), ShapConfig(bg))
     assert result.n == 1 and result.d == 2
 
 
@@ -190,14 +239,14 @@ def test_explain_set_deterministic():
     model = init_mlp(4, 5, seed=5)
     bg = rng.normal(size=(15, 4))
     X = rng.normal(size=(6, 4))
-    a = explain_set([mlp_fn(model)], X, ShapConfig(bg, seed=11))[0]
-    b = explain_set([mlp_fn(model)], X, ShapConfig(bg, seed=11))[0]
+    a = explain_set(ScoreFunction(mlp_fn(model)), X, ShapConfig(bg, seed=11))
+    b = explain_set(ScoreFunction(mlp_fn(model)), X, ShapConfig(bg, seed=11))
     np.testing.assert_array_equal(a.values, b.values)
 
 
 def test_explain_set_row_and_names():
     bg = np.zeros((4, 2))
-    result = explain_set([linear_fn([1.0, 2.0])], np.ones((3, 2)), ShapConfig(bg), ("u", "v"))[0]
+    result = explain_set(ScoreFunction(linear_fn([1.0, 2.0])), np.ones((3, 2)), ShapConfig(bg), ("u", "v"))
     assert result.feature_names == ("u", "v")
     assert result.base_values[1] + result.values[1].sum() == pytest.approx(result.targets[1], abs=1e-9)
 
@@ -207,7 +256,7 @@ def test_explain_set_local_accuracy_all_rows():
     model = init_mlp(4, 8, seed=6)
     bg = rng.normal(size=(30, 4))
     X = rng.normal(size=(25, 4))
-    result = explain_set([mlp_fn(model)], X, ShapConfig(bg, seed=1))[0]
+    result = explain_set(ScoreFunction(mlp_fn(model)), X, ShapConfig(bg, seed=1))
     reconstructed = result.base_values + result.values.sum(axis=1)
     np.testing.assert_allclose(reconstructed, result.targets, atol=1e-6)
 
@@ -215,7 +264,7 @@ def test_explain_set_local_accuracy_all_rows():
 def test_background_dimension_mismatch():
     bg = np.zeros((5, 3))
     with pytest.raises(ValueError, match="dimensionality"):
-        explain_set([linear_fn([1.0, 1.0])], np.ones((2, 2)), ShapConfig(bg))
+        explain_set(ScoreFunction(linear_fn([1.0, 1.0])), np.ones((2, 2)), ShapConfig(bg))
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +284,7 @@ def test_explanations_csv_round_trip(tmp_path):
     model = init_mlp(3, 4, seed=8)
     bg = rng.normal(size=(10, 3))
     X = rng.normal(size=(7, 3))
-    original = explain_set([mlp_fn(model)], X, ShapConfig(bg, seed=2), ("a", "b", "c"))[0]
+    original = explain_set(ScoreFunction(mlp_fn(model)), X, ShapConfig(bg, seed=2), ("a", "b", "c"))
     path = tmp_path / "explanations.csv"
     write_explanations_csv(original, path)
     loaded = read_explanations_csv(path)

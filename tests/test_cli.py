@@ -193,6 +193,18 @@ def test_audit_missing_model_fails(workspace, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_audit_with_a_singular_coalition_sample_fails(workspace, tmp_path, capsys):
+    # four coalitions cannot determine the MLP's four attributions
+    assert run_cli(
+        "audit", "--data", workspace["data"], "--schema", workspace["schema"],
+        "--model", workspace["unfair_model"], "--out", tmp_path, *FAST_AUDIT, "--coalitions", "4",
+    ) == 1
+    err = strict_json(capsys.readouterr().err)
+    assert (err["command"], err["type"]) == ("audit", "ValueError")
+    assert "n_coalitions=4" in err["error"] and "d=4" in err["error"]
+    assert not (tmp_path / "audit.json").exists()
+
+
 def test_audit_export_explanations(workspace, tmp_path):
     assert run_cli(
         "audit", "--data", workspace["data"], "--schema", workspace["schema"],

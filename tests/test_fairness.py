@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import ScoreFunction
 
 from procfair import fairness
 from procfair.attribution import ShapConfig, explain_set, sample_background
@@ -474,7 +475,7 @@ def _random_pool(d: int, m: int = 400) -> TabularDataset:
     "d, n_pairs, background_size",
     [
         (4, 30, 30),
-        (8, 40, 100),  # 40 rows x 254 coalitions x 100 background rows: each side masked in 3 chunks
+        (8, 40, 100),  # 254 coalitions x 100 background rows: each MLP's value function runs 3-4 coalition blocks
         (1, 20, 20),  # the d=1 shortcut, no coalitions
     ],
 )
@@ -502,9 +503,10 @@ def test_models_scored_together_equal_each_scored_alone(d, n_pairs, background_s
 
 @pytest.mark.parametrize("family", ["logistic", "mlp"])
 def test_gpf_run_memory_does_not_grow_with_the_model_count(family):
-    # MLPs: one masked chunk (50 x 14 x 100 rows, 2.2 MB) and one model's 0.56 MB
-    # of predictions at a time; logistic models build no masked rows at all.
-    # Either way each further model adds only its small results
+    # MLPs: one model's value function at a time, whose coalition block (14
+    # coalitions x 100 background rows x 8 hidden units, 90 KB) is freed before
+    # the next model's; logistic models have a closed form. Either way each
+    # further model adds only its small results
     pool, feats = _random_pool(4), (0, 1, 2, 3)
     config = AuditConfig(n_pairs=50, background_size=100, n_permutations=100, seed=1)
     plan = gpf_plan(SplitDataset(pool, pool), feats, config)
@@ -534,7 +536,7 @@ def test_logistic_explanations_are_kernel_shap_in_closed_form(d):
     (result,) = gpf_run([model], plan)
     score = partial(decision_score, model)
     for rows, got in ((plan.rows_1, result.explanations_1), (plan.rows_2, result.explanations_2)):
-        (want,) = explain_set([score], rows, plan.shap_config, plan.feature_names)
+        want = explain_set(ScoreFunction(score), rows, plan.shap_config, plan.feature_names)
         scale = np.abs(want.values).max()
         assert np.abs(got.values - want.values).max() <= 1e-12 * scale
         assert got.base_values.tobytes() == want.base_values.tobytes()

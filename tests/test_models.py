@@ -1,6 +1,11 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +15,7 @@ from mlp_reference import (
     reference_mlp_loss_grads,
     reference_sigmoid,
 )
-from oracles import input_gradient, soft_dp
+from oracles import _masked_values, input_gradient, soft_dp
 
 from procfair.datasets import SyntheticConfig, generate_synthetic, standardized_split
 from procfair.models import (
@@ -357,6 +362,89 @@ def test_decision_score_memory_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# Kernel SHAP's value function, factored through the first layer
+
+
+def _assert_close_to_oracle(model, X, background, Z):
+    got = model.masked_values(X, background, Z)
+    (want,) = _masked_values([partial(decision_score, model)], X, background, Z)
+    assert got.shape == want.shape == (len(X), len(Z))
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("d", [2, 4, 7, 20])
+@pytest.mark.parametrize("h", [1, 8, 32, 64])
+def test_masked_values_match_the_masked_design(h, d):
+    rng = np.random.default_rng(10 * h + d)
+    model = init_mlp(d, h, seed=d)
+    if d <= 7:  # every proper coalition
+        Z = ((np.arange(1, 2**d - 1)[:, None] >> np.arange(d)) & 1).astype(bool)
+    else:
+        Z = rng.random((60, d)) < 0.5
+    _assert_close_to_oracle(model, rng.normal(size=(5, d)), rng.normal(size=(40, d)), Z)
+
+
+def test_masked_values_over_a_ragged_last_coalition_block():
+    rng = np.random.default_rng(1)
+    model = init_mlp(6, 64, seed=1)
+    background = rng.normal(size=(100, 6))
+    Z = rng.random((25, 6)) < 0.5
+    block = _SCORE_CELLS // (100 * 64)
+    assert 1 < block < len(Z) and len(Z) % block  # blocks of 10, 10 and 5 coalitions
+    _assert_close_to_oracle(model, rng.normal(size=(4, 6)), background, Z)
+
+
+def test_masked_values_of_one_row_against_one_background_row():
+    rng = np.random.default_rng(2)
+    model = init_mlp(4, 8, seed=2)
+    Z = rng.random((9, 4)) < 0.5
+    _assert_close_to_oracle(model, rng.normal(size=(1, 4)), rng.normal(size=(1, 4)), Z)
+
+
+_THREAD_COUNT_SCRIPT = """
+import hashlib
+
+import numpy as np
+
+from procfair.datasets import SyntheticConfig, TabularDataset, generate_synthetic, standardized_split
+from procfair.models import TrainConfig, decision_score, fit_mlp, init_mlp
+
+digest = hashlib.sha256()
+rng = np.random.default_rng(0)
+for h, d, n_coalitions in ((32, 4, 14), (64, 20, 2048)):
+    model = init_mlp(d, h, seed=h)
+    for rows in (9001, 192001):
+        digest.update(decision_score(model, rng.normal(size=(rows, d))).tobytes())
+    Z = rng.random((n_coalitions, d)) < 0.5
+    digest.update(model.masked_values(rng.normal(size=(20, d)), rng.normal(size=(100, d)), Z).tobytes())
+base = generate_synthetic(SyntheticConfig(seed=1))
+wide = TabularDataset(
+    np.column_stack([base.features, rng.normal(size=(base.m, 16))]),
+    base.feature_names + tuple(f"z{j}" for j in range(16)), base.labels, base.sensitive_index, base.group_values,
+)
+split, _ = standardized_split(wide, 0.8)
+model, _ = fit_mlp(split.train, TrainConfig(epochs=20), hidden_size=64)
+for p in model.params():
+    digest.update(p.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_mlp_bits_do_not_depend_on_the_blas_thread_count():
+    # criterion 11 across hosts: scores, Kernel SHAP values and a d=20 fit
+    # hash the same under one and two BLAS threads
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", _THREAD_COUNT_SCRIPT], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 # ---------------------------------------------------------------------------
