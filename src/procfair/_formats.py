@@ -1,0 +1,38 @@
+"""The one owner of procfair's artifact formats: JSON documents, CSV tables
+and the read-only arrays that frozen records hold. A seed's artifacts are
+byte-identical across runs only if their bytes are decided in one place."""
+
+from __future__ import annotations
+
+import csv
+import json
+
+import numpy as np
+
+
+def readonly(arr, dtype=float) -> np.ndarray:
+    """A write-protected copy of ``arr`` as ``dtype``."""
+    out = np.array(arr, dtype=dtype, copy=True)
+    out.setflags(write=False)
+    return out
+
+
+def write_json(path, doc: dict) -> None:
+    """UTF-8 JSON with a two-space indent and a trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
+def write_table(path, header, rows, footer: str = "") -> None:
+    """UTF-8 CSV: the header, then one line per row, then ``footer`` as is.
+    Floats are written with ``repr`` (the shortest string that reads back
+    the same float) and anything else with ``str``, so rows hold Python
+    scalars (a numpy row's ``.tolist()``): under numpy 2 the ``repr`` of an
+    ``np.float64`` is ``np.float64(...)``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(v) if isinstance(v, float) else str(v) for v in row])
+        fh.write(footer)

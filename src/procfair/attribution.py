@@ -17,11 +17,12 @@ values are exact in closed form (``LogisticModel.shapley_values``), and
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._formats import readonly, write_table
 
 __all__ = [
     "ExplanationSet",
@@ -33,12 +34,6 @@ __all__ = [
 ]
 
 DEFAULT_COALITION_CAP = 2048
-
-
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float, copy=True)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -61,9 +56,9 @@ class ExplanationSet:
         names = tuple(str(n) for n in self.feature_names)
         if len(names) != values.shape[1]:
             raise ValueError("feature_names length does not match d")
-        object.__setattr__(self, "values", _readonly(values))
-        object.__setattr__(self, "base_values", _readonly(base))
-        object.__setattr__(self, "targets", _readonly(targets))
+        object.__setattr__(self, "values", readonly(values))
+        object.__setattr__(self, "base_values", readonly(base))
+        object.__setattr__(self, "targets", readonly(targets))
         object.__setattr__(self, "feature_names", names)
 
     @property
@@ -94,7 +89,7 @@ class ShapConfig:
             raise ValueError("background needs at least one row")
         if not np.isfinite(background).all():
             raise ValueError("background contains non-finite values")
-        object.__setattr__(self, "background", _readonly(background))
+        object.__setattr__(self, "background", readonly(background))
 
     def resolved_budget(self, d: int) -> int:
         budget = self.n_coalitions if self.n_coalitions is not None else min(2**d - 2, DEFAULT_COALITION_CAP)
@@ -105,6 +100,8 @@ class ShapConfig:
 
 def sample_background(X, size: int = 100, seed: int = 0) -> np.ndarray:
     """Seeded sample of rows (without replacement) to serve as background."""
+    if size < 1:
+        raise ValueError(f"background size must be at least 1, got {size}")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     k = min(size, X.shape[0])
     rng = np.random.default_rng(seed)
@@ -222,11 +219,5 @@ def explain_set(model, X, config: ShapConfig, feature_names=None) -> Explanation
 
 
 def write_explanations_csv(explanations: ExplanationSet, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(explanations.feature_names) + ["base", "target"])
-        for i in range(explanations.n):
-            row = [repr(float(v)) for v in explanations.values[i]]
-            row.append(repr(float(explanations.base_values[i])))
-            row.append(repr(float(explanations.targets[i])))
-            writer.writerow(row)
+    table = np.column_stack([explanations.values, explanations.base_values, explanations.targets])
+    write_table(path, list(explanations.feature_names) + ["base", "target"], (row.tolist() for row in table))

@@ -10,7 +10,6 @@ on stderr and a non-zero exit code.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -20,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._formats import write_json, write_table
 from .attribution import write_explanations_csv
 from .datasets import (
     SyntheticConfig,
@@ -49,20 +49,6 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_json(path: Path, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-
-
-def _write_table(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else str(v) for v in row])
-
-
 def _fmt(value: float) -> str:
     return f"{value:.4f}"
 
@@ -77,9 +63,14 @@ def _resolve_features(dataset, selector: str | None) -> tuple[int, ...] | None:
     return tuple(dataset.feature_names.index(n) for n in names)
 
 
-def _load_split_for_model(args, doc: dict, *models):
-    """Re-derive the split recorded in ``doc``, after checking that each
-    model's feature names are the dataset's columns at its feature indices."""
+def _load_models(args, *extra: str):
+    """Load ``--model`` and the models of the ``extra`` flags, check that
+    each model's feature names are the dataset's columns at its feature
+    indices, and re-derive the split that ``--model``'s document records.
+    Returns the split, the models in flag order and ``--model``'s document."""
+    loaded = [load_model(getattr(args, flag)) for flag in ("model", *extra)]
+    models = [model for model, _ in loaded]
+    doc = loaded[0][1]
     dataset = load_csv(args.data, args.schema)
     for model in models:
         for name, i in zip(model.feature_names or (), model.feature_indices):
@@ -92,7 +83,7 @@ def _load_split_for_model(args, doc: dict, *models):
     ratio = float(data_split.get("ratio", 0.8))
     seed = int(data_split.get("seed", args.seed))
     split, _ = standardized_split(dataset, ratio, seed)
-    return split
+    return split, models, doc
 
 
 def _audit_config(args) -> AuditConfig:
@@ -160,11 +151,10 @@ def cmd_train(args) -> dict:
 
 def cmd_audit(args) -> dict:
     out = _out_dir(args)
-    model, doc = load_model(args.model)
-    split = _load_split_for_model(args, doc, model)
+    split, (model,), _ = _load_models(args)
     report = audit(model, split, _audit_config(args))
     audit_doc = {"version": __version__, "model": Path(args.model).name, **report.to_dict()}
-    _write_json(out / "audit.json", audit_doc)
+    write_json(out / "audit.json", audit_doc)
     if args.export_explanations:
         write_explanations_csv(report.gpf.explanations_1, out / "explanations_group1.csv")
         write_explanations_csv(report.gpf.explanations_2, out / "explanations_group2.csv")
@@ -189,19 +179,25 @@ def _detection_config(args) -> dict:
     }
 
 
-def cmd_detect(args) -> dict:
-    out = _out_dir(args)
-    model, doc = load_model(args.model)
-    split = _load_split_for_model(args, doc, model)
+def _audit_and_detect(args):
+    """Audit ``--model`` and detect its unfair features; returns the audit
+    report, the detected features and the model document."""
+    split, (model,), doc = _load_models(args)
     report = audit(model, split, _audit_config(args))
     ufs = detect_unfair_features(report, KernelConfig(args.detection_kernel, args.bandwidth), args.beta)
+    return report, ufs, doc
+
+
+def cmd_detect(args) -> dict:
+    out = _out_dir(args)
+    _, ufs, _ = _audit_and_detect(args)
     detect_doc = {
         "version": __version__,
         "model": Path(args.model).name,
         "config": _detection_config(args),
         **ufs.to_dict(),
     }
-    _write_json(out / "unfair_features.json", detect_doc)
+    write_json(out / "unfair_features.json", detect_doc)
     names = ", ".join(ufs.feature_names) if ufs.feature_names else "(none)"
     print(f"detected unfair features: {names}")
     return detect_doc
@@ -209,20 +205,10 @@ def cmd_detect(args) -> dict:
 
 def cmd_mitigate(args) -> dict:
     out = _out_dir(args)
-    model, doc = load_model(args.model)
-    split = _load_split_for_model(args, doc, model)
-    before = audit(model, split, _audit_config(args))
-    ufs = detect_unfair_features(before, KernelConfig(args.detection_kernel, args.bandwidth), args.beta)
+    before, ufs, doc = _audit_and_detect(args)
 
     if args.method == "retrain":
-        training = doc.get("training") or {}
-        train_config = TrainConfig(
-            epochs=int(training.get("epochs", 300)),
-            learning_rate=float(training.get("learning_rate", 0.01)),
-            dp_weight=float(training.get("dp_weight", 0.0)),
-            seed=int(training.get("seed", args.seed)),
-        )
-        result = retrain_without(before, ufs, train_config)
+        result = retrain_without(before, ufs, TrainConfig.from_snapshot(doc.get("training"), args.seed))
         model_path = out / "model_retrained.json"
     else:
         config = ModifyConfig(alpha=args.alpha, tau=args.tau, learning_rate=args.lr)
@@ -238,7 +224,7 @@ def cmd_mitigate(args) -> dict:
         "unfair_features": ufs.to_dict(),
         **result.to_dict(),
     }
-    _write_json(out / "mitigation.json", mitigation_doc)
+    write_json(out / "mitigation.json", mitigation_doc)
     after = result.report_after
     print(
         f"{args.method}: GPF {_fmt(before.gpf_fae)} -> {_fmt(after.gpf_fae)}, "
@@ -264,7 +250,7 @@ def cmd_sweep_ws(args) -> dict:
         [float(w), float(w) / scale, float(matrix[:, j].mean()), float(matrix[:, j].std())]
         for j, w in enumerate(grid)
     ]
-    _write_table(out / "sweep_ws.csv", ["w_s", "w_s_normalized", "gpf_mean", "gpf_std"], rows)
+    write_table(out / "sweep_ws.csv", ["w_s", "w_s_normalized", "gpf_mean", "gpf_std"], rows)
     print(f"wrote sweep_ws.csv ({len(rows)} grid points, {args.seeds} seeds)")
     return {
         "features": [dataset.feature_names[i] for i in feats],
@@ -276,23 +262,21 @@ def cmd_sweep_ws(args) -> dict:
 
 def cmd_sweep_n(args) -> dict:
     out = _out_dir(args)
-    model, doc = load_model(args.model)
-    split = _load_split_for_model(args, doc, model)
+    split, (model,), _ = _load_models(args)
     n_values = [int(v) for v in args.n_values.split(",")]
     seeds = [derive_seed(args.seed, f"n-sweep-{i}") for i in range(args.seeds)]
     matrix = sweep_pair_count(model, split, n_values, seeds, _audit_config(args))
     rows = [
         [n, float(matrix[:, j].mean()), float(matrix[:, j].std())] for j, n in enumerate(n_values)
     ]
-    _write_table(out / "sweep_n.csv", ["n", "gpf_mean", "gpf_std"], rows)
+    write_table(out / "sweep_n.csv", ["n", "gpf_mean", "gpf_std"], rows)
     print(f"wrote sweep_n.csv ({len(rows)} pair counts, {args.seeds} seeds)")
     return {"n_values": n_values, "gpf_means": [r[1] for r in rows]}
 
 
 def cmd_sweep_pool(args) -> dict:
     out = _out_dir(args)
-    model, doc = load_model(args.model)
-    split = _load_split_for_model(args, doc, model)
+    split, (model,), _ = _load_models(args)
     pool_sizes = [int(v) for v in args.pool_sizes.split(",")]
     seeds = [derive_seed(args.seed, f"pool-sweep-{i}") for i in range(args.seeds)]
     distances, scores = sweep_pool_size(model, split, pool_sizes, seeds, _audit_config(args))
@@ -305,7 +289,7 @@ def cmd_sweep_pool(args) -> dict:
         ]
         for j, size in enumerate(pool_sizes)
     ]
-    _write_table(out / "sweep_pool.csv", ["pool_size", "mean_pair_distance", "gpf_mean", "gpf_std"], rows)
+    write_table(out / "sweep_pool.csv", ["pool_size", "mean_pair_distance", "gpf_mean", "gpf_std"], rows)
     print(f"wrote sweep_pool.csv ({len(rows)} pool sizes, {args.seeds} seeds)")
     return {"pool_sizes": pool_sizes, "mean_distances": [r[1] for r in rows]}
 
@@ -316,10 +300,7 @@ def cmd_boundary(args) -> dict:
     if args.margin < 0:
         raise ValueError(f"--margin must be at least 0, got {args.margin}")
     out = _out_dir(args)
-    original, doc = load_model(args.model)
-    modified, _ = load_model(args.modified)
-    retrained, _ = load_model(args.retrained)
-    split = _load_split_for_model(args, doc, original, modified, retrained)
+    split, (original, modified, retrained), _ = _load_models(args, "modified", "retrained")
     full = concat_datasets(split.train, split.test)
 
     pca = pca_project(full.features, 2)
@@ -339,21 +320,14 @@ def cmd_boundary(args) -> dict:
         "modified": grid_predictions(modified),
         "retrained": grid_predictions(retrained),
     }
-    rows = [
-        [float(plane[i, 0]), float(plane[i, 1]), int(preds["original"][i]),
-         int(preds["modified"][i]), int(preds["retrained"][i])]
-        for i in range(plane.shape[0])
-    ]
-    _write_table(
+    grid_labels = np.column_stack(list(preds.values()))
+    write_table(
         out / "boundary.csv",
         ["x", "y", "pred_original", "pred_modified", "pred_retrained"],
-        rows,
+        (xy.tolist() + row.tolist() for xy, row in zip(plane, grid_labels)),
     )
-    point_rows = [
-        [float(p[0]), float(p[1]), int(label)]
-        for p, label in zip(pca.projected, full.labels)
-    ]
-    _write_table(out / "boundary_points.csv", ["x", "y", "label"], point_rows)
+    point_rows = (p.tolist() + [label] for p, label in zip(pca.projected, full.labels.tolist()))
+    write_table(out / "boundary_points.csv", ["x", "y", "label"], point_rows)
 
     disagree_modified = float((preds["modified"] != preds["original"]).mean())
     disagree_retrained = float((preds["retrained"] != preds["original"]).mean())
@@ -552,15 +526,13 @@ def _inject_config(argv: list[str]) -> list[str]:
         config = json.load(fh)
     tokens: list[str] = []
     for key, value in config.items():
-        flag = "--" + str(key).replace("_", "-")
-        if isinstance(value, bool):
-            if value:
-                tokens.append(flag)
-        elif isinstance(value, list):
-            tokens.append(flag)
+        if value is None or value is False:
+            continue  # null and false leave the flag at its default
+        tokens.append("--" + str(key).replace("_", "-"))
+        if isinstance(value, list):
             tokens.extend(str(v) for v in value)
-        else:
-            tokens.extend([flag, str(value)])
+        elif value is not True:
+            tokens.append(str(value))
     return [argv[0]] + tokens + argv[1:]
 
 
@@ -584,7 +556,7 @@ def main(argv=None) -> int:
     except Exception as exc:
         return _fail(args.command, exc)
     config = {k: v for k, v in sorted(vars(args).items()) if k not in ("func",)}
-    _write_json(
+    write_json(
         Path(args.out) / "report.json",
         {
             "version": __version__,

@@ -18,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ._formats import readonly, write_json, write_table
+
 __all__ = [
     "TabularDataset",
     "SyntheticConfig",
@@ -40,12 +42,6 @@ __all__ = [
 ]
 
 SYNTHETIC_FEATURE_NAMES = ("x1", "x2", "xs", "xp")
-
-
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, copy=True)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -91,9 +87,9 @@ class TabularDataset:
         for value in gv:
             if not (col == value).any():
                 raise ValueError(f"group value {value} absent from the sensitive column")
-        object.__setattr__(self, "features", _readonly(feats))
+        object.__setattr__(self, "features", readonly(feats))
         object.__setattr__(self, "feature_names", names)
-        object.__setattr__(self, "labels", _readonly(labels))
+        object.__setattr__(self, "labels", readonly(labels, np.int64))
         object.__setattr__(self, "sensitive_index", int(self.sensitive_index))
         object.__setattr__(self, "group_values", gv)
 
@@ -240,7 +236,7 @@ def zscore_normalize(dataset: TabularDataset) -> tuple[TabularDataset, ZScoreSta
     if constant:
         names = ", ".join(dataset.feature_names[i] for i in constant)
         warnings.warn(f"constant column(s) passed through unscaled: {names}", stacklevel=2)
-    stats = ZScoreStats(_readonly(mean), _readonly(std), constant)
+    stats = ZScoreStats(readonly(mean), readonly(std), constant)
     return apply_zscore(dataset, stats), stats
 
 
@@ -452,24 +448,22 @@ def load_csv(path, schema) -> TabularDataset:
 
 def write_csv(dataset: TabularDataset, path) -> None:
     """Write the dataset with a provenance footer comment line."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(dataset.feature_names) + ["label"])
-        for i in range(dataset.m):
-            row = [repr(float(v)) for v in dataset.features[i]]
-            row.append(str(int(dataset.labels[i])))
-            writer.writerow(row)
-        fh.write(f"# provenance: {dataset.provenance}\n")
+    write_table(
+        path,
+        list(dataset.feature_names) + ["label"],
+        (row.tolist() + [label] for row, label in zip(dataset.features, dataset.labels.tolist())),
+        f"# provenance: {dataset.provenance}\n",
+    )
 
 
 def write_schema(dataset: TabularDataset, path) -> None:
-    doc = {
-        "label": "label",
-        "sensitive": dataset.feature_names[dataset.sensitive_index],
-        "advantaged_value": dataset.group_values[0],
-        "disadvantaged_value": dataset.group_values[1],
-        "positive_label": 1,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_json(
+        path,
+        {
+            "label": "label",
+            "sensitive": dataset.feature_names[dataset.sensitive_index],
+            "advantaged_value": dataset.group_values[0],
+            "disadvantaged_value": dataset.group_values[1],
+            "positive_label": 1,
+        },
+    )

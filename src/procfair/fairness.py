@@ -11,6 +11,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from ._formats import readonly
 from .attribution import ExplanationSet, ShapConfig, explain_set, explanation_inputs, sample_background
 from .datasets import SplitDataset, TabularDataset, concat_datasets
 from .models import LogisticModel, decision_score, predict_labels
@@ -42,12 +43,6 @@ DISTRIBUTIVE_THRESHOLD = 0.10
 _MATCH_CELLS = 500_000
 
 
-def _readonly(arr: np.ndarray, dtype=float) -> np.ndarray:
-    out = np.array(arr, dtype=dtype, copy=True)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True)
 class PairSelection:
     """Matched cross-group samples: row i of ``group1_rows`` is paired with
@@ -67,9 +62,9 @@ class PairSelection:
             raise ValueError("pair arrays must be 1-D and of equal length")
         if (dist < 0).any():
             raise ValueError("negative pair distance")
-        object.__setattr__(self, "group1_rows", _readonly(g1, np.int64))
-        object.__setattr__(self, "group2_rows", _readonly(g2, np.int64))
-        object.__setattr__(self, "distances", _readonly(dist))
+        object.__setattr__(self, "group1_rows", readonly(g1, np.int64))
+        object.__setattr__(self, "group2_rows", readonly(g2, np.int64))
+        object.__setattr__(self, "distances", readonly(dist))
 
     @property
     def n(self) -> int:
@@ -364,8 +359,8 @@ class GpfPlan:
     config: AuditConfig
 
     def __post_init__(self):
-        object.__setattr__(self, "rows_1", _readonly(self.rows_1))
-        object.__setattr__(self, "rows_2", _readonly(self.rows_2))
+        object.__setattr__(self, "rows_1", readonly(self.rows_1))
+        object.__setattr__(self, "rows_2", readonly(self.rows_2))
 
 
 def gpf_plan(split: SplitDataset, feature_indices, config: AuditConfig) -> GpfPlan:

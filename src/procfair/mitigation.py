@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._formats import readonly
 from .attribution import ExplanationSet
 from .fairness import AuditReport, audit
 from .models import TrainConfig, _adam_descent, _check_inputs
@@ -62,11 +63,9 @@ class UnfairFeatureSet:
         expected = tuple(int(i) for i in np.flatnonzero(pvalues <= self.threshold))
         if tuple(self.indices) != expected:
             raise ValueError("indices must be exactly the features at or below the threshold")
-        pvalues = np.array(pvalues, copy=True)
-        pvalues.setflags(write=False)
         object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
         object.__setattr__(self, "feature_names", tuple(str(n) for n in self.feature_names))
-        object.__setattr__(self, "pvalues", pvalues)
+        object.__setattr__(self, "pvalues", readonly(pvalues))
 
     def to_dict(self) -> dict:
         return {

@@ -31,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._formats import readonly, write_json
 from ._version import __version__
 
 __all__ = [
@@ -65,12 +66,6 @@ _SCORE_CELLS = 65536
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float, copy=True)
-    out.setflags(write=False)
-    return out
 
 
 class TrainingDivergedError(RuntimeError):
@@ -174,9 +169,9 @@ class MlpModel:
             raise ValueError("b1/w2 shapes inconsistent with w1")
         if not (np.isfinite(w1).all() and np.isfinite(b1).all() and np.isfinite(w2).all() and np.isfinite(self.b2)):
             raise ValueError("non-finite parameters")
-        object.__setattr__(self, "w1", _readonly(w1))
-        object.__setattr__(self, "b1", _readonly(b1))
-        object.__setattr__(self, "w2", _readonly(w2))
+        object.__setattr__(self, "w1", readonly(w1))
+        object.__setattr__(self, "b1", readonly(b1))
+        object.__setattr__(self, "w2", readonly(w2))
         object.__setattr__(self, "b2", float(self.b2))
         _set_features(self)
 
@@ -326,7 +321,7 @@ class LogisticModel:
             raise ValueError("non-finite parameters")
         if self.sensitive_position is not None and not 0 <= self.sensitive_position < w.size:
             raise ValueError("sensitive_position out of range")
-        object.__setattr__(self, "w", _readonly(w))
+        object.__setattr__(self, "w", readonly(w))
         object.__setattr__(self, "b", float(self.b))
         _set_features(self)
 
@@ -447,6 +442,18 @@ class TrainConfig:
             "dp_weight": self.dp_weight,
             "seed": self.seed,
         }
+
+    @classmethod
+    def from_snapshot(cls, training: dict | None, seed: int) -> "TrainConfig":
+        """The settings a model document's ``training`` block records; an
+        absent entry takes its default, and an absent seed ``seed``."""
+        training = training or {}
+        return cls(
+            epochs=int(training.get("epochs", cls.epochs)),
+            learning_rate=float(training.get("learning_rate", cls.learning_rate)),
+            dp_weight=float(training.get("dp_weight", cls.dp_weight)),
+            seed=int(training.get("seed", seed)),
+        )
 
 
 def default_hidden_size(d: int) -> int:
@@ -631,9 +638,7 @@ def model_from_dict(doc: dict):
 
 
 def save_model(model, path, training: dict | None = None, data_split: dict | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model, training, data_split), fh, indent=2)
-        fh.write("\n")
+    write_json(path, model_to_dict(model, training, data_split))
 
 
 def load_model(path):

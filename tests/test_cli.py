@@ -216,6 +216,18 @@ def test_audit_export_explanations(workspace, tmp_path):
     assert header == ["x1", "x2", "base", "target"]
 
 
+@pytest.mark.parametrize("size", [-5, 0])
+def test_audit_rejects_a_background_below_one(workspace, tmp_path, capsys, size):
+    assert run_cli(
+        "audit", "--data", workspace["data"], "--schema", workspace["schema"],
+        "--model", workspace["fair_model"], "--out", tmp_path, "--n", "20", "--background", size,
+    ) == 1
+    err = strict_json(capsys.readouterr().err)
+    assert (err["command"], err["type"]) == ("audit", "ValueError")
+    assert f"background size must be at least 1, got {size}" in err["error"]
+    assert not (tmp_path / "audit.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # detect / mitigate
 
@@ -645,6 +657,33 @@ def test_config_equals_form(tmp_path):
     assert run_cli("gen-data", "--out", tmp_path, f"--config={config}") == 0
     report = strict_json((tmp_path / "report.json").read_text())
     assert report["config"]["m"] == 700
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("weights", [-0.1, 1.0, 0.5, 0.5, 0.5]),
+        ("export_explanations", True),
+        ("export_explanations", False),
+        ("coalitions", None),
+    ],
+)
+def test_config_file_values_of_each_json_kind(workspace, tmp_path, key, value):
+    # a list gives the flag its values and true sets a switch; false and
+    # null leave the flag at its default, which for --coalitions is null
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    if key == "weights":
+        argv = ["gen-data", "--m", "600", "--n-advantaged", "350"]
+    else:
+        argv = [
+            "audit", "--data", workspace["data"], "--schema", workspace["schema"],
+            "--model", workspace["fair_model"], *FAST_AUDIT,
+        ]
+    assert run_cli(*argv, "--out", tmp_path, "--config", config) == 0
+    report = strict_json((tmp_path / "report.json").read_text())
+    assert report["config"][key] == value
+    assert (tmp_path / "explanations_group1.csv").exists() == (value is True)
 
 
 def test_config_missing_file_fails(tmp_path, capsys):

@@ -559,6 +559,15 @@ def test_select_fair_features_empty_errors():
         select_fair_features(ds, 0.10)
 
 
+def test_select_fair_features_counts_a_constant_column_as_fair():
+    rng = np.random.default_rng(0)
+    s = (rng.random(100) < 0.5).astype(float)
+    features = np.column_stack([np.full(100, 2.0), s, s])
+    labels = (rng.random(100) < 0.5).astype(int)
+    ds = TabularDataset(features, ("constant", "s", "copy"), labels, 1, (1.0, 0.0))
+    assert select_fair_features(ds, 0.10) == (0,)
+
+
 def test_concat_datasets():
     ds = toy_dataset(m=10, seed=8)
     split = train_test_split(ds, 0.8, 0)

@@ -88,6 +88,13 @@ def test_detection_identical_sets_empty():
     assert (ufs.pvalues > 0.9).all()
 
 
+def test_detection_rejects_sets_over_different_features():
+    e1 = ExplanationSet(np.zeros((5, 2)), np.zeros(5), np.zeros(5), ("a", "b"))
+    e2 = ExplanationSet(np.zeros((5, 2)), np.zeros(5), np.zeros(5), ("a", "c"))
+    with pytest.raises(ValueError, match="different features"):
+        unfair_features_from_sets(e1, e2, perm_config=PermutationConfig(200, seed=0))
+
+
 def test_detection_threshold_zero_always_empty():
     rng = np.random.default_rng(1)
     e1 = ExplanationSet(rng.normal(size=(20, 2)), np.zeros(20), np.zeros(20), ("a", "b"))
