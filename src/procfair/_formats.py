@@ -1,6 +1,7 @@
-"""The one owner of procfair's artifact formats: JSON documents, CSV tables
-and the read-only arrays that frozen records hold. A seed's artifacts are
-byte-identical across runs only if their bytes are decided in one place."""
+"""The one owner of procfair's artifact formats: JSON documents (written and
+read), CSV tables and the read-only arrays that frozen records hold. A seed's
+artifacts are byte-identical across runs only if their bytes are decided in
+one place."""
 
 from __future__ import annotations
 
@@ -22,6 +23,16 @@ def write_json(path, doc: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
+
+
+def read_json(path) -> dict:
+    """The JSON object in the UTF-8 file ``path``; any other document is a
+    ValueError that names the file."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path} holds a JSON {type(doc).__name__}, not an object")
+    return doc
 
 
 def write_table(path, header, rows, footer: str = "") -> None:

@@ -1,18 +1,17 @@
 """Shapley-value feature attribution.
 
-``explain_set`` solves the Shapley-kernel-weighted least squares over feature
-coalitions, with absent features replaced by background rows (marginal
-expectation) and the efficiency constraint sum(values) = f(x) - base enforced
-exactly through a KKT system. When the coalition budget covers all 2^d - 2
-proper coalitions the result equals the exact Shapley values; the test suite
-checks it against an independent enumeration oracle.
-
-It explains one model at a time, through the model's own value function
-(``MlpModel.masked_values``, which builds no masked rows; Lundberg & Lee 2017
-recommend such model-specific forms over generic masking). The audit pipeline
-sends only models without a closed form here: a logistic model's Shapley
-values are exact in closed form (``LogisticModel.shapley_values``), and
-``explanation_inputs`` holds the checks both routes apply.
+``explain_set`` explains every model family, one model at a time, through
+the most specific form the model offers (Lundberg & Lee 2017 recommend
+model-specific forms over generic masking). A model whose Shapley values have
+a closed form gives them itself: a logistic model's score is linear, so
+Linear SHAP (``LogisticModel.shapley_values``) is exact. Any other model
+gives its value function (``MlpModel.masked_values``, which builds no masked
+rows), and Kernel SHAP solves the Shapley-kernel-weighted least squares over
+feature coalitions, with absent features replaced by background rows
+(marginal expectation) and the efficiency constraint sum(values) = f(x) - base
+enforced exactly through a KKT system. When the coalition budget covers all
+2^d - 2 proper coalitions the result equals the exact Shapley values; the
+test suite checks it against an independent enumeration oracle.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ __all__ = [
     "ExplanationSet",
     "ShapConfig",
     "explain_set",
-    "explanation_inputs",
     "sample_background",
     "write_explanations_csv",
 ]
@@ -170,48 +168,44 @@ def _constrained_wls(Z, weights, budget: int):
     return solve
 
 
-def explanation_inputs(X, config: ShapConfig, feature_names=None) -> tuple[np.ndarray, tuple[str, ...]]:
-    """X as an (n, d) float matrix and its feature names (default f0, f1, ...),
-    checked as every explanation of X under ``config`` needs them: the
-    background's width and the names' count must be d and, when d > 1, the
-    coalition budget must cover d."""
+def explain_set(model, X, config: ShapConfig, feature_names=None) -> ExplanationSet:
+    """Shapley values of ``model``'s scores for every row of X, named
+    ``feature_names`` (default f0, f1, ...); equal rows receive equal
+    explanations.
+
+    ``model`` gives its scores, ``scores(X)``, and either their exact
+    Shapley values, ``shapley_values(X, background)``, taken first, or its
+    value function, ``masked_values(X, background, Z)``: the (n, coalitions)
+    mean score of each row with the features outside each coalition taken
+    from every background row in turn, for Kernel SHAP over one coalition
+    sample for all rows (at d = 1 the one feature gets f(x) - base). The
+    coalition budget must cover d > 1 for every model; a sampled coalition
+    set that leaves the regression singular raises a ValueError.
+
+    The audit explains the decision score (log-odds), the additive scale the
+    thresholded prediction lives on; probability-space attributions would
+    fold the sigmoid's saturation into every feature."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    d = X.shape[1]
-    if config.background.shape[1] != d:
+    n, d = X.shape
+    background = config.background
+    if background.shape[1] != d:
         raise ValueError("background dimensionality does not match the data")
     names = tuple(feature_names) if feature_names is not None else tuple(f"f{j}" for j in range(d))
     if len(names) != d:
         raise ValueError("feature_names length does not match d")
-    if d > 1:
-        config.resolved_budget(d)
-    return X, names
-
-
-def explain_set(model, X, config: ShapConfig, feature_names=None) -> ExplanationSet:
-    """Kernel SHAP of ``model``'s scores for every row of X, with one
-    background and one coalition sample for all rows, so equal rows receive
-    equal explanations.
-
-    ``model`` gives its scores, ``scores(X)``, and its value function,
-    ``masked_values(X, background, Z)``: the (n, coalitions) mean score of
-    each row with the features outside each coalition taken from every
-    background row in turn. ``MlpModel`` computes it without a masked
-    design. A sampled coalition set that leaves the regression singular
-    raises a ValueError."""
-    X, names = explanation_inputs(X, config, feature_names)
-    n, d = X.shape
-    background = config.background
+    budget = config.resolved_budget(d) if d > 1 else None
 
     target = np.asarray(model.scores(X), dtype=float).ravel()
     base = float(np.mean(model.scores(background)))
-    if d == 1:
-        return ExplanationSet((target - base)[:, None], np.full(n, base), target, names)
-
-    budget = config.resolved_budget(d)
-    Z, weights = _coalitions(d, budget, np.random.default_rng(config.seed))
-    solve = _constrained_wls(Z, weights, budget)
-    values = model.masked_values(X, background, Z)
-    return ExplanationSet(solve(values - base, target - base), np.full(n, base), target, names)
+    if hasattr(model, "shapley_values"):
+        values = model.shapley_values(X, background)
+    elif d == 1:
+        values = (target - base)[:, None]
+    else:
+        Z, weights = _coalitions(d, budget, np.random.default_rng(config.seed))
+        solve = _constrained_wls(Z, weights, budget)
+        values = solve(model.masked_values(X, background, Z) - base, target - base)
+    return ExplanationSet(values, np.full(n, base), target, names)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._formats import write_json, write_table
+from ._formats import read_json, write_json, write_table
 from .attribution import write_explanations_csv
 from .datasets import (
     SyntheticConfig,
@@ -522,10 +522,8 @@ def _inject_config(argv: list[str]) -> list[str]:
             path = token[len("--config=") :]
     if path is None:
         return argv
-    with open(path, encoding="utf-8") as fh:
-        config = json.load(fh)
     tokens: list[str] = []
-    for key, value in config.items():
+    for key, value in read_json(path).items():
         if value is None or value is False:
             continue  # null and false leave the flag at its default
         tokens.append("--" + str(key).replace("_", "-"))

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._formats import readonly, write_json, write_table
+from ._formats import read_json, readonly, write_json, write_table
 
 __all__ = [
     "TabularDataset",
@@ -349,11 +349,7 @@ def concat_datasets(a: TabularDataset, b: TabularDataset) -> TabularDataset:
 
 
 def load_schema(schema) -> dict:
-    if isinstance(schema, dict):
-        doc = dict(schema)
-    else:
-        with open(schema, encoding="utf-8") as fh:
-            doc = json.load(fh)
+    doc = dict(schema) if isinstance(schema, dict) else read_json(schema)
     for key in ("label", "sensitive", "advantaged_value", "disadvantaged_value"):
         if key not in doc:
             raise ValueError(f"schema is missing the {key!r} entry")

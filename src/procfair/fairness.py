@@ -12,11 +12,14 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from ._formats import readonly
-from .attribution import ExplanationSet, ShapConfig, explain_set, explanation_inputs, sample_background
+from .attribution import ExplanationSet, ShapConfig, explain_set, sample_background
 from .datasets import SplitDataset, TabularDataset, concat_datasets
-from .models import LogisticModel, decision_score, predict_labels
+from .models import predict_labels
 from .seeding import derive_seed
 from .two_sample import KernelConfig, PermutationConfig, permutation_memberships, permutation_pvalue
+
+# Unused here; perfbench/tracing.py rebinds this name in this module.
+from .models import decision_score  # noqa: F401
 
 __all__ = [
     "PairSelection",
@@ -232,39 +235,12 @@ def _pair_features(pool: TabularDataset, pairs: PairSelection, feats) -> tuple[n
     return pool.features[pairs.group1_rows][:, feats], pool.features[pairs.group2_rows][:, feats]
 
 
-def _explain_both_sides(
-    models, X1, X2, shap_config: ShapConfig, names: tuple[str, ...]
-) -> tuple[list[ExplanationSet], list[ExplanationSet]]:
-    """Explain the two sides' rows for every model with a shared background.
-    A logistic model's exact Shapley values come in closed form
-    (``LogisticModel.shapley_values``); each other model gets one
-    ``explain_set`` call per side, through its own value function, so a
-    model's sets do not depend on which models share the call, and the
-    inputs pass ``explain_set``'s checks. Every set names the features
-    ``names``, the pool's columns, so a model that names its features must
-    name them so.
-
-    Attributions explain the model's decision score (log-odds), the additive
-    scale the thresholded prediction lives on; probability-space attributions
-    would fold the sigmoid's saturation into every feature.
-    """
+def _check_feature_names(models, names: tuple[str, ...]) -> None:
+    """Every explanation set names the features ``names``, the pool's
+    columns, so a model that names its features must name them so."""
     for model in models:
         if model.feature_names is not None and model.feature_names != names:
             raise ValueError(f"model feature names {model.feature_names} differ from the pool's columns {names}")
-    background = shap_config.background
-
-    def explain(model, X) -> ExplanationSet:
-        if not isinstance(model, LogisticModel):
-            return explain_set(model, X, shap_config, names)
-        base = float(np.mean(decision_score(model, background)))
-        values = model.shapley_values(X, background)
-        return ExplanationSet(values, np.full(len(X), base), decision_score(model, X), names)
-
-    sides = []
-    for X in (X1, X2):
-        X, _ = explanation_inputs(X, shap_config, names)
-        sides.append([explain(model, X) for model in models])
-    return sides[0], sides[1]
 
 
 def matched_explanations(
@@ -280,8 +256,8 @@ def matched_explanations(
     pairs = select_pairs(pool, n, pair_seed, feats)
     X1, X2 = _pair_features(pool, pairs, feats)
     names = tuple(pool.feature_names[i] for i in feats)
-    (e1,), (e2,) = _explain_both_sides([model], X1, X2, shap_config, names)
-    return pairs, e1, e2
+    _check_feature_names([model], names)
+    return pairs, explain_set(model, X1, shap_config, names), explain_set(model, X2, shap_config, names)
 
 
 # ---------------------------------------------------------------------------
@@ -394,12 +370,12 @@ def gpf_plan(split: SplitDataset, feature_indices, config: AuditConfig) -> GpfPl
 
 def gpf_run(models, plan: GpfPlan) -> list[GpfResult]:
     """Score models over one plan, returning one result per model, in order:
-    explain both sides of the plan's pairs for each model (logistic models
-    in closed form, the others by Kernel SHAP through their value function),
-    then test each model's two explanation sets with the plan's permutations
-    and kernel. The models share the plan's pairs, background, coalition
-    seed and permutations, and each result equals the one a call with that
-    model alone returns."""
+    explain both sides of the plan's pairs for every model with
+    ``explain_set`` (in closed form for a model that has one, else by Kernel
+    SHAP through its value function), then test each model's two
+    explanation sets with the plan's permutations and kernel. The models
+    share the plan's pairs, background, coalition seed and permutations, and
+    each result equals the one a call with that model alone returns."""
     models = list(models)
     if not models:
         raise ValueError("gpf_run needs at least one model")
@@ -408,9 +384,13 @@ def gpf_run(models, plan: GpfPlan) -> list[GpfResult]:
             raise ValueError(
                 f"model feature indices {model.feature_indices} differ from the plan's {plan.feature_indices}"
             )
-    sides_1, sides_2 = _explain_both_sides(models, plan.rows_1, plan.rows_2, plan.shap_config, plan.feature_names)
+    _check_feature_names(models, plan.feature_names)
+    sides = [
+        [explain_set(model, X, plan.shap_config, plan.feature_names) for model in models]
+        for X in (plan.rows_1, plan.rows_2)
+    ]
     results = []
-    for e1, e2 in zip(sides_1, sides_2):
+    for e1, e2 in zip(*sides):
         p = permutation_pvalue(e1.values, e2.values, plan.config.kernel, plan.perm_config, plan.memberships)
         results.append(GpfResult(p, plan, e1, e2))
     return results

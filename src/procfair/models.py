@@ -24,14 +24,12 @@ and is verified against finite differences in the test suite.
 from __future__ import annotations
 
 import dataclasses
-import json
 import operator
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from ._formats import readonly, write_json
+from ._formats import read_json, readonly, write_json
 from ._version import __version__
 
 __all__ = [
@@ -643,6 +641,5 @@ def save_model(model, path, training: dict | None = None, data_split: dict | Non
 
 def load_model(path):
     """Returns (model, full document)."""
-    with open(Path(path), encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     return model_from_dict(doc), doc

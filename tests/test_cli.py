@@ -695,6 +695,27 @@ def test_config_missing_file_fails(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "reader, document",
+    [("config", [1, 2]), ("model", [1, 2]), ("schema", 7)],
+)
+def test_a_json_document_that_is_not_an_object_fails_as_json(workspace, tmp_path, capsys, reader, document):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(document))
+    data = ["--data", workspace["data"]]
+    argv = {
+        "config": ["gen-data", "--config", bad],
+        "model": ["audit", *data, "--schema", workspace["schema"], "--model", bad],
+        "schema": ["train", *data, "--schema", bad],
+    }[reader]
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out", out) == 1
+    err = strict_json(capsys.readouterr().err)
+    assert (err["command"], err["type"]) == (argv[0], "ValueError")
+    assert str(bad) in err["error"]
+    assert not (out / "report.json").exists()
+
+
 def test_config_without_value_fails(tmp_path, capsys):
     assert run_cli("gen-data", "--out", tmp_path, "--config") == 1
     err = strict_json(capsys.readouterr().err)

@@ -1,0 +1,47 @@
+import ast
+from pathlib import Path
+
+import procfair
+from procfair.models import MODEL_KINDS
+
+SRC = Path(procfair.__file__).parent
+# the model families are defined and exported here; every other module reaches
+# them through their methods
+OWNERS = {SRC / "models.py", SRC / "__init__.py"}
+MODEL_CLASSES = {family.__name__ for family in MODEL_KINDS.values()}
+
+
+def _name(node: ast.AST) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.asname or node.name
+    return None
+
+
+def _family_dispatches(path: Path) -> list[str]:
+    """The places in ``path`` that branch on a model's family: any mention
+    of ``LogisticModel``, and ``isinstance``/``issubclass`` calls whose class
+    argument names a model class."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if _name(node) == "LogisticModel":
+            found.append(f"{path.name}:{getattr(node, 'lineno', '?')} names LogisticModel")
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("isinstance", "issubclass")
+            and len(node.args) == 2
+            and {_name(sub) for sub in ast.walk(node.args[1])} & MODEL_CLASSES
+        ):
+            found.append(f"{path.name}:{node.lineno} {node.func.id}(")
+    return found
+
+
+def test_only_the_models_module_dispatches_on_the_model_family():
+    assert MODEL_CLASSES == {"LogisticModel", "MlpModel"}
+    assert _family_dispatches(SRC / "models.py")  # the guard sees what it guards
+    strays = [entry for path in sorted(SRC.glob("*.py")) if path not in OWNERS for entry in _family_dispatches(path)]
+    assert not strays, f"call a model method instead of branching on its class: {strays}"

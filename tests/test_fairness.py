@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import ScoreFunction
+from oracles import ScoreFunction, exact_shapley
 
-from procfair import fairness
+from procfair import attribution, fairness
 from procfair.attribution import ShapConfig, explain_set, sample_background
 from procfair.datasets import (
     SplitDataset,
@@ -558,6 +558,41 @@ def test_logistic_explanations_keep_the_coalition_budget_check():
     (result,) = gpf_run([model], gpf_plan(SplitDataset(pool, pool), (0,), replace(config, n_coalitions=0)))
     for e in (result.explanations_1, result.explanations_2):
         np.testing.assert_allclose(e.values[:, 0], e.targets - e.base_values, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [4, 13])  # all 14 proper coalitions; 2048 sampled ones
+def test_logistic_models_run_no_kernel_shap(monkeypatch, d):
+    def kernel_shap(*args):
+        raise AssertionError("Kernel SHAP ran for a model with a closed form")
+
+    monkeypatch.setattr(attribution, "_coalitions", kernel_shap)
+    monkeypatch.setattr(attribution, "_constrained_wls", kernel_shap)
+    pool, feats = _random_pool(d), tuple(range(d))
+    rng = np.random.default_rng(d)
+    models = [LogisticModel(rng.normal(size=d), 0.2 * i, feature_indices=feats) for i in range(3)]
+    config = AuditConfig(n_pairs=20, background_size=30, n_permutations=100, seed=2)
+    results = gpf_run(models, gpf_plan(SplitDataset(pool, pool), feats, config))
+    assert len(results) == len(models)
+
+
+@pytest.mark.parametrize("d", [1, 4, 13])  # at d = 1 the closed form still comes first
+def test_explain_set_explains_a_logistic_model_as_gpf_run_does(d):
+    pool, feats = _random_pool(d), tuple(range(d))
+    model = LogisticModel(np.random.default_rng(d).normal(size=d), 0.7, feature_indices=feats)
+    config = AuditConfig(n_pairs=20, background_size=30, n_permutations=100, seed=6)
+    plan = gpf_plan(SplitDataset(pool, pool), feats, config)
+    (result,) = gpf_run([model], plan)
+    background = plan.shap_config.background
+    for rows, want in ((plan.rows_1, result.explanations_1), (plan.rows_2, result.explanations_2)):
+        got = explain_set(model, rows, plan.shap_config, plan.feature_names)
+        assert got.feature_names == want.feature_names
+        for attr in ("values", "base_values", "targets"):
+            assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
+        assert got.values.tobytes() == model.shapley_values(rows, background).tobytes()
+        if d == 4:
+            for x, phi in zip(rows, got.values):
+                exact = exact_shapley(partial(decision_score, model), x, background)
+                np.testing.assert_allclose(phi, exact.values[0], rtol=0, atol=1e-12)
 
 
 def test_audit_report_contents(small_split):

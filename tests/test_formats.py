@@ -16,12 +16,13 @@ def _callee(call: ast.Call) -> str | None:
 
 
 def _format_decisions(path: Path) -> list[str]:
-    """The places in ``path`` that decide an artifact's bytes: calls of
-    ``json.dump`` or ``csv.writer``, and functions that make read-only
-    copies (a copy, then ``setflags``)."""
+    """The places in ``path`` that decide an artifact's bytes or how a JSON
+    document is read: calls of ``json.dump``, ``json.load`` or
+    ``csv.writer``, and functions that make read-only copies (a copy, then
+    ``setflags``)."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Call) and _callee(node) in ("json.dump", "csv.writer"):
+        if isinstance(node, ast.Call) and _callee(node) in ("json.dump", "json.load", "csv.writer"):
             found.append(f"{path.name}:{node.lineno} {_callee(node)}(")
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             calls = {(_callee(c) or "").rsplit(".", 1)[-1] for c in ast.walk(node) if isinstance(c, ast.Call)}
@@ -31,6 +32,6 @@ def _format_decisions(path: Path) -> list[str]:
 
 
 def test_only_the_formats_module_decides_artifact_bytes():
-    assert len(_format_decisions(OWNER)) == 3  # the guard sees what it guards
+    assert len(_format_decisions(OWNER)) == 4  # the guard sees what it guards
     strays = [entry for path in sorted(SRC.glob("*.py")) if path != OWNER for entry in _format_decisions(path)]
     assert not strays, f"write through procfair._formats instead: {strays}"

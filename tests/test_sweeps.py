@@ -123,10 +123,11 @@ def test_traced_sweep_matches_pairs_once_per_seed(split):
     with tracer.installed(), tracer.op("sweep"):
         sweeps.sweep_sensitive_weight(split, [0.0, 1.5, 3.0], [1, 2], TrainConfig(epochs=30, seed=0), config=FAST)
     metrics, _ = tracing.op_metrics(tracer, "sweep")
-    # one gpf_run per seed scores the whole grid; the logistic models are
-    # explained in closed form, with no Kernel SHAP call or masked row
+    # one gpf_run per seed scores the whole grid; every set is one explain_set
+    # call (3 models x 2 sides x 2 seeds), which takes the logistic models'
+    # closed form and masks no row
     assert metrics["sweeps.gpf_runs"] == 2
     assert metrics["two_sample.perm_tests"] == 6
-    assert metrics["attribution.explain_calls"] == 0
+    assert metrics["attribution.explain_calls"] == 12
     assert metrics["attribution.model_rows"] == 0
     assert sum(s.name == "fairness.select_pairs" for s in tracer.op_spans("sweep")) == 2
