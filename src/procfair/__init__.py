@@ -20,7 +20,6 @@ from .datasets import (
     select_fair_features,
     standardized_split,
     train_test_split,
-    zscore_normalize,
 )
 from .models import (
     LogisticModel,

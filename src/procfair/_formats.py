@@ -26,10 +26,13 @@ def write_json(path, doc: dict) -> None:
 
 
 def read_json(path) -> dict:
-    """The JSON object in the UTF-8 file ``path``; any other document is a
-    ValueError that names the file."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    """The JSON object in the UTF-8 file ``path``; a file that does not decode
+    or parse, or holds any other document, is a ValueError that names it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path} is not a UTF-8 JSON document: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"{path} holds a JSON {type(doc).__name__}, not an object")
     return doc

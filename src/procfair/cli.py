@@ -31,7 +31,7 @@ from .datasets import (
     write_schema,
 )
 from .fairness import AuditConfig, audit, dp, prediction_metrics
-from .mitigation import ModifyConfig, detect_unfair_features, modify_model, retrain_without
+from .mitigation import DETECTION_THRESHOLD, ModifyConfig, detect_unfair_features, modify_model, retrain_without
 from .models import MODEL_KINDS, MlpModel, TrainConfig, bce_loss, load_model, predict_labels, save_model
 from .seeding import derive_seed
 from .sweeps import sweep_pair_count, sweep_pool_size, sweep_sensitive_weight
@@ -93,7 +93,7 @@ def _audit_config(args) -> AuditConfig:
         n_coalitions=args.coalitions,
         kernel=KernelConfig(args.kernel, args.bandwidth),
         n_permutations=args.permutations,
-        pool=getattr(args, "pool", "test"),
+        pool=getattr(args, "pool", AuditConfig.pool),
         seed=args.seed,
     )
 
@@ -370,15 +370,19 @@ def _add_data(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_pair_count(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=int, default=100, help="matched pairs per side")
+    parser.add_argument("--n", type=int, default=AuditConfig.n_pairs, help="matched pairs per side")
 
 
 def _add_audit_knobs(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--background", type=int, default=100, help="background sample size")
-    parser.add_argument("--coalitions", type=int, default=None, help="coalition budget")
-    parser.add_argument("--kernel", choices=("exponential", "gaussian"), default="exponential")
-    parser.add_argument("--bandwidth", type=_finite_float, default=None, help="fixed kernel bandwidth")
-    parser.add_argument("--permutations", type=int, default=1000)
+    parser.add_argument(
+        "--background", type=int, default=AuditConfig.background_size, help="background sample size"
+    )
+    parser.add_argument("--coalitions", type=int, default=AuditConfig.n_coalitions, help="coalition budget")
+    parser.add_argument("--kernel", choices=("exponential", "gaussian"), default=KernelConfig.kind)
+    parser.add_argument(
+        "--bandwidth", type=_finite_float, default=KernelConfig.bandwidth, help="fixed kernel bandwidth"
+    )
+    parser.add_argument("--permutations", type=int, default=AuditConfig.n_permutations)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -403,11 +407,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate the synthetic benchmark dataset")
     _add_common(p)
-    p.add_argument("--m", type=int, default=10000)
-    p.add_argument("--n-advantaged", type=int, default=6000)
-    p.add_argument("--weights", type=_finite_float, nargs=5, default=[-0.2, 1.5, 0.5, 0.5, 0.5])
-    p.add_argument("--proxy-std", type=_finite_float, default=0.1)
-    p.add_argument("--noise-std", type=_finite_float, default=1.0)
+    p.add_argument("--m", type=int, default=SyntheticConfig.m)
+    p.add_argument("--n-advantaged", type=int, default=SyntheticConfig.n_advantaged)
+    p.add_argument("--weights", type=_finite_float, nargs=5, default=list(SyntheticConfig.weights))
+    p.add_argument("--proxy-std", type=_finite_float, default=SyntheticConfig.proxy_std)
+    p.add_argument("--noise-std", type=_finite_float, default=SyntheticConfig.noise_std)
     p.add_argument("--name", default="synthetic")
     p.set_defaults(func=cmd_gen_data)
 
@@ -419,10 +423,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--hidden", type=int, default=None, help="MLP hidden units, at least 1 (default: 32, 64 if d > 18)"
     )
-    p.add_argument("--epochs", type=int, default=300)
-    p.add_argument("--lr", type=_finite_float, default=0.01)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--lr", type=_finite_float, default=TrainConfig.learning_rate)
     p.add_argument(
-        "--dp-weight", type=_finite_float, default=0.0,
+        "--dp-weight", type=_finite_float, default=TrainConfig.dp_weight,
         help="weight of the DP term in the loss; a negative weight rewards the group gap",
     )
     p.add_argument("--split-ratio", type=_finite_float, default=0.8)
@@ -435,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     _add_pair_count(p)
     _add_audit_knobs(p)
-    p.add_argument("--pool", choices=("test", "full"), default="test")
+    p.add_argument("--pool", choices=("test", "full"), default=AuditConfig.pool)
     p.add_argument("--export-explanations", action="store_true")
     p.set_defaults(func=cmd_audit)
 
@@ -445,7 +449,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     _add_pair_count(p)
     _add_audit_knobs(p)
-    p.add_argument("--beta", type=_finite_float, default=0.05, help="per-feature significance threshold")
+    p.add_argument(
+        "--beta", type=_finite_float, default=DETECTION_THRESHOLD, help="per-feature significance threshold"
+    )
     p.add_argument("--detection-kernel", choices=("exponential", "gaussian"), default="gaussian")
     p.set_defaults(func=cmd_detect)
 
@@ -456,11 +462,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     _add_pair_count(p)
     _add_audit_knobs(p)
-    p.add_argument("--beta", type=_finite_float, default=0.05)
+    p.add_argument("--beta", type=_finite_float, default=DETECTION_THRESHOLD)
     p.add_argument("--detection-kernel", choices=("exponential", "gaussian"), default="gaussian")
-    p.add_argument("--alpha", type=_finite_float, default=15.0, help="explanation-loss weight")
-    p.add_argument("--tau", type=int, default=200, help="modification steps")
-    p.add_argument("--lr", type=_finite_float, default=0.01)
+    p.add_argument("--alpha", type=_finite_float, default=ModifyConfig.alpha, help="explanation-loss weight")
+    p.add_argument("--tau", type=int, default=ModifyConfig.tau, help="modification steps")
+    p.add_argument("--lr", type=_finite_float, default=ModifyConfig.learning_rate)
     p.set_defaults(func=cmd_mitigate)
 
     p = sub.add_parser("sweep-ws", help="sweep the sensitive weight of a logistic model")
@@ -472,8 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=50)
     p.add_argument("--seeds", type=int, default=10)
     p.add_argument("--fair-threshold", type=_finite_float, default=0.10)
-    p.add_argument("--epochs", type=int, default=300)
-    p.add_argument("--lr", type=_finite_float, default=0.01)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--lr", type=_finite_float, default=TrainConfig.learning_rate)
     p.add_argument("--split-ratio", type=_finite_float, default=0.8)
     p.set_defaults(func=cmd_sweep_ws)
 

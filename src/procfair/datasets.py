@@ -31,8 +31,6 @@ __all__ = [
     "write_schema",
     "load_schema",
     "label_encode",
-    "zscore_normalize",
-    "apply_zscore",
     "train_test_split",
     "standardized_split",
     "generate_synthetic",
@@ -203,59 +201,12 @@ def label_encode(values) -> tuple[np.ndarray, dict[str, int] | None]:
 
 @dataclass(frozen=True)
 class ZScoreStats:
-    """Per-column standardization statistics (population mean/std).
-
-    Zero-variance columns are recorded and passed through unscaled when the
-    statistics are applied.
-    """
+    """Per-column standardization statistics (population mean/std) of a
+    training part; ``constant_columns`` are its zero-variance columns."""
 
     mean: np.ndarray
     std: np.ndarray
     constant_columns: tuple[int, ...]
-
-    def transform(self, features: np.ndarray) -> np.ndarray:
-        shift = np.where(self.std > 0, self.mean, 0.0)
-        scale = np.where(self.std > 0, self.std, 1.0)
-        return (np.asarray(features, dtype=float) - shift) / scale
-
-    def transform_value(self, column: int, value: float) -> float:
-        if self.std[column] == 0:
-            return float(value)
-        return (float(value) - self.mean[column]) / self.std[column]
-
-
-def zscore_normalize(dataset: TabularDataset) -> tuple[TabularDataset, ZScoreStats]:
-    """Standardize every column to zero mean and unit (population) std.
-
-    Returns the fitted statistics so a held-out split can be transformed with
-    the same parameters. Constant columns are passed through with a warning.
-    """
-    mean = dataset.features.mean(axis=0)
-    std = dataset.features.std(axis=0)
-    constant = tuple(int(i) for i in np.flatnonzero(std == 0.0))
-    if constant:
-        names = ", ".join(dataset.feature_names[i] for i in constant)
-        warnings.warn(f"constant column(s) passed through unscaled: {names}", stacklevel=2)
-    stats = ZScoreStats(readonly(mean), readonly(std), constant)
-    return apply_zscore(dataset, stats), stats
-
-
-def apply_zscore(dataset: TabularDataset, stats: ZScoreStats) -> TabularDataset:
-    """Apply previously fitted standardization statistics to a dataset."""
-    if stats.mean.shape != (dataset.d,):
-        raise ValueError("statistics do not match the feature count")
-    features = stats.transform(dataset.features)
-    group_values = tuple(
-        stats.transform_value(dataset.sensitive_index, v) for v in dataset.group_values
-    )
-    return TabularDataset(
-        features,
-        dataset.feature_names,
-        dataset.labels,
-        dataset.sensitive_index,
-        group_values,
-        dataset.provenance + "|zscore",
-    )
 
 
 def train_test_split(dataset: TabularDataset, ratio: float = 0.8, seed: int = 0) -> SplitDataset:
@@ -290,11 +241,39 @@ def train_test_split(dataset: TabularDataset, ratio: float = 0.8, seed: int = 0)
 def standardized_split(
     dataset: TabularDataset, ratio: float = 0.8, seed: int = 0
 ) -> tuple[SplitDataset, ZScoreStats]:
-    """Split, then z-score both parts with statistics fitted on train only."""
+    """``train_test_split``, then z-score both parts with the training part's
+    population mean and std.
+
+    Each part's features become ``(features - shift) / scale`` with
+    ``shift = where(std > 0, mean, 0)`` and ``scale = where(std > 0, std, 1)``,
+    so a column that is constant on the training part passes through unscaled
+    (with a warning). The group values go through the same arithmetic on the
+    sensitive column, and each part's provenance gains ``|zscore``.
+    """
     split = train_test_split(dataset, ratio, seed)
-    train, stats = zscore_normalize(split.train)
-    test = apply_zscore(split.test, stats)
-    return SplitDataset(train, test), stats
+    train = split.train
+    mean = train.features.mean(axis=0)
+    std = train.features.std(axis=0)
+    constant = tuple(int(i) for i in np.flatnonzero(std == 0.0))
+    if constant:
+        names = ", ".join(train.feature_names[i] for i in constant)
+        warnings.warn(f"constant column(s) passed through unscaled: {names}", stacklevel=2)
+    shift = np.where(std > 0, mean, 0.0)
+    scale = np.where(std > 0, std, 1.0)
+    s = train.sensitive_index
+    group_values = tuple((v - shift[s]) / scale[s] for v in train.group_values)
+    parts = (
+        TabularDataset(
+            (part.features - shift) / scale,
+            part.feature_names,
+            part.labels,
+            s,
+            group_values,
+            part.provenance + "|zscore",
+        )
+        for part in (train, split.test)
+    )
+    return SplitDataset(*parts), ZScoreStats(readonly(mean), readonly(std), constant)
 
 
 def pearson_correlation(dataset: TabularDataset, feature: int) -> float:
@@ -378,18 +357,21 @@ def load_csv(path, schema) -> TabularDataset:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(str(path))
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = (r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#"))
-        header = [h.strip() for h in next(rows, ())]
-        if len(set(header)) != len(header):
-            raise ValueError("duplicate header names")
-        columns = [[] for _ in header]
-        appends = [column.append for column in columns]
-        for n, row in enumerate(rows, 2):
-            if len(row) != len(header):
-                raise ValueError(f"ragged row {n}: expected {len(header)} cells, got {len(row)}")
-            for append, cell in zip(appends, row):
-                append(cell)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = (r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#"))
+            header = [h.strip() for h in next(rows, ())]
+            if len(set(header)) != len(header):
+                raise ValueError("duplicate header names")
+            columns = [[] for _ in header]
+            appends = [column.append for column in columns]
+            for n, row in enumerate(rows, 2):
+                if len(row) != len(header):
+                    raise ValueError(f"ragged row {n}: expected {len(header)} cells, got {len(row)}")
+                for append, cell in zip(appends, row):
+                    append(cell)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} is not UTF-8 text: {exc}") from exc
     if not columns or not columns[0]:
         raise ValueError("CSV needs a header row and at least one data row")
 

@@ -291,11 +291,19 @@ class MlpModel:
 
     @classmethod
     def fit(cls, dataset, config: TrainConfig | None = None, feature_indices=None, hidden_size=None):
-        return fit_mlp(dataset, config, feature_indices, hidden_size)
+        """Initialize and train an MLP on a feature subset of the dataset."""
+        config = config or TrainConfig()
+        feats = tuple(range(dataset.d) if feature_indices is None else feature_indices)
+        h = default_hidden_size(len(feats)) if hidden_size is None else hidden_size
+        names = tuple(dataset.feature_names[i] for i in feats)
+        return train(init_mlp(len(feats), h, config.seed, feats, names), dataset, config)
 
     def refit(self, dataset, config: TrainConfig, feature_indices):
         """A fresh model of the same hidden size, trained on other columns."""
-        return fit_mlp(dataset, config, feature_indices, self.hidden_size)
+        return self.fit(dataset, config, feature_indices, self.hidden_size)
+
+
+fit_mlp = MlpModel.fit
 
 
 @dataclass(frozen=True)
@@ -398,13 +406,25 @@ class LogisticModel:
 
     @classmethod
     def fit(cls, dataset, config: TrainConfig | None = None, feature_indices=None, hidden_size=None):
+        """Initialize (at zero) and train a logistic model on a feature subset.
+
+        If the subset contains the sensitive column its position is recorded on
+        the model so the weight can be overridden later.
+        """
         if hidden_size is not None:
             raise ValueError(f"{cls.kind} models have no hidden layer to size")
-        return fit_logistic(dataset, config, feature_indices)
+        config = config or TrainConfig()
+        feats = tuple(range(dataset.d) if feature_indices is None else feature_indices)
+        names = tuple(dataset.feature_names[i] for i in feats)
+        sens = feats.index(dataset.sensitive_index) if dataset.sensitive_index in feats else None
+        return train(init_logistic(len(feats), feats, names, sens), dataset, config)
 
     def refit(self, dataset, config: TrainConfig, feature_indices):
         """A fresh model trained on other columns."""
-        return fit_logistic(dataset, config, feature_indices)
+        return self.fit(dataset, config, feature_indices)
+
+
+fit_logistic = LogisticModel.fit
 
 
 MODEL_KINDS = {family.kind: family for family in (MlpModel, LogisticModel)}
@@ -571,30 +591,6 @@ def train(model, dataset, config: TrainConfig | None = None):
         config.learning_rate,
     )
     return trained, trace[0]
-
-
-def fit_mlp(dataset, config: TrainConfig | None = None, feature_indices=None, hidden_size=None):
-    """Initialize and train an MLP on a feature subset of the dataset."""
-    config = config or TrainConfig()
-    feats = tuple(range(dataset.d) if feature_indices is None else feature_indices)
-    h = default_hidden_size(len(feats)) if hidden_size is None else hidden_size
-    names = tuple(dataset.feature_names[i] for i in feats)
-    model = init_mlp(len(feats), h, config.seed, feats, names)
-    return train(model, dataset, config)
-
-
-def fit_logistic(dataset, config: TrainConfig | None = None, feature_indices=None):
-    """Initialize (at zero) and train a logistic model on a feature subset.
-
-    If the subset contains the sensitive column its position is recorded on
-    the model so the weight can be overridden later.
-    """
-    config = config or TrainConfig()
-    feats = tuple(range(dataset.d) if feature_indices is None else feature_indices)
-    names = tuple(dataset.feature_names[i] for i in feats)
-    sens = feats.index(dataset.sensitive_index) if dataset.sensitive_index in feats else None
-    model = init_logistic(len(feats), feats, names, sens)
-    return train(model, dataset, config)
 
 
 # ---------------------------------------------------------------------------

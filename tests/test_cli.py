@@ -12,6 +12,10 @@ from oracles import read_explanations_csv
 
 from procfair import cli
 from procfair.cli import main
+from procfair.datasets import SyntheticConfig
+from procfair.fairness import AuditConfig
+from procfair.mitigation import DETECTION_THRESHOLD, ModifyConfig
+from procfair.models import TrainConfig
 from procfair.seeding import derive_seed
 from procfair.two_sample import PermutationConfig, permutation_pvalue
 from test_sweeps import _perfbench_tracing
@@ -697,11 +701,20 @@ def test_config_missing_file_fails(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "reader, document",
-    [("config", [1, 2]), ("model", [1, 2]), ("schema", 7)],
+    [
+        ("config", [1, 2]),
+        ("model", [1, 2]),
+        ("schema", 7),
+        # raw bytes: a truncated document, and one that is not UTF-8
+        pytest.param("config", b'{"m": 7,', id="config-truncated"),
+        pytest.param("model", b'{"kind": "mlp", ', id="model-truncated"),
+        pytest.param("schema", b'{"label": ', id="schema-truncated"),
+        pytest.param("config", b'\xff{"m": 7}', id="config-not-utf8"),
+    ],
 )
 def test_a_json_document_that_is_not_an_object_fails_as_json(workspace, tmp_path, capsys, reader, document):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(document))
+    bad.write_bytes(document if isinstance(document, bytes) else json.dumps(document).encode())
     data = ["--data", workspace["data"]]
     argv = {
         "config": ["gen-data", "--config", bad],
@@ -712,6 +725,17 @@ def test_a_json_document_that_is_not_an_object_fails_as_json(workspace, tmp_path
     assert run_cli(*argv, "--out", out) == 1
     err = strict_json(capsys.readouterr().err)
     assert (err["command"], err["type"]) == (argv[0], "ValueError")
+    assert str(bad) in err["error"]
+    assert not (out / "report.json").exists()
+
+
+def test_a_csv_that_is_not_utf8_fails_naming_the_file(workspace, tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"a,sex,label\n1,1,0\n\xff,0,1\n")
+    out = tmp_path / "out"
+    assert run_cli("train", "--data", bad, "--schema", workspace["schema"], "--out", out) == 1
+    err = strict_json(capsys.readouterr().err)
+    assert (err["command"], err["type"]) == ("train", "ValueError")
     assert str(bad) in err["error"]
     assert not (out / "report.json").exists()
 
@@ -757,6 +781,49 @@ _REQUIRED = {
         "--modified", "absent.json", "--retrained", "absent.json",
     ],
 }
+
+
+def _records_from_flags(args) -> dict:
+    """The library records a command builds from its parsed flags."""
+    records = {}
+    if hasattr(args, "permutations"):
+        records[AuditConfig] = cli._audit_config(args)
+    if hasattr(args, "epochs"):
+        fields = {"dp_weight": args.dp_weight} if hasattr(args, "dp_weight") else {}
+        records[TrainConfig] = TrainConfig(epochs=args.epochs, learning_rate=args.lr, seed=args.seed, **fields)
+    if hasattr(args, "alpha"):
+        records[ModifyConfig] = ModifyConfig(alpha=args.alpha, tau=args.tau, learning_rate=args.lr)
+    if hasattr(args, "noise_std"):
+        records[SyntheticConfig] = SyntheticConfig(
+            m=args.m, n_advantaged=args.n_advantaged, weights=tuple(args.weights),
+            proxy_std=args.proxy_std, noise_std=args.noise_std, seed=args.seed,
+        )
+    return records
+
+
+# the records each command builds from its flags
+_RECORDS = {
+    "gen-data": {SyntheticConfig},
+    "train": {TrainConfig},
+    "audit": {AuditConfig},
+    "detect": {AuditConfig},
+    "mitigate": {AuditConfig, ModifyConfig},
+    "sweep-ws": {AuditConfig, TrainConfig},
+    "sweep-n": {AuditConfig},
+    "sweep-pool": {AuditConfig},
+    "boundary": set(),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_RECORDS))
+def test_flag_defaults_are_the_library_defaults(command):
+    args = cli.build_parser().parse_args([command, *_REQUIRED[command]])
+    records = _records_from_flags(args)
+    assert set(records) == _RECORDS[command]
+    for kind, record in records.items():
+        assert record == kind()
+    if command in ("detect", "mitigate"):
+        assert args.beta == DETECTION_THRESHOLD
 
 
 def _float_flags():

@@ -2,10 +2,11 @@ import csv
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import reference_load_csv
 
@@ -22,7 +23,6 @@ from procfair.datasets import (
     train_test_split,
     write_csv,
     write_schema,
-    zscore_normalize,
 )
 from procfair.fairness import dp
 
@@ -300,7 +300,7 @@ def test_load_csv_errors_match_reference_loader(tmp_path, text, schema):
 
 def test_csv_round_trip_exact(tmp_path):
     ds = generate_synthetic(SyntheticConfig(m=200, n_advantaged=120, seed=7))
-    normalized, _ = zscore_normalize(ds)
+    normalized = standardized_split(ds, 0.8, 7)[0].train
     write_csv(normalized, tmp_path / "d.csv")
     write_schema(normalized, tmp_path / "d.schema.json")
     loaded = load_csv(tmp_path / "d.csv", tmp_path / "d.schema.json")
@@ -345,36 +345,31 @@ def test_label_encode_order():
 
 def test_zscore_hand_computed():
     # population std of [1,2,3] is sqrt(2/3); z = (x-2)/0.81649658...
-    features = np.array([[1.0, 0.0], [2.0, 1.0], [3.0, 0.0]])
-    ds = TabularDataset(features, ("x", "s"), [0, 1, 0], 1, (1.0, 0.0))
-    normalized, stats = zscore_normalize(ds)
-    np.testing.assert_allclose(
-        normalized.features[:, 0], [-1.224744871391589, 0.0, 1.224744871391589], atol=1e-9
-    )
+    features = np.array([[1.0, 0.0], [1.0, 1.0], [2.0, 0.0], [2.0, 1.0], [3.0, 0.0], [3.0, 1.0]])
+    ds = TabularDataset(features, ("x", "s"), [0, 1, 1, 0, 0, 1], 1, (1.0, 0.0))
+    split, stats = standardized_split(ds, 0.5, 5)  # seed 5 puts x = 1, 2, 3 in each part
+    z = [-1.224744871391589, 0.0, 1.224744871391589]
+    np.testing.assert_allclose(np.sort(split.train.features[:, 0]), z, atol=1e-9)
+    np.testing.assert_allclose(np.sort(split.test.features[:, 0]), z, atol=1e-9)
     assert stats.mean[0] == pytest.approx(2.0)
     assert stats.std[0] == pytest.approx(math.sqrt(2.0 / 3.0))
 
 
 def test_zscore_columns_standardized():
     ds = generate_synthetic(SyntheticConfig(m=500, n_advantaged=300, seed=3))
-    normalized, _ = zscore_normalize(ds)
-    np.testing.assert_allclose(normalized.features.mean(axis=0), 0.0, atol=1e-9)
-    np.testing.assert_allclose(normalized.features.std(axis=0), 1.0, atol=1e-9)
-
-
-def test_zscore_idempotent():
-    ds = generate_synthetic(SyntheticConfig(m=300, n_advantaged=200, seed=4))
-    once, _ = zscore_normalize(ds)
-    twice, _ = zscore_normalize(once)
-    np.testing.assert_allclose(once.features, twice.features, atol=1e-9)
+    train = standardized_split(ds, 0.8, 3)[0].train
+    np.testing.assert_allclose(train.features.mean(axis=0), 0.0, atol=1e-9)
+    np.testing.assert_allclose(train.features.std(axis=0), 1.0, atol=1e-9)
 
 
 def test_zscore_constant_column_passthrough():
-    features = np.column_stack([np.full(4, 5.0), [1.0, 0.0, 1.0, 0.0]])
-    ds = TabularDataset(features, ("const", "s"), [0, 1, 1, 0], 1, (1.0, 0.0))
-    with pytest.warns(UserWarning, match="constant"):
-        normalized, stats = zscore_normalize(ds)
-    np.testing.assert_array_equal(normalized.features[:, 0], features[:, 0])
+    features = np.column_stack([np.full(6, 5.0), [1.0, 0.0, 1.0, 0.0, 1.0, 0.0]])
+    ds = TabularDataset(features, ("const", "s"), [0, 1, 1, 0, 1, 0], 1, (1.0, 0.0))
+    with pytest.warns(UserWarning, match="constant column.*: const$") as record:
+        split, stats = standardized_split(ds, 0.5, 0)
+    assert record[0].filename == __file__  # the warning points at the caller
+    np.testing.assert_array_equal(split.train.features[:, 0], 5.0)
+    np.testing.assert_array_equal(split.test.features[:, 0], 5.0)
     assert stats.constant_columns == (0,)
 
 
@@ -386,9 +381,54 @@ def test_zscore_test_split_uses_train_stats():
     # close to but not exactly zero
     assert 1e-9 < np.abs(split.test.features.mean(axis=0)).max() < 0.2
     raw_split = train_test_split(ds, 0.8, 0)
-    np.testing.assert_allclose(
-        split.test.features, stats.transform(raw_split.test.features), atol=0
-    )
+    assert np.array_equal(split.test.features, (raw_split.test.features - stats.mean) / stats.std)
+
+
+@st.composite
+def datasets_with_constant_columns(draw):
+    m = draw(st.integers(min_value=4, max_value=30))
+    d = draw(st.integers(min_value=2, max_value=5))
+    s = draw(st.integers(min_value=0, max_value=d - 1))
+    finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
+    columns = []
+    for j in range(d):
+        if j == s:
+            adv, dis = draw(st.lists(finite, min_size=2, max_size=2, unique=True))
+            columns.append(np.where(np.arange(m) % 2 == 0, adv, dis))
+        elif draw(st.booleans()):
+            columns.append(np.full(m, draw(finite)))
+        else:
+            columns.append(np.array(draw(st.lists(finite, min_size=m, max_size=m))))
+    labels = np.arange(m) % 3 == 0
+    ds = TabularDataset(np.column_stack(columns), tuple(f"f{j}" for j in range(d)), labels, s, (adv, dis))
+    return ds, draw(st.sampled_from([0.5, 0.8])), draw(st.integers(min_value=0, max_value=2**31 - 1))
+
+
+@given(datasets_with_constant_columns())
+@settings(max_examples=60, deadline=None)
+def test_standardized_split_is_the_zscore_of_the_raw_split(case):
+    ds, ratio, seed = case
+    try:
+        raw = train_test_split(ds, ratio, seed)
+    except ValueError:
+        assume(False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        split, stats = standardized_split(ds, ratio, seed)
+    mean = raw.train.features.mean(axis=0)
+    std = raw.train.features.std(axis=0)
+    shift = np.where(std > 0, mean, 0.0)
+    scale = np.where(std > 0, std, 1.0)
+    s = ds.sensitive_index
+    for part, raw_part in ((split.train, raw.train), (split.test, raw.test)):
+        assert np.array_equal(part.features, (raw_part.features - shift) / scale)
+        assert part.group_values == tuple((v - shift[s]) / scale[s] for v in ds.group_values)
+        assert part.provenance == raw_part.provenance + "|zscore"
+        assert np.array_equal(part.labels, raw_part.labels)
+        constant = std == 0
+        assert np.array_equal(part.features[:, constant], raw_part.features[:, constant])
+    assert stats.constant_columns == tuple(np.flatnonzero(std == 0))
+    assert np.array_equal(stats.mean, mean) and np.array_equal(stats.std, std)
 
 
 # ---------------------------------------------------------------------------
