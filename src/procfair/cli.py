@@ -22,6 +22,8 @@ from . import __version__
 from ._formats import read_json, write_json, write_table
 from .attribution import write_explanations_csv
 from .datasets import (
+    FAIR_CORRELATION_THRESHOLD,
+    SPLIT_RATIO,
     SyntheticConfig,
     concat_datasets,
     generate_synthetic,
@@ -31,7 +33,14 @@ from .datasets import (
     write_schema,
 )
 from .fairness import AuditConfig, audit, dp, prediction_metrics
-from .mitigation import DETECTION_THRESHOLD, ModifyConfig, detect_unfair_features, modify_model, retrain_without
+from .mitigation import (
+    DETECTION_KERNEL,
+    DETECTION_THRESHOLD,
+    ModifyConfig,
+    detect_unfair_features,
+    modify_model,
+    retrain_without,
+)
 from .models import MODEL_KINDS, MlpModel, TrainConfig, bce_loss, load_model, predict_labels, save_model
 from .seeding import derive_seed
 from .sweeps import sweep_pair_count, sweep_pool_size, sweep_sensitive_weight
@@ -80,7 +89,7 @@ def _load_models(args, *extra: str):
                     f"model feature {name!r} is read from column {i}, which is {found!r} in {args.data}"
                 )
     data_split = doc.get("data_split") or {}
-    ratio = float(data_split.get("ratio", 0.8))
+    ratio = float(data_split.get("ratio", SPLIT_RATIO))
     seed = int(data_split.get("seed", args.seed))
     split, _ = standardized_split(dataset, ratio, seed)
     return split, models, doc
@@ -429,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--dp-weight", type=_finite_float, default=TrainConfig.dp_weight,
         help="weight of the DP term in the loss; a negative weight rewards the group gap",
     )
-    p.add_argument("--split-ratio", type=_finite_float, default=0.8)
+    p.add_argument("--split-ratio", type=_finite_float, default=SPLIT_RATIO)
     p.add_argument("--model-name", default="model")
     p.set_defaults(func=cmd_train)
 
@@ -452,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--beta", type=_finite_float, default=DETECTION_THRESHOLD, help="per-feature significance threshold"
     )
-    p.add_argument("--detection-kernel", choices=("exponential", "gaussian"), default="gaussian")
+    p.add_argument("--detection-kernel", choices=("exponential", "gaussian"), default=DETECTION_KERNEL)
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("mitigate", help="improve procedural fairness")
@@ -463,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pair_count(p)
     _add_audit_knobs(p)
     p.add_argument("--beta", type=_finite_float, default=DETECTION_THRESHOLD)
-    p.add_argument("--detection-kernel", choices=("exponential", "gaussian"), default="gaussian")
+    p.add_argument("--detection-kernel", choices=("exponential", "gaussian"), default=DETECTION_KERNEL)
     p.add_argument("--alpha", type=_finite_float, default=ModifyConfig.alpha, help="explanation-loss weight")
     p.add_argument("--tau", type=int, default=ModifyConfig.tau, help="modification steps")
     p.add_argument("--lr", type=_finite_float, default=ModifyConfig.learning_rate)
@@ -477,10 +486,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-ws", type=_finite_float, default=5.0)
     p.add_argument("--points", type=int, default=50)
     p.add_argument("--seeds", type=int, default=10)
-    p.add_argument("--fair-threshold", type=_finite_float, default=0.10)
+    p.add_argument("--fair-threshold", type=_finite_float, default=FAIR_CORRELATION_THRESHOLD)
     p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p.add_argument("--lr", type=_finite_float, default=TrainConfig.learning_rate)
-    p.add_argument("--split-ratio", type=_finite_float, default=0.8)
+    p.add_argument("--split-ratio", type=_finite_float, default=SPLIT_RATIO)
     p.set_defaults(func=cmd_sweep_ws)
 
     p = sub.add_parser("sweep-n", help="sweep the number of matched pairs")

@@ -40,6 +40,10 @@ __all__ = [
 ]
 
 SYNTHETIC_FEATURE_NAMES = ("x1", "x2", "xs", "xp")
+# The training share of a split, and the |correlation| with the sensitive
+# column below which a feature counts as fair.
+SPLIT_RATIO = 0.8
+FAIR_CORRELATION_THRESHOLD = 0.10
 
 
 @dataclass(frozen=True)
@@ -209,7 +213,7 @@ class ZScoreStats:
     constant_columns: tuple[int, ...]
 
 
-def train_test_split(dataset: TabularDataset, ratio: float = 0.8, seed: int = 0) -> SplitDataset:
+def train_test_split(dataset: TabularDataset, ratio: float = SPLIT_RATIO, seed: int = 0) -> SplitDataset:
     """Seeded uniform split; train receives ceil(ratio * m) rows."""
     if not 0.0 < ratio < 1.0:
         raise ValueError("ratio must lie strictly between 0 and 1")
@@ -239,7 +243,7 @@ def train_test_split(dataset: TabularDataset, ratio: float = 0.8, seed: int = 0)
 
 
 def standardized_split(
-    dataset: TabularDataset, ratio: float = 0.8, seed: int = 0
+    dataset: TabularDataset, ratio: float = SPLIT_RATIO, seed: int = 0
 ) -> tuple[SplitDataset, ZScoreStats]:
     """``train_test_split``, then z-score both parts with the training part's
     population mean and std.
@@ -285,7 +289,7 @@ def pearson_correlation(dataset: TabularDataset, feature: int) -> float:
     return float(np.corrcoef(x, s)[0, 1])
 
 
-def select_fair_features(dataset: TabularDataset, threshold: float = 0.10) -> tuple[int, ...]:
+def select_fair_features(dataset: TabularDataset, threshold: float = FAIR_CORRELATION_THRESHOLD) -> tuple[int, ...]:
     """Indices of non-sensitive features whose |correlation| with the
     sensitive column is below the threshold. Constant columns carry no group
     signal and count as fair.

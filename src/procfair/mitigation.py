@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 DETECTION_THRESHOLD = 0.05
+# The per-feature tests' kernel; see unfair_features_from_sets.
+DETECTION_KERNEL = "gaussian"
 # The explanation loss aggregates absolute input gradients with the L1 norm,
 # the only norm implemented; mitigation.json records it as ``norm_p``.
 NORM_P = 1
@@ -114,7 +116,7 @@ def unfair_features_from_sets(
     """
     if e1.feature_names != e2.feature_names:
         raise ValueError("explanation sets cover different features")
-    kernel_config = kernel_config or KernelConfig("gaussian")
+    kernel_config = kernel_config or KernelConfig(DETECTION_KERNEL)
     # every per-feature test pools the same a + b rows, so one matrix serves all
     if memberships is None:
         memberships = permutation_memberships(e1.n + e2.n, e1.n, perm_config)
@@ -166,8 +168,7 @@ def _audited(before: AuditReport, ufs: UnfairFeatureSet):
 def _run_modification(model, X, y, uf, config: ModifyConfig):
     traces = np.empty((2, config.tau))
     new_model = _adam_descent(
-        model, lambda params: model.modified_grads(params, X, y, uf, config.alpha), traces,
-        "modification step", config.learning_rate,
+        model, model.modified_step(X, y, uf, config.alpha), traces, "modification step", config.learning_rate
     )
     return new_model, traces[0], traces[1]
 

@@ -13,10 +13,17 @@ on a column subset and how it is explained (the MLP's Kernel SHAP value
 function, the logistic model's closed-form Shapley values). Everything else
 here is family-agnostic.
 
+Training and modification run one Adam loop, ``_adam_descent``, over a step
+that the family's ``loss_step`` or ``modified_step`` builds once per run
+(``loss_grads`` and ``modified_grads`` call it once). The MLP's builders
+allocate one workspace per run, and each step in it is two gemms, the
+forward [X, 1] [w1, b1]^T and the backward R^T act (``_MlpWorkspace``), with
+no (rows x hidden) allocation.
+
 The modification step needs d(zeta)/d(theta), a second-order quantity: the
 gradient of a function of the input gradients with respect to the parameters.
 It is computed in closed form for both model families (the ReLU masks and the
-signs inside the L1 norm are locally constant, so the ``modified_grads``
+signs inside the L1 norm are locally constant, so the ``modified_step``
 expressions are the exact forward-over-reverse derivative almost everywhere)
 and is verified against finite differences in the test suite.
 """
@@ -106,20 +113,52 @@ def _mlp_forward(X, w1, b1, w2, b2):
     return np.greater(hidden, 0.0, out=hidden), p
 
 
-def _mlp_backward(X, act, w1, b1, w2, delta, ev=None):
-    """Parameter gradients of sum_i delta_i * s_i + sum_i ev_i . ds_i/dx_i with
-    the activation pattern held fixed, where s_i = sum_k act_ik w2_k (w1_k . x_i
-    + b1_k). With M = act^T (delta X + ev) and n = act^T delta, unit k's
-    gradients are w2_k M_k, w2_k n_k and w1_k . M_k + b1_k n_k: one gemm."""
-    d = X.shape[1]
-    R = np.empty((X.shape[0], d + 1))
-    np.multiply(delta[:, None], X, out=R[:, :d])
-    if ev is not None:
-        R[:, :d] += ev
-    R[:, d] = delta
-    G = act.T @ R
-    M, n = G[:, :d], G[:, d]
-    return [w2[:, None] * M, w2 * n, (w1 * M).sum(axis=1) + b1 * n, np.array([delta.sum()])]
+class _MlpWorkspace:
+    """The buffers an Adam run over the rows X reuses at every step: the
+    augmented inputs ``Xa = [X, 1]`` and weights ``Wa = [w1, b1]``, one
+    (rows x hidden) buffer and the rows x (d + 1) backward operand ``R``.
+    The hidden-size buffers are sized by the first parameters seen."""
+
+    def __init__(self, X: np.ndarray):
+        rows, d = X.shape
+        self.Xa = np.empty((rows, d + 1))
+        self.Xa[:, :d] = X
+        self.Xa[:, d] = 1.0
+        self.R = np.empty((rows, d + 1))
+        self.Wa = self.hidden = None
+
+    def forward(self, w1, b1, w2, b2):
+        """0/1 activation matrix and probabilities. The pre-activation
+        X w1^T + b1 is the one gemm Xa Wa^T, whose last term adds the bias;
+        the ReLU output and then the mask overwrite it in the hidden buffer."""
+        h, d = w1.shape
+        if self.hidden is None:
+            self.Wa = np.empty((h, d + 1))
+            self.hidden = np.empty((self.Xa.shape[0], h))
+        self.Wa[:, :d] = w1
+        self.Wa[:, d] = b1
+        hidden = np.matmul(self.Xa, self.Wa.T, out=self.hidden)
+        np.maximum(hidden, 0.0, out=hidden)
+        p = _sigmoid(hidden @ w2 + b2)
+        return np.greater(hidden, 0.0, out=hidden), p
+
+    def backward(self, act, w1, b1, w2, delta, ev=None):
+        """Parameter gradients of sum_i delta_i * s_i + sum_i ev_i . ds_i/dx_i
+        with the activation pattern held fixed, where s_i = sum_k act_ik w2_k
+        (w1_k . x_i + b1_k). With M = act^T (delta X + ev) and n = act^T delta,
+        unit k's gradients are w2_k M_k, w2_k n_k and w1_k . M_k + b1_k n_k:
+        one gemm, R^T act with R = [delta X + ev, delta] = delta Xa + [ev, 0].
+        The transposed operand is the narrow R, so BLAS does not repack the
+        (rows x hidden) act. This sums in the order ``act.T @ R`` does; the
+        same product over a contiguous copy of R^T does not, at some hidden
+        sizes."""
+        d = w1.shape[1]
+        R = np.multiply(delta[:, None], self.Xa, out=self.R)
+        if ev is not None:
+            R[:, :d] += ev
+        G = np.ascontiguousarray((R.T @ act).T)  # a gradient's layout becomes the next parameters'
+        M, n = G[:, :d], G[:, d]
+        return [w2[:, None] * M, w2 * n, (w1 * M).sum(axis=1) + b1 * n, np.array([delta.sum()])]
 
 
 def _delta_scores(p, y, group_mask, dp_weight, m):
@@ -249,34 +288,56 @@ class MlpModel:
         return dataclasses.replace(self, w1=params[0], b1=params[1], w2=params[2], b2=float(params[3][0]))
 
     @staticmethod
+    def loss_step(X, y, group_mask, dp_weight):
+        """Loss and gradients as a function of the parameters, evaluated in
+        one workspace over the rows X."""
+        ws = _MlpWorkspace(X)
+
+        def step(params):
+            w1, b1, w2, b2 = params
+            act, p = ws.forward(w1, b1, w2, b2[0])
+            delta, extra = _delta_scores(p, y, group_mask, dp_weight, X.shape[0])
+            return _clamped_bce(p, y) + extra, ws.backward(act, w1, b1, w2, delta)
+
+        return step
+
+    @staticmethod
     def loss_grads(params, X, y, group_mask, dp_weight):
-        w1, b1, w2, b2 = params
-        act, p = _mlp_forward(X, w1, b1, w2, b2[0])
-        delta, extra = _delta_scores(p, y, group_mask, dp_weight, X.shape[0])
-        return _clamped_bce(p, y) + extra, _mlp_backward(X, act, w1, b1, w2, delta)
+        return MlpModel.loss_step(X, y, group_mask, dp_weight)(params)
+
+    @staticmethod
+    def modified_step(X, y, uf, alpha):
+        """BCE, zeta and the gradients of bce + alpha * zeta as a function of
+        the parameters, evaluated in one workspace over the rows X."""
+        ws = _MlpWorkspace(X)
+        m = X.shape[0]
+
+        def step(params):
+            w1, b1, w2, b2 = params
+            act, p = ws.forward(w1, b1, w2, b2[0])
+            err = p - y
+
+            # Per sample the input gradient is g = err * aw with aw = act @ (w2 * w1);
+            # with v = sign(g) restricted to the flagged features,
+            # zeta = mean(v . g) = mean(err * c) where c = v . aw.
+            aw = act @ (w2[:, None] * w1)
+            v = np.zeros_like(aw)
+            v[:, uf] = np.sign(err[:, None] * aw[:, uf])
+            c = (v * aw).sum(axis=1)
+            zeta = float((err * c).sum() / m)
+
+            # alpha * zeta reaches each score through err (d err / d s = p (1 - p))
+            # and each input gradient directly, with weight alpha / m * err * v.
+            scale = alpha / m
+            delta = err / m + scale * (p * (1.0 - p) * c)
+            return _clamped_bce(p, y), zeta, ws.backward(act, w1, b1, w2, delta, scale * err[:, None] * v)
+
+        return step
 
     @staticmethod
     def modified_grads(params, X, y, uf, alpha):
         """BCE, zeta and the gradients of bce + alpha * zeta."""
-        w1, b1, w2, b2 = params
-        m = X.shape[0]
-        act, p = _mlp_forward(X, w1, b1, w2, b2[0])
-        err = p - y
-
-        # Per sample the input gradient is g = err * aw with aw = act @ (w2 * w1);
-        # with v = sign(g) restricted to the flagged features,
-        # zeta = mean(v . g) = mean(err * c) where c = v . aw.
-        aw = act @ (w2[:, None] * w1)
-        v = np.zeros_like(aw)
-        v[:, uf] = np.sign(err[:, None] * aw[:, uf])
-        c = (v * aw).sum(axis=1)
-        zeta = float((err * c).sum() / m)
-
-        # alpha * zeta reaches each score through err (d err / d s = p (1 - p))
-        # and each input gradient directly, with weight alpha / m * err * v.
-        scale = alpha / m
-        delta = err / m + scale * (p * (1.0 - p) * c)
-        return _clamped_bce(p, y), zeta, _mlp_backward(X, act, w1, b1, w2, delta, scale * err[:, None] * v)
+        return MlpModel.modified_step(X, y, uf, alpha)(params)
 
     def to_document(self) -> dict:
         params = {"w1": self.w1.tolist(), "b1": self.b1.tolist(), "w2": self.w2.tolist(), "b2": self.b2}
@@ -361,37 +422,56 @@ class LogisticModel:
         return dataclasses.replace(self, w=params[0], b=float(params[1][0]))
 
     @staticmethod
-    def loss_grads(params, X, y, group_mask, dp_weight):
-        w, b = params
-        p = _sigmoid(X @ w + b[0])
+    def loss_step(X, y, group_mask, dp_weight):
+        """Loss and gradients as a function of the parameters."""
         m = X.shape[0]
-        loss = _clamped_bce(p, y)
-        delta, extra = _delta_scores(p, y, group_mask, dp_weight, m)
-        return loss + extra, [X.T @ delta, np.array([delta.sum()])]
+
+        def step(params):
+            w, b = params
+            p = _sigmoid(X @ w + b[0])
+            loss = _clamped_bce(p, y)
+            delta, extra = _delta_scores(p, y, group_mask, dp_weight, m)
+            return loss + extra, [X.T @ delta, np.array([delta.sum()])]
+
+        return step
+
+    @staticmethod
+    def loss_grads(params, X, y, group_mask, dp_weight):
+        return LogisticModel.loss_step(X, y, group_mask, dp_weight)(params)
+
+    @staticmethod
+    def modified_step(X, y, uf, alpha):
+        """BCE, zeta and the gradients of bce + alpha * zeta as a function of
+        the parameters."""
+        m = X.shape[0]
+
+        def step(params):
+            w, b = params
+            p = _sigmoid(X @ w + b[0])
+            err = p - y
+            curv = p * (1.0 - p)
+
+            bce = _clamped_bce(p, y)
+            gw = X.T @ (err / m)
+            gb = np.array([err.sum() / m])
+
+            # g = err * w; zeta = mean(err * s) with s = v . w.
+            v = np.zeros((m, w.size))
+            v[:, uf] = np.sign(np.outer(err, w[uf]))
+            s = v @ w
+            zeta = float((err * s).sum() / m)
+
+            qs = curv * s
+            zw = ((qs[:, None] * X) + err[:, None] * v).sum(axis=0) / m
+            zb = np.array([qs.sum() / m])
+            return bce, zeta, [gw + alpha * zw, gb + alpha * zb]
+
+        return step
 
     @staticmethod
     def modified_grads(params, X, y, uf, alpha):
         """BCE, zeta and the gradients of bce + alpha * zeta."""
-        w, b = params
-        m = X.shape[0]
-        p = _sigmoid(X @ w + b[0])
-        err = p - y
-        curv = p * (1.0 - p)
-
-        bce = _clamped_bce(p, y)
-        gw = X.T @ (err / m)
-        gb = np.array([err.sum() / m])
-
-        # g = err * w; zeta = mean(err * s) with s = v . w.
-        v = np.zeros((m, w.size))
-        v[:, uf] = np.sign(np.outer(err, w[uf]))
-        s = v @ w
-        zeta = float((err * s).sum() / m)
-
-        qs = curv * s
-        zw = ((qs[:, None] * X) + err[:, None] * v).sum(axis=0) / m
-        zb = np.array([qs.sum() / m])
-        return bce, zeta, [gw + alpha * zw, gb + alpha * zb]
+        return LogisticModel.modified_step(X, y, uf, alpha)(params)
 
     def to_document(self) -> dict:
         params = {"w": self.w.tolist(), "b": self.b}
@@ -587,8 +667,7 @@ def train(model, dataset, config: TrainConfig | None = None):
     group_mask = dataset.advantaged_mask
     trace = np.empty((1, config.epochs))
     trained = _adam_descent(
-        model, lambda params: model.loss_grads(params, X, y, group_mask, config.dp_weight), trace, "epoch",
-        config.learning_rate,
+        model, model.loss_step(X, y, group_mask, config.dp_weight), trace, "epoch", config.learning_rate
     )
     return trained, trace[0]
 

@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .datasets import SplitDataset, concat_datasets, select_fair_features
+from .datasets import FAIR_CORRELATION_THRESHOLD, SplitDataset, concat_datasets, select_fair_features
 from .fairness import AuditConfig, gpf_plan, gpf_run
 from .models import TrainConfig, fit_logistic, set_sensitive_weight
 from .seeding import derive_seed
@@ -41,7 +41,7 @@ def sweep_sensitive_weight(
     grid,
     seeds,
     train_config: TrainConfig | None = None,
-    fair_threshold: float = 0.10,
+    fair_threshold: float = FAIR_CORRELATION_THRESHOLD,
     config: AuditConfig | None = None,
 ):
     """Train a logistic model on the fair features plus the sensitive column,

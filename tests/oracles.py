@@ -14,6 +14,11 @@ package because no program path calls them.
 - ``read_explanations_csv`` reads what ``audit --export-explanations`` writes.
 - ``soft_dp`` and ``input_gradient`` state the training penalty and the
   input gradients in their plain form.
+- ``gemm_mlp_loss_grads`` and ``gemm_mlp_modified_grads`` are the MLP's
+  gradient steps as one-shot gemm calls: a fresh (rows x hidden) layer with
+  ``b1`` added in its own pass, and the backward gemm as ``act.T @ R``.
+  The workspace steps of ``MlpModel.loss_step``/``modified_step`` must
+  reproduce them bit for bit.
 - ``reference_load_csv`` is the earlier row-list CSV loader with its own
   label and group-value rules; on files without padded cells
   ``procfair.datasets.load_csv`` must return the same dataset.
@@ -30,7 +35,7 @@ import numpy as np
 
 from procfair.attribution import ExplanationSet
 from procfair.datasets import TabularDataset, load_schema
-from procfair.models import _check_inputs, predict_proba
+from procfair.models import _check_inputs, _clamped_bce, _delta_scores, _mlp_forward, predict_proba
 from procfair.two_sample import KernelConfig, _as_matrix, _pooled_kernel
 
 EXACT_SHAPLEY_MAX_D = 15
@@ -105,6 +110,52 @@ class ScoreFunction:
 
     def masked_values(self, X: np.ndarray, background: np.ndarray, Z: np.ndarray) -> np.ndarray:
         return _masked_values([self.fn], X, background, Z)[0]
+
+
+def _mlp_backward(X, act, w1, b1, w2, delta, ev=None):
+    """Parameter gradients of sum_i delta_i * s_i + sum_i ev_i . ds_i/dx_i with
+    the activation pattern held fixed, where s_i = sum_k act_ik w2_k (w1_k . x_i
+    + b1_k). With M = act^T (delta X + ev) and n = act^T delta, unit k's
+    gradients are w2_k M_k, w2_k n_k and w1_k . M_k + b1_k n_k: one gemm."""
+    d = X.shape[1]
+    R = np.empty((X.shape[0], d + 1))
+    np.multiply(delta[:, None], X, out=R[:, :d])
+    if ev is not None:
+        R[:, :d] += ev
+    R[:, d] = delta
+    G = act.T @ R
+    M, n = G[:, :d], G[:, d]
+    return [w2[:, None] * M, w2 * n, (w1 * M).sum(axis=1) + b1 * n, np.array([delta.sum()])]
+
+
+def gemm_mlp_loss_grads(params, X, y, group_mask, dp_weight):
+    w1, b1, w2, b2 = params
+    act, p = _mlp_forward(X, w1, b1, w2, b2[0])
+    delta, extra = _delta_scores(p, y, group_mask, dp_weight, X.shape[0])
+    return _clamped_bce(p, y) + extra, _mlp_backward(X, act, w1, b1, w2, delta)
+
+
+def gemm_mlp_modified_grads(params, X, y, uf, alpha):
+    """BCE, zeta and the gradients of bce + alpha * zeta."""
+    w1, b1, w2, b2 = params
+    m = X.shape[0]
+    act, p = _mlp_forward(X, w1, b1, w2, b2[0])
+    err = p - y
+
+    # Per sample the input gradient is g = err * aw with aw = act @ (w2 * w1);
+    # with v = sign(g) restricted to the flagged features,
+    # zeta = mean(v . g) = mean(err * c) where c = v . aw.
+    aw = act @ (w2[:, None] * w1)
+    v = np.zeros_like(aw)
+    v[:, uf] = np.sign(err[:, None] * aw[:, uf])
+    c = (v * aw).sum(axis=1)
+    zeta = float((err * c).sum() / m)
+
+    # alpha * zeta reaches each score through err (d err / d s = p (1 - p))
+    # and each input gradient directly, with weight alpha / m * err * v.
+    scale = alpha / m
+    delta = err / m + scale * (p * (1.0 - p) * c)
+    return _clamped_bce(p, y), zeta, _mlp_backward(X, act, w1, b1, w2, delta, scale * err[:, None] * v)
 
 
 def mmd2(E1, E2, config: KernelConfig | None = None) -> float:

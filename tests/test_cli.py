@@ -1,10 +1,12 @@
 import argparse
 import csv
+import inspect
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,11 +14,18 @@ from oracles import read_explanations_csv
 
 from procfair import cli
 from procfair.cli import main
-from procfair.datasets import SyntheticConfig
+from procfair.datasets import (
+    FAIR_CORRELATION_THRESHOLD,
+    SPLIT_RATIO,
+    SyntheticConfig,
+    select_fair_features,
+    standardized_split,
+)
 from procfair.fairness import AuditConfig
-from procfair.mitigation import DETECTION_THRESHOLD, ModifyConfig
+from procfair.mitigation import DETECTION_KERNEL, DETECTION_THRESHOLD, ModifyConfig
 from procfair.models import TrainConfig
 from procfair.seeding import derive_seed
+from procfair.sweeps import sweep_sensitive_weight
 from procfair.two_sample import PermutationConfig, permutation_pvalue
 from test_sweeps import _perfbench_tracing
 
@@ -815,8 +824,12 @@ _RECORDS = {
 }
 
 
+def _default(fn, parameter):
+    return inspect.signature(fn).parameters[parameter].default
+
+
 @pytest.mark.parametrize("command", sorted(_RECORDS))
-def test_flag_defaults_are_the_library_defaults(command):
+def test_flag_defaults_are_the_library_defaults(command, monkeypatch):
     args = cli.build_parser().parse_args([command, *_REQUIRED[command]])
     records = _records_from_flags(args)
     assert set(records) == _RECORDS[command]
@@ -824,6 +837,21 @@ def test_flag_defaults_are_the_library_defaults(command):
         assert record == kind()
     if command in ("detect", "mitigate"):
         assert args.beta == DETECTION_THRESHOLD
+        assert args.detection_kernel == DETECTION_KERNEL
+    if command in ("train", "sweep-ws"):
+        assert args.split_ratio == SPLIT_RATIO == _default(standardized_split, "ratio")
+    if command == "sweep-ws":
+        assert args.fair_threshold == FAIR_CORRELATION_THRESHOLD == _default(select_fair_features, "threshold")
+        assert _default(sweep_sensitive_weight, "fair_threshold") == FAIR_CORRELATION_THRESHOLD
+    if hasattr(args, "model"):
+        # a model document that records no split is split at the library ratio
+        ratios = []
+        model = SimpleNamespace(feature_names=None, feature_indices=())
+        monkeypatch.setattr(cli, "load_model", lambda path: (model, {}))
+        monkeypatch.setattr(cli, "load_csv", lambda data, schema: None)
+        monkeypatch.setattr(cli, "standardized_split", lambda dataset, ratio, seed: (ratios.append(ratio), None))
+        cli._load_models(args)
+        assert ratios == [SPLIT_RATIO]
 
 
 def _float_flags():

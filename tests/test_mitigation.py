@@ -5,10 +5,11 @@ from mlp_reference import (
     reference_mlp_loss_grads,
     reference_mlp_modified_grads,
 )
+from oracles import gemm_mlp_loss_grads, gemm_mlp_modified_grads
 
 from procfair import mitigation, two_sample
 from procfair.attribution import ExplanationSet
-from procfair.datasets import SyntheticConfig, generate_synthetic, standardized_split
+from procfair.datasets import SyntheticConfig, TabularDataset, generate_synthetic, standardized_split
 from procfair.fairness import AuditConfig, audit
 from procfair.mitigation import (
     ModifyConfig,
@@ -24,6 +25,7 @@ from procfair.models import (
     LogisticModel,
     MlpModel,
     TrainConfig,
+    _adam_descent,
     _sigmoid,
     fit_mlp,
     init_mlp,
@@ -310,15 +312,18 @@ def test_training_and_modification_trajectory_matches_reference(monkeypatch):
 
     calls = {"train": 0, "modify": 0}
 
-    def counted(key, fn):
-        def wrapper(*args):
-            calls[key] += 1
-            return fn(*args)
-        return wrapper
+    def counted(key, reference):
+        # a step builder whose steps are the elementwise reference
+        def builder(X, y, *rest):
+            def step(params):
+                calls[key] += 1
+                return reference(params, X, y, *rest)
+            return step
+        return builder
 
     new = trained_and_modified()
-    monkeypatch.setattr(MlpModel, "loss_grads", staticmethod(counted("train", reference_mlp_loss_grads)))
-    monkeypatch.setattr(MlpModel, "modified_grads", staticmethod(counted("modify", reference_mlp_modified_grads)))
+    monkeypatch.setattr(MlpModel, "loss_step", staticmethod(counted("train", reference_mlp_loss_grads)))
+    monkeypatch.setattr(MlpModel, "modified_step", staticmethod(counted("modify", reference_mlp_modified_grads)))
     ref = trained_and_modified()
     assert calls == {"train": 300, "modify": 200}
 
@@ -328,6 +333,48 @@ def test_training_and_modification_trajectory_matches_reference(monkeypatch):
             assert np.abs(pa - pb).max() <= 1e-9 * np.abs(pb).max()
         assert abs(a.b2 - b.b2) <= 1e-9 * abs(b.b2)
         assert np.array_equal(predict_labels(a, split.test.features), predict_labels(b, split.test.features))
+
+
+@pytest.mark.parametrize(
+    "d, h, dp_weight", [(4, 32, 0.0), (4, 8, 0.5), (20, 64, 0.0), (20, 64, -0.3), (7, 5, 0.0), (4, 17, 0.0)]
+)
+def test_training_and_modification_steps_match_the_gemm_oracle_bit_for_bit(d, h, dp_weight):
+    # the workspace's augmented forward gemm and R^T act backward gemm
+    # reproduce the one-shot gemm steps exactly: parameters and traces (at
+    # h=17 a contiguous copy of R^T would sum in another order)
+    base = generate_synthetic(SyntheticConfig(seed=1))
+    extra = np.random.default_rng(d).normal(size=(base.m, d - base.d))
+    wide = TabularDataset(
+        np.column_stack([base.features, extra]), base.feature_names + tuple(f"z{j}" for j in range(d - base.d)),
+        base.labels, base.sensitive_index, base.group_values,
+    )
+    data = standardized_split(wide, 0.8)[0].train
+    X, y, mask = data.features, data.labels.astype(float), data.advantaged_mask
+    config, modify = TrainConfig(epochs=60, dp_weight=dp_weight), ModifyConfig(tau=40)
+    uf = [2, 3]
+
+    model = init_mlp(d, h, seed=h)
+    trained, loss_trace = train(model, data, config)
+    oracle_trace = np.empty((1, config.epochs))
+    oracle = _adam_descent(
+        model, lambda ps: gemm_mlp_loss_grads(ps, X, y, mask, dp_weight), oracle_trace, "epoch", config.learning_rate
+    )
+    modified, mod_loss, mod_zeta = _run_modification(trained, X, y, uf, modify)
+    oracle_traces = np.empty((2, modify.tau))
+    oracle_modified = _adam_descent(
+        trained, lambda ps: gemm_mlp_modified_grads(ps, X, y, uf, modify.alpha), oracle_traces,
+        "modification step", modify.learning_rate,
+    )
+
+    assert np.array_equal(loss_trace, oracle_trace[0])
+    assert np.array_equal(mod_loss, oracle_traces[0])
+    assert np.array_equal(mod_zeta, oracle_traces[1])
+    for a, b in ((trained, oracle), (modified, oracle_modified)):
+        for pa, pb in zip(a.params(), b.params()):
+            assert np.array_equal(pa, pb)
+    # a gradient's layout becomes the next parameters' layout
+    _, grads = MlpModel.loss_grads(trained.params(), X, y, mask, dp_weight)
+    assert all(g.flags.c_contiguous for g in grads + MlpModel.modified_grads(trained.params(), X, y, uf, 1.0)[2])
 
 
 def test_reported_zeta_matches_explanation_loss(unfair_model, small_split):

@@ -410,6 +410,7 @@ import hashlib
 import numpy as np
 
 from procfair.datasets import SyntheticConfig, TabularDataset, generate_synthetic, standardized_split
+from procfair.mitigation import ModifyConfig, _run_modification
 from procfair.models import TrainConfig, decision_score, fit_mlp, init_mlp
 
 digest = hashlib.sha256()
@@ -425,17 +426,19 @@ wide = TabularDataset(
     np.column_stack([base.features, rng.normal(size=(base.m, 16))]),
     base.feature_names + tuple(f"z{j}" for j in range(16)), base.labels, base.sensitive_index, base.group_values,
 )
-split, _ = standardized_split(wide, 0.8)
-model, _ = fit_mlp(split.train, TrainConfig(epochs=20), hidden_size=64)
-for p in model.params():
-    digest.update(p.tobytes())
+for data, h in ((standardized_split(base, 0.8)[0].train, 32), (standardized_split(wide, 0.8)[0].train, 64)):
+    model, _ = fit_mlp(data, TrainConfig(epochs=20), hidden_size=h)
+    X, y = data.features, data.labels.astype(float)
+    modified, loss_trace, zeta_trace = _run_modification(model, X, y, [2, 3], ModifyConfig(tau=20))
+    for a in (*model.params(), *modified.params(), loss_trace, zeta_trace):
+        digest.update(a.tobytes())
 print(digest.hexdigest())
 """
 
 
 def test_mlp_bits_do_not_depend_on_the_blas_thread_count():
-    # criterion 11 across hosts: scores, Kernel SHAP values and a d=20 fit
-    # hash the same under one and two BLAS threads
+    # criterion 11 across hosts: scores, Kernel SHAP values, and fits and
+    # modifications at d=4 and d=20 hash the same under one and two BLAS threads
     src = str(Path(__file__).resolve().parents[1] / "src")
     digests = []
     for threads in ("1", "2"):
