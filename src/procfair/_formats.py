@@ -12,7 +12,13 @@ import numpy as np
 
 
 def readonly(arr, dtype=float) -> np.ndarray:
-    """A write-protected copy of ``arr`` as ``dtype``."""
+    """``arr`` as a write-protected array of ``dtype``: ``arr`` itself when it
+    is already a read-only array of that dtype that owns its memory (one that
+    ``readonly`` made, or a fresh array its maker handed over read-only),
+    else a write-protected copy. So a frozen record may share an array with
+    another, and never with a writable array or view."""
+    if isinstance(arr, np.ndarray) and not arr.flags.writeable and arr.flags.owndata and arr.dtype == dtype:
+        return arr
     out = np.array(arr, dtype=dtype, copy=True)
     out.setflags(write=False)
     return out

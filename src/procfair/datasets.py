@@ -77,7 +77,7 @@ class TabularDataset:
         labels = np.asarray(self.labels)
         if labels.shape != (feats.shape[0],):
             raise ValueError("labels must be one value per row")
-        labels = labels.astype(np.int64)
+        labels = labels.astype(np.int64, copy=False)
         if not np.isin(labels, (0, 1)).all():
             raise ValueError("labels must all be 0 or 1")
         if not 0 <= int(self.sensitive_index) < feats.shape[1]:
@@ -312,15 +312,21 @@ def select_fair_features(dataset: TabularDataset, threshold: float = FAIR_CORREL
 
 
 def concat_datasets(a: TabularDataset, b: TabularDataset) -> TabularDataset:
-    """Row-concatenate two datasets with identical schema."""
+    """Row-concatenate two datasets with identical schema. The stacked rows
+    are copied once: their fresh arrays are handed to the dataset read-only,
+    which keeps them (see ``readonly``) and still checks every row."""
     if a.feature_names != b.feature_names or a.sensitive_index != b.sensitive_index:
         raise ValueError("datasets have different schemas")
     if a.group_values != b.group_values:
         raise ValueError("datasets have different group encodings")
+    features = np.vstack([a.features, b.features])
+    labels = np.concatenate([a.labels, b.labels])
+    features.setflags(write=False)
+    labels.setflags(write=False)
     return TabularDataset(
-        np.vstack([a.features, b.features]),
+        features,
         a.feature_names,
-        np.concatenate([a.labels, b.labels]),
+        labels,
         a.sensitive_index,
         a.group_values,
         a.provenance + "+" + b.provenance,

@@ -89,6 +89,14 @@ def _checked_feature_indices(feature_indices, pool: TabularDataset) -> tuple[int
     return feats
 
 
+def _columns(pool: TabularDataset, feature_indices) -> np.ndarray:
+    """The pool's features on the checked ``feature_indices``: the feature
+    matrix itself when they are all of its columns in order, else a copy of
+    those columns."""
+    feats = _checked_feature_indices(feature_indices, pool)
+    return pool.features if feats == tuple(range(pool.d)) else pool.features[:, feats]
+
+
 def _screen(D2: np.ndarray, upper: np.ndarray, norms: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Shortlist the (anchor, column) cells of one block of fast squared
     distances ``D2`` over ``d`` features that the exact pass must re-score.
@@ -134,12 +142,13 @@ def select_pairs(
     i.e. the audited model's input space.
 
     Matching scans the candidates in blocks of ``_MATCH_CELLS // (anchors x d)``
-    columns, so besides copies of the pool's columns it holds about
-    ``_MATCH_CELLS`` anchor x candidate x feature cells at a time, whatever
-    the pool size. A fast pass gives each block's squared distances in one
-    GEMM: with U = [A, |a|^2, 1] and V^T = [-2 C^T; 1; |c|^2], built once
-    per side, D~^2 = U @ V^T[:, block], about anchors x candidates x (d+2)
-    flops in BLAS. It keeps each anchor's candidates with
+    columns, so besides the pool's columns (read in place when they are all
+    of its columns in order, else copied) it holds about ``_MATCH_CELLS``
+    anchor x candidate x feature cells at a time, whatever the pool size. A
+    fast pass gives each block's squared distances in one GEMM: with
+    U = [A, |a|^2, 1] and V^T = [-2 C^T; 1; |c|^2], built once per side,
+    D~^2 = U @ V^T[:, block], about anchors x candidates x (d+2) flops in
+    BLAS. It keeps each anchor's candidates with
     D~^2 <= upper (1 + delta) + e, where e bounds the GEMM's rounding error
     (about 3 gamma_{d+2} (|a|^2 + max |c|^2), the max over the block) plus a
     term for subnormal products, delta covers the rounding of the exact
@@ -152,8 +161,7 @@ def select_pairs(
     """
     if n < 2:
         raise ValueError("need at least two pairs")
-    feats = _checked_feature_indices(range(pool.d) if feature_indices is None else feature_indices, pool)
-    F = pool.features[:, feats]
+    F = _columns(pool, range(pool.d) if feature_indices is None else feature_indices)
     g1_rows = np.flatnonzero(pool.advantaged_mask)
     g2_rows = np.flatnonzero(pool.disadvantaged_mask)
     n_first = n // 2
@@ -264,53 +272,82 @@ def matched_explanations(
 # Distributive metrics
 
 
-def _rate(values: np.ndarray, mask: np.ndarray, cell: str) -> float:
-    if not mask.any():
-        raise ValueError(f"empty conditioning cell: {cell}")
-    return float(values[mask].mean())
+def _binary(values, what: str) -> np.ndarray:
+    """``values`` as integers, each of them 0 or 1."""
+    values = np.asarray(values)
+    if not ((values == 0) | (values == 1)).all():
+        raise ValueError(f"{what} must all be 0 or 1")
+    return values.astype(np.intp, copy=False)
+
+
+def _counts(predictions, truths, group_mask) -> np.ndarray:
+    """The (group x label x prediction) count table of 0/1 predictions and
+    truths: ``table[g, y, p]`` counts the rows of group ``g`` (1 for the rows
+    of ``group_mask``, group 1; 0 for the rest, group 2) with truth ``y`` and
+    prediction ``p``, from one ``bincount`` of 4 g + 2 y + p. Every metric
+    below is read from it: a mean of 0/1 values is exactly count / n."""
+    predictions = _binary(predictions, "predictions")
+    truths = _binary(truths, "truths")
+    group_mask = np.asarray(group_mask, dtype=bool)
+    if not (predictions.shape == truths.shape == group_mask.shape) or group_mask.ndim != 1:
+        raise ValueError("predictions, truths and the group mask must be 1-D and of equal length")
+    return np.bincount(4 * group_mask + 2 * truths + predictions, minlength=8).reshape(2, 2, 2)
+
+
+def _rate(cell: np.ndarray, name: str) -> float:
+    """The positive share of one conditioning cell's (negative, positive)
+    prediction counts."""
+    n = int(cell.sum())
+    if n == 0:
+        raise ValueError(f"empty conditioning cell: {name}")
+    return int(cell[1]) / n
+
+
+def _dp(table: np.ndarray) -> float:
+    return abs(_rate(table[1].sum(axis=0), "group 1") - _rate(table[0].sum(axis=0), "group 2"))
+
+
+def _eo(table: np.ndarray) -> float:
+    return abs(_rate(table[1, 1], "group 1, y=1") - _rate(table[0, 1], "group 2, y=1"))
+
+
+def _eod(table: np.ndarray) -> float:
+    fpr1 = _rate(table[1, 0], "group 1, y=0")
+    fpr2 = _rate(table[0, 0], "group 2, y=0")
+    tpr1 = _rate(table[1, 1], "group 1, y=1")
+    tpr2 = _rate(table[0, 1], "group 2, y=1")
+    return (abs(fpr1 - fpr2) + abs(tpr1 - tpr2)) / 2.0
 
 
 def dp(predictions, group_mask) -> float:
     """Demographic parity: gap between the groups' positive prediction rates."""
+    # DP reads only the group x prediction margin, so every truth may be 0
     predictions = np.asarray(predictions)
-    group_mask = np.asarray(group_mask, dtype=bool)
-    r1 = _rate(predictions, group_mask, "group 1")
-    r2 = _rate(predictions, ~group_mask, "group 2")
-    return float(abs(r1 - r2))
+    return _dp(_counts(predictions, np.zeros(predictions.shape, dtype=np.intp), group_mask))
 
 
 def eo(predictions, truths, group_mask) -> float:
     """Equal opportunity: gap between the groups' true-positive rates."""
-    predictions = np.asarray(predictions)
-    truths = np.asarray(truths)
-    group_mask = np.asarray(group_mask, dtype=bool)
-    tpr1 = _rate(predictions, group_mask & (truths == 1), "group 1, y=1")
-    tpr2 = _rate(predictions, ~group_mask & (truths == 1), "group 2, y=1")
-    return float(abs(tpr1 - tpr2))
+    return _eo(_counts(predictions, truths, group_mask))
 
 
 def eod(predictions, truths, group_mask) -> float:
     """Equalized odds: mean of the FPR gap and the TPR gap."""
-    predictions = np.asarray(predictions)
-    truths = np.asarray(truths)
-    group_mask = np.asarray(group_mask, dtype=bool)
-    fpr1 = _rate(predictions, group_mask & (truths == 0), "group 1, y=0")
-    fpr2 = _rate(predictions, ~group_mask & (truths == 0), "group 2, y=0")
-    tpr1 = _rate(predictions, group_mask & (truths == 1), "group 1, y=1")
-    tpr2 = _rate(predictions, ~group_mask & (truths == 1), "group 2, y=1")
-    return float((abs(fpr1 - fpr2) + abs(tpr1 - tpr2)) / 2.0)
+    return _eod(_counts(predictions, truths, group_mask))
 
 
 def prediction_metrics(model, dataset: TabularDataset) -> dict:
-    """Accuracy and the DP/EO/EOD gaps of the model's predictions on ``dataset``."""
-    feats = _checked_feature_indices(model.feature_indices, dataset)
-    predictions = predict_labels(model, dataset.features[:, feats])
-    gmask = dataset.advantaged_mask
+    """Accuracy and the DP/EO/EOD gaps of the model's predictions on
+    ``dataset``, all four read from one count table of its rows. The model
+    reads the dataset's feature matrix in place when it takes all of its
+    columns in order."""
+    predictions = predict_labels(model, _columns(dataset, model.feature_indices))
+    table = _counts(predictions, dataset.labels, dataset.advantaged_mask)
     return {
-        "accuracy": float((predictions == dataset.labels).mean()),
-        "dp": dp(predictions, gmask),
-        "eo": eo(predictions, dataset.labels, gmask),
-        "eod": eod(predictions, dataset.labels, gmask),
+        "accuracy": int(table[:, 0, 0].sum() + table[:, 1, 1].sum()) / dataset.m,
+        "dp": _dp(table),
+        "eo": _eo(table),
+        "eod": _eod(table),
     }
 
 

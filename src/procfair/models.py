@@ -142,20 +142,22 @@ class _MlpWorkspace:
         p = _sigmoid(hidden @ w2 + b2)
         return np.greater(hidden, 0.0, out=hidden), p
 
-    def backward(self, act, w1, b1, w2, delta, ev=None):
+    def backward(self, act, w1, b1, w2, delta, cols=(), ev=None):
         """Parameter gradients of sum_i delta_i * s_i + sum_i ev_i . ds_i/dx_i
         with the activation pattern held fixed, where s_i = sum_k act_ik w2_k
-        (w1_k . x_i + b1_k). With M = act^T (delta X + ev) and n = act^T delta,
-        unit k's gradients are w2_k M_k, w2_k n_k and w1_k . M_k + b1_k n_k:
-        one gemm, R^T act with R = [delta X + ev, delta] = delta Xa + [ev, 0].
-        The transposed operand is the narrow R, so BLAS does not repack the
-        (rows x hidden) act. This sums in the order ``act.T @ R`` does; the
-        same product over a contiguous copy of R^T does not, at some hidden
-        sizes."""
+        (w1_k . x_i + b1_k) and ev is zero outside the input columns ``cols``
+        (its column j weights column cols[j]). With M = act^T (delta X + ev)
+        and n = act^T delta, unit k's gradients are w2_k M_k, w2_k n_k and
+        w1_k . M_k + b1_k n_k: one gemm, R^T act with R = [delta X + ev,
+        delta] = delta Xa + [ev, 0], ev added one column of ``cols`` at a
+        time. The transposed operand is the narrow R, so BLAS does not repack
+        the (rows x hidden) act. This sums in the order ``act.T @ R`` does;
+        the same product over a contiguous copy of R^T does not, at some
+        hidden sizes."""
         d = w1.shape[1]
         R = np.multiply(delta[:, None], self.Xa, out=self.R)
-        if ev is not None:
-            R[:, :d] += ev
+        for j, col in enumerate(cols):
+            R[:, col] += ev[:, j]
         G = np.ascontiguousarray((R.T @ act).T)  # a gradient's layout becomes the next parameters'
         M, n = G[:, :d], G[:, d]
         return [w2[:, None] * M, w2 * n, (w1 * M).sum(axis=1) + b1 * n, np.array([delta.sum()])]
@@ -311,6 +313,7 @@ class MlpModel:
         the parameters, evaluated in one workspace over the rows X."""
         ws = _MlpWorkspace(X)
         m = X.shape[0]
+        uf = sorted(set(np.arange(X.shape[1])[uf].tolist()))  # the flagged columns, each once, in order
 
         def step(params):
             w1, b1, w2, b2 = params
@@ -318,19 +321,19 @@ class MlpModel:
             err = p - y
 
             # Per sample the input gradient is g = err * aw with aw = act @ (w2 * w1);
-            # with v = sign(g) restricted to the flagged features,
-            # zeta = mean(v . g) = mean(err * c) where c = v . aw.
-            aw = act @ (w2[:, None] * w1)
-            v = np.zeros_like(aw)
-            v[:, uf] = np.sign(err[:, None] * aw[:, uf])
-            c = (v * aw).sum(axis=1)
+            # with v = sign(g) on the flagged features (zero elsewhere),
+            # zeta = mean(v . g) = mean(err * c) where c = v . aw. Only the
+            # flagged columns of aw are read, so v, c and ev are built on them.
+            awf = (act @ (w2[:, None] * w1))[:, uf]
+            v = np.sign(err[:, None] * awf)
+            c = (v * awf).sum(axis=1)
             zeta = float((err * c).sum() / m)
 
             # alpha * zeta reaches each score through err (d err / d s = p (1 - p))
             # and each input gradient directly, with weight alpha / m * err * v.
             scale = alpha / m
             delta = err / m + scale * (p * (1.0 - p) * c)
-            return _clamped_bce(p, y), zeta, ws.backward(act, w1, b1, w2, delta, scale * err[:, None] * v)
+            return _clamped_bce(p, y), zeta, ws.backward(act, w1, b1, w2, delta, uf, scale * err[:, None] * v)
 
         return step
 

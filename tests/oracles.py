@@ -19,6 +19,11 @@ package because no program path calls them.
   ``b1`` added in its own pass, and the backward gemm as ``act.T @ R``.
   The workspace steps of ``MlpModel.loss_step``/``modified_step`` must
   reproduce them bit for bit.
+- ``mean_accuracy``, ``mean_dp``, ``mean_eo`` and ``mean_eod`` are the
+  distributive metrics as means of boolean-masked predictions, one mask per
+  conditioning cell. ``procfair.fairness`` reads them from one count table;
+  on 0/1 predictions and truths it must give the same floats and name the
+  same first empty cell.
 - ``reference_load_csv`` is the earlier row-list CSV loader with its own
   label and group-value rules; on files without padded cells
   ``procfair.datasets.load_csv`` must return the same dataset.
@@ -156,6 +161,44 @@ def gemm_mlp_modified_grads(params, X, y, uf, alpha):
     scale = alpha / m
     delta = err / m + scale * (p * (1.0 - p) * c)
     return _clamped_bce(p, y), zeta, _mlp_backward(X, act, w1, b1, w2, delta, scale * err[:, None] * v)
+
+
+def _mean_rate(values: np.ndarray, mask: np.ndarray, cell: str) -> float:
+    if not mask.any():
+        raise ValueError(f"empty conditioning cell: {cell}")
+    return float(values[mask].mean())
+
+
+def mean_accuracy(predictions, truths) -> float:
+    return float((np.asarray(predictions) == np.asarray(truths)).mean())
+
+
+def mean_dp(predictions, group_mask) -> float:
+    predictions = np.asarray(predictions)
+    group_mask = np.asarray(group_mask, dtype=bool)
+    r1 = _mean_rate(predictions, group_mask, "group 1")
+    r2 = _mean_rate(predictions, ~group_mask, "group 2")
+    return float(abs(r1 - r2))
+
+
+def mean_eo(predictions, truths, group_mask) -> float:
+    predictions = np.asarray(predictions)
+    truths = np.asarray(truths)
+    group_mask = np.asarray(group_mask, dtype=bool)
+    tpr1 = _mean_rate(predictions, group_mask & (truths == 1), "group 1, y=1")
+    tpr2 = _mean_rate(predictions, ~group_mask & (truths == 1), "group 2, y=1")
+    return float(abs(tpr1 - tpr2))
+
+
+def mean_eod(predictions, truths, group_mask) -> float:
+    predictions = np.asarray(predictions)
+    truths = np.asarray(truths)
+    group_mask = np.asarray(group_mask, dtype=bool)
+    fpr1 = _mean_rate(predictions, group_mask & (truths == 0), "group 1, y=0")
+    fpr2 = _mean_rate(predictions, ~group_mask & (truths == 0), "group 2, y=0")
+    tpr1 = _mean_rate(predictions, group_mask & (truths == 1), "group 1, y=1")
+    tpr2 = _mean_rate(predictions, ~group_mask & (truths == 1), "group 2, y=1")
+    return float((abs(fpr1 - fpr2) + abs(tpr1 - tpr2)) / 2.0)
 
 
 def mmd2(E1, E2, config: KernelConfig | None = None) -> float:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import ScoreFunction, exact_shapley
+from oracles import ScoreFunction, exact_shapley, mean_accuracy, mean_dp, mean_eo, mean_eod
 
 from procfair import attribution, fairness
 from procfair.attribution import ShapConfig, explain_set, sample_background
@@ -28,9 +28,18 @@ from procfair.fairness import (
     gpf_plan,
     gpf_run,
     matched_explanations,
+    prediction_metrics,
     select_pairs,
 )
-from procfair.models import LogisticModel, TrainConfig, decision_score, fit_logistic, fit_mlp, init_mlp
+from procfair.models import (
+    LogisticModel,
+    TrainConfig,
+    decision_score,
+    fit_logistic,
+    fit_mlp,
+    init_mlp,
+    predict_labels,
+)
 from procfair.seeding import derive_seed
 from procfair.two_sample import PermutationConfig, permutation_pvalue
 
@@ -328,6 +337,41 @@ def test_select_pairs_memory_bounded():
     assert peak < 64 * 2**20
 
 
+@pytest.fixture(scope="module")
+def split_200k():
+    # the pool_200k benchmark's shape: a 200k-row pool, 8000 training rows
+    dataset = generate_synthetic(SyntheticConfig(m=200_000, n_advantaged=120_000, seed=0))
+    return standardized_split(dataset, 0.04)[0]
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_full_pool_audit_copies_the_pool_once(split_200k):
+    # pooling the split copies its 6.1 MB of features once, and matching
+    # adds its candidate operands (3.0 times the pool's features in all);
+    # copying the pooled rows again, or the model's columns of them, reads 4.0
+    model = init_mlp(4, 32, seed=0)
+    config = AuditConfig(n_pairs=100, pool="full")
+    audit(model, split_200k, config)
+    pool_bytes = (split_200k.train.m + split_200k.test.m) * split_200k.test.d * 8
+    assert _traced_peak(lambda: audit(model, split_200k, config)) < 3.5 * pool_bytes
+
+
+def test_prediction_metrics_read_the_features_in_place(split_200k):
+    # the model reads all columns in order, so its scores take the feature
+    # matrix itself: the predictions and one count table stay below its size
+    model = init_mlp(4, 32, seed=0)
+    test = split_200k.test
+    assert _traced_peak(lambda: prediction_metrics(model, test)) < test.features.nbytes
+
+
 # ---------------------------------------------------------------------------
 # distributive metrics
 
@@ -387,6 +431,72 @@ def test_eod_empty_cell_named():
     mask = np.array([True, True, False, False])
     with pytest.raises(ValueError, match="y=0"):
         eod(preds, truths, mask)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _mean_metrics(predictions, truths, group_mask) -> dict:
+    return {
+        "accuracy": mean_accuracy(predictions, truths),
+        "dp": mean_dp(predictions, group_mask),
+        "eo": mean_eo(predictions, truths, group_mask),
+        "eod": mean_eod(predictions, truths, group_mask),
+    }
+
+
+SHARES = st.sampled_from([0.0, 0.05, 0.5, 0.95, 1.0])
+
+
+@given(
+    st.integers(1, 60), SHARES, SHARES, SHARES, st.sampled_from([np.int64, np.float64, bool]), st.integers(0, 2**32 - 1)
+)
+@settings(max_examples=300, deadline=None)
+def test_count_table_metrics_equal_the_mean_oracles(n, p_pred, p_true, p_group, dtype, seed):
+    # shares of 0 and 1 empty whole cells, so every "empty conditioning
+    # cell" message is reached; each metric must name the same first one
+    rng = np.random.default_rng(seed)
+    preds = (rng.random(n) < p_pred).astype(dtype)
+    truths = (rng.random(n) < p_true).astype(dtype)
+    mask = rng.random(n) < p_group
+    assert _outcome(dp, preds, mask) == _outcome(mean_dp, preds, mask)
+    assert _outcome(eo, preds, truths, mask) == _outcome(mean_eo, preds, truths, mask)
+    assert _outcome(eod, preds, truths, mask) == _outcome(mean_eod, preds, truths, mask)
+
+
+@given(
+    st.integers(2, 80),
+    SHARES,
+    st.sampled_from([(0, 1, 2), (0, 2), (2, 0, 1), (1,)]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_prediction_metrics_equal_the_mean_oracles(m, p_true, feats, seed):
+    # all columns in order are read in place, any other choice is copied
+    rng = np.random.default_rng(seed)
+    features = rng.normal(size=(m, 3))
+    features[:, 2] = np.arange(m) % 2
+    labels = (rng.random(m) < p_true).astype(np.int64)
+    pool = TabularDataset(features, ("a", "b", "s"), labels, 2, (1.0, 0.0))
+    model = LogisticModel(rng.normal(size=len(feats)), rng.normal(), feats)
+    predictions = predict_labels(model, features[:, feats])
+    expected = _outcome(_mean_metrics, predictions, labels, pool.advantaged_mask)
+    assert _outcome(prediction_metrics, model, pool) == expected
+
+
+def test_metrics_reject_non_binary_values():
+    mask = np.array([True, False])
+    with pytest.raises(ValueError, match="predictions must all be 0 or 1"):
+        dp([0.5, 1.0], mask)
+    with pytest.raises(ValueError, match="truths must all be 0 or 1"):
+        eo([0, 1], [2, 1], mask)
+    with pytest.raises(ValueError, match="1-D and of equal length"):
+        eod([0, 1, 1], [0, 1, 1], mask)
 
 
 # ---------------------------------------------------------------------------

@@ -335,13 +335,35 @@ def test_training_and_modification_trajectory_matches_reference(monkeypatch):
         assert np.array_equal(predict_labels(a, split.test.features), predict_labels(b, split.test.features))
 
 
+# (d, hidden, dp_weight, flagged columns); at (20, 64, [1, 5, 9]) the narrowed
+# modification step differs, because numpy sums a row of 8 or more columns
+# pairwise and the flagged columns then fall into other partial sums
+ORACLE_STEP_CASES = [
+    (4, 32, 0.0, [2, 3]),
+    (4, 8, 0.5, [2, 3]),
+    (20, 64, 0.0, [2, 3]),
+    (20, 64, -0.3, [2, 3]),
+    (7, 5, 0.0, [2, 3]),
+    (4, 17, 0.0, [2, 3]),
+    (4, 32, 0.0, [0, 3]),
+    (4, 32, 0.0, [1]),
+    (4, 17, 0.0, [0, 3]),
+    (7, 5, 0.0, [0, 2, 6]),
+    (4, 8, 0.0, [0, 1, 2, 3]),
+]
+
+
 @pytest.mark.parametrize(
-    "d, h, dp_weight", [(4, 32, 0.0), (4, 8, 0.5), (20, 64, 0.0), (20, 64, -0.3), (7, 5, 0.0), (4, 17, 0.0)]
+    "d, h, dp_weight, uf",
+    ORACLE_STEP_CASES,
+    ids=[f"{d}-{h}-{w}" + ("" if uf == [2, 3] else "-uf" + "".join(map(str, uf))) for d, h, w, uf in ORACLE_STEP_CASES],
 )
-def test_training_and_modification_steps_match_the_gemm_oracle_bit_for_bit(d, h, dp_weight):
+def test_training_and_modification_steps_match_the_gemm_oracle_bit_for_bit(d, h, dp_weight, uf):
     # the workspace's augmented forward gemm and R^T act backward gemm
     # reproduce the one-shot gemm steps exactly: parameters and traces (at
-    # h=17 a contiguous copy of R^T would sum in another order)
+    # h=17 a contiguous copy of R^T would sum in another order), and so does
+    # the modification step that reads only the flagged columns of its
+    # full-width act @ (w2 w1) product
     base = generate_synthetic(SyntheticConfig(seed=1))
     extra = np.random.default_rng(d).normal(size=(base.m, d - base.d))
     wide = TabularDataset(
@@ -351,7 +373,6 @@ def test_training_and_modification_steps_match_the_gemm_oracle_bit_for_bit(d, h,
     data = standardized_split(wide, 0.8)[0].train
     X, y, mask = data.features, data.labels.astype(float), data.advantaged_mask
     config, modify = TrainConfig(epochs=60, dp_weight=dp_weight), ModifyConfig(tau=40)
-    uf = [2, 3]
 
     model = init_mlp(d, h, seed=h)
     trained, loss_trace = train(model, data, config)

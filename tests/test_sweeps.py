@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from procfair import sweeps
+from procfair import fairness, sweeps
 from procfair.datasets import SyntheticConfig, concat_datasets, generate_synthetic, standardized_split
 from procfair.fairness import AuditConfig, gpf_plan, gpf_run
 from procfair.models import TrainConfig, fit_logistic, set_sensitive_weight
@@ -131,3 +131,19 @@ def test_traced_sweep_matches_pairs_once_per_seed(split):
     assert metrics["attribution.explain_calls"] == 12
     assert metrics["attribution.model_rows"] == 0
     assert sum(s.name == "fairness.select_pairs" for s in tracer.op_spans("sweep")) == 2
+
+
+def test_traced_full_pool_audit_reads_each_layer_once(split, model):
+    # pool_200k's per-layer readings: one pooled dataset, one matching pass
+    # over it and one prediction pass over the test split per audit
+    tracing = _perfbench_tracing()
+    tracer = tracing.Tracer()
+    with tracer.installed(), tracer.op("audit"):
+        fairness.audit(model, split, replace(FAST, pool="full"))
+    spans = tracer.op_spans("audit")
+    metrics, _ = tracing.op_metrics(tracer, "audit")
+    for name in ("datasets.concat", "fairness.select_pairs", "models.predict_labels"):
+        assert sum(s.name == name for s in spans) == 1, name
+    # 10 anchors from each side of the whole 480/320-row dataset
+    assert metrics["fairness.candidate_distances"] == 10 * 320 + 10 * 480
+    assert metrics["fairness.audit_calls"] == 1
