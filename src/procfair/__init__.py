@@ -19,7 +19,6 @@ from .datasets import (
     pearson_correlation,
     select_fair_features,
     standardized_split,
-    train_test_split,
 )
 from .models import (
     LogisticModel,

@@ -31,7 +31,6 @@ __all__ = [
     "write_schema",
     "load_schema",
     "label_encode",
-    "train_test_split",
     "standardized_split",
     "generate_synthetic",
     "pearson_correlation",
@@ -77,7 +76,6 @@ class TabularDataset:
         labels = np.asarray(self.labels)
         if labels.shape != (feats.shape[0],):
             raise ValueError("labels must be one value per row")
-        labels = labels.astype(np.int64, copy=False)
         if not np.isin(labels, (0, 1)).all():
             raise ValueError("labels must all be 0 or 1")
         if not 0 <= int(self.sensitive_index) < feats.shape[1]:
@@ -115,15 +113,16 @@ class TabularDataset:
     def disadvantaged_mask(self) -> np.ndarray:
         return self.sensitive_column == self.group_values[1]
 
-    def take(self, rows: np.ndarray, provenance: str | None = None) -> "TabularDataset":
-        """Row-subset copy; metadata is preserved."""
+    def take(self, rows: np.ndarray) -> "TabularDataset":
+        """The rows ``rows`` with the same metadata and provenance. The
+        gathered rows are copied once: their fresh arrays are handed to the
+        dataset read-only, which keeps them (see ``readonly``) and still
+        checks every row."""
+        features, labels = self.features[rows], self.labels[rows]
+        features.setflags(write=False)
+        labels.setflags(write=False)
         return TabularDataset(
-            self.features[rows],
-            self.feature_names,
-            self.labels[rows],
-            self.sensitive_index,
-            self.group_values,
-            self.provenance if provenance is None else provenance,
+            features, self.feature_names, labels, self.sensitive_index, self.group_values, self.provenance
         )
 
 
@@ -213,70 +212,64 @@ class ZScoreStats:
     constant_columns: tuple[int, ...]
 
 
-def train_test_split(dataset: TabularDataset, ratio: float = SPLIT_RATIO, seed: int = 0) -> SplitDataset:
-    """Seeded uniform split; train receives ceil(ratio * m) rows."""
+def standardized_split(
+    dataset: TabularDataset, ratio: float = SPLIT_RATIO, seed: int = 0
+) -> tuple[SplitDataset, ZScoreStats]:
+    """Seeded uniform split (train receives ceil(ratio * m) rows), z-scored
+    with the training part's population mean and std.
+
+    The split is checked on its row indices. Each part's rows are then
+    gathered once and z-scored in place as ``(features - shift) / scale``,
+    with ``shift = where(std > 0, mean, 0)`` and ``scale = where(std > 0,
+    std, 1)``, so a column constant on the training part passes through
+    unscaled (with a warning). The group values go through the same
+    arithmetic. Each part is handed to its dataset read-only, which keeps its
+    arrays (see ``readonly``) and still checks every row; its provenance
+    gains ``|split(ratio, seed=seed)[train|test]|zscore``.
+    """
     if not 0.0 < ratio < 1.0:
         raise ValueError("ratio must lie strictly between 0 and 1")
     if dataset.m < 2:
         raise ValueError("need at least two rows to split")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(dataset.m)
+    perm = np.random.default_rng(seed).permutation(dataset.m)
     n_train = math.ceil(ratio * dataset.m)
     if n_train >= dataset.m:
         raise ValueError("ratio leaves an empty test split")
     train_idx, test_idx = perm[:n_train], perm[n_train:]
 
+    s = dataset.sensitive_index
     adv, dis = dataset.group_values
     for name, idx in (("train", train_idx), ("test", test_idx)):
-        col = dataset.features[idx, dataset.sensitive_index]
+        col = dataset.features[idx, s]
         if not ((col == adv).any() and (col == dis).any()):
             raise ValueError(f"{name} split lost a sensitive group; use a different seed")
     y_train = dataset.labels[train_idx]
     if y_train.min() == y_train.max():
         raise ValueError("train split lost a label class; use a different seed")
 
-    tag = f"|split({ratio}, seed={seed})"
-    return SplitDataset(
-        dataset.take(train_idx, dataset.provenance + tag + "[train]"),
-        dataset.take(test_idx, dataset.provenance + tag + "[test]"),
-    )
-
-
-def standardized_split(
-    dataset: TabularDataset, ratio: float = SPLIT_RATIO, seed: int = 0
-) -> tuple[SplitDataset, ZScoreStats]:
-    """``train_test_split``, then z-score both parts with the training part's
-    population mean and std.
-
-    Each part's features become ``(features - shift) / scale`` with
-    ``shift = where(std > 0, mean, 0)`` and ``scale = where(std > 0, std, 1)``,
-    so a column that is constant on the training part passes through unscaled
-    (with a warning). The group values go through the same arithmetic on the
-    sensitive column, and each part's provenance gains ``|zscore``.
-    """
-    split = train_test_split(dataset, ratio, seed)
-    train = split.train
-    mean = train.features.mean(axis=0)
-    std = train.features.std(axis=0)
+    x_train = dataset.features[train_idx]
+    mean = x_train.mean(axis=0)
+    std = x_train.std(axis=0)
     constant = tuple(int(i) for i in np.flatnonzero(std == 0.0))
     if constant:
-        names = ", ".join(train.feature_names[i] for i in constant)
+        names = ", ".join(dataset.feature_names[i] for i in constant)
         warnings.warn(f"constant column(s) passed through unscaled: {names}", stacklevel=2)
     shift = np.where(std > 0, mean, 0.0)
     scale = np.where(std > 0, std, 1.0)
-    s = train.sensitive_index
-    group_values = tuple((v - shift[s]) / scale[s] for v in train.group_values)
-    parts = (
-        TabularDataset(
-            (part.features - shift) / scale,
-            part.feature_names,
-            part.labels,
-            s,
-            group_values,
-            part.provenance + "|zscore",
+    group_values = tuple((v - shift[s]) / scale[s] for v in dataset.group_values)
+    tag = f"{dataset.provenance}|split({ratio}, seed={seed})"
+    parts = []
+    for name, features, labels in (
+        ("train", x_train, y_train),
+        ("test", dataset.features[test_idx], dataset.labels[test_idx]),
+    ):
+        features -= shift
+        features /= scale
+        features.setflags(write=False)
+        labels.setflags(write=False)
+        parts.append(
+            TabularDataset(features, dataset.feature_names, labels, s, group_values, f"{tag}[{name}]|zscore")
         )
-        for part in (train, split.test)
-    )
     return SplitDataset(*parts), ZScoreStats(readonly(mean), readonly(std), constant)
 
 

@@ -65,6 +65,8 @@ class UnfairFeatureSet:
         expected = tuple(int(i) for i in np.flatnonzero(pvalues <= self.threshold))
         if tuple(self.indices) != expected:
             raise ValueError("indices must be exactly the features at or below the threshold")
+        if len(self.feature_names) != len(self.indices):
+            raise ValueError(f"{len(self.feature_names)} feature names for {len(self.indices)} unfair features")
         object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
         object.__setattr__(self, "feature_names", tuple(str(n) for n in self.feature_names))
         object.__setattr__(self, "pvalues", readonly(pvalues))

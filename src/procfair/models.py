@@ -91,7 +91,10 @@ def _set_features(model) -> None:
         raise ValueError(f"feature indices must be distinct and non-negative, got {list(feats)}")
     object.__setattr__(model, "feature_indices", feats)
     if model.feature_names is not None:
-        object.__setattr__(model, "feature_names", tuple(str(n) for n in model.feature_names))
+        names = tuple(str(n) for n in model.feature_names)
+        if len(names) != model.d:
+            raise ValueError(f"{len(names)} feature names for a model of {model.d} features")
+        object.__setattr__(model, "feature_names", names)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

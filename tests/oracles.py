@@ -24,6 +24,9 @@ package because no program path calls them.
   conditioning cell. ``procfair.fairness`` reads them from one count table;
   on 0/1 predictions and truths it must give the same floats and name the
   same first empty cell.
+- ``reference_split`` is the raw seeded split, checked on its row indices
+  and built as two datasets of un-standardized rows. ``standardized_split``
+  must return its z-score, with the same sizes, provenance and errors.
 - ``reference_load_csv`` is the earlier row-list CSV loader with its own
   label and group-value rules; on files without padded cells
   ``procfair.datasets.load_csv`` must return the same dataset.
@@ -39,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from procfair.attribution import ExplanationSet
-from procfair.datasets import TabularDataset, load_schema
+from procfair.datasets import SplitDataset, TabularDataset, load_schema
 from procfair.models import _check_inputs, _clamped_bce, _delta_scores, _mlp_forward, predict_proba
 from procfair.two_sample import KernelConfig, _as_matrix, _pooled_kernel
 
@@ -374,3 +377,41 @@ def reference_load_csv(path, schema) -> TabularDataset:
     if mappings:
         provenance += "|encoded=" + json.dumps(mappings, sort_keys=True)
     return TabularDataset(features, names, labels, sensitive_index, group_values, provenance)
+
+
+def reference_split(dataset: TabularDataset, ratio: float, seed: int) -> SplitDataset:
+    """Seeded uniform split; train receives ceil(ratio * m) rows."""
+    if not 0.0 < ratio < 1.0:
+        raise ValueError("ratio must lie strictly between 0 and 1")
+    if dataset.m < 2:
+        raise ValueError("need at least two rows to split")
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(dataset.m)
+    n_train = math.ceil(ratio * dataset.m)
+    if n_train >= dataset.m:
+        raise ValueError("ratio leaves an empty test split")
+    train_idx, test_idx = perm[:n_train], perm[n_train:]
+
+    adv, dis = dataset.group_values
+    for name, idx in (("train", train_idx), ("test", test_idx)):
+        col = dataset.features[idx, dataset.sensitive_index]
+        if not ((col == adv).any() and (col == dis).any()):
+            raise ValueError(f"{name} split lost a sensitive group; use a different seed")
+    y_train = dataset.labels[train_idx]
+    if y_train.min() == y_train.max():
+        raise ValueError("train split lost a label class; use a different seed")
+
+    tag = f"|split({ratio}, seed={seed})"
+    return SplitDataset(
+        *(
+            TabularDataset(
+                dataset.features[idx],
+                dataset.feature_names,
+                dataset.labels[idx],
+                dataset.sensitive_index,
+                dataset.group_values,
+                dataset.provenance + tag + f"[{name}]",
+            )
+            for name, idx in (("train", train_idx), ("test", test_idx))
+        )
+    )

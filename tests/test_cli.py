@@ -551,8 +551,9 @@ def test_boundary_rejects_a_model_with_other_columns(workspace, boundary_outputs
         (lambda doc: doc.update(feature_indices=[0, 1, 2, -1]), "non-negative"),
         (lambda doc: doc.update(feature_indices=[0, 1, 2, 3.9]), "integers"),
         (lambda doc: doc.update(feature_indices=[0, 1, 2, 3.0]), "integers"),
+        (lambda doc: doc.update(feature_names=["x1"]), "1 feature names for a model of 4 features"),
     ],
-    ids=["dims", "no-kind", "repeated-indices", "negative-index", "fractional-index", "float-index"],
+    ids=["dims", "no-kind", "repeated-indices", "negative-index", "fractional-index", "float-index", "short-names"],
 )
 def test_audit_rejects_a_malformed_model_document(workspace, tmp_path, capsys, change, message):
     doc = strict_json(Path(workspace["unfair_model"]).read_text())

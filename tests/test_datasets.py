@@ -2,13 +2,14 @@ import csv
 import json
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import reference_load_csv
+from oracles import reference_load_csv, reference_split
 
 from procfair.datasets import (
     SyntheticConfig,
@@ -20,7 +21,6 @@ from procfair.datasets import (
     pearson_correlation,
     select_fair_features,
     standardized_split,
-    train_test_split,
     write_csv,
     write_schema,
 )
@@ -51,6 +51,15 @@ def toy_dataset(m=8, seed=0):
 def test_rejects_bad_labels():
     with pytest.raises(ValueError, match="0 or 1"):
         TabularDataset(np.ones((2, 2)), ("a", "s"), [0, 2], 1, (1.0, 0.0))
+
+
+def test_labels_are_checked_before_the_cast():
+    features = np.column_stack([np.arange(4.0), [1.0, 0.0, 1.0, 0.0]])
+    with pytest.raises(ValueError, match="0 or 1"):
+        TabularDataset(features, ("a", "s"), [0.7, 1.9, 0.2, 1.0], 1, (1.0, 0.0))
+    for labels in ([True, False, False, True], np.array([1.0, 0.0, 0.0, 1.0])):
+        ds = TabularDataset(features, ("a", "s"), labels, 1, (1.0, 0.0))
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [1, 0, 0, 1]
 
 
 def test_rejects_duplicate_names():
@@ -380,7 +389,7 @@ def test_zscore_test_split_uses_train_stats():
     # the test split is transformed with the train statistics, so its mean is
     # close to but not exactly zero
     assert 1e-9 < np.abs(split.test.features.mean(axis=0)).max() < 0.2
-    raw_split = train_test_split(ds, 0.8, 0)
+    raw_split = reference_split(ds, 0.8, 0)
     assert np.array_equal(split.test.features, (raw_split.test.features - stats.mean) / stats.std)
 
 
@@ -409,9 +418,11 @@ def datasets_with_constant_columns(draw):
 def test_standardized_split_is_the_zscore_of_the_raw_split(case):
     ds, ratio, seed = case
     try:
-        raw = train_test_split(ds, ratio, seed)
-    except ValueError:
-        assume(False)
+        raw = reference_split(ds, ratio, seed)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            standardized_split(ds, ratio, seed)
+        return
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         split, stats = standardized_split(ds, ratio, seed)
@@ -437,21 +448,21 @@ def test_standardized_split_is_the_zscore_of_the_raw_split(case):
 
 def test_split_sizes():
     ds = generate_synthetic(SyntheticConfig(m=10000, n_advantaged=6000, seed=0))
-    split = train_test_split(ds, 0.8, 0)
+    split, _ = standardized_split(ds, 0.8, 0)
     assert split.train.m == 8000 and split.test.m == 2000
 
 
 def test_split_deterministic():
     ds = generate_synthetic(SyntheticConfig(m=400, n_advantaged=240, seed=1))
-    a = train_test_split(ds, 0.8, 123)
-    b = train_test_split(ds, 0.8, 123)
+    a, _ = standardized_split(ds, 0.8, 123)
+    b, _ = standardized_split(ds, 0.8, 123)
     assert np.array_equal(a.train.features, b.train.features)
     assert np.array_equal(a.test.labels, b.test.labels)
 
 
 def test_split_disjoint_union():
     ds = generate_synthetic(SyntheticConfig(m=203, n_advantaged=120, seed=2))
-    split = train_test_split(ds, 0.8, 9)
+    split, _ = standardized_split(ds, 0.8, 9)
     assert split.train.m + split.test.m == ds.m
     assert split.train.m == math.ceil(0.8 * 203)
     combined = np.vstack([split.train.features, split.test.features])
@@ -461,9 +472,9 @@ def test_split_disjoint_union():
 def test_split_invalid_ratio():
     ds = toy_dataset()
     with pytest.raises(ValueError):
-        train_test_split(ds, 1.0, 0)
+        standardized_split(ds, 1.0, 0)
     with pytest.raises(ValueError):
-        train_test_split(ds, 0.0, 0)
+        standardized_split(ds, 0.0, 0)
 
 
 def test_split_reports_lost_group():
@@ -472,7 +483,37 @@ def test_split_reports_lost_group():
     ds = TabularDataset(features, ("a", "s"), [0, 1, 0, 1, 0, 1], 1, (1.0, 0.0))
     with pytest.raises(ValueError, match="seed"):
         for seed in range(50):
-            train_test_split(ds, 0.5, seed)
+            standardized_split(ds, 0.5, seed)
+
+
+@pytest.fixture(scope="module")
+def synthetic_200k():
+    return generate_synthetic(SyntheticConfig(m=200_000, n_advantaged=120_000, seed=0))
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_split_copies_each_part_once(synthetic_200k):
+    # both parts' z-scored rows take 1.0 times the source's 6.4 MB of
+    # features, and the training stats and the checks add little (2.3 in
+    # all); copying each part's rows again on the way in reads 3.2
+    standardized_split(synthetic_200k, 0.04)
+    assert _traced_peak(lambda: standardized_split(synthetic_200k, 0.04)) < 2.5 * synthetic_200k.features.nbytes
+
+
+def test_take_copies_the_rows_once(synthetic_200k):
+    # 192k rows keep 7.7 MB of features and labels, and the label check adds
+    # its temporaries (1.5 times in all); copying the rows again reads 2.0
+    rows = np.random.default_rng(0).permutation(synthetic_200k.m)[:192_000]
+    kept = rows.size * (synthetic_200k.d + 1) * 8
+    assert _traced_peak(lambda: synthetic_200k.take(rows)) < 1.75 * kept
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +651,7 @@ def test_select_fair_features_counts_a_constant_column_as_fair():
 
 def test_concat_datasets():
     ds = toy_dataset(m=10, seed=8)
-    split = train_test_split(ds, 0.8, 0)
+    split, _ = standardized_split(ds, 0.8, 0)
     merged = concat_datasets(split.train, split.test)
     assert merged.m == ds.m
 
@@ -623,8 +664,8 @@ def test_concat_datasets():
 @settings(max_examples=10, deadline=None)
 def test_split_same_seed_identical(seed):
     ds = generate_synthetic(SyntheticConfig(m=120, n_advantaged=70, seed=0))
-    a = train_test_split(ds, 0.75, seed)
-    b = train_test_split(ds, 0.75, seed)
+    a, _ = standardized_split(ds, 0.75, seed)
+    b, _ = standardized_split(ds, 0.75, seed)
     assert np.array_equal(a.train.features, b.train.features)
 
 

@@ -74,6 +74,13 @@ def test_ufs_invariant_checked():
             UnfairFeatureSet((), (), np.array([0.5, 0.9]), threshold)
 
 
+def test_ufs_needs_one_name_per_index():
+    with pytest.raises(ValueError, match="3 feature names for 1 unfair features"):
+        UnfairFeatureSet((0,), ("a", "b", "c"), [0.01, 0.9])
+    with pytest.raises(ValueError, match="0 feature names for 1 unfair features"):
+        UnfairFeatureSet((0,), (), [0.01, 0.9])
+
+
 def test_ufs_pvalue_range_checked():
     with pytest.raises(ValueError, match="p-values"):
         UnfairFeatureSet((0,), ("a",), np.array([-0.1, 0.5]))

@@ -605,3 +605,10 @@ def test_feature_indices_length_checked():
         init_mlp(3, 4, seed=0, feature_indices=(0, 1))
     with pytest.raises(ValueError, match="feature indices"):
         LogisticModel(np.array([1.0, 2.0]), 0.0, (0, 1, 2))
+
+
+def test_feature_names_length_checked():
+    with pytest.raises(ValueError, match="1 feature names for a model of 4 features"):
+        MlpModel(np.ones((3, 4)), np.zeros(3), np.ones(3), 0.0, None, ("a",))
+    with pytest.raises(ValueError, match="3 feature names for a model of 2 features"):
+        LogisticModel(np.array([1.0, 2.0]), 0.0, None, ("a", "b", "c"))
