@@ -501,9 +501,9 @@ def _traced_peak(fn) -> int:
 
 
 def test_split_copies_each_part_once(synthetic_200k):
-    # both parts' z-scored rows take 1.0 times the source's 6.4 MB of
-    # features, and the training stats and the checks add little (2.3 in
-    # all); copying each part's rows again on the way in reads 3.2
+    # both parts' z-scored rows and labels, the permutation and the checks'
+    # temporaries read 2.3 times the source's 6.4 MB of features; copying
+    # each part's rows again on the way in reads 3.2
     standardized_split(synthetic_200k, 0.04)
     assert _traced_peak(lambda: standardized_split(synthetic_200k, 0.04)) < 2.5 * synthetic_200k.features.nbytes
 
