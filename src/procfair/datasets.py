@@ -229,8 +229,6 @@ def standardized_split(
     """
     if not 0.0 < ratio < 1.0:
         raise ValueError("ratio must lie strictly between 0 and 1")
-    if dataset.m < 2:
-        raise ValueError("need at least two rows to split")
     perm = np.random.default_rng(seed).permutation(dataset.m)
     n_train = math.ceil(ratio * dataset.m)
     if n_train >= dataset.m:

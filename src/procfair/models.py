@@ -6,26 +6,27 @@ differentiable demographic-parity term (probability-mean gap) scaled by
 numpy so that every quantity the toolkit differentiates is exact and
 deterministic. The ReLU subgradient at 0 is taken as 0.
 
-Each model class owns every formula of its family: decision scores, the
-parameter list and its rebuild, the loss and modified (explanation-loss)
-gradients, the per-sample input gradient, its model document, how to refit
-on a column subset and how it is explained (the MLP's Kernel SHAP value
-function, the logistic model's closed-form Shapley values). Everything else
-here is family-agnostic.
-
-Training and modification run one Adam loop, ``_adam_descent``, over a step
-that the family's ``loss_step`` or ``modified_step`` builds once per run
-(``loss_grads`` and ``modified_grads`` call it once). The MLP's builders
-allocate one workspace per run, and each step in it is two gemms, the
-forward [X, 1] [w1, b1]^T and the backward R^T act (``_MlpWorkspace``), with
-no (rows x hidden) allocation.
+Each model class owns what differs between the families: decision scores,
+the parameter list and its rebuild, a forward/backward workspace over a
+run's rows, its model document, how to refit on a column subset and how it
+is explained (the MLP's Kernel SHAP value function, the logistic model's
+closed-form Shapley values). The workspace's ``forward`` gives the
+probabilities and, on request, columns of each row's score gradient in x;
+its ``backward`` gives the parameter gradients of a weighted sum of the
+scores and of those score gradients. Over it the objectives are written
+once: the base ``_Family`` builds every model's ``loss_step`` and
+``modified_step`` (``_loss_step``, ``_modified_step``) and its
+``per_sample_input_gradient``. Training and modification run one Adam loop,
+``_adam_descent``, over a step built once per run; the MLP's is two gemms,
+the forward [X, 1] [w1, b1]^T and the backward R^T act (``_MlpWorkspace``),
+with no (rows x hidden) allocation.
 
 The modification step needs d(zeta)/d(theta), a second-order quantity: the
 gradient of a function of the input gradients with respect to the parameters.
-It is computed in closed form for both model families (the ReLU masks and the
-signs inside the L1 norm are locally constant, so the ``modified_step``
-expressions are the exact forward-over-reverse derivative almost everywhere)
-and is verified against finite differences in the test suite.
+It is computed in closed form (the ReLU masks and the signs inside the L1
+norm are locally constant, so ``_modified_step`` is the exact
+forward-over-reverse derivative almost everywhere) and is verified against
+finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -102,20 +103,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _hidden_layer(X: np.ndarray, w1: np.ndarray, b1: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """relu(X w1^T + b1), built in a single (rows x hidden) buffer (``out`` if given)."""
-    hidden = np.matmul(X, w1.T, out=out)
-    hidden += b1
-    return np.maximum(hidden, 0.0, out=hidden)
-
-
-def _mlp_forward(X, w1, b1, w2, b2):
-    """0/1 activation matrix (in the hidden layer's buffer) and probabilities."""
-    hidden = _hidden_layer(X, w1, b1)
-    p = _sigmoid(hidden @ w2 + b2)
-    return np.greater(hidden, 0.0, out=hidden), p
-
-
 class _MlpWorkspace:
     """The buffers an Adam run over the rows X reuses at every step: the
     augmented inputs ``Xa = [X, 1]`` and weights ``Wa = [w1, b1]``, one
@@ -130,10 +117,13 @@ class _MlpWorkspace:
         self.R = np.empty((rows, d + 1))
         self.Wa = self.hidden = None
 
-    def forward(self, w1, b1, w2, b2):
-        """0/1 activation matrix and probabilities. The pre-activation
+    def forward(self, params, cols=None):
+        """Probabilities and, if ``cols`` is given, those columns of each
+        row's score gradient aw = act (w2 w1). The pre-activation
         X w1^T + b1 is the one gemm Xa Wa^T, whose last term adds the bias;
-        the ReLU output and then the mask overwrite it in the hidden buffer."""
+        the ReLU output and then the 0/1 activation matrix ``act``, which
+        ``backward`` reads, overwrite it in the hidden buffer."""
+        w1, b1, w2, b2 = self.params = params
         h, d = w1.shape
         if self.hidden is None:
             self.Wa = np.empty((h, d + 1))
@@ -142,28 +132,52 @@ class _MlpWorkspace:
         self.Wa[:, d] = b1
         hidden = np.matmul(self.Xa, self.Wa.T, out=self.hidden)
         np.maximum(hidden, 0.0, out=hidden)
-        p = _sigmoid(hidden @ w2 + b2)
-        return np.greater(hidden, 0.0, out=hidden), p
+        p = _sigmoid(hidden @ w2 + b2[0])
+        self.act = np.greater(hidden, 0.0, out=hidden)
+        return p, None if cols is None else (self.act @ (w2[:, None] * w1))[:, cols]
 
-    def backward(self, act, w1, b1, w2, delta, cols=(), ev=None):
+    def backward(self, delta, cols=(), ev=None):
         """Parameter gradients of sum_i delta_i * s_i + sum_i ev_i . ds_i/dx_i
-        with the activation pattern held fixed, where s_i = sum_k act_ik w2_k
-        (w1_k . x_i + b1_k) and ev is zero outside the input columns ``cols``
-        (its column j weights column cols[j]). With M = act^T (delta X + ev)
-        and n = act^T delta, unit k's gradients are w2_k M_k, w2_k n_k and
-        w1_k . M_k + b1_k n_k: one gemm, R^T act with R = [delta X + ev,
-        delta] = delta Xa + [ev, 0], ev added one column of ``cols`` at a
-        time. The transposed operand is the narrow R, so BLAS does not repack
-        the (rows x hidden) act. This sums in the order ``act.T @ R`` does;
-        the same product over a contiguous copy of R^T does not, at some
-        hidden sizes."""
+        with the last forward's activation pattern held fixed, where s_i =
+        sum_k act_ik w2_k (w1_k . x_i + b1_k) and ev is zero outside the input
+        columns ``cols`` (its column j weights column cols[j]). With M = act^T
+        (delta X + ev) and n = act^T delta, unit k's gradients are w2_k M_k,
+        w2_k n_k and w1_k . M_k + b1_k n_k: one gemm, R^T act with R =
+        [delta X + ev, delta] = delta Xa + [ev, 0], ev added one column of
+        ``cols`` at a time. The transposed operand is the narrow R, so BLAS
+        does not repack the (rows x hidden) act. This sums in the order
+        ``act.T @ R`` does; the same product over a contiguous copy of R^T
+        does not, at some hidden sizes."""
+        w1, b1, w2, _ = self.params
         d = w1.shape[1]
         R = np.multiply(delta[:, None], self.Xa, out=self.R)
         for j, col in enumerate(cols):
             R[:, col] += ev[:, j]
-        G = np.ascontiguousarray((R.T @ act).T)  # a gradient's layout becomes the next parameters'
+        G = np.ascontiguousarray((R.T @ self.act).T)  # a gradient's layout becomes the next parameters'
         M, n = G[:, :d], G[:, d]
         return [w2[:, None] * M, w2 * n, (w1 * M).sum(axis=1) + b1 * n, np.array([delta.sum()])]
+
+
+class _LogisticWorkspace:
+    """The logistic model's passes over the rows X: s_i = w . x_i + b, whose
+    gradient in x_i is w on every row."""
+
+    def __init__(self, X: np.ndarray):
+        self.X = X
+
+    def forward(self, params, cols=None):
+        """Probabilities and, if ``cols`` is given, ``w[cols]``: each row's
+        score gradient on those columns, broadcast over the rows."""
+        w, b = params
+        return _sigmoid(self.X @ w + b[0]), None if cols is None else w[cols]
+
+    def backward(self, delta, cols=(), ev=None):
+        """Parameter gradients of sum_i delta_i * s_i + sum_i ev_i . ds_i/dx_i[cols]:
+        X^T delta, plus the column sums of ev on ``cols``."""
+        gw = self.X.T @ delta
+        if ev is not None:
+            gw[cols] += ev.sum(axis=0)
+        return [gw, np.array([delta.sum()])]
 
 
 def _delta_scores(p, y, group_mask, dp_weight, m):
@@ -186,12 +200,72 @@ def _clamped_bce(p, y) -> float:
     return float(np.mean(-(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc))))
 
 
+def _loss_step(ws, y, group_mask, dp_weight):
+    """Loss and gradients as a function of the parameters, over the workspace ``ws``."""
+    m = len(y)
+
+    def step(params):
+        p, _ = ws.forward(params)
+        delta, extra = _delta_scores(p, y, group_mask, dp_weight, m)
+        return _clamped_bce(p, y) + extra, ws.backward(delta)
+
+    return step
+
+
+def _modified_step(ws, y, uf, alpha):
+    """BCE, zeta and the gradients of bce + alpha * zeta as a function of the
+    parameters, over the workspace ``ws``, for the sorted flagged columns ``uf``."""
+    m = len(y)
+
+    def step(params):
+        p, awf = ws.forward(params, uf)
+        err = p - y
+
+        # Per sample the input gradient is g = err * aw with aw the score's
+        # gradient in x; with v = sign(g) on the flagged features (zero
+        # elsewhere), zeta = mean(v . g) = mean(err * c) where c = v . aw. Only
+        # the flagged columns of aw are read, so v, c and ev are built on them.
+        v = np.sign(err[:, None] * awf)
+        c = (v * awf).sum(axis=1)
+        zeta = float((err * c).sum() / m)
+
+        # alpha * zeta reaches each score through err (d err / d s = p (1 - p))
+        # and each input gradient directly, with weight alpha / m * err * v.
+        scale = alpha / m
+        delta = err / m + scale * (p * (1.0 - p) * c)
+        return _clamped_bce(p, y), zeta, ws.backward(delta, uf, scale * err[:, None] * v)
+
+    return step
+
+
+class _Family:
+    """What every model family shares, over its ``_workspace``: the training
+    and modification steps and the per-sample input gradient."""
+
+    @classmethod
+    def loss_step(cls, X, y, group_mask, dp_weight):
+        """The training step over the rows X (see ``_loss_step``)."""
+        return _loss_step(cls._workspace(X), y, group_mask, dp_weight)
+
+    @classmethod
+    def modified_step(cls, X, y, uf, alpha):
+        """The modification step over the rows X (see ``_modified_step``)."""
+        uf = sorted(set(np.arange(X.shape[1])[uf].tolist()))  # the flagged columns, each once, in order
+        return _modified_step(cls._workspace(X), y, uf, alpha)
+
+    def per_sample_input_gradient(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Gradient of each row's own BCE term with respect to that row."""
+        p, aw = self._workspace(X).forward(self.params(), slice(None))
+        return (p - y)[:, None] * aw
+
+
 @dataclass(frozen=True)
-class MlpModel:
+class MlpModel(_Family):
     """Two-layer network: sigmoid(w2 . relu(w1 x + b1) + b2) over the dataset
     columns ``feature_indices`` (default: the first ``d``)."""
 
     kind = "mlp"
+    _workspace = _MlpWorkspace
 
     w1: np.ndarray
     b1: np.ndarray
@@ -246,7 +320,9 @@ class MlpModel:
         lo = 0
         while lo < rows:
             hi = rows if rows - lo <= block + 1 else lo + block
-            hidden = _hidden_layer(X[lo:hi], self.w1, self.b1, out=hidden_buf[: hi - lo])
+            hidden = np.matmul(X[lo:hi], self.w1.T, out=hidden_buf[: hi - lo])
+            hidden += self.b1
+            np.maximum(hidden, 0.0, out=hidden)
             np.matmul(hidden, self.w2, out=out[lo:hi])
             lo = hi
         out += self.b2
@@ -281,69 +357,11 @@ class MlpModel:
         out += self.b2
         return out
 
-    def per_sample_input_gradient(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Gradient of each row's own BCE term with respect to that row."""
-        act, p = _mlp_forward(X, self.w1, self.b1, self.w2, self.b2)
-        return (p - y)[:, None] * (act @ (self.w2[:, None] * self.w1))
-
     def params(self) -> list[np.ndarray]:
         return [self.w1.copy(), self.b1.copy(), self.w2.copy(), np.array([self.b2])]
 
     def with_params(self, params) -> MlpModel:
         return dataclasses.replace(self, w1=params[0], b1=params[1], w2=params[2], b2=float(params[3][0]))
-
-    @staticmethod
-    def loss_step(X, y, group_mask, dp_weight):
-        """Loss and gradients as a function of the parameters, evaluated in
-        one workspace over the rows X."""
-        ws = _MlpWorkspace(X)
-
-        def step(params):
-            w1, b1, w2, b2 = params
-            act, p = ws.forward(w1, b1, w2, b2[0])
-            delta, extra = _delta_scores(p, y, group_mask, dp_weight, X.shape[0])
-            return _clamped_bce(p, y) + extra, ws.backward(act, w1, b1, w2, delta)
-
-        return step
-
-    @staticmethod
-    def loss_grads(params, X, y, group_mask, dp_weight):
-        return MlpModel.loss_step(X, y, group_mask, dp_weight)(params)
-
-    @staticmethod
-    def modified_step(X, y, uf, alpha):
-        """BCE, zeta and the gradients of bce + alpha * zeta as a function of
-        the parameters, evaluated in one workspace over the rows X."""
-        ws = _MlpWorkspace(X)
-        m = X.shape[0]
-        uf = sorted(set(np.arange(X.shape[1])[uf].tolist()))  # the flagged columns, each once, in order
-
-        def step(params):
-            w1, b1, w2, b2 = params
-            act, p = ws.forward(w1, b1, w2, b2[0])
-            err = p - y
-
-            # Per sample the input gradient is g = err * aw with aw = act @ (w2 * w1);
-            # with v = sign(g) on the flagged features (zero elsewhere),
-            # zeta = mean(v . g) = mean(err * c) where c = v . aw. Only the
-            # flagged columns of aw are read, so v, c and ev are built on them.
-            awf = (act @ (w2[:, None] * w1))[:, uf]
-            v = np.sign(err[:, None] * awf)
-            c = (v * awf).sum(axis=1)
-            zeta = float((err * c).sum() / m)
-
-            # alpha * zeta reaches each score through err (d err / d s = p (1 - p))
-            # and each input gradient directly, with weight alpha / m * err * v.
-            scale = alpha / m
-            delta = err / m + scale * (p * (1.0 - p) * c)
-            return _clamped_bce(p, y), zeta, ws.backward(act, w1, b1, w2, delta, uf, scale * err[:, None] * v)
-
-        return step
-
-    @staticmethod
-    def modified_grads(params, X, y, uf, alpha):
-        """BCE, zeta and the gradients of bce + alpha * zeta."""
-        return MlpModel.modified_step(X, y, uf, alpha)(params)
 
     def to_document(self) -> dict:
         params = {"w1": self.w1.tolist(), "b1": self.b1.tolist(), "w2": self.w2.tolist(), "b2": self.b2}
@@ -374,11 +392,12 @@ fit_mlp = MlpModel.fit
 
 
 @dataclass(frozen=True)
-class LogisticModel:
+class LogisticModel(_Family):
     """Linear model: sigmoid(w . x + b) over the dataset columns
     ``feature_indices`` (default: the first ``d``)."""
 
     kind = "logistic"
+    _workspace = _LogisticWorkspace
 
     w: np.ndarray
     b: float
@@ -417,67 +436,11 @@ class LogisticModel:
         regression recovers whenever its system is nonsingular."""
         return (X - background.mean(axis=0)) * self.w
 
-    def per_sample_input_gradient(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Gradient of each row's own BCE term with respect to that row."""
-        return (_sigmoid(self.scores(X)) - y)[:, None] * self.w
-
     def params(self) -> list[np.ndarray]:
         return [self.w.copy(), np.array([self.b])]
 
     def with_params(self, params) -> LogisticModel:
         return dataclasses.replace(self, w=params[0], b=float(params[1][0]))
-
-    @staticmethod
-    def loss_step(X, y, group_mask, dp_weight):
-        """Loss and gradients as a function of the parameters."""
-        m = X.shape[0]
-
-        def step(params):
-            w, b = params
-            p = _sigmoid(X @ w + b[0])
-            loss = _clamped_bce(p, y)
-            delta, extra = _delta_scores(p, y, group_mask, dp_weight, m)
-            return loss + extra, [X.T @ delta, np.array([delta.sum()])]
-
-        return step
-
-    @staticmethod
-    def loss_grads(params, X, y, group_mask, dp_weight):
-        return LogisticModel.loss_step(X, y, group_mask, dp_weight)(params)
-
-    @staticmethod
-    def modified_step(X, y, uf, alpha):
-        """BCE, zeta and the gradients of bce + alpha * zeta as a function of
-        the parameters."""
-        m = X.shape[0]
-
-        def step(params):
-            w, b = params
-            p = _sigmoid(X @ w + b[0])
-            err = p - y
-            curv = p * (1.0 - p)
-
-            bce = _clamped_bce(p, y)
-            gw = X.T @ (err / m)
-            gb = np.array([err.sum() / m])
-
-            # g = err * w; zeta = mean(err * s) with s = v . w.
-            v = np.zeros((m, w.size))
-            v[:, uf] = np.sign(np.outer(err, w[uf]))
-            s = v @ w
-            zeta = float((err * s).sum() / m)
-
-            qs = curv * s
-            zw = ((qs[:, None] * X) + err[:, None] * v).sum(axis=0) / m
-            zb = np.array([qs.sum() / m])
-            return bce, zeta, [gw + alpha * zw, gb + alpha * zb]
-
-        return step
-
-    @staticmethod
-    def modified_grads(params, X, y, uf, alpha):
-        """BCE, zeta and the gradients of bce + alpha * zeta."""
-        return LogisticModel.modified_step(X, y, uf, alpha)(params)
 
     def to_document(self) -> dict:
         params = {"w": self.w.tolist(), "b": self.b}

@@ -6,6 +6,7 @@ statistic to the textbook estimator.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -31,7 +32,8 @@ class KernelConfig:
     nonzero pairwise distances of the pooled sample, picked by selection.
     ``permutation_pvalue`` fixes it once per test; it then screens the
     permuted statistics in float32 and settles the near ones in float64,
-    counting ties.
+    counting ties. A fixed bandwidth must be finite, and a gaussian one
+    must leave its kernel's 2 sigma^2 above 0.
     """
 
     kind: str = "exponential"
@@ -40,8 +42,13 @@ class KernelConfig:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"kernel kind must be one of {KERNEL_KINDS}")
-        if self.bandwidth is not None and not self.bandwidth > 0:
-            raise ValueError("fixed bandwidth must be positive")
+        if self.bandwidth is None:
+            return
+        if not 0 < self.bandwidth < math.inf:
+            raise ValueError(f"fixed bandwidth must be positive and finite, got {self.bandwidth}")
+        # the kernel's own 2 sigma^2, squared only below 1, where it cannot overflow
+        if self.kind == "gaussian" and self.bandwidth < 1 and 2.0 * self.bandwidth**2 == 0:
+            raise ValueError(f"gaussian bandwidth {self.bandwidth} is too small: 2 sigma^2 underflows to 0")
 
 
 @dataclass(frozen=True)

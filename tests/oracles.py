@@ -15,10 +15,13 @@ package because no program path calls them.
 - ``soft_dp`` and ``input_gradient`` state the training penalty and the
   input gradients in their plain form.
 - ``gemm_mlp_loss_grads`` and ``gemm_mlp_modified_grads`` are the MLP's
-  gradient steps as one-shot gemm calls: a fresh (rows x hidden) layer with
-  ``b1`` added in its own pass, and the backward gemm as ``act.T @ R``.
-  The workspace steps of ``MlpModel.loss_step``/``modified_step`` must
-  reproduce them bit for bit.
+  gradient steps as one-shot gemm calls: ``_mlp_forward`` builds a fresh
+  (rows x hidden) layer with ``b1`` added in its own pass, and the backward
+  gemm is ``act.T @ R``. The workspace steps of
+  ``MlpModel.loss_step``/``modified_step`` must reproduce them bit for bit.
+- ``closed_form_logistic_modified_grads`` is the logistic modification step
+  written out for that family alone, with a dense (rows x d) sign matrix.
+  The shared step ``LogisticModel.modified_step`` must match it to rounding.
 - ``mean_accuracy``, ``mean_dp``, ``mean_eo`` and ``mean_eod`` are the
   distributive metrics as means of boolean-masked predictions, one mask per
   conditioning cell. ``procfair.fairness`` reads them from one count table;
@@ -43,7 +46,7 @@ import numpy as np
 
 from procfair.attribution import ExplanationSet
 from procfair.datasets import SplitDataset, TabularDataset, load_schema
-from procfair.models import _check_inputs, _clamped_bce, _delta_scores, _mlp_forward, predict_proba
+from procfair.models import _check_inputs, _clamped_bce, _delta_scores, _sigmoid, predict_proba
 from procfair.two_sample import KernelConfig, _as_matrix, _pooled_kernel
 
 EXACT_SHAPLEY_MAX_D = 15
@@ -120,6 +123,15 @@ class ScoreFunction:
         return _masked_values([self.fn], X, background, Z)[0]
 
 
+def _mlp_forward(X, w1, b1, w2, b2):
+    """0/1 activation matrix (in the hidden layer's buffer) and probabilities."""
+    hidden = X @ w1.T
+    hidden += b1
+    np.maximum(hidden, 0.0, out=hidden)
+    p = _sigmoid(hidden @ w2 + b2)
+    return np.greater(hidden, 0.0, out=hidden), p
+
+
 def _mlp_backward(X, act, w1, b1, w2, delta, ev=None):
     """Parameter gradients of sum_i delta_i * s_i + sum_i ev_i . ds_i/dx_i with
     the activation pattern held fixed, where s_i = sum_k act_ik w2_k (w1_k . x_i
@@ -164,6 +176,30 @@ def gemm_mlp_modified_grads(params, X, y, uf, alpha):
     scale = alpha / m
     delta = err / m + scale * (p * (1.0 - p) * c)
     return _clamped_bce(p, y), zeta, _mlp_backward(X, act, w1, b1, w2, delta, scale * err[:, None] * v)
+
+
+def closed_form_logistic_modified_grads(params, X, y, uf, alpha):
+    """BCE, zeta and the gradients of bce + alpha * zeta for sigmoid(w . x + b)."""
+    w, b = params
+    m = X.shape[0]
+    p = _sigmoid(X @ w + b[0])
+    err = p - y
+    curv = p * (1.0 - p)
+
+    bce = _clamped_bce(p, y)
+    gw = X.T @ (err / m)
+    gb = np.array([err.sum() / m])
+
+    # g = err * w; zeta = mean(err * s) with s = v . w.
+    v = np.zeros((m, w.size))
+    v[:, uf] = np.sign(np.outer(err, w[uf]))
+    s = v @ w
+    zeta = float((err * s).sum() / m)
+
+    qs = curv * s
+    zw = ((qs[:, None] * X) + err[:, None] * v).sum(axis=0) / m
+    zb = np.array([qs.sum() / m])
+    return bce, zeta, [gw + alpha * zw, gb + alpha * zb]
 
 
 def _mean_rate(values: np.ndarray, mask: np.ndarray, cell: str) -> float:

@@ -288,10 +288,10 @@ def test_criterion_10_differentiation_oracle():
                 worst_input = max(worst_input, rel)
 
         params = model.params()
-        _, _, grads = MlpModel.modified_grads(params, X, y, uf, alpha)
+        _, _, grads = MlpModel.modified_step(X, y, uf, alpha)(params)
 
         def objective(ps):
-            bce, zeta, _ = MlpModel.modified_grads(ps, X, y, uf, alpha)
+            bce, zeta, _ = MlpModel.modified_step(X, y, uf, alpha)(ps)
             return bce + alpha * zeta
 
         for pi, p in enumerate(params):

@@ -45,3 +45,28 @@ def test_only_the_models_module_dispatches_on_the_model_family():
     assert _family_dispatches(SRC / "models.py")  # the guard sees what it guards
     strays = [entry for path in sorted(SRC.glob("*.py")) if path not in OWNERS for entry in _family_dispatches(path)]
     assert not strays, f"call a model method instead of branching on its class: {strays}"
+
+
+# the objectives every family shares, written once outside the family classes
+SHARED_OBJECTIVE = {"_clamped_bce", "_delta_scores", "np.sign"}
+
+
+def _objective_calls(tree: ast.AST) -> list[str]:
+    """Calls under ``tree`` of the BCE, the soft-DP score gradient or ``np.sign``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            callee = f"{func.value.id}.{func.attr}" if isinstance(getattr(func, "value", None), ast.Name) else _name(func)
+            if callee in SHARED_OBJECTIVE:
+                found.append(f"{callee} at line {node.lineno}")
+    return found
+
+
+def test_no_model_family_spells_out_the_objective():
+    tree = ast.parse((SRC / "models.py").read_text(encoding="utf-8"))
+    assert len(_objective_calls(tree)) >= 3  # the guard sees what it guards
+    families = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name in MODEL_CLASSES]
+    assert {node.name for node in families} == MODEL_CLASSES
+    strays = {node.name: _objective_calls(node) for node in families if _objective_calls(node)}
+    assert not strays, f"build the family's steps from _loss_step and _modified_step: {strays}"

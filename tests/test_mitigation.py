@@ -5,7 +5,7 @@ from mlp_reference import (
     reference_mlp_loss_grads,
     reference_mlp_modified_grads,
 )
-from oracles import gemm_mlp_loss_grads, gemm_mlp_modified_grads
+from oracles import closed_form_logistic_modified_grads, gemm_mlp_loss_grads, gemm_mlp_modified_grads
 
 from procfair import mitigation, two_sample
 from procfair.attribution import ExplanationSet
@@ -218,7 +218,7 @@ def test_explanation_loss_additive_over_features():
 
 
 def zeta_objective_mlp(params, X, y, uf, alpha):
-    bce, zeta, _ = MlpModel.modified_grads(params, X, y, uf, alpha)
+    bce, zeta, _ = MlpModel.modified_step(X, y, uf, alpha)(params)
     return bce + alpha * zeta
 
 
@@ -238,7 +238,7 @@ def test_mlp_modified_gradients_match_finite_differences():
         raise AssertionError("no kink-free configuration found")
 
     params = model.params()
-    _, _, grads = MlpModel.modified_grads(params, X, y, uf, alpha)
+    _, _, grads = MlpModel.modified_step(X, y, uf, alpha)(params)
     h = 1e-6
     for pi, p in enumerate(params):
         for idx in np.ndindex(p.shape):
@@ -256,10 +256,10 @@ def test_logistic_modified_gradients_match_finite_differences():
     y = rng.integers(0, 2, size=10).astype(float)
     params = [np.array([0.6, -0.9, 0.4]), np.array([0.2])]
     alpha, uf = 3.0, [1, 2]
-    _, _, grads = LogisticModel.modified_grads(params, X, y, uf, alpha)
+    _, _, grads = LogisticModel.modified_step(X, y, uf, alpha)(params)
 
     def objective(ps):
-        bce, zeta, _ = LogisticModel.modified_grads(ps, X, y, uf, alpha)
+        bce, zeta, _ = LogisticModel.modified_step(X, y, uf, alpha)(ps)
         return bce + alpha * zeta
 
     h = 1e-6
@@ -279,13 +279,37 @@ def test_logistic_modified_grads_at_alpha_zero_are_the_bce_gradients(uf):
     X = rng.normal(size=(25, 3))
     y = rng.integers(0, 2, size=25).astype(float)
     w, b = np.array([0.6, -0.9, 0.4]), np.array([0.2])
-    _, _, grads = LogisticModel.modified_grads([w, b], X, y, uf, 0.0)
+    _, _, grads = LogisticModel.modified_step(X, y, uf, 0.0)([w, b])
     # the BCE gradients alone: zeta's terms enter with weight 0
     m = X.shape[0]
     err = _sigmoid(X @ w + b[0]) - y
-    reference = [X.T @ (err / m), np.array([err.sum() / m])]
+    reference = [X.T @ (err / m), np.array([(err / m).sum()])]
     for g, r in zip(grads, reference):
         assert np.array_equal(g, r)
+    # and the MLP's are its training step's at no demographic-parity weight
+    params = random_mlp_params(3, 8, 8)
+    _, _, grads = MlpModel.modified_step(X, y, uf, 0.0)(params)
+    _, reference = MlpModel.loss_step(X, y, np.arange(m) % 2 == 0, 0.0)(params)
+    for g, r in zip(grads, reference):
+        assert np.array_equal(g, r)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 15.0])
+@pytest.mark.parametrize("uf", [[], [1], [0, 2]])
+def test_logistic_modified_step_matches_the_closed_form(uf, alpha):
+    # the shared modification step over the logistic workspace against the
+    # family's own closed form, which builds the dense (rows x d) sign matrix
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(40, 3))
+    y = rng.integers(0, 2, size=40).astype(float)
+    params = [np.array([0.6, -0.9, 0.4]), np.array([0.2])]
+    bce, zeta, grads = LogisticModel.modified_step(X, y, uf, alpha)(params)
+    ref_bce, ref_zeta, ref_grads = closed_form_logistic_modified_grads(params, X, y, uf, alpha)
+    assert bce == ref_bce
+    assert zeta == pytest.approx(ref_zeta, rel=1e-12, abs=0)
+    for g, r in zip(grads, ref_grads):
+        assert g.shape == r.shape
+        np.testing.assert_allclose(g, r, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 15.0])
@@ -296,7 +320,7 @@ def test_mlp_modified_grads_match_elementwise_reference(uf, alpha):
         rng = np.random.default_rng(300 + seed)
         X = rng.normal(size=(300, 4))
         y = rng.integers(0, 2, size=300).astype(float)
-        bce, zeta, grads = MlpModel.modified_grads(params, X, y, uf, alpha)
+        bce, zeta, grads = MlpModel.modified_step(X, y, uf, alpha)(params)
         ref_bce, ref_zeta, ref_grads = reference_mlp_modified_grads(params, X, y, uf, alpha)
         assert bce == ref_bce
         assert zeta == pytest.approx(ref_zeta, rel=1e-12, abs=0)
@@ -401,15 +425,15 @@ def test_training_and_modification_steps_match_the_gemm_oracle_bit_for_bit(d, h,
         for pa, pb in zip(a.params(), b.params()):
             assert np.array_equal(pa, pb)
     # a gradient's layout becomes the next parameters' layout
-    _, grads = MlpModel.loss_grads(trained.params(), X, y, mask, dp_weight)
-    assert all(g.flags.c_contiguous for g in grads + MlpModel.modified_grads(trained.params(), X, y, uf, 1.0)[2])
+    _, grads = MlpModel.loss_step(X, y, mask, dp_weight)(trained.params())
+    assert all(g.flags.c_contiguous for g in grads + MlpModel.modified_step(X, y, uf, 1.0)(trained.params())[2])
 
 
 def test_reported_zeta_matches_explanation_loss(unfair_model, small_split):
     X = small_split.train.features
     y = small_split.train.labels.astype(float)
     uf = [2, 3]
-    _, zeta, _ = MlpModel.modified_grads(unfair_model.params(), X, y, uf, 1.0)
+    _, zeta, _ = MlpModel.modified_step(X, y, uf, 1.0)(unfair_model.params())
     assert zeta == pytest.approx(explanation_loss(unfair_model, X, y, uf), abs=1e-12)
 
 

@@ -258,11 +258,11 @@ def test_parameter_gradients_finite_differences():
     for dp_weight in (0.0, -0.1):
         model = random_mlp(d=3, h=4, seed=4)
         params = model.params()
-        loss, grads = MlpModel.loss_grads(params, X, y, mask, dp_weight)
+        loss, grads = MlpModel.loss_step(X, y, mask, dp_weight)(params)
 
         def loss_at(flat_params):
             _, g = None, None
-            value, _ = MlpModel.loss_grads(flat_params, X, y, mask, dp_weight)
+            value, _ = MlpModel.loss_step(X, y, mask, dp_weight)(flat_params)
             return value
 
         h = 1e-6
@@ -284,7 +284,7 @@ def test_logistic_parameter_gradients_finite_differences():
     y = rng.integers(0, 2, size=9).astype(float)
     mask = np.arange(9) % 2 == 0
     params = [np.array([0.3, -0.8]), np.array([0.1])]
-    _, grads = LogisticModel.loss_grads(params, X, y, mask, -0.05)
+    _, grads = LogisticModel.loss_step(X, y, mask, -0.05)(params)
     h = 1e-6
     for pi, p in enumerate(params):
         for idx in np.ndindex(p.shape):
@@ -292,8 +292,8 @@ def test_logistic_parameter_gradients_finite_differences():
             down = [q.copy() for q in params]
             up[pi][idx] += h
             down[pi][idx] -= h
-            fd = (LogisticModel.loss_grads(up, X, y, mask, -0.05)[0]
-                  - LogisticModel.loss_grads(down, X, y, mask, -0.05)[0]) / (2 * h)
+            fd = (LogisticModel.loss_step(X, y, mask, -0.05)(up)[0]
+                  - LogisticModel.loss_step(X, y, mask, -0.05)(down)[0]) / (2 * h)
             assert grads[pi][idx] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
 
@@ -318,7 +318,7 @@ def test_mlp_loss_grads_match_elementwise_reference(dp_weight, seed):
     X = rng.normal(size=(300, 4))
     y = rng.integers(0, 2, size=300).astype(float)
     mask = rng.random(300) < 0.6
-    loss, grads = MlpModel.loss_grads(params, X, y, mask, dp_weight)
+    loss, grads = MlpModel.loss_step(X, y, mask, dp_weight)(params)
     ref_loss, ref_grads = reference_mlp_loss_grads(params, X, y, mask, dp_weight)
     assert loss == ref_loss
     for g, r in zip(grads, ref_grads):

@@ -97,6 +97,13 @@ def test_kernel_config_validation():
         KernelConfig("triangular")
     with pytest.raises(ValueError):
         KernelConfig(bandwidth=0.0)
+    # an infinite bandwidth makes every kernel entry 1 and every sample "fair"
+    with pytest.raises(ValueError, match="finite"):
+        KernelConfig("exponential", math.inf)
+    # 2 sigma^2 underflowing to 0 puts 0/0 on the gaussian kernel's diagonal
+    with pytest.raises(ValueError, match="underflows"):
+        KernelConfig("gaussian", 1e-300)
+    assert KernelConfig("exponential", 1e-300).bandwidth == 1e-300
     with pytest.raises(ValueError):
         PermutationConfig(n_permutations=50)
 
