@@ -11,13 +11,25 @@ import json
 import numpy as np
 
 
+def _frozen(arr) -> bool:
+    """Whether no one can write ``arr``'s memory through numpy: it is read-only,
+    and so is every array on its base chain, which ends in an array that owns
+    its memory (a view of a writable array, or of a foreign buffer, is not)."""
+    while isinstance(arr, np.ndarray) and not arr.flags.writeable:
+        if arr.flags.owndata:
+            return True
+        arr = arr.base
+    return False
+
+
 def readonly(arr, dtype=float) -> np.ndarray:
     """``arr`` as a write-protected array of ``dtype``: ``arr`` itself when it
     is already a read-only array of that dtype that owns its memory (one that
-    ``readonly`` made, or a fresh array its maker handed over read-only),
-    else a write-protected copy. So a frozen record may share an array with
-    another, and never with a writable array or view."""
-    if isinstance(arr, np.ndarray) and not arr.flags.writeable and arr.flags.owndata and arr.dtype == dtype:
+    ``readonly`` made, or a fresh array its maker handed over read-only) or
+    a read-only view of one (a split's part is a row view of the split's one
+    buffer), else a write-protected copy. So a frozen record may share memory
+    with another, and never with a writable array or view."""
+    if isinstance(arr, np.ndarray) and arr.dtype == dtype and _frozen(arr):
         return arr
     out = np.array(arr, dtype=dtype, copy=True)
     out.setflags(write=False)

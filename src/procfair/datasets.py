@@ -218,14 +218,18 @@ def standardized_split(
     """Seeded uniform split (train receives ceil(ratio * m) rows), z-scored
     with the training part's population mean and std.
 
-    The split is checked on its row indices. Each part's rows are then
-    gathered once and z-scored in place as ``(features - shift) / scale``,
-    with ``shift = where(std > 0, mean, 0)`` and ``scale = where(std > 0,
-    std, 1)``, so a column constant on the training part passes through
-    unscaled (with a warning). The group values go through the same
-    arithmetic. Each part is handed to its dataset read-only, which keeps its
-    arrays (see ``readonly``) and still checks every row; its provenance
-    gains ``|split(ratio, seed=seed)[train|test]|zscore``.
+    Both parts are gathered in one pass into one buffer, ``features[perm]``
+    and ``labels[perm]``, with the training rows first, and checked on it.
+    The stats come from its first ``n_train`` rows, and the whole buffer is
+    z-scored in place as ``(features - shift) / scale``, with ``shift =
+    where(std > 0, mean, 0)`` and ``scale = where(std > 0, std, 1)``, so a
+    column constant on the training part passes through unscaled (with a
+    warning). The group values go through the same arithmetic. The buffer is
+    then made read-only, and ``train`` and ``test`` are row views of it, which
+    their datasets keep (see ``readonly``) and still check row by row; so
+    ``concat_datasets(split.train, split.test)`` is the buffer itself, with
+    no copy. Each part's provenance gains
+    ``|split(ratio, seed=seed)[train|test]|zscore``.
     """
     if not 0.0 < ratio < 1.0:
         raise ValueError("ratio must lie strictly between 0 and 1")
@@ -233,19 +237,18 @@ def standardized_split(
     n_train = math.ceil(ratio * dataset.m)
     if n_train >= dataset.m:
         raise ValueError("ratio leaves an empty test split")
-    train_idx, test_idx = perm[:n_train], perm[n_train:]
+    features, labels = dataset.features[perm], dataset.labels[perm]
 
     s = dataset.sensitive_index
     adv, dis = dataset.group_values
-    for name, idx in (("train", train_idx), ("test", test_idx)):
-        col = dataset.features[idx, s]
+    for name, col in (("train", features[:n_train, s]), ("test", features[n_train:, s])):
         if not ((col == adv).any() and (col == dis).any()):
             raise ValueError(f"{name} split lost a sensitive group; use a different seed")
-    y_train = dataset.labels[train_idx]
+    y_train = labels[:n_train]
     if y_train.min() == y_train.max():
         raise ValueError("train split lost a label class; use a different seed")
 
-    x_train = dataset.features[train_idx]
+    x_train = features[:n_train]
     mean = x_train.mean(axis=0)
     std = x_train.std(axis=0)
     constant = tuple(int(i) for i in np.flatnonzero(std == 0.0))
@@ -254,20 +257,16 @@ def standardized_split(
         warnings.warn(f"constant column(s) passed through unscaled: {names}", stacklevel=2)
     shift = np.where(std > 0, mean, 0.0)
     scale = np.where(std > 0, std, 1.0)
+    features -= shift
+    features /= scale
+    features.setflags(write=False)
+    labels.setflags(write=False)
     group_values = tuple((v - shift[s]) / scale[s] for v in dataset.group_values)
     tag = f"{dataset.provenance}|split({ratio}, seed={seed})"
-    parts = []
-    for name, features, labels in (
-        ("train", x_train, y_train),
-        ("test", dataset.features[test_idx], dataset.labels[test_idx]),
-    ):
-        features -= shift
-        features /= scale
-        features.setflags(write=False)
-        labels.setflags(write=False)
-        parts.append(
-            TabularDataset(features, dataset.feature_names, labels, s, group_values, f"{tag}[{name}]|zscore")
-        )
+    parts = (
+        TabularDataset(features[rows], dataset.feature_names, labels[rows], s, group_values, f"{tag}[{name}]|zscore")
+        for name, rows in (("train", slice(None, n_train)), ("test", slice(n_train, None)))
+    )
     return SplitDataset(*parts), ZScoreStats(readonly(mean), readonly(std), constant)
 
 
@@ -302,18 +301,46 @@ def select_fair_features(dataset: TabularDataset, threshold: float = FAIR_CORREL
     return tuple(fair)
 
 
+def _joined(x: np.ndarray, y: np.ndarray) -> np.ndarray | None:
+    """The rows of two datasets' arrays ``x`` then ``y`` as one view, without
+    a copy, when ``y``'s rows directly follow ``x``'s in one C-contiguous
+    buffer (a split's parts do); else None. A dataset's arrays are read-only
+    views of a read-only owner (see ``readonly``), so the view is too."""
+    base = x.base
+    if (
+        base is None
+        or y.base is not base
+        or not (base.flags.c_contiguous and x.flags.c_contiguous and y.flags.c_contiguous)
+        or not x.dtype == y.dtype == base.dtype
+        or not x.shape[1:] == y.shape[1:] == base.shape[1:]
+    ):
+        return None
+    row = base.itemsize * math.prod(base.shape[1:])
+    start, rest = divmod(x.ctypes.data - base.ctypes.data, row)
+    if rest or y.ctypes.data != x.ctypes.data + len(x) * row:
+        return None
+    return base[start : start + len(x) + len(y)]
+
+
 def concat_datasets(a: TabularDataset, b: TabularDataset) -> TabularDataset:
-    """Row-concatenate two datasets with identical schema. The stacked rows
-    are copied once: their fresh arrays are handed to the dataset read-only,
-    which keeps them (see ``readonly``) and still checks every row."""
+    """Row-concatenate two datasets with identical schema. When ``b``'s rows
+    directly follow ``a``'s in one read-only buffer, as a standardized
+    split's test part follows its training part, the dataset is built over
+    that buffer and copies no row. Otherwise the stacked rows are copied
+    once: their fresh arrays are handed to the dataset read-only. Either way
+    the dataset keeps the arrays it is given (see ``readonly``) and still
+    checks every row."""
     if a.feature_names != b.feature_names or a.sensitive_index != b.sensitive_index:
         raise ValueError("datasets have different schemas")
     if a.group_values != b.group_values:
         raise ValueError("datasets have different group encodings")
-    features = np.vstack([a.features, b.features])
-    labels = np.concatenate([a.labels, b.labels])
-    features.setflags(write=False)
-    labels.setflags(write=False)
+    features = _joined(a.features, b.features)
+    labels = _joined(a.labels, b.labels)
+    if features is None or labels is None:
+        features = np.vstack([a.features, b.features])
+        labels = np.concatenate([a.labels, b.labels])
+        features.setflags(write=False)
+        labels.setflags(write=False)
     return TabularDataset(
         features,
         a.feature_names,

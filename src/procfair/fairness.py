@@ -122,9 +122,17 @@ def _screen(D2: np.ndarray, upper: np.ndarray, norms: np.ndarray, d: int) -> tup
     costs time, never a pair."""
     u = np.finfo(float).eps / 2
     e = 4.0 * (d + 3) * u * norms + 8.0 * (d + 2) * np.finfo(float).smallest_subnormal
-    np.minimum(upper, D2.min(axis=1) + e, out=upper)
-    keep = np.flatnonzero(D2 <= (upper * (1.0 + 4.0 * (d + 5) * u) + e)[:, None])
-    return np.divmod(keep, D2.shape[1])
+    lowest = D2.min(axis=1)
+    np.minimum(upper, lowest + e, out=upper)
+    threshold = upper * (1.0 + 4.0 * (d + 5) * u) + e
+    # a row whose minimum is above its threshold has no cell to keep, so only
+    # the others are compared cell by cell (copied out only when some row is
+    # dropped, as in every block but a side's first); cells stay in row order
+    rows = np.flatnonzero(lowest <= threshold)
+    if rows.size < len(D2):
+        D2, threshold = D2[rows], threshold[rows]
+    ai, cj = np.divmod(np.flatnonzero(D2 <= threshold[:, None]), D2.shape[1])
+    return rows[ai], cj
 
 
 def select_pairs(
@@ -153,8 +161,10 @@ def select_pairs(
     (about 3 gamma_{d+2} (|a|^2 + max |c|^2), the max over the block) plus a
     term for subnormal products, delta covers the rounding of the exact
     distances, and upper is the running minimum of D~^2 + e (derived at
-    ``_screen``). An exact pass re-scores that shortlist with
-    ``sqrt(sum(diff * diff))``. Rows and distances are therefore
+    ``_screen``). Only the anchors whose block minimum passes that test can
+    have a cell to keep, so only their rows are compared cell by cell. An
+    exact pass re-scores the shortlist with ``sqrt(sum(diff * diff))``, and
+    a block that shortlists nothing skips it. Rows and distances are therefore
     bit-identical to scoring every candidate with that formula, ties
     included. Norms so large that the GEMM could overflow (coordinates
     beyond about 1e153) send every candidate to the exact pass.
@@ -199,6 +209,8 @@ def select_pairs(
             if screened:
                 D2 = np.matmul(U, Vt[:, lo:hi], out=D_buf[: n_a * (hi - lo)].reshape(n_a, hi - lo))
                 ai, cj = _screen(D2, upper, U[:, d] + c_sq[lo:hi].max(), d)
+                if not ai.size:
+                    continue
             else:
                 ai, cj = np.divmod(np.arange(n_a * (hi - lo)), hi - lo)
             cj += lo

@@ -33,7 +33,7 @@ class KernelConfig:
     ``permutation_pvalue`` fixes it once per test; it then screens the
     permuted statistics in float32 and settles the near ones in float64,
     counting ties. A fixed bandwidth must be finite, and a gaussian one
-    must leave its kernel's 2 sigma^2 above 0.
+    must leave its kernel's 2 sigma^2 above 0 and finite.
     """
 
     kind: str = "exponential"
@@ -46,9 +46,9 @@ class KernelConfig:
             return
         if not 0 < self.bandwidth < math.inf:
             raise ValueError(f"fixed bandwidth must be positive and finite, got {self.bandwidth}")
-        # the kernel's own 2 sigma^2, squared only below 1, where it cannot overflow
-        if self.kind == "gaussian" and self.bandwidth < 1 and 2.0 * self.bandwidth**2 == 0:
-            raise ValueError(f"gaussian bandwidth {self.bandwidth} is too small: 2 sigma^2 underflows to 0")
+        if self.kind == "gaussian" and not 0 < _two_sigma_sq(self.bandwidth) < math.inf:
+            why = "small: 2 sigma^2 underflows to 0" if self.bandwidth < 1 else "large: 2 sigma^2 overflows"
+            raise ValueError(f"gaussian bandwidth {self.bandwidth} is too {why}")
 
 
 @dataclass(frozen=True)
@@ -94,6 +94,14 @@ def _resolve_bandwidth(pooled_distances: np.ndarray, config: KernelConfig) -> fl
     return float((nonzero[:m].max() + nonzero[m]) / 2)
 
 
+def _two_sigma_sq(sigma: float) -> float:
+    """The gaussian kernel's 2 sigma^2, inf where it overflows."""
+    try:
+        return 2.0 * float(sigma) ** 2
+    except OverflowError:
+        return math.inf
+
+
 def _apply_kernel(distances: np.ndarray, kind: str, sigma: float) -> np.ndarray:
     """exp(-D / sigma) or exp(-D^2 / (2 sigma^2)), computed in ``distances``."""
     K = distances
@@ -103,7 +111,7 @@ def _apply_kernel(distances: np.ndarray, kind: str, sigma: float) -> np.ndarray:
     else:
         np.square(K, out=K)
         np.negative(K, out=K)
-        K /= 2.0 * sigma**2
+        K /= _two_sigma_sq(sigma)
     return np.exp(K, out=K)
 
 
@@ -214,7 +222,10 @@ def permutation_pvalue(
     The permuted statistics are screened in float32, and those the screen's
     error bound cannot place are settled in float64.
     ``memberships`` is ``permutation_memberships(a + b, a, perm_config)``,
-    built here when not given.
+    built here when not given. A bandwidth so large that every kernel entry
+    rounds to 1 while some pooled distance is nonzero is a ValueError: every
+    statistic would be 0 and p = 1 whatever the samples. (Identical samples,
+    whose distances are all 0, still give p = 1.)
     """
     kernel_config = kernel_config or KernelConfig()
     perm_config = perm_config or PermutationConfig()
@@ -230,8 +241,14 @@ def permutation_pvalue(
         memberships = permutation_memberships(n, a, perm_config)
     elif memberships.shape != (n, P):
         raise ValueError(f"membership matrix of shape {memberships.shape}, expected {(n, P)}")
-    K, _ = _pooled_kernel(E1, E2, kernel_config)
+    K, sigma = _pooled_kernel(E1, E2, kernel_config)
     row_sums = K.sum(axis=1)
+    # every entry 1 makes every row sum exactly n, so K is scanned only then
+    if row_sums.min() == n and K.min() == 1.0 and _self_distances(np.vstack([E1, E2])).max() > 0:
+        raise ValueError(
+            f"{kernel_config.kind} kernel bandwidth {sigma} rounds every kernel entry of the pooled sample"
+            " to 1, so every statistic is 0; choose a smaller bandwidth"
+        )
 
     observed_membership = np.zeros((n, 1))
     observed_membership[:a, 0] = 1.0

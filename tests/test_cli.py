@@ -218,6 +218,26 @@ def test_audit_with_a_singular_coalition_sample_fails(workspace, tmp_path, capsy
     assert not (tmp_path / "audit.json").exists()
 
 
+@pytest.mark.parametrize(
+    "kernel, bandwidth, message",
+    [
+        ("gaussian", "1e200", "gaussian bandwidth 1e+200 is too large: 2 sigma^2 overflows"),
+        ("exponential", "1e300", "exponential kernel bandwidth 1e+300 rounds every kernel entry"),
+    ],
+)
+def test_audit_rejects_a_degenerate_bandwidth(workspace, tmp_path, capsys, kernel, bandwidth, message):
+    # either bandwidth would make every kernel entry 1 and every model "fair"
+    assert run_cli(
+        "audit", "--data", workspace["data"], "--schema", workspace["schema"],
+        "--model", workspace["unfair_model"], "--out", tmp_path, *FAST_AUDIT,
+        "--kernel", kernel, "--bandwidth", bandwidth,
+    ) == 1
+    err = strict_json(capsys.readouterr().err)
+    assert (err["command"], err["type"]) == ("audit", "ValueError")
+    assert message in err["error"]
+    assert not (tmp_path / "audit.json").exists()
+
+
 def test_audit_export_explanations(workspace, tmp_path):
     assert run_cli(
         "audit", "--data", workspace["data"], "--schema", workspace["schema"],

@@ -4,6 +4,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -654,6 +655,74 @@ def test_concat_datasets():
     split, _ = standardized_split(ds, 0.8, 0)
     merged = concat_datasets(split.train, split.test)
     assert merged.m == ds.m
+
+
+def _stacked(a, b):
+    """The copying concat's arrays, the oracle for the rows and labels of
+    ``concat_datasets(a, b)``."""
+    return np.vstack([a.features, b.features]), np.concatenate([a.labels, b.labels])
+
+
+def assert_concat_is_stacked(a, b, shared: bool):
+    merged = concat_datasets(a, b)
+    features, labels = _stacked(a, b)
+    assert merged.features.tobytes() == features.tobytes() and merged.features.shape == features.shape
+    assert merged.labels.tobytes() == labels.tobytes() and merged.labels.dtype == labels.dtype
+    assert merged.provenance == a.provenance + "+" + b.provenance
+    assert not merged.features.flags.writeable and not merged.labels.flags.writeable
+    for part in (a, b):
+        assert np.shares_memory(merged.features, part.features) is shared
+        assert np.shares_memory(merged.labels, part.labels) is shared
+
+
+@given(
+    st.integers(min_value=20, max_value=400),
+    st.sampled_from([0.1, 0.5, 0.8, 0.9]),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_concat_of_a_split_shares_its_one_buffer(m, ratio, seed):
+    ds = generate_synthetic(SyntheticConfig(m=m, n_advantaged=m // 2, seed=seed % 1000))
+    try:
+        split, _ = standardized_split(ds, ratio, seed)
+    except ValueError:
+        return  # a part lost a group or the training part a label class
+    assert_concat_is_stacked(split.train, split.test, shared=True)
+    # the pool is the split's buffer itself, and holds every row in split order
+    pool = concat_datasets(split.train, split.test)
+    assert pool.features.base is split.train.features.base is split.test.features.base
+
+
+def test_concat_copies_parts_that_do_not_follow_in_one_buffer():
+    ds = generate_synthetic(SyntheticConfig(m=300, n_advantaged=180, seed=3))
+    split, _ = standardized_split(ds, 0.8, 0)
+    train, test = split.train, split.test
+    assert_concat_is_stacked(test, train, shared=False)  # reversed
+    assert_concat_is_stacked(train, train, shared=False)  # the same rows twice
+    assert_concat_is_stacked(train.take(np.arange(train.m)), test, shared=False)
+    assert_concat_is_stacked(train, test.take(np.arange(1, test.m)), shared=False)
+    other = replace(split, test=test.take(np.arange(test.m)))
+    assert_concat_is_stacked(other.train, other.test, shared=False)
+    # parts built by hand from row views of one writable buffer are copied
+    # when built, so their concat copies too
+    buffer = np.vstack([train.features, test.features])
+    labels = np.concatenate([train.labels, test.labels])
+    by_hand = [
+        TabularDataset(buffer[rows], train.feature_names, labels[rows], train.sensitive_index, train.group_values)
+        for rows in (slice(None, train.m), slice(train.m, None))
+    ]
+    assert_concat_is_stacked(*by_hand, shared=False)
+    # row views of one read-only buffer are kept, and joined only when adjacent
+    buffer.setflags(write=False)
+    labels.setflags(write=False)
+
+    def part(rows):
+        names, s, groups = train.feature_names, train.sensitive_index, train.group_values
+        return TabularDataset(buffer[rows], names, labels[rows], s, groups)
+
+    assert_concat_is_stacked(part(slice(None, 100)), part(slice(100, None)), shared=True)
+    assert_concat_is_stacked(part(slice(None, 100)), part(slice(101, None)), shared=False)
+    assert_concat_is_stacked(part(slice(None, 100)), part(slice(100, None, 2)), shared=False)
 
 
 # ---------------------------------------------------------------------------

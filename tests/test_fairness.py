@@ -307,6 +307,38 @@ def test_select_pairs_exact_pass_rescores_a_few_candidates(monkeypatch):
     assert counts.sum() <= counts.size  # at most one per anchor and block on average
 
 
+class _CountedCells(np.ndarray):
+    """A view that counts the cells its comparisons produce."""
+
+    compared = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        result = getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+        if method == "__call__" and ufunc in (np.less, np.less_equal, np.greater, np.greater_equal):
+            _CountedCells.compared += np.size(result)
+        return result
+
+
+def test_select_pairs_screen_compares_only_the_anchors_a_block_can_improve(monkeypatch):
+    # each block's first anchor-wide pass takes the row minima; only the rows
+    # whose minimum is at or below their threshold are compared cell by cell,
+    # and after a side's first block that is a few rows per block
+    cells = []
+
+    def counting_screen(D2, *args):
+        cells.append(D2.size)
+        return screen(D2.view(_CountedCells), *args)
+
+    screen = fairness._screen
+    monkeypatch.setattr(fairness, "_screen", counting_screen)
+    monkeypatch.setattr(_CountedCells, "compared", 0)
+    ds = stress_pool(np.random.default_rng(0).normal(size=(100_000, 4)))
+    assert_matches_one_shot(ds, n=100, seed=0, feature_indices=range(4))
+    assert len(cells) == 2 * 20  # 50k candidates per side in blocks of 2500
+    # comparing every row of every block again reads sum(cells)
+    assert _CountedCells.compared < 0.25 * sum(cells)
+
+
 def test_select_pairs_blocks_keep_lowest_index_tie():
     n = 100
     d = 3
@@ -362,6 +394,18 @@ def test_full_pool_audit_copies_the_pool_once(split_200k):
     audit(model, split_200k, config)
     pool_bytes = (split_200k.train.m + split_200k.test.m) * split_200k.test.d * 8
     assert _traced_peak(lambda: audit(model, split_200k, config)) < 3.5 * pool_bytes
+
+
+def test_repeated_full_pool_audit_copies_no_row(split_200k):
+    # the pool is the split's one buffer, so an audit adds only matching's
+    # candidate operands and the checks' temporaries (1.75 times the pool's
+    # features); a pooled copy of the rows reads 3.0
+    model = init_mlp(4, 32, seed=0)
+    config = AuditConfig(n_pairs=100, pool="full")
+    audit(model, split_200k, config)
+    pool_bytes = (split_200k.train.m + split_200k.test.m) * split_200k.test.d * 8
+    for _ in range(2):
+        assert _traced_peak(lambda: audit(model, split_200k, config)) < 2.25 * pool_bytes
 
 
 def test_prediction_metrics_read_the_features_in_place(split_200k):

@@ -1,7 +1,10 @@
 import ast
 from pathlib import Path
 
+import numpy as np
+
 import procfair
+from procfair._formats import readonly
 
 SRC = Path(procfair.__file__).parent
 OWNER = SRC / "_formats.py"
@@ -35,3 +38,22 @@ def test_only_the_formats_module_decides_artifact_bytes():
     assert len(_format_decisions(OWNER)) == 4  # the guard sees what it guards
     strays = [entry for path in sorted(SRC.glob("*.py")) if path != OWNER for entry in _format_decisions(path)]
     assert not strays, f"write through procfair._formats instead: {strays}"
+
+
+def test_readonly_keeps_frozen_arrays_and_views_and_copies_the_rest():
+    owner = np.arange(12.0).reshape(4, 3).copy()
+    view = owner[1:3]
+    view.setflags(write=False)
+    # a read-only view of a writable owner could change under the record
+    kept = readonly(view)
+    assert kept is not view and not np.shares_memory(kept, owner)
+    assert np.array_equal(kept, view) and not kept.flags.writeable
+    owner.setflags(write=False)
+    for frozen in (owner, owner[1:3], owner[::-1], owner[1:3][:, 0]):
+        assert readonly(frozen) is frozen
+    # another dtype, a writable array and a read-only foreign buffer are copied
+    assert not np.shares_memory(readonly(owner, np.int64), owner)
+    writable = np.arange(3.0)
+    assert readonly(writable) is not writable and not readonly(writable).flags.writeable
+    foreign = np.frombuffer(np.arange(3.0).tobytes())
+    assert not foreign.flags.writeable and readonly(foreign) is not foreign

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -104,8 +105,36 @@ def test_kernel_config_validation():
     with pytest.raises(ValueError, match="underflows"):
         KernelConfig("gaussian", 1e-300)
     assert KernelConfig("exponential", 1e-300).bandwidth == 1e-300
+    # 2 sigma^2 overflowing to inf makes every gaussian entry 1
+    for bandwidth in (1e200, 1e154):
+        message = f"gaussian bandwidth {bandwidth} is too large: 2 sigma^2 overflows"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            KernelConfig("gaussian", bandwidth)
+    assert KernelConfig("gaussian", 1e150).bandwidth == 1e150
+    assert KernelConfig("exponential", 1e300).bandwidth == 1e300
     with pytest.raises(ValueError):
         PermutationConfig(n_permutations=50)
+
+
+@pytest.mark.parametrize("kind, bandwidth", [("exponential", 1e300), ("gaussian", 1e150)])
+def test_a_bandwidth_that_rounds_every_kernel_entry_to_one_is_refused(kind, bandwidth):
+    # two samples 3 sigma apart would read p = 1.0 ("fair"): every statistic is 0
+    rng = np.random.default_rng(0)
+    E1, E2 = rng.normal(size=(20, 2)), rng.normal(3.0, 1.0, size=(20, 2))
+    message = f"{kind} kernel bandwidth {bandwidth} rounds every kernel entry"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        permutation_pvalue(E1, E2, KernelConfig(kind, bandwidth), PermutationConfig(100))
+    assert permutation_pvalue(E1, E2, KernelConfig(kind), PermutationConfig(100)) == 1 / 101
+
+
+@pytest.mark.parametrize("config", [KernelConfig(), KernelConfig("gaussian"), KernelConfig("exponential", 1e300)])
+def test_identical_samples_still_read_p_one(config):
+    # every distance is 0, so a kernel of ones is the right kernel; the median
+    # heuristic falls back to bandwidth 1.0 with a warning
+    E = np.tile([[0.5, -2.0]], (20, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert permutation_pvalue(E, E, config, PermutationConfig(100)) == 1.0
 
 
 # ---------------------------------------------------------------------------
