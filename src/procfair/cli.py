@@ -394,6 +394,11 @@ def _add_audit_knobs(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--permutations", type=int, default=AuditConfig.n_permutations)
 
 
+def _add_detection_knobs(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--beta", type=_finite_float, default=DETECTION_THRESHOLD, help="per-feature p-value threshold")
+    parser.add_argument("--detection-kernel", choices=("exponential", "gaussian"), default=DETECTION_KERNEL)
+
+
 class _Parser(argparse.ArgumentParser):
     """Raises on a bad flag, for ``main`` to report as a JSON error object
     (argparse would print usage and exit 2), and takes flags only in full, so
@@ -458,10 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     _add_pair_count(p)
     _add_audit_knobs(p)
-    p.add_argument(
-        "--beta", type=_finite_float, default=DETECTION_THRESHOLD, help="per-feature significance threshold"
-    )
-    p.add_argument("--detection-kernel", choices=("exponential", "gaussian"), default=DETECTION_KERNEL)
+    _add_detection_knobs(p)
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("mitigate", help="improve procedural fairness")
@@ -471,8 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     _add_pair_count(p)
     _add_audit_knobs(p)
-    p.add_argument("--beta", type=_finite_float, default=DETECTION_THRESHOLD)
-    p.add_argument("--detection-kernel", choices=("exponential", "gaussian"), default=DETECTION_KERNEL)
+    _add_detection_knobs(p)
     p.add_argument("--alpha", type=_finite_float, default=ModifyConfig.alpha, help="explanation-loss weight")
     p.add_argument("--tau", type=int, default=ModifyConfig.tau, help="modification steps")
     p.add_argument("--lr", type=_finite_float, default=ModifyConfig.learning_rate)

@@ -16,7 +16,7 @@ from .attribution import ExplanationSet, ShapConfig, explain_set, sample_backgro
 from .datasets import SplitDataset, TabularDataset, concat_datasets
 from .models import predict_labels
 from .seeding import derive_seed
-from .two_sample import KernelConfig, PermutationConfig, permutation_memberships, permutation_pvalue
+from .two_sample import KernelConfig, PermutationConfig, permutation_pvalue
 
 # Unused here; perfbench/tracing.py rebinds this name in this module.
 from .models import decision_score  # noqa: F401
@@ -368,9 +368,9 @@ class GpfPlan:
     """Everything one GPF evaluation needs except the model: the split it
     was drawn from, the matched pairs and their rows in the model's feature
     space, the Kernel SHAP settings (background and coalition seed), the
-    permutation settings with their membership matrix, and the
-    ``AuditConfig`` it was built from. Any model on the plan's columns can be
-    scored over it with ``gpf_run``."""
+    permutation settings (their membership matrix is drawn where the test
+    runs), and the ``AuditConfig`` it was built from. Any model on the plan's
+    columns can be scored over it with ``gpf_run``."""
 
     split: SplitDataset = field(compare=False, repr=False)
     pairs: PairSelection
@@ -380,7 +380,6 @@ class GpfPlan:
     feature_names: tuple[str, ...]
     shap_config: ShapConfig
     perm_config: PermutationConfig
-    memberships: np.ndarray
     config: AuditConfig
 
     def __post_init__(self):
@@ -412,7 +411,6 @@ def gpf_plan(split: SplitDataset, feature_indices, config: AuditConfig) -> GpfPl
         tuple(pool.feature_names[i] for i in feats),
         shap_config,
         perm_config,
-        permutation_memberships(2 * pairs.n, pairs.n, perm_config),
         config,
     )
 
@@ -440,7 +438,7 @@ def gpf_run(models, plan: GpfPlan) -> list[GpfResult]:
     ]
     results = []
     for e1, e2 in zip(*sides):
-        p = permutation_pvalue(e1.values, e2.values, plan.config.kernel, plan.perm_config, plan.memberships)
+        p = permutation_pvalue(e1.values, e2.values, plan.config.kernel, plan.perm_config)
         results.append(GpfResult(p, plan, e1, e2))
     return results
 

@@ -19,7 +19,7 @@ from .attribution import ExplanationSet
 from .fairness import AuditReport, audit
 from .models import TrainConfig, _adam_descent, _check_inputs
 from .seeding import derive_seed
-from .two_sample import KernelConfig, PermutationConfig, permutation_memberships, permutation_pvalue
+from .two_sample import KernelConfig, PermutationConfig, permutation_pvalue
 
 # Unused here; perfbench/tracing.py rebinds this name in this module.
 from .fairness import matched_explanations  # noqa: F401
@@ -103,13 +103,11 @@ def unfair_features_from_sets(
     perm_config: PermutationConfig,
     kernel_config: KernelConfig | None = None,
     threshold: float = DETECTION_THRESHOLD,
-    memberships: np.ndarray | None = None,
 ) -> UnfairFeatureSet:
     """Per-feature 1-D MMD permutation tests between the two explanation
     sets, with the permutations of ``perm_config``; features at or below the
-    threshold are flagged. ``memberships`` is
-    ``permutation_memberships(e1.n + e2.n, e1.n, perm_config)``, built here
-    once for all features when not given.
+    threshold are flagged. Every test pools the same e1.n + e2.n rows, so
+    ``permutation_memberships`` draws their matrix once for all features.
 
     The per-feature tests default to the gaussian kernel: on matched
     near-duplicate samples the exponential kernel's cusp at zero distance
@@ -119,14 +117,9 @@ def unfair_features_from_sets(
     if e1.feature_names != e2.feature_names:
         raise ValueError("explanation sets cover different features")
     kernel_config = kernel_config or KernelConfig(DETECTION_KERNEL)
-    # every per-feature test pools the same a + b rows, so one matrix serves all
-    if memberships is None:
-        memberships = permutation_memberships(e1.n + e2.n, e1.n, perm_config)
     pvalues = np.empty(e1.d)
     for j in range(e1.d):
-        pvalues[j] = permutation_pvalue(
-            e1.values[:, [j]], e2.values[:, [j]], kernel_config, perm_config, memberships
-        )
+        pvalues[j] = permutation_pvalue(e1.values[:, [j]], e2.values[:, [j]], kernel_config, perm_config)
     flagged = tuple(int(i) for i in np.flatnonzero(pvalues <= threshold))
     names = tuple(e1.feature_names[i] for i in flagged)
     return UnfairFeatureSet(flagged, names, pvalues, threshold)
@@ -139,9 +132,8 @@ def detect_unfair_features(
     groups, testing the audit's own two matched explanation sets with its
     permutations."""
     gpf = report.gpf
-    plan = gpf.plan
     return unfair_features_from_sets(
-        gpf.explanations_1, gpf.explanations_2, plan.perm_config, kernel_config, threshold, plan.memberships
+        gpf.explanations_1, gpf.explanations_2, gpf.plan.perm_config, kernel_config, threshold
     )
 
 

@@ -6,7 +6,9 @@ statistic to the textbook estimator.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -57,8 +59,13 @@ class PermutationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_permutations < 100:
-            raise ValueError("need at least 100 permutations")
+        try:
+            for name in ("n_permutations", "seed"):  # as Python ints: equal configs share a cached matrix
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+        except TypeError:
+            raise ValueError(f"the permutation count and seed must be integers: {self}") from None
+        if self.n_permutations < 100 or self.seed < 0:
+            raise ValueError(f"need at least 100 permutations and a non-negative seed: {self}")
 
 
 def _self_distances(X: np.ndarray) -> np.ndarray:
@@ -190,11 +197,18 @@ def permutation_memberships(n: int, a: int, perm_config: PermutationConfig) -> n
     p-th random permutation of the pooled sample assigns to the first sample
     of size ``a``; the only place the permutation stream is drawn.
 
-    It depends on the sample sizes and ``perm_config`` alone, so every test
-    over samples of the same sizes can share one matrix.
+    It depends on the sample sizes and ``perm_config`` alone, so it is memoized
+    with one entry: consecutive tests over one key (a GPF test and its detection
+    tests, repeated audits) share a matrix, and at most one is held after a call.
     """
+    n, a = operator.index(n), operator.index(a)
     if not 0 < a < n:
         raise ValueError(f"first sample size {a} must lie strictly between 0 and {n}")
+    return _draw_memberships(n, a, perm_config)
+
+
+@functools.lru_cache(maxsize=1)
+def _draw_memberships(n: int, a: int, perm_config: PermutationConfig) -> np.ndarray:
     rng = np.random.default_rng(perm_config.seed)
     P = perm_config.n_permutations
     # row p is the p-th permutation of 0..n-1, drawn as rng.permutation(n) would draw it
@@ -210,7 +224,6 @@ def permutation_pvalue(
     E2,
     kernel_config: KernelConfig | None = None,
     perm_config: PermutationConfig | None = None,
-    memberships: np.ndarray | None = None,
 ) -> float:
     """Permutation p-value of the MMD two-sample test.
 
@@ -219,13 +232,13 @@ def permutation_pvalue(
     ties count: a permuted split counts when its float64 statistic is at
     least the observed one less a float64 rounding bound, so a split with
     the observed statistic in exact arithmetic (its mirror, say) counts.
-    The permuted statistics are screened in float32, and those the screen's
-    error bound cannot place are settled in float64.
-    ``memberships`` is ``permutation_memberships(a + b, a, perm_config)``,
-    built here when not given. A bandwidth so large that every kernel entry
-    rounds to 1 while some pooled distance is nonzero is a ValueError: every
+    The permuted splits are the columns of
+    ``permutation_memberships(a + b, a, perm_config)``; their statistics are
+    screened in float32, and those the screen's error bound cannot place are
+    settled in float64. A bandwidth so large that every kernel entry rounds
+    to 1 while some pooled row differs from another is a ValueError: every
     statistic would be 0 and p = 1 whatever the samples. (Identical samples,
-    whose distances are all 0, still give p = 1.)
+    whose rows are all equal, still give p = 1.)
     """
     kernel_config = kernel_config or KernelConfig()
     perm_config = perm_config or PermutationConfig()
@@ -236,22 +249,17 @@ def permutation_pvalue(
         raise ValueError("dimension mismatch")
     a, b = E1.shape[0], E2.shape[0]
     n = a + b
-    P = perm_config.n_permutations
-    if memberships is None:
-        memberships = permutation_memberships(n, a, perm_config)
-    elif memberships.shape != (n, P):
-        raise ValueError(f"membership matrix of shape {memberships.shape}, expected {(n, P)}")
+    memberships = permutation_memberships(n, a, perm_config)
     K, sigma = _pooled_kernel(E1, E2, kernel_config)
     row_sums = K.sum(axis=1)
     # every entry 1 makes every row sum exactly n, so K is scanned only then
-    if row_sums.min() == n and K.min() == 1.0 and _self_distances(np.vstack([E1, E2])).max() > 0:
+    if row_sums.min() == n and K.min() == 1.0 and ((E1 != E1[0]).any() or (E2 != E1[0]).any()):
         raise ValueError(
             f"{kernel_config.kind} kernel bandwidth {sigma} rounds every kernel entry of the pooled sample"
             " to 1, so every statistic is 0; choose a smaller bandwidth"
         )
 
-    observed_membership = np.zeros((n, 1))
-    observed_membership[:a, 0] = 1.0
+    observed_membership = np.repeat([[1.0], [0.0]], [a, b], axis=0)
     observed = _stats_for_memberships(K, row_sums, observed_membership, a, b)[0]
     # a screened column above observed + bound counts and one below
     # observed - bound - 2 tau does not; the rest are scored again in float64
@@ -260,7 +268,7 @@ def permutation_pvalue(
     near = np.abs(fast - observed) <= bound + 2.0 * tau
     exact = _stats_for_memberships(K, row_sums, memberships[:, near], a, b)
     count = int(np.sum(fast[~near] > observed)) + int(np.sum(exact >= observed - tau))
-    return float((1 + count) / (1 + P))
+    return float((1 + count) / (1 + perm_config.n_permutations))
 
 
 # ---------------------------------------------------------------------------

@@ -875,6 +875,22 @@ def test_flag_defaults_are_the_library_defaults(command, monkeypatch):
         assert ratios == [SPLIT_RATIO]
 
 
+def test_detect_and_mitigate_declare_the_same_detection_flags():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+    def detection_flags(command):
+        return [
+            (a.option_strings, a.dest, a.default, a.type, a.choices, a.help)
+            for a in commands[command]._actions
+            if a.dest in ("beta", "detection_kernel")
+        ]
+
+    assert detection_flags("detect") == detection_flags("mitigate")
+    assert [flags[0] for flags in detection_flags("mitigate")] == [["--beta"], ["--detection-kernel"]]
+    assert detection_flags("mitigate")[0][-1]  # --beta has help text
+
+
 def _float_flags():
     """(command, flag, nargs) for every float-valued flag of every command."""
     parser = cli.build_parser()

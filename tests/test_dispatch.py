@@ -70,3 +70,20 @@ def test_no_model_family_spells_out_the_objective():
     assert {node.name for node in families} == MODEL_CLASSES
     strays = {node.name: _objective_calls(node) for node in families if _objective_calls(node)}
     assert not strays, f"build the family's steps from _loss_step and _modified_step: {strays}"
+
+
+# the permutation stream is drawn in two_sample.py, where the test runs, and
+# exported from the package; every other module calls permutation_pvalue
+MEMBERSHIP_NAMES = {"permutation_memberships", "_draw_memberships"}
+
+
+def _membership_mentions(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [f"{path.name}:{getattr(node, 'lineno', '?')}" for node in ast.walk(tree) if _name(node) in MEMBERSHIP_NAMES]
+
+
+def test_only_the_two_sample_module_names_the_membership_matrix():
+    owners = {SRC / "two_sample.py", SRC / "__init__.py"}
+    assert _membership_mentions(SRC / "two_sample.py") and _membership_mentions(SRC / "__init__.py")
+    strays = [entry for path in sorted(SRC.glob("*.py")) if path not in owners for entry in _membership_mentions(path)]
+    assert not strays, f"call permutation_pvalue instead of handling the membership matrix: {strays}"

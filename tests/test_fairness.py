@@ -595,7 +595,7 @@ def test_one_plan_scores_every_model_as_a_fresh_plan_would(small_split, four_fea
             got = outputs(result.p_value, result.plan.pairs, result.explanations_1, result.explanations_2,
                           result.plan.perm_config)
             assert got == direct
-    assert not (shared.rows_1.flags.writeable or shared.memberships.flags.writeable)
+    assert not shared.rows_1.flags.writeable
 
 
 def test_gpf_run_rejects_a_model_on_other_columns(small_split, four_feature_models):

@@ -7,7 +7,7 @@ from mlp_reference import (
 )
 from oracles import closed_form_logistic_modified_grads, gemm_mlp_loss_grads, gemm_mlp_modified_grads
 
-from procfair import mitigation, two_sample
+from procfair import two_sample
 from procfair.attribution import ExplanationSet
 from procfair.datasets import SyntheticConfig, TabularDataset, generate_synthetic, standardized_split
 from procfair.fairness import AuditConfig, audit
@@ -146,28 +146,32 @@ def test_detect_uses_the_audits_permutation_count(unfair_report):
     assert counts.min() == pytest.approx(1.0)  # the flagged features sit at the 1/201 floor
 
 
-def test_detection_shares_one_membership_matrix_across_features(unfair_report, monkeypatch):
+def test_detection_shares_one_membership_matrix_across_features(unfair_report):
     gpf = unfair_report.gpf
     e1, e2, kernel = gpf.explanations_1, gpf.explanations_2, KernelConfig("gaussian")
     independent = [
         permutation_pvalue(e1.values[:, [j]], e2.values[:, [j]], kernel, gpf.plan.perm_config) for j in range(e1.d)
     ]
-    built = []
-    original = mitigation.permutation_memberships
-
-    def counted(*args):
-        built.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(mitigation, "permutation_memberships", counted)
-    monkeypatch.setattr(two_sample, "permutation_memberships", counted)
+    draws = two_sample._draw_memberships
+    draws.cache_clear()
     ufs = unfair_features_from_sets(e1, e2, gpf.plan.perm_config, kernel)
     assert ufs.pvalues.tolist() == independent
-    assert len(built) == 1
-    # detection tests with the matrix the audit's plan already holds
-    built.clear()
+    assert draws.cache_info().misses == 1
+    # detection tests with the matrix the same sizes and config already drew
     assert detect_unfair_features(unfair_report, kernel).pvalues.tolist() == independent
-    assert built == []
+    assert draws.cache_info().misses == 1
+
+
+def test_audits_detection_and_modification_of_one_config_draw_one_matrix(unfair_model, small_split, unfair_report):
+    draws = two_sample._draw_memberships
+    draws.cache_clear()
+    reports = [audit(unfair_model, small_split, unfair_report.config) for _ in range(2)]
+    assert reports == [unfair_report, unfair_report]
+    ufs = detect_unfair_features(reports[0])
+    modify_model(reports[1], ufs, ModifyConfig(tau=5))
+    # two audits, one test per feature and the modified model's audit
+    assert draws.cache_info().misses == 1
+    assert draws.cache_info().hits == 2 + unfair_model.d
 
 
 def test_detect_on_fair_model_empty(small_split):

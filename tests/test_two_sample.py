@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import isotonic_decreasing, mmd2
 
-from procfair import fairness
+from procfair import fairness, two_sample
 from procfair.datasets import SyntheticConfig, generate_synthetic, standardized_split
 from procfair.models import TrainConfig
 from procfair.sweeps import sweep_sensitive_weight
@@ -114,6 +114,14 @@ def test_kernel_config_validation():
     assert KernelConfig("exponential", 1e300).bandwidth == 1e300
     with pytest.raises(ValueError):
         PermutationConfig(n_permutations=50)
+    # the permutation count and seed are integers, the seed non-negative;
+    # both are kept as Python ints, so equal configs hash alike
+    for fields in ((200.0, 0), (200, 0.0), (200, 1.5), ("200", 0), (None, 0), (200, -1)):
+        with pytest.raises(ValueError):
+            PermutationConfig(*fields)
+    config = PermutationConfig(np.int64(200), np.uint64(2**63 + 5))
+    assert type(config.n_permutations) is int and type(config.seed) is int
+    assert config == PermutationConfig(200, 2**63 + 5) and hash(config) == hash(PermutationConfig(200, 2**63 + 5))
 
 
 @pytest.mark.parametrize("kind, bandwidth", [("exponential", 1e300), ("gaussian", 1e150)])
@@ -127,14 +135,20 @@ def test_a_bandwidth_that_rounds_every_kernel_entry_to_one_is_refused(kind, band
     assert permutation_pvalue(E1, E2, KernelConfig(kind), PermutationConfig(100)) == 1 / 101
 
 
-@pytest.mark.parametrize("config", [KernelConfig(), KernelConfig("gaussian"), KernelConfig("exponential", 1e300)])
+@pytest.mark.parametrize(
+    "config",
+    [KernelConfig(), KernelConfig("gaussian"), KernelConfig("exponential", 1e300), KernelConfig("gaussian", 1e150)],
+)
 def test_identical_samples_still_read_p_one(config):
     # every distance is 0, so a kernel of ones is the right kernel; the median
-    # heuristic falls back to bandwidth 1.0 with a warning
-    E = np.tile([[0.5, -2.0]], (20, 1))
+    # heuristic falls back to bandwidth 1.0 with a warning. Random rows too:
+    # the Gram-matrix distances of equal rows can read about 1e-7, not 0
+    rows = [np.array([[0.5, -2.0, 0.0]])] + [np.random.default_rng(seed).normal(size=(1, 3)) for seed in range(50)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        assert permutation_pvalue(E, E, config, PermutationConfig(100)) == 1.0
+        for row in rows:
+            E = np.tile(row, (20, 1))
+            assert permutation_pvalue(E, E, config, PermutationConfig(100)) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +317,7 @@ def _exact_with_ties(E1, E2, kernel_config, Z):
     return (1 + int(np.sum(exact >= observed - _tie_margin(a, b)))) / (1 + Z.shape[1])
 
 
-def test_pvalue_counts_the_splits_that_tie_with_the_observed_one():
+def test_pvalue_counts_the_splits_that_tie_with_the_observed_one(monkeypatch):
     # 6 vs 6: the observed split, its mirror (the same MMD in exact arithmetic)
     # and a permutation listing the observed rows in another order (the same
     # column) all count, wherever rounding puts them
@@ -325,7 +339,8 @@ def test_pvalue_counts_the_splits_that_tie_with_the_observed_one():
             continue
         checked += 1
         expected = (1 + 3 + int(np.sum(other_stats >= observed))) / 101
-        assert permutation_pvalue(E1, E2, None, PermutationConfig(100, seed), Z) == expected
+        monkeypatch.setattr(two_sample, "permutation_memberships", lambda *_, Z=Z: Z)
+        assert permutation_pvalue(E1, E2, None, PermutationConfig(100, seed)) == expected
     assert checked >= 15
 
 
@@ -365,7 +380,7 @@ def test_screened_statistics_lie_within_the_bound_and_the_pvalue_follows_the_rul
             c = (1 + 2.0**-24) * (1 + _gamma(n, 2.0**-24)) ** 2 - 1
             s11 = np.einsum("ip,ip->p", Z, K @ Z)
             assert np.all(bound >= c * s11 * (1 / a + 1 / b) ** 2 * (1 - 1e-12))
-            assert permutation_pvalue(E1, E2, kernel, config, Z) == _exact_with_ties(E1, E2, kernel, Z)
+            assert permutation_pvalue(E1, E2, kernel, config) == _exact_with_ties(E1, E2, kernel, Z)
 
 
 def test_sweep_pvalues_follow_the_rule(monkeypatch):
@@ -375,35 +390,16 @@ def test_sweep_pvalues_follow_the_rule(monkeypatch):
     original = fairness.permutation_pvalue
     matches = []
 
-    def checked(E1, E2, kernel_config, perm_config, memberships):
-        p = original(E1, E2, kernel_config, perm_config, memberships)
-        matches.append(p == _exact_with_ties(E1, E2, kernel_config, memberships))
+    def checked(E1, E2, kernel_config, perm_config):
+        p = original(E1, E2, kernel_config, perm_config)
+        Z = permutation_memberships(len(E1) + len(E2), len(E1), perm_config)
+        matches.append(p == _exact_with_ties(E1, E2, kernel_config, Z))
         return p
 
     monkeypatch.setattr(fairness, "permutation_pvalue", checked)
     _, matrix = sweep_sensitive_weight(split, np.linspace(0.0, 0.3, 50), [1, 2], TrainConfig())
     assert len(matches) == 100 and all(matches)
     assert matrix.max() == 1.0 and matrix.min() == 1 / 1001 and len(np.unique(matrix)) > 40
-
-
-def test_pvalue_over_given_memberships_equals_drawn():
-    rng = np.random.default_rng(11)
-    E1, E2 = rng.normal(size=(20, 2)), rng.normal(0.3, 1.0, size=(25, 2))
-    config = PermutationConfig(200, seed=3)
-    Z = permutation_memberships(45, 20, config)
-    assert permutation_pvalue(E1, E2, None, config, Z) == permutation_pvalue(E1, E2, None, config)
-
-
-def test_pvalue_rejects_memberships_of_the_wrong_shape():
-    E1, E2 = np.zeros((10, 1)), np.ones((12, 1))
-    config = PermutationConfig(100, seed=0)
-    for Z in (
-        permutation_memberships(21, 10, config),
-        permutation_memberships(22, 10, PermutationConfig(101, seed=0)),
-        permutation_memberships(22, 10, config).T,
-    ):
-        with pytest.raises(ValueError, match="membership matrix"):
-            permutation_pvalue(E1, E2, None, config, Z)
 
 
 def test_memberships_need_two_nonempty_samples():
