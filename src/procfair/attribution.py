@@ -182,6 +182,12 @@ def explain_set(model, X, config: ShapConfig, feature_names=None) -> Explanation
     coalition budget must cover d > 1 for every model; a sampled coalition
     set that leaves the regression singular raises a ValueError.
 
+    Matched pairs reuse partners, so rows repeat. The value function is
+    evaluated once per distinct row (bit for bit) and gathered back to every
+    row: a row's values do not depend on the rows evaluated beside it. The
+    targets ``scores(X)`` and the solve stay over all n rows, because a
+    score's bits can depend on how many rows share its product.
+
     The audit explains the decision score (log-odds), the additive scale the
     thresholded prediction lives on; probability-space attributions would
     fold the sigmoid's saturation into every feature."""
@@ -204,7 +210,9 @@ def explain_set(model, X, config: ShapConfig, feature_names=None) -> Explanation
     else:
         Z, weights = _coalitions(d, budget, np.random.default_rng(config.seed))
         solve = _constrained_wls(Z, weights, budget)
-        values = solve(model.masked_values(X, background, Z) - base, target - base)
+        rows = np.ascontiguousarray(X).view(np.dtype((np.void, X.itemsize * d))).ravel()
+        _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+        values = solve(model.masked_values(X[first], background, Z)[inverse] - base, target - base)
     return ExplanationSet(values, np.full(n, base), target, names)
 
 

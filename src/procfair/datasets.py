@@ -113,6 +113,17 @@ class TabularDataset:
     def disadvantaged_mask(self) -> np.ndarray:
         return self.sensitive_column == self.group_values[1]
 
+    @classmethod
+    def _of_checked_rows(cls, *fields) -> "TabularDataset":
+        """The dataset over ``fields``, in field order, set as given with no
+        check and no copy: for arrays that hold only rows of datasets of this
+        schema, which their own construction checked, as read-only float64
+        features and int64 labels."""
+        dataset = object.__new__(cls)
+        for field, value in zip(dataclasses.fields(cls), fields, strict=True):
+            object.__setattr__(dataset, field.name, value)
+        return dataset
+
     def take(self, rows: np.ndarray) -> "TabularDataset":
         """The rows ``rows`` with the same metadata and provenance. The
         gathered rows are copied once: their fresh arrays are handed to the
@@ -327,9 +338,9 @@ def concat_datasets(a: TabularDataset, b: TabularDataset) -> TabularDataset:
     directly follow ``a``'s in one read-only buffer, as a standardized
     split's test part follows its training part, the dataset is built over
     that buffer and copies no row. Otherwise the stacked rows are copied
-    once: their fresh arrays are handed to the dataset read-only. Either way
-    the dataset keeps the arrays it is given (see ``readonly``) and still
-    checks every row."""
+    once, read-only. Either way every row passed ``TabularDataset``'s checks
+    when its part was built, and the schema and group values are the parts',
+    so the rows are not scanned again."""
     if a.feature_names != b.feature_names or a.sensitive_index != b.sensitive_index:
         raise ValueError("datasets have different schemas")
     if a.group_values != b.group_values:
@@ -341,13 +352,8 @@ def concat_datasets(a: TabularDataset, b: TabularDataset) -> TabularDataset:
         labels = np.concatenate([a.labels, b.labels])
         features.setflags(write=False)
         labels.setflags(write=False)
-    return TabularDataset(
-        features,
-        a.feature_names,
-        labels,
-        a.sensitive_index,
-        a.group_values,
-        a.provenance + "+" + b.provenance,
+    return TabularDataset._of_checked_rows(
+        features, a.feature_names, labels, a.sensitive_index, a.group_values, a.provenance + "+" + b.provenance
     )
 
 

@@ -18,8 +18,8 @@ once: the base ``_Family`` builds every model's ``loss_step`` and
 ``modified_step`` (``_loss_step``, ``_modified_step``) and its
 ``per_sample_input_gradient``. Training and modification run one Adam loop,
 ``_adam_descent``, over a step built once per run; the MLP's is two gemms,
-the forward [X, 1] [w1, b1]^T and the backward R^T act (``_MlpWorkspace``),
-with no (rows x hidden) allocation.
+the forward [X, 1] [w1, b1]^T, run in the row blocks scoring uses, and the
+backward R^T act (``_MlpWorkspace``), with no (rows x hidden) allocation.
 
 The modification step needs d(zeta)/d(theta), a second-order quantity: the
 gradient of a function of the input gradients with respect to the parameters.
@@ -64,9 +64,9 @@ __all__ = [
 ]
 
 PROBA_CLAMP = 1e-7  # BCE numerical floor
-# MLP scoring evaluates rows, and its Kernel SHAP value function coalitions,
-# in blocks of about this many hidden cells (2048 rows at 32 hidden units,
-# 512 KB of float64).
+# The MLP's forward passes (scoring, training, modification) evaluate rows,
+# and its Kernel SHAP value function coalitions, in blocks of about this many
+# hidden cells (2048 rows at 32 hidden units, 512 KB of float64).
 _SCORE_CELLS = 65536
 # Adam's moment decay rates and denominator floor, for training and modification
 ADAM_BETA1 = 0.9
@@ -103,11 +103,39 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
+def _row_blocks(rows: int, h: int):
+    """The row slices the MLP's forward passes run over, each of about
+    ``_SCORE_CELLS`` hidden cells: blocks hold a multiple of 64 rows, and a
+    last block of a single row joins the one before it (numpy multiplies a
+    lone row through a vector product). With one BLAS thread each block then
+    takes the same kernels as its rows take in one product over all rows, so
+    blocked passes are bit-identical to it. (A threaded BLAS splits a large
+    product at size-dependent points, so neither form is then thread-count
+    invariant at every width.)"""
+    block = max(64, _SCORE_CELLS // h // 64 * 64)
+    lo = 0
+    while lo < rows:
+        hi = rows if rows - lo <= block + 1 else lo + block
+        yield slice(lo, hi)
+        lo = hi
+
+
+def _relu_scores(Xa, Wa, w2, hidden, scores) -> None:
+    """One row block of the first layer and the w2 product: relu(Xa Wa^T)
+    into ``hidden`` and its w2 product into ``scores``, with Xa = [X, 1] and
+    Wa = [w1, b1], so the last term of the gemm adds the bias and no pass
+    over the hidden cells does."""
+    np.matmul(Xa, Wa.T, out=hidden)
+    np.maximum(hidden, 0.0, out=hidden)
+    np.matmul(hidden, w2, out=scores)
+
+
 class _MlpWorkspace:
     """The buffers an Adam run over the rows X reuses at every step: the
     augmented inputs ``Xa = [X, 1]`` and weights ``Wa = [w1, b1]``, one
-    (rows x hidden) buffer and the rows x (d + 1) backward operand ``R``.
-    The hidden-size buffers are sized by the first parameters seen."""
+    (rows x hidden) buffer, the rows' scores and the rows x (d + 1) backward
+    operand ``R``. The hidden-size buffers are sized by the first parameters
+    seen."""
 
     def __init__(self, X: np.ndarray):
         rows, d = X.shape
@@ -115,14 +143,18 @@ class _MlpWorkspace:
         self.Xa[:, :d] = X
         self.Xa[:, d] = 1.0
         self.R = np.empty((rows, d + 1))
+        self.s = np.empty(rows)
         self.Wa = self.hidden = None
 
     def forward(self, params, cols=None):
         """Probabilities and, if ``cols`` is given, those columns of each
-        row's score gradient aw = act (w2 w1). The pre-activation
-        X w1^T + b1 is the one gemm Xa Wa^T, whose last term adds the bias;
-        the ReLU output and then the 0/1 activation matrix ``act``, which
-        ``backward`` reads, overwrite it in the hidden buffer."""
+        row's score gradient aw = act (w2 w1). Row block by row block (see
+        ``_row_blocks``), while the block is in cache, the pre-activation
+        X w1^T + b1 is the gemm Xa Wa^T, and its ReLU output, the w2 product
+        and then the 0/1 activation matrix ``act``, which ``backward`` reads,
+        overwrite it in the hidden buffer. ``act`` is one (rows x hidden)
+        buffer, and aw one full-width product after the blocks: blocking it
+        would change its bits."""
         w1, b1, w2, b2 = self.params = params
         h, d = w1.shape
         if self.hidden is None:
@@ -130,10 +162,12 @@ class _MlpWorkspace:
             self.hidden = np.empty((self.Xa.shape[0], h))
         self.Wa[:, :d] = w1
         self.Wa[:, d] = b1
-        hidden = np.matmul(self.Xa, self.Wa.T, out=self.hidden)
-        np.maximum(hidden, 0.0, out=hidden)
-        p = _sigmoid(hidden @ w2 + b2[0])
-        self.act = np.greater(hidden, 0.0, out=hidden)
+        for rows in _row_blocks(len(self.Xa), h):
+            hidden = self.hidden[rows]
+            _relu_scores(self.Xa[rows], self.Wa, w2, hidden, self.s[rows])
+            np.greater(hidden, 0.0, out=hidden)
+        self.act = self.hidden
+        p = _sigmoid(self.s + b2[0])
         return p, None if cols is None else (self.act @ (w2[:, None] * w1))[:, cols]
 
     def backward(self, delta, cols=(), ev=None):
@@ -304,27 +338,29 @@ class MlpModel(_Family):
         return {"d": self.d, "hidden": self.hidden_size}
 
     def scores(self, X: np.ndarray) -> np.ndarray:
-        """relu(X w1^T + b1) w2 + b2, evaluated in row blocks through one
-        hidden buffer of about ``_SCORE_CELLS`` cells, so no (rows x hidden)
-        layer is built. Blocks hold a multiple of 64 rows and a last block of
-        a single row joins the one before it (numpy scores a lone row through
-        a vector product): with one BLAS thread, each block then takes the
-        same kernels as its rows take in one product over all of X, and the
-        scores are bit-identical to it. (A threaded BLAS splits a large
-        product at size-dependent points, so neither form is then
-        thread-count invariant at every width.)"""
-        rows = X.shape[0]
-        block = max(64, _SCORE_CELLS // self.hidden_size // 64 * 64)
-        hidden_buf = np.empty((min(rows, block + 1), self.hidden_size))
+        """relu(X w1^T + b1) w2 + b2, evaluated over ``_row_blocks`` through
+        one hidden buffer, so no (rows x hidden) layer is built. Each block is
+        the augmented gemm [X_block, 1] [w1, b1]^T that ``_MlpWorkspace`` runs,
+        whose last term adds the bias, so no pass over the hidden cells adds
+        it; the scores are bit-identical to X w1^T + b1 in one product. A lone
+        row or a single hidden unit keeps that product: numpy takes it through
+        a vector product, which would sum the bias term in another order."""
+        rows, d = X.shape
+        h = self.hidden_size
+        if rows == 1 or h == 1:
+            return np.maximum(X @ self.w1.T + self.b1, 0.0) @ self.w2 + self.b2
+        Wa = np.empty((h, d + 1))
+        Wa[:, :d] = self.w1
+        Wa[:, d] = self.b1
+        size = max(r.stop - r.start for r in _row_blocks(rows, h))
+        Xa = np.empty((size, d + 1))
+        Xa[:, d] = 1.0
+        hidden = np.empty((size, h))
         out = np.empty(rows)
-        lo = 0
-        while lo < rows:
-            hi = rows if rows - lo <= block + 1 else lo + block
-            hidden = np.matmul(X[lo:hi], self.w1.T, out=hidden_buf[: hi - lo])
-            hidden += self.b1
-            np.maximum(hidden, 0.0, out=hidden)
-            np.matmul(hidden, self.w2, out=out[lo:hi])
-            lo = hi
+        for r in _row_blocks(rows, h):
+            n = r.stop - r.start
+            Xa[:n, :d] = X[r]
+            _relu_scores(Xa[:n], Wa, self.w2, hidden[:n], out[r])
         out += self.b2
         return out
 

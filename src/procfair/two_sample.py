@@ -170,10 +170,10 @@ def _tie_margin(a: int, b: int) -> float:
     return 8.0 * _gamma(2 * n + 5, 2.0**-53) * (n / b) ** 2
 
 
-def _screen(K: np.ndarray, row_sums: np.ndarray, Z: np.ndarray, a: int, b: int):
+def _screen(K: np.ndarray, row_sums: np.ndarray, Z: np.ndarray, Z32: np.ndarray, a: int, b: int):
     """Statistics of Z's columns with s11 = z'Kz summed in float32, and per
     column a bound on their distance from the float64 ones, tau aside;
-    ``row_sums`` is ``K.sum(axis=1)``.
+    ``row_sums`` is ``K.sum(axis=1)`` and ``Z32`` is Z in float32.
 
     Rounding K to float32 and the two float32 sums of non-negative terms keep
     s11 within c = (1 + u)(1 + gamma_n)^2 - 1 of the exact s11 (u = 2^-24),
@@ -184,7 +184,6 @@ def _screen(K: np.ndarray, row_sums: np.ndarray, Z: np.ndarray, a: int, b: int):
     So |screened - _stats_for_memberships| <= bound + tau.
     """
     n = a + b
-    Z32 = Z.astype(np.float32)
     s11 = np.einsum("ip,ip->p", Z32, K.astype(np.float32) @ Z32).astype(np.float64)
     c = (1.0 + 2.0**-24) * (1.0 + _gamma(n, 2.0**-24)) ** 2 - 1.0
     r = (1.0 + c / (1.0 - c)) * (1.0 + _gamma(5, 2.0**-53)) - 1.0
@@ -192,31 +191,43 @@ def _screen(K: np.ndarray, row_sums: np.ndarray, Z: np.ndarray, a: int, b: int):
     return _mmd_from_sums(s11, row_sums @ Z, row_sums.sum(), a, b), bound
 
 
-def permutation_memberships(n: int, a: int, perm_config: PermutationConfig) -> np.ndarray:
+def permutation_memberships(n: int, a: int, perm_config: PermutationConfig, dtype=np.float64) -> np.ndarray:
     """Read-only (n, P) 0/1 matrix whose column p marks the rows that the
     p-th random permutation of the pooled sample assigns to the first sample
-    of size ``a``; the only place the permutation stream is drawn.
+    of size ``a``; the only place the permutation stream is drawn. It comes
+    in float64, or in float32 (``dtype``) for the test's screen; 0/1 is exact
+    in both.
 
     It depends on the sample sizes and ``perm_config`` alone, so it is memoized
-    with one entry: consecutive tests over one key (a GPF test and its detection
-    tests, repeated audits) share a matrix, and at most one is held after a call.
+    with one entry, which holds the matrix in both dtypes: consecutive tests
+    over one key (a GPF test and its detection tests, repeated audits) share
+    it, and at most one matrix is held after a call.
     """
     n, a = operator.index(n), operator.index(a)
     if not 0 < a < n:
         raise ValueError(f"first sample size {a} must lie strictly between 0 and {n}")
-    return _draw_memberships(n, a, perm_config)
+    matrices = _draw_memberships(n, a, perm_config)
+    if np.dtype(dtype) not in matrices:
+        raise ValueError(f"the memberships come in float64 or float32, not {np.dtype(dtype)}")
+    return matrices[np.dtype(dtype)]
 
 
 @functools.lru_cache(maxsize=1)
-def _draw_memberships(n: int, a: int, perm_config: PermutationConfig) -> np.ndarray:
+def _draw_memberships(n: int, a: int, perm_config: PermutationConfig) -> dict[np.dtype, np.ndarray]:
     rng = np.random.default_rng(perm_config.seed)
     P = perm_config.n_permutations
-    # row p is the p-th permutation of 0..n-1, drawn as rng.permutation(n) would draw it
-    perms = rng.permuted(np.tile(np.arange(n), (P, 1)), axis=1)
+    # row p is the p-th permutation of 0..n-1, drawn as rng.permutation(n) would
+    # draw it; the shuffle's draws depend on n alone, so int32 indices give the
+    # same permutations, and with them dropped before the float32 copy is made,
+    # a draw beside the previous entry peaks no higher than with float64 alone
+    perms = rng.permuted(np.tile(np.arange(n, dtype=np.int32), (P, 1)), axis=1)
     Z = np.zeros((n, P))
     Z[perms[:, :a].T, np.arange(P)] = 1.0
-    Z.setflags(write=False)
-    return Z
+    del perms
+    matrices = {Z.dtype: Z, np.dtype(np.float32): Z.astype(np.float32)}
+    for matrix in matrices.values():
+        matrix.setflags(write=False)
+    return matrices
 
 
 def permutation_pvalue(
@@ -263,7 +274,8 @@ def permutation_pvalue(
     observed = _stats_for_memberships(K, row_sums, observed_membership, a, b)[0]
     # a screened column above observed + bound counts and one below
     # observed - bound - 2 tau does not; the rest are scored again in float64
-    fast, bound = _screen(K, row_sums, memberships, a, b)
+    memberships32 = permutation_memberships(n, a, perm_config, np.float32)
+    fast, bound = _screen(K, row_sums, memberships, memberships32, a, b)
     tau = _tie_margin(a, b)
     near = np.abs(fast - observed) <= bound + 2.0 * tau
     exact = _stats_for_memberships(K, row_sums, memberships[:, near], a, b)

@@ -8,11 +8,15 @@ from oracles import ScoreFunction, exact_shapley, read_explanations_csv
 from procfair.attribution import (
     ExplanationSet,
     ShapConfig,
+    _coalitions,
+    _constrained_wls,
     explain_set,
     sample_background,
     write_explanations_csv,
 )
-from procfair.models import decision_score, init_mlp, predict_proba
+from procfair.datasets import SyntheticConfig, generate_synthetic, standardized_split
+from procfair.fairness import AuditConfig, gpf_plan
+from procfair.models import MlpModel, TrainConfig, decision_score, fit_mlp, init_mlp, predict_proba
 
 
 def linear_fn(w, b=0.0):
@@ -226,6 +230,36 @@ def test_duplicate_rows_identical_explanations():
     X = np.vstack([row, rng.normal(size=4), row])
     result = explain_set(ScoreFunction(mlp_fn(model)), X, ShapConfig(bg, seed=4))
     np.testing.assert_array_equal(result.values[0], result.values[2])
+
+
+def test_plan_side_with_repeated_rows_equals_the_solve_over_every_row(monkeypatch):
+    # matched partners repeat; each distinct row goes through the value
+    # function once, and the explanations are the KKT solve over every row
+    split = standardized_split(generate_synthetic(SyntheticConfig(seed=0)), 0.8, 0)[0]
+    plan = gpf_plan(split, range(4), AuditConfig())
+    model, _ = fit_mlp(split.train, TrainConfig(epochs=30))
+    config, background = plan.shap_config, plan.shap_config.background
+    budget = config.resolved_budget(4)
+    Z, weights = _coalitions(4, budget, np.random.default_rng(config.seed))
+    solve = _constrained_wls(Z, weights, budget)
+    base = float(np.mean(model.scores(background)))
+    evaluated = []
+    original = MlpModel.masked_values
+
+    def counted(self, X, *rest):
+        evaluated.append(len(X))
+        return original(self, X, *rest)
+
+    for X in (plan.rows_1, plan.rows_2):
+        distinct = len(np.unique(X, axis=0))
+        assert distinct < len(X)
+        target = model.scores(X)
+        want = solve(original(model, X, background, Z) - base, target - base)
+        with monkeypatch.context() as patch:
+            patch.setattr(MlpModel, "masked_values", counted)
+            got = explain_set(model, X, config)
+        assert evaluated.pop() == distinct
+        assert got.values.tobytes() == want.tobytes() and got.targets.tobytes() == target.tobytes()
 
 
 def test_explain_set_single_row():

@@ -725,6 +725,25 @@ def test_concat_copies_parts_that_do_not_follow_in_one_buffer():
     assert_concat_is_stacked(part(slice(None, 100)), part(slice(100, None, 2)), shared=False)
 
 
+def test_concat_scans_no_row_its_parts_checked(monkeypatch):
+    # the parts passed every check when they were built; pooling them checks
+    # only that their schemas and group values agree
+    split, _ = standardized_split(generate_synthetic(SyntheticConfig(m=300, n_advantaged=180, seed=3)), 0.8, 0)
+    checks = []
+    post_init = TabularDataset.__post_init__
+    monkeypatch.setattr(TabularDataset, "__post_init__", lambda self: checks.append(self) or post_init(self))
+    for a, b in ((split.train, split.test), (split.test, split.train)):
+        pooled = concat_datasets(a, b)
+        assert not checks
+        assert (pooled.feature_names, pooled.sensitive_index, pooled.group_values) == (
+            a.feature_names, a.sensitive_index, a.group_values
+        )
+        assert pooled.features.dtype == np.float64 and pooled.labels.dtype == np.int64
+    with pytest.raises(ValueError, match="group encodings"):
+        swapped = split.test.group_values[::-1]
+        concat_datasets(split.train, replace(split.test, group_values=swapped))
+
+
 # ---------------------------------------------------------------------------
 # properties
 

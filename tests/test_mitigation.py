@@ -22,6 +22,7 @@ from procfair.mitigation import (
     unfair_features_from_sets,
 )
 from procfair.models import (
+    _SCORE_CELLS,
     LogisticModel,
     MlpModel,
     TrainConfig,
@@ -169,9 +170,10 @@ def test_audits_detection_and_modification_of_one_config_draw_one_matrix(unfair_
     assert reports == [unfair_report, unfair_report]
     ufs = detect_unfair_features(reports[0])
     modify_model(reports[1], ufs, ModifyConfig(tau=5))
-    # two audits, one test per feature and the modified model's audit
+    # two audits, one test per feature and the modified model's audit, each
+    # reading the matrix in float64 and in float32 from one memo entry
     assert draws.cache_info().misses == 1
-    assert draws.cache_info().hits == 2 + unfair_model.d
+    assert draws.cache_info().hits == 2 * (3 + unfair_model.d) - 1
 
 
 def test_detect_on_fair_model_empty(small_split):
@@ -431,6 +433,27 @@ def test_training_and_modification_steps_match_the_gemm_oracle_bit_for_bit(d, h,
     # a gradient's layout becomes the next parameters' layout
     _, grads = MlpModel.loss_step(X, y, mask, dp_weight)(trained.params())
     assert all(g.flags.c_contiguous for g in grads + MlpModel.modified_step(X, y, uf, 1.0)(trained.params())[2])
+
+
+@pytest.mark.parametrize("d, h", [(4, 32), (20, 64), (4, 17)])
+def test_workspace_steps_across_row_block_boundaries_match_the_gemm_oracle_bit_for_bit(d, h):
+    # the workspace's forward runs in row blocks of a multiple of 64 rows, a
+    # lone last row joined to the block before it; at one row short of a
+    # block, one over and one over two blocks, its steps are the one-shot
+    # gemm steps
+    block = _SCORE_CELLS // h // 64 * 64
+    for rows in (block - 1, block + 1, 2 * block + 1):
+        rng = np.random.default_rng(rows + h)
+        params = [rng.normal(size=(h, d)), rng.normal(size=h), rng.normal(size=h), rng.normal(size=1)]
+        X = rng.normal(size=(rows, d))
+        y = (rng.random(rows) < 0.5).astype(float)
+        mask = rng.random(rows) < 0.6
+        for got, want in (
+            (MlpModel.loss_step(X, y, mask, 0.5)(params), gemm_mlp_loss_grads(params, X, y, mask, 0.5)),
+            (MlpModel.modified_step(X, y, [1, 3], 15.0)(params), gemm_mlp_modified_grads(params, X, y, [1, 3], 15.0)),
+        ):
+            assert got[:-1] == want[:-1]
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got[-1], want[-1], strict=True))
 
 
 def test_reported_zeta_matches_explanation_loss(unfair_model, small_split):

@@ -16,6 +16,7 @@ from mlp_reference import (
     reference_sigmoid,
 )
 from oracles import _masked_values, input_gradient, soft_dp
+from test_mitigation import ORACLE_STEP_CASES
 
 from procfair.datasets import SyntheticConfig, generate_synthetic, standardized_split
 from procfair.models import (
@@ -404,11 +405,29 @@ def test_masked_values_of_one_row_against_one_background_row():
     _assert_close_to_oracle(model, rng.normal(size=(1, 4)), rng.normal(size=(1, 4)), Z)
 
 
+@pytest.mark.parametrize("k", [7, 13])
+@pytest.mark.parametrize("d, h", sorted({(d, h) for d, h, *_ in ORACLE_STEP_CASES}))
+def test_masked_values_are_row_independent(d, h, k):
+    # what lets explain_set evaluate each distinct row once: a row's values
+    # do not depend on the rows evaluated beside it
+    rng = np.random.default_rng(100 * d + h + k)
+    model = MlpModel(rng.normal(size=(h, d)), rng.normal(size=h), rng.normal(size=h), 0.3)
+    if d <= 7:  # every proper coalition
+        Z = ((np.arange(1, 2**d - 1)[:, None] >> np.arange(d)) & 1).astype(bool)
+    else:
+        Z = rng.random((300, d)) < 0.5
+    X, background = rng.normal(size=(9, d)), rng.normal(size=(k, d))
+    values = model.masked_values(X, background, Z)
+    for i in range(len(X)):
+        assert values[i].tobytes() == model.masked_values(X[i : i + 1], background, Z)[0].tobytes()
+
+
 _THREAD_COUNT_SCRIPT = """
 import hashlib
 
 import numpy as np
 
+from procfair.attribution import ShapConfig, explain_set
 from procfair.datasets import SyntheticConfig, TabularDataset, generate_synthetic, standardized_split
 from procfair.mitigation import ModifyConfig, _run_modification
 from procfair.models import TrainConfig, decision_score, fit_mlp, init_mlp
@@ -421,6 +440,10 @@ for h, d, n_coalitions in ((32, 4, 14), (64, 20, 2048)):
         digest.update(decision_score(model, rng.normal(size=(rows, d))).tobytes())
     Z = rng.random((n_coalitions, d)) < 0.5
     digest.update(model.masked_values(rng.normal(size=(20, d)), rng.normal(size=(100, d)), Z).tobytes())
+    X = rng.normal(size=(30, d))[rng.integers(0, 30, 100)]  # 100 rows, each distinct row repeated
+    explained = explain_set(model, X, ShapConfig(rng.normal(size=(20, d)), n_coalitions, seed=h))
+    for a in (explained.values, explained.base_values, explained.targets):
+        digest.update(a.tobytes())
 base = generate_synthetic(SyntheticConfig(seed=1))
 wide = TabularDataset(
     np.column_stack([base.features, rng.normal(size=(base.m, 16))]),
@@ -437,8 +460,9 @@ print(digest.hexdigest())
 
 
 def test_mlp_bits_do_not_depend_on_the_blas_thread_count():
-    # criterion 11 across hosts: scores, Kernel SHAP values, and fits and
-    # modifications at d=4 and d=20 hash the same under one and two BLAS threads
+    # criterion 11 across hosts: scores, Kernel SHAP values, explanations of
+    # rows with duplicates, and fits and modifications at d=4 and d=20 hash
+    # the same under one and two BLAS threads
     src = str(Path(__file__).resolve().parents[1] / "src")
     digests = []
     for threads in ("1", "2"):

@@ -300,6 +300,31 @@ def test_memberships_equal_the_per_column_loop(n, a, seed):
         assert Z.tobytes() == _reference_memberships(n, a, config).tobytes()
 
 
+def test_the_memo_entry_holds_the_matrix_in_float32_beside_float64(monkeypatch):
+    # the test's screen reads the float32 matrix from the memo instead of
+    # casting the float64 one at every test
+    two_sample._draw_memberships.cache_clear()
+    config = PermutationConfig(300, 4)
+    Z, Z32 = (permutation_memberships(30, 12, config, dtype) for dtype in (np.float64, np.float32))
+    assert Z32.dtype == np.float32 and Z32.flags.c_contiguous and not Z32.flags.writeable
+    assert np.array_equal(Z32, Z)
+    with pytest.raises(ValueError, match="float64 or float32"):
+        permutation_memberships(30, 12, config, np.float16)
+    screened = []
+    screen = two_sample._screen
+
+    def recorded(K, row_sums, Z, Z32, a, b):
+        screened.append(Z32)
+        return screen(K, row_sums, Z, Z32, a, b)
+
+    monkeypatch.setattr(two_sample, "_screen", recorded)
+    rng = np.random.default_rng(4)
+    for _ in range(2):
+        permutation_pvalue(rng.normal(size=(12, 3)), rng.normal(size=(18, 3)), None, config)
+    assert screened[0] is screened[1] is Z32
+    assert two_sample._draw_memberships.cache_info().misses == 1
+
+
 def _observed_column(a, b):
     z = np.zeros((a + b, 1))
     z[:a, 0] = 1.0
@@ -373,7 +398,7 @@ def test_screened_statistics_lie_within_the_bound_and_the_pvalue_follows_the_rul
         for seed in range(3):
             config = PermutationConfig(300, seed)
             Z = permutation_memberships(n, a, config)
-            fast, bound = _screen(K, K.sum(axis=1), Z, a, b)
+            fast, bound = _screen(K, K.sum(axis=1), Z, permutation_memberships(n, a, config, np.float32), a, b)
             exact = _stats_for_memberships(K, K.sum(axis=1), Z, a, b)
             assert np.all(np.abs(fast - exact) <= bound + _tie_margin(a, b))
             # at least the proven worst-case float32 error, c = (1+u)(1+gamma_n)^2 - 1
