@@ -201,7 +201,7 @@ def permutation_memberships(n: int, a: int, perm_config: PermutationConfig, dtyp
     It depends on the sample sizes and ``perm_config`` alone, so it is memoized
     with one entry, which holds the matrix in both dtypes: consecutive tests
     over one key (a GPF test and its detection tests, repeated audits) share
-    it, and at most one matrix is held after a call.
+    it, and at most one entry is held after a call.
     """
     n, a = operator.index(n), operator.index(a)
     if not 0 < a < n:
