@@ -56,15 +56,49 @@ def read_json(path) -> dict:
     return doc
 
 
-def write_table(path, header, rows, footer: str = "") -> None:
-    """UTF-8 CSV: the header, then one line per row, then ``footer`` as is.
-    Floats are written with ``repr`` (the shortest string that reads back
-    the same float) and anything else with ``str``, so rows hold Python
-    scalars (a numpy row's ``.tolist()``): under numpy 2 the ``repr`` of an
-    ``np.float64`` is ``np.float64(...)``."""
+# Rows per slice of a table's columns that ``write_table`` formats and writes
+# at a time: the memory of a write is bounded by one slice's strings.
+_CHUNK_ROWS = 4096
+
+
+def _cells(column) -> list[str]:
+    """One slice of a column as ``write_table`` writes it: each float (a
+    ``float`` subclass included) by ``repr``, anything else by ``str``. A
+    column of one kind is formatted by one ``map``."""
+    if isinstance(column, np.ndarray):
+        column = column.tolist()
+    kinds = set(map(type, column))
+    if not any(issubclass(kind, float) for kind in kinds):
+        return list(map(str, column))
+    if kinds == {float}:
+        return list(map(repr, column))
+    return [repr(v) if isinstance(v, float) else str(v) for v in column]
+
+
+def write_table(path, header, columns, footer: str = "") -> None:
+    """UTF-8 CSV: the header, then one line per row of ``columns`` (equal-length
+    sequences, one per header name), then ``footer`` as is. Floats are
+    written with ``repr`` (the shortest string that reads back the same
+    float) and anything else with ``str``; an array column is read through
+    ``.tolist()``, as Python scalars (under numpy 2 the ``repr`` of an
+    ``np.float64`` is ``np.float64(...)``).
+
+    The columns are formatted and written ``_CHUNK_ROWS`` rows at a time. A
+    slice of two or more columns whose cells hold no comma, quote or line
+    break is joined as is, which is what ``csv.writer`` writes for it (a
+    number never needs quoting); any other goes through the one
+    ``csv.writer``."""
+    m = len(columns[0]) if columns else 0
+    if any(len(column) != m for column in columns):
+        raise ValueError("table columns differ in length")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else str(v) for v in row])
+        for start in range(0, m, _CHUNK_ROWS):
+            cells = [_cells(column[start : start + _CHUNK_ROWS]) for column in columns]
+            text = "".join(map("".join, cells))
+            if len(cells) > 1 and not any(map(text.__contains__, ',"\r\n')):
+                fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+            else:
+                writer.writerows(zip(*cells))
         fh.write(footer)

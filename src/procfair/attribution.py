@@ -221,5 +221,5 @@ def explain_set(model, X, config: ShapConfig, feature_names=None) -> Explanation
 
 
 def write_explanations_csv(explanations: ExplanationSet, path) -> None:
-    table = np.column_stack([explanations.values, explanations.base_values, explanations.targets])
-    write_table(path, list(explanations.feature_names) + ["base", "target"], (row.tolist() for row in table))
+    columns = [*explanations.values.T, explanations.base_values, explanations.targets]
+    write_table(path, list(explanations.feature_names) + ["base", "target"], columns)

@@ -255,17 +255,16 @@ def cmd_sweep_ws(args) -> dict:
         args.fair_threshold, _audit_config(args),
     )
     scale = args.max_ws if args.max_ws > 0 else 1.0
-    rows = [
-        [float(w), float(w) / scale, float(matrix[:, j].mean()), float(matrix[:, j].std())]
-        for j, w in enumerate(grid)
-    ]
-    write_table(out / "sweep_ws.csv", ["w_s", "w_s_normalized", "gpf_mean", "gpf_std"], rows)
-    print(f"wrote sweep_ws.csv ({len(rows)} grid points, {args.seeds} seeds)")
+    means = [float(scores.mean()) for scores in matrix.T]
+    stds = [float(scores.std()) for scores in matrix.T]
+    columns = [grid, [w / scale for w in grid.tolist()], means, stds]
+    write_table(out / "sweep_ws.csv", ["w_s", "w_s_normalized", "gpf_mean", "gpf_std"], columns)
+    print(f"wrote sweep_ws.csv ({len(grid)} grid points, {args.seeds} seeds)")
     return {
         "features": [dataset.feature_names[i] for i in feats],
-        "grid_points": len(rows),
-        "gpf_at_zero": rows[0][2],
-        "gpf_at_max": rows[-1][2],
+        "grid_points": len(grid),
+        "gpf_at_zero": means[0],
+        "gpf_at_max": means[-1],
     }
 
 
@@ -275,12 +274,11 @@ def cmd_sweep_n(args) -> dict:
     n_values = [int(v) for v in args.n_values.split(",")]
     seeds = [derive_seed(args.seed, f"n-sweep-{i}") for i in range(args.seeds)]
     matrix = sweep_pair_count(model, split, n_values, seeds, _audit_config(args))
-    rows = [
-        [n, float(matrix[:, j].mean()), float(matrix[:, j].std())] for j, n in enumerate(n_values)
-    ]
-    write_table(out / "sweep_n.csv", ["n", "gpf_mean", "gpf_std"], rows)
-    print(f"wrote sweep_n.csv ({len(rows)} pair counts, {args.seeds} seeds)")
-    return {"n_values": n_values, "gpf_means": [r[1] for r in rows]}
+    means = [float(scores.mean()) for scores in matrix.T]
+    stds = [float(scores.std()) for scores in matrix.T]
+    write_table(out / "sweep_n.csv", ["n", "gpf_mean", "gpf_std"], [n_values, means, stds])
+    print(f"wrote sweep_n.csv ({len(n_values)} pair counts, {args.seeds} seeds)")
+    return {"n_values": n_values, "gpf_means": means}
 
 
 def cmd_sweep_pool(args) -> dict:
@@ -289,18 +287,16 @@ def cmd_sweep_pool(args) -> dict:
     pool_sizes = [int(v) for v in args.pool_sizes.split(",")]
     seeds = [derive_seed(args.seed, f"pool-sweep-{i}") for i in range(args.seeds)]
     distances, scores = sweep_pool_size(model, split, pool_sizes, seeds, _audit_config(args))
-    rows = [
-        [
-            size,
-            float(distances[:, j].mean()),
-            float(scores[:, j].mean()),
-            float(scores[:, j].std()),
-        ]
-        for j, size in enumerate(pool_sizes)
+    mean_distances = [float(column.mean()) for column in distances.T]
+    columns = [
+        pool_sizes,
+        mean_distances,
+        [float(column.mean()) for column in scores.T],
+        [float(column.std()) for column in scores.T],
     ]
-    write_table(out / "sweep_pool.csv", ["pool_size", "mean_pair_distance", "gpf_mean", "gpf_std"], rows)
-    print(f"wrote sweep_pool.csv ({len(rows)} pool sizes, {args.seeds} seeds)")
-    return {"pool_sizes": pool_sizes, "mean_distances": [r[1] for r in rows]}
+    write_table(out / "sweep_pool.csv", ["pool_size", "mean_pair_distance", "gpf_mean", "gpf_std"], columns)
+    print(f"wrote sweep_pool.csv ({len(pool_sizes)} pool sizes, {args.seeds} seeds)")
+    return {"pool_sizes": pool_sizes, "mean_distances": mean_distances}
 
 
 def cmd_boundary(args) -> dict:
@@ -329,14 +325,12 @@ def cmd_boundary(args) -> dict:
         "modified": grid_predictions(modified),
         "retrained": grid_predictions(retrained),
     }
-    grid_labels = np.column_stack(list(preds.values()))
     write_table(
         out / "boundary.csv",
         ["x", "y", "pred_original", "pred_modified", "pred_retrained"],
-        (xy.tolist() + row.tolist() for xy, row in zip(plane, grid_labels)),
+        [*plane.T, *preds.values()],
     )
-    point_rows = (p.tolist() + [label] for p, label in zip(pca.projected, full.labels.tolist()))
-    write_table(out / "boundary_points.csv", ["x", "y", "label"], point_rows)
+    write_table(out / "boundary_points.csv", ["x", "y", "label"], [*pca.projected.T, full.labels])
 
     disagree_modified = float((preds["modified"] != preds["original"]).mean())
     disagree_retrained = float((preds["retrained"] != preds["original"]).mean())

@@ -10,8 +10,10 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,7 +52,9 @@ class TabularDataset:
     """Feature matrix with binary labels and a designated sensitive column.
 
     ``group_values`` holds the raw values of the sensitive column that mark
-    the (advantaged, disadvantaged) groups. The sensitive column stays inside
+    the (advantaged, disadvantaged) groups, and every row holds one of them:
+    a row in neither group would be counted by some stages and skipped by
+    others, so such a column is refused. The sensitive column stays inside
     the feature matrix so that models can be trained with or without it by
     plain column subsetting.
     """
@@ -84,9 +88,19 @@ class TabularDataset:
         if gv[0] == gv[1]:
             raise ValueError("group values must be distinct")
         col = feats[:, int(self.sensitive_index)]
+        in_groups = 0
         for value in gv:
-            if not (col == value).any():
+            rows = np.count_nonzero(col == value)
+            if not rows:
                 raise ValueError(f"group value {value} absent from the sensitive column")
+            in_groups += rows
+        if in_groups < len(col):
+            stray = np.unique(col[(col != gv[0]) & (col != gv[1])])
+            shown = ", ".join(map(repr, stray[:5].tolist())) + (", ..." if stray.size > 5 else "")
+            raise ValueError(
+                f"sensitive column holds {stray.size} value(s) in neither group: {shown}; "
+                "keep only the two groups' rows"
+            )
         object.__setattr__(self, "features", readonly(feats))
         object.__setattr__(self, "feature_names", names)
         object.__setattr__(self, "labels", readonly(labels, np.int64))
@@ -209,8 +223,15 @@ def label_encode(values) -> tuple[np.ndarray, dict[str, int] | None]:
     except (TypeError, ValueError):
         pass
     mapping: dict[str, int] = {}
-    codes = np.fromiter((mapping.setdefault(str(v).strip(), len(mapping)) for v in raw), float, len(raw))
-    return codes, mapping
+    return _category_codes(list(map(str, raw)), mapping), mapping
+
+
+def _category_codes(cells, mapping: dict[str, int]) -> np.ndarray:
+    """The codes of the string ``cells``, keyed with surrounding whitespace
+    stripped; a key not yet in ``mapping`` is added with the next code, so
+    successive slices of a column are coded in first-appearance order."""
+    lookup = {cell: mapping.setdefault(cell.strip(), len(mapping)) for cell in dict.fromkeys(cells)}
+    return np.fromiter(map(lookup.__getitem__, cells), float, len(cells))
 
 
 @dataclass(frozen=True)
@@ -378,68 +399,147 @@ def _schema_code(value, mapping: dict[str, int] | None, absent: str) -> float:
         raise ValueError(absent.format(value)) from None
 
 
+# Data rows that ``load_csv`` holds as strings at a time.
+_CHUNK_ROWS = 4096
+
+
+def _column_chunks(lines, width: int):
+    """The data rows left in ``lines`` (the file's non-empty CSV rows) in
+    chunks of up to ``_CHUNK_ROWS``, each as the number of its first row and
+    its columns; lines starting with '#' are dropped and not
+    numbered. A ragged row fails when its chunk is read, and so before an
+    undecodable byte that follows it."""
+    first = 2
+    while True:
+        raw: list = []
+        try:
+            raw.extend(itertools.islice(lines, _CHUNK_ROWS))
+        finally:
+            rows = raw
+            if "#" in "".join(map(operator.itemgetter(0), raw)):
+                rows = [row for row in raw if not row[0].lstrip().startswith("#")]
+            if set(map(len, rows)) - {width}:
+                i = next(i for i, row in enumerate(rows) if len(row) != width)
+                raise ValueError(f"ragged row {first + i}: expected {width} cells, got {len(rows[i])}")
+        if not raw:
+            return
+        if rows:
+            columns = list(zip(*rows))
+            del raw, rows
+            yield first, columns
+            first += len(columns[0])
+
+
+def _coded_table(path: Path, label_name: str, categorical: frozenset[int]):
+    """One chunked pass over the CSV at ``path``: the header, the coded cells
+    as float64 chunks whose columns run in header order with the label's
+    moved last, the code map of each categorical column, the first blank or
+    non-finite cell of each column that has one, and the numeric columns that
+    met a non-numeric cell after a chunk had parsed them as numbers.
+
+    The columns in ``categorical`` are coded as categories; every other
+    column is coded by ``label_encode`` chunk by chunk, and the first chunk
+    in which it is not numeric makes it categorical for the rest of the
+    pass. A column that turns categorical in its first chunk is coded as a
+    whole; one that turns later is returned in the last set, and its earlier
+    codes are void. Its blank cells are still found: a blank cell never
+    parses, so its first one lies in the chunk that turned it."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        lines = filter(None, csv.reader(fh))
+        header = [h.strip() for h in next((r for r in lines if not r[0].lstrip().startswith("#")), ())]
+        if len(set(header)) != len(header):
+            raise ValueError("duplicate header names")
+        width = len(header)
+        order = [j for j, name in enumerate(header) if name != label_name]
+        order += [j for j, name in enumerate(header) if name == label_name]
+        mappings: dict[int, dict[str, int]] = {j: {} for j in categorical}
+        problems: dict[int, str] = {}
+        demoted: set[int] = set()
+        chunks = []
+        for first, columns in _column_chunks(lines, width):
+            block = np.empty((len(columns[0]), width))
+            for k, j in enumerate(order):
+                mapping = mappings.get(j)
+                if mapping is not None:
+                    codes = _category_codes(columns[j], mapping)
+                else:
+                    codes, mapping = label_encode(columns[j])
+                    if mapping is not None:
+                        mappings[j] = mapping
+                        if first > 2:
+                            demoted.add(j)
+                            problems.pop(j, None)  # a non-finite number is a category now
+                block[:, k] = codes
+                if j in problems:
+                    continue
+                if mapping is None and not (finite := np.isfinite(codes)).all():
+                    problems[j] = f"non-finite cell in column {header[j]!r}, row {first + int(np.argmin(finite))}"
+                # the toolkit has no missing-value handling, and a blank is coded as the category ""
+                elif mapping is not None and "" in mapping:
+                    row = first + int(np.argmax(codes == mapping[""]))
+                    problems[j] = f"blank cell in column {header[j]!r}, row {row}"
+            chunks.append(block)
+    return header, order, chunks, mappings, problems, demoted
+
+
 def load_csv(path, schema) -> TabularDataset:
     """Read a UTF-8 comma-separated file with one header row.
 
     ``schema`` designates the label and sensitive columns and the raw values
     marking the groups and the positive label. Every column, the label's
-    included, is coded by ``label_encode``, and the schema values are looked
-    up in its codes; the features' code maps are recorded in the dataset
-    provenance. Lines starting with '#' (the provenance footer) are skipped.
+    included, is coded by ``label_encode``'s rule, and the schema values are
+    looked up in its codes; the features' code maps are recorded in the
+    dataset provenance. Lines starting with '#' (the provenance footer) are
+    skipped.
+
+    The file is read in chunks of ``_CHUNK_ROWS`` rows, each coded into a
+    float64 block before the next is read, so no column is held as strings.
+    A column is numeric or categorical as a whole: when one that parsed as
+    numbers in an earlier chunk meets a cell that does not parse, the file is
+    read again with that column coded as categories from its first row.
     """
     schema = load_schema(schema)
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(str(path))
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = (r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#"))
-            header = [h.strip() for h in next(rows, ())]
-            if len(set(header)) != len(header):
-                raise ValueError("duplicate header names")
-            columns = [[] for _ in header]
-            appends = [column.append for column in columns]
-            for n, row in enumerate(rows, 2):
-                if len(row) != len(header):
-                    raise ValueError(f"ragged row {n}: expected {len(header)} cells, got {len(row)}")
-                for append, cell in zip(appends, row):
-                    append(cell)
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path} is not UTF-8 text: {exc}") from exc
-    if not columns or not columns[0]:
-        raise ValueError("CSV needs a header row and at least one data row")
-
     label_name = str(schema["label"])
     sensitive_name = str(schema["sensitive"])
-    if label_name not in header:
-        raise ValueError(f"unknown label column {label_name!r}")
-    if sensitive_name not in header:
-        raise ValueError(f"unknown sensitive column {sensitive_name!r}")
-    if label_name == sensitive_name:
-        raise ValueError(f"column {label_name!r} cannot be both the label and the sensitive column")
+    categorical: frozenset[int] = frozenset()
+    while True:
+        try:
+            header, order, chunks, mappings, problems, demoted = _coded_table(path, label_name, categorical)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path} is not UTF-8 text: {exc}") from exc
+        if not chunks:
+            raise ValueError("CSV needs a header row and at least one data row")
+        if label_name not in header:
+            raise ValueError(f"unknown label column {label_name!r}")
+        if sensitive_name not in header:
+            raise ValueError(f"unknown sensitive column {sensitive_name!r}")
+        if label_name == sensitive_name:
+            raise ValueError(f"column {label_name!r} cannot be both the label and the sensitive column")
+        if problems:
+            raise ValueError(problems[min(problems)])
+        if not demoted:
+            break
+        categorical |= demoted
+        del chunks
 
-    names = tuple(name for name in header if name != label_name)
-    features = np.empty((len(columns[0]), len(names)))
-    mappings: dict[str, dict[str, int]] = {}
-    for j, name in enumerate(header):
-        codes, mapping = label_encode(columns[j])
-        columns[j] = None  # free the column's strings once it is coded
-        # the toolkit has no missing-value handling, and a blank is coded as the category ""
-        if "" in (mapping or ()):
-            row = int(np.argmax(codes == mapping[""])) + 2
-            raise ValueError(f"blank cell in column {name!r}, row {row}")
-        if mapping is None and not np.isfinite(codes).all():
-            row = int(np.argmin(np.isfinite(codes))) + 2
-            raise ValueError(f"non-finite cell in column {name!r}, row {row}")
-        if name == label_name:
-            labels, label_mapping = codes, mapping
-            continue
-        features[:, names.index(name)] = codes
-        if mapping is not None:
-            mappings[name] = mapping
+    d = len(header) - 1
+    labels = np.concatenate([block[:, d] for block in chunks])
+    features = np.concatenate([block[:, :d] for block in chunks])
+    del chunks
+    features.setflags(write=False)
+    names = tuple(header[j] for j in order[:d])
+    label_mapping = mappings.get(header.index(label_name))
+    feature_mappings = {header[j]: mappings[j] for j in order[:d] if j in mappings}
 
     positive = schema.get("positive_label")
-    distinct = list(label_mapping or dict.fromkeys(labels.tolist()))
+    if label_mapping is None:
+        values, firsts = np.unique(labels, return_index=True)
+        distinct = values[np.argsort(firsts)].tolist()
+    else:
+        distinct = list(label_mapping)
     if len(distinct) > 2 or positive is None and not set(distinct) <= {0.0, 1.0}:
         raise ValueError(f"non-binary label column: values {distinct}")
     if positive is not None:
@@ -449,12 +549,12 @@ def load_csv(path, schema) -> TabularDataset:
             raise ValueError(absent.format(positive))
     absent = "group value {!r} absent from the sensitive column"
     group_values = tuple(
-        _schema_code(schema[key], mappings.get(sensitive_name), absent)
+        _schema_code(schema[key], feature_mappings.get(sensitive_name), absent)
         for key in ("advantaged_value", "disadvantaged_value")
     )
     provenance = f"csv:{path.name}"
-    if mappings:
-        provenance += "|encoded=" + json.dumps(mappings, sort_keys=True)
+    if feature_mappings:
+        provenance += "|encoded=" + json.dumps(feature_mappings, sort_keys=True)
     return TabularDataset(features, names, labels, names.index(sensitive_name), group_values, provenance)
 
 
@@ -463,7 +563,7 @@ def write_csv(dataset: TabularDataset, path) -> None:
     write_table(
         path,
         list(dataset.feature_names) + ["label"],
-        (row.tolist() + [label] for row, label in zip(dataset.features, dataset.labels.tolist())),
+        [*dataset.features.T, dataset.labels],
         f"# provenance: {dataset.provenance}\n",
     )
 

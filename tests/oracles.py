@@ -31,8 +31,12 @@ package because no program path calls them.
   and built as two datasets of un-standardized rows. ``standardized_split``
   must return its z-score, with the same sizes, provenance and errors.
 - ``reference_load_csv`` is the earlier row-list CSV loader with its own
-  label and group-value rules; on files without padded cells
-  ``procfair.datasets.load_csv`` must return the same dataset.
+  label and group-value rules; on files without padded categorical cells
+  ``procfair.datasets.load_csv`` must return the same dataset, or fail with
+  the same message.
+- ``reference_write_table`` is the earlier row-by-row CSV writer, which
+  formats each cell on its own; ``procfair._formats.write_table`` must write
+  the same bytes.
 """
 
 import csv
@@ -387,11 +391,19 @@ def reference_load_csv(path, schema) -> TabularDataset:
         raise ValueError(f"unknown sensitive column {sensitive_name!r}")
 
     columns = list(zip(*data))
-    # the toolkit has no missing-value handling, and a blank would be encoded as a category
+    # the toolkit has no missing-value handling, and a blank would be encoded
+    # as a category; a numeric column must hold finite numbers
     for name, column in zip(header, columns):
         if not all(map(str.strip, column)):
             i = next(i for i, cell in enumerate(column) if not cell.strip())
             raise ValueError(f"blank cell in column {name!r}, row {i + 2}")
+        try:
+            values = [float(cell) for cell in column]
+        except ValueError:
+            continue
+        if not all(map(math.isfinite, values)):
+            i = next(i for i, value in enumerate(values) if not math.isfinite(value))
+            raise ValueError(f"non-finite cell in column {name!r}, row {i + 2}")
     labels = _encode_label_column(list(columns[header.index(label_name)]), schema.get("positive_label"))
 
     feature_positions = [i for i, name in enumerate(header) if name != label_name]
@@ -413,6 +425,17 @@ def reference_load_csv(path, schema) -> TabularDataset:
     if mappings:
         provenance += "|encoded=" + json.dumps(mappings, sort_keys=True)
     return TabularDataset(features, names, labels, sensitive_index, group_values, provenance)
+
+
+def reference_write_table(path, header, rows, footer: str = "") -> None:
+    """UTF-8 CSV, one ``writerow`` per row: each float cell (a ``float``
+    subclass included) by ``repr``, anything else by ``str``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(v) if isinstance(v, float) else str(v) for v in row])
+        fh.write(footer)
 
 
 def reference_split(dataset: TabularDataset, ratio: float, seed: int) -> SplitDataset:

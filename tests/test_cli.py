@@ -151,6 +151,19 @@ def test_train_unknown_feature_fails(workspace, tmp_path, capsys):
     assert "unknown feature" in strict_json(capsys.readouterr().err)["error"]
 
 
+def test_a_sensitive_value_in_neither_group_fails(workspace, tmp_path, capsys):
+    rows = list(csv.reader(Path(workspace["data"]).read_text().splitlines()))
+    sex = rows[0].index("xs")
+    rows[5][sex] = "2.0"
+    data = tmp_path / "stray.csv"
+    with open(data, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(row for row in rows if not row[0].startswith("#"))
+    assert run_cli("train", "--data", data, "--schema", workspace["schema"], "--out", tmp_path / "out") == 1
+    err = strict_json(capsys.readouterr().err)
+    assert err["type"] == "ValueError"
+    assert "holds 1 value(s) in neither group: 2.0" in err["error"]
+
+
 def test_train_logistic_kind(workspace, tmp_path):
     assert run_cli(
         "train", "--data", workspace["data"], "--schema", workspace["schema"],

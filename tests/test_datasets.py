@@ -6,12 +6,16 @@ import tracemalloc
 import warnings
 from dataclasses import replace
 
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import reference_load_csv, reference_split
 
+from procfair import datasets
 from procfair.datasets import (
     SyntheticConfig,
     TabularDataset,
@@ -71,6 +75,18 @@ def test_rejects_duplicate_names():
 def test_rejects_missing_group():
     with pytest.raises(ValueError, match="absent"):
         TabularDataset(np.ones((3, 2)), ("a", "s"), [0, 1, 1], 1, (1.0, 0.0))
+
+
+def test_rejects_sensitive_values_in_neither_group():
+    # rows in neither group would count as the second group in the count
+    # table and training's DP term, and be skipped by pair matching
+    features = np.column_stack([np.arange(6.0), [1.0, 0.0, 2.0, 1.0, 0.0, 2.0]])
+    with pytest.raises(ValueError, match=r"holds 1 value\(s\) in neither group: 2\.0; keep only"):
+        TabularDataset(features, ("a", "s"), [0, 1, 0, 1, 0, 1], 1, (1.0, 0.0))
+    features[:, 1] = [1.0, 0.0, 2.0, 3.0, 4.0, 5.0]
+    features = np.vstack([features, [[0.0, 6.0], [0.0, 7.0]]])
+    with pytest.raises(ValueError, match=r"holds 6 value\(s\) in neither group: 2\.0, 3\.0, 4\.0, 5\.0, 6\.0, \.\.\."):
+        TabularDataset(features, ("a", "s"), [0, 1, 0, 1, 0, 1, 0, 1], 1, (1.0, 0.0))
 
 
 def test_rejects_nonfinite_features():
@@ -229,17 +245,28 @@ NUMBERS = st.one_of(
     st.integers(-50, 50).map(str),
     st.floats(-1e6, 1e6, allow_nan=False).map(repr),
 )
-WORDS = st.sampled_from(["red", "blue", "green", "a b", "x,y", "1a", "-"])
+# spellings at the edge of Python float's rule: padded, with an underscore,
+# signed with a capital exponent, in Arabic-Indic digits
+EDGE_NUMBERS = st.sampled_from([" 1.5 ", "1_0", "+1E-3", "\u0661\u0662", "-0.0", "5e-324"])
+# cells that parse but are not finite (an error in a numeric column, a
+# category in any other), and one that does not parse
+NUMBER_LIKE = st.sampled_from(["nan", "inf", "0x10"])
+WORDS = st.sampled_from(["red", "blue", "green", "a b", "x,y", "1a", "-", "c#d"])
 
 
 @st.composite
 def well_formed_csv(draw):
-    """A CSV without padded cells plus its schema: numeric and categorical
-    features, a numeric or categorical sensitive column, 0/1 or text labels."""
+    """A CSV without padded categorical cells plus its schema: numeric and
+    categorical features, a numeric or categorical sensitive column, 0/1 or
+    text labels, and whether to add a provenance footer and to quote every
+    cell (numbers included)."""
     m = draw(st.integers(2, 12))
     columns = {}
     for j in range(draw(st.integers(0, 3))):
-        cells = st.one_of(NUMBERS, WORDS) if draw(st.booleans()) else NUMBERS
+        if draw(st.booleans()):
+            cells = st.one_of(NUMBERS, EDGE_NUMBERS.map(str.strip), NUMBER_LIKE, WORDS)
+        else:
+            cells = st.one_of(NUMBERS, EDGE_NUMBERS)
         columns[f"f{j}"] = draw(st.lists(cells, min_size=m, max_size=m))
     groups = draw(st.sampled_from([("1", "0"), ("2.5", "-1"), ("male", "female"), ("b", "a")]))
     sex = list(groups) + draw(st.lists(st.sampled_from(groups), min_size=m - 2, max_size=m - 2))
@@ -261,25 +288,38 @@ def well_formed_csv(draw):
     if positive is not None:
         schema["positive_label"] = positive
     rows = [order] + [[columns[name][i] for name in order] for i in range(m)]
-    return rows, schema, draw(st.booleans())
+    return rows, schema, draw(st.booleans()), draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
 
 
-@given(well_formed_csv())
-@settings(max_examples=150, deadline=None)
-def test_load_csv_matches_reference_loader(tmp_path_factory, case):
-    rows, schema, footer = case
-    path = tmp_path_factory.mktemp("csv") / "d.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows(rows)
-        if footer:
-            fh.write("# provenance: generated\n")
-    ds, ref = load_csv(path, schema), reference_load_csv(path, schema)
+def assert_loads_as_reference(path, schema):
+    """``load_csv`` returns the dataset ``reference_load_csv`` returns, or
+    fails with its message."""
+    try:
+        ref = reference_load_csv(path, schema)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            load_csv(path, schema)
+        return
+    ds = load_csv(path, schema)
     assert ds.features.tobytes() == ref.features.tobytes()
     assert ds.labels.tobytes() == ref.labels.tobytes()
     assert ds.feature_names == ref.feature_names
     assert ds.sensitive_index == ref.sensitive_index
     assert ds.group_values == ref.group_values
     assert ds.provenance == ref.provenance
+
+
+@given(well_formed_csv(), st.sampled_from([2, 3, 4096]))
+@settings(max_examples=200, deadline=None)
+def test_load_csv_matches_reference_loader(tmp_path_factory, case, chunk_rows):
+    rows, schema, footer, quoting = case
+    path = tmp_path_factory.mktemp("csv") / "d.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, quoting=quoting).writerows(rows)
+        if footer:
+            fh.write("# provenance: generated\n")
+    with mock.patch.object(datasets, "_CHUNK_ROWS", chunk_rows):
+        assert_loads_as_reference(path, schema)
 
 
 @pytest.mark.parametrize(
@@ -306,6 +346,65 @@ def test_load_csv_errors_match_reference_loader(tmp_path, text, schema):
         reference_load_csv(path, schema)
     with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
         load_csv(path, schema)
+
+
+def _chunked_csv(tmp_path, late_rows: dict[int, str], m: int = 14) -> Path:
+    """A numeric CSV of ``m`` data rows (columns ``a``, ``color``, ``sex``,
+    ``label``; ``color`` holds words) in which the data rows numbered in
+    ``late_rows`` (first data row = 2) are replaced by the given lines."""
+    lines = ["a,color,sex,label"]
+    for row in range(2, m + 2):
+        lines.append(late_rows.get(row, f"{row * 0.5},{'red' if row % 2 else 'blue'},{row % 2},{row // 3 % 2}"))
+    path = tmp_path / "d.csv"
+    path.write_text("\n".join(lines) + "\n# provenance: x\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "late_rows, error",
+    [
+        ({12: "word,red,1,0"}, None),  # a column that looked numeric turns categorical
+        ({4: "nan,red,1,0", 12: "word,red,1,0"}, None),  # and its nan is a category
+        ({12: "1.5,green,1,0", 13: " 2.5 ,red,0,1"}, None),  # a new category; a padded number
+        ({12: "1.5,red,2,0"}, "in neither group"),  # a third sensitive value
+        ({9: "1.5,red,1,", 12: " ,red,1,0"}, "blank cell in column 'a', row 12"),
+        ({12: "1.5,  ,1,0"}, "blank cell in column 'color', row 12"),
+        ({12: "1.5,red,1"}, "ragged row 12: expected 4 cells, got 3"),
+        ({12: "1.5,red,1,0,0", 13: "1.5,red"}, "ragged row 12: expected 4 cells, got 5"),
+        ({12: "inf,red,1,0"}, "non-finite cell in column 'a', row 12"),
+        ({9: "1.5,red,1,nan", 12: "-inf,red,1,0"}, "non-finite cell in column 'a', row 12"),
+        ({9: "1.5,red,1,1e400"}, "non-finite cell in column 'label', row 9"),
+        ({5: "1.5,,1,0", 12: "nan,red,1,0"}, "non-finite cell in column 'a', row 12"),
+    ],
+    ids=[
+        "turns-categorical", "nan-turns-category", "new-category", "stray-group", "blank-numeric",
+        "blank-categorical", "ragged-short", "ragged-long", "non-finite", "first-column-first",
+        "non-finite-label", "column-order",
+    ],
+)
+@pytest.mark.parametrize("chunk_rows", [3, 4])
+def test_load_csv_chunks_meet_late_cells_as_the_reference_loader(tmp_path, monkeypatch, late_rows, error, chunk_rows):
+    # each case's first odd cell lies beyond the first chunk
+    monkeypatch.setattr(datasets, "_CHUNK_ROWS", chunk_rows)
+    path = _chunked_csv(tmp_path, late_rows)
+    if error is None:
+        assert_loads_as_reference(path, SCHEMA)
+    else:
+        with pytest.raises(ValueError, match=re.escape(error)):
+            load_csv(path, SCHEMA)
+        if "neither group" not in error:
+            assert_loads_as_reference(path, SCHEMA)
+
+
+def test_load_csv_reports_a_ragged_row_before_a_later_undecodable_byte(tmp_path):
+    # the bad byte lies in the ragged row's chunk but in a later decoded block
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"a,sex,label\n1,1,0\n2,0\n" + b"3,1,1\n" * 2000 + b"\xff,1,0\n")
+    with pytest.raises(ValueError, match="^ragged row 3: expected 3 cells, got 2$"):
+        load_csv(path, SCHEMA)
+    path.write_bytes(b"a,sex,label\n1,1,0\n" + b"3,1,1\n" * 2000 + b"\xff,1,0\n2,0\n")
+    with pytest.raises(ValueError, match="is not UTF-8 text"):
+        load_csv(path, SCHEMA)
 
 
 def test_csv_round_trip_exact(tmp_path):
@@ -515,6 +614,19 @@ def test_take_copies_the_rows_once(synthetic_200k):
     rows = np.random.default_rng(0).permutation(synthetic_200k.m)[:192_000]
     kept = rows.size * (synthetic_200k.d + 1) * 8
     assert _traced_peak(lambda: synthetic_200k.take(rows)) < 1.75 * kept
+
+
+def test_load_csv_peaks_at_a_fixed_multiple_of_its_features(synthetic_200k, tmp_path):
+    # the float64 chunks (1.25 times the features, the label's column
+    # included), the features they are joined into and one chunk's strings
+    # read about 2.5 times the 6.4 MB of parsed features; holding one Python
+    # string per cell until the column is coded read 11.8
+    write_csv(synthetic_200k, tmp_path / "d.csv")
+    write_schema(synthetic_200k, tmp_path / "d.schema.json")
+    loaded = load_csv(tmp_path / "d.csv", tmp_path / "d.schema.json")
+    assert loaded.features.tobytes() == synthetic_200k.features.tobytes()
+    peak = _traced_peak(lambda: load_csv(tmp_path / "d.csv", tmp_path / "d.schema.json"))
+    assert peak < 3 * loaded.features.nbytes
 
 
 # ---------------------------------------------------------------------------
