@@ -5,7 +5,6 @@ import re
 import tracemalloc
 import warnings
 from dataclasses import replace
-
 from pathlib import Path
 from unittest import mock
 
