@@ -61,18 +61,21 @@ def read_json(path) -> dict:
 _CHUNK_ROWS = 4096
 
 
-def _cells(column) -> list[str]:
-    """One slice of a column as ``write_table`` writes it: each float (a
-    ``float`` subclass included) by ``repr``, anything else by ``str``. A
+def _cells(column) -> tuple[list[str], bool]:
+    """One slice of a column as ``write_table`` writes it, each float (a
+    ``float`` subclass included) by ``repr`` and anything else by ``str``,
+    and whether every cell is a plain number (a ``float``, ``int`` or
+    ``bool`` exactly), whose text holds no comma, quote or line break. A
     column of one kind is formatted by one ``map``."""
     if isinstance(column, np.ndarray):
         column = column.tolist()
     kinds = set(map(type, column))
+    numbers = kinds <= {float, int, bool}
     if not any(issubclass(kind, float) for kind in kinds):
-        return list(map(str, column))
+        return list(map(str, column)), numbers
     if kinds == {float}:
-        return list(map(repr, column))
-    return [repr(v) if isinstance(v, float) else str(v) for v in column]
+        return list(map(repr, column)), numbers
+    return [repr(v) if isinstance(v, float) else str(v) for v in column], numbers
 
 
 def write_table(path, header, columns, footer: str = "") -> None:
@@ -83,11 +86,10 @@ def write_table(path, header, columns, footer: str = "") -> None:
     ``.tolist()``, as Python scalars (under numpy 2 the ``repr`` of an
     ``np.float64`` is ``np.float64(...)``).
 
-    The columns are formatted and written ``_CHUNK_ROWS`` rows at a time. A
-    slice of two or more columns whose cells hold no comma, quote or line
-    break is joined as is, which is what ``csv.writer`` writes for it (a
-    number never needs quoting); any other goes through the one
-    ``csv.writer``."""
+    The columns are formatted ``_CHUNK_ROWS`` rows at a time. A slice of
+    plain numbers needs no quoting, so its rows are joined with commas,
+    which is what ``csv.writer`` writes for them; any other slice goes to
+    the one ``csv.writer``."""
     m = len(columns[0]) if columns else 0
     if any(len(column) != m for column in columns):
         raise ValueError("table columns differ in length")
@@ -95,10 +97,10 @@ def write_table(path, header, columns, footer: str = "") -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for start in range(0, m, _CHUNK_ROWS):
-            cells = [_cells(column[start : start + _CHUNK_ROWS]) for column in columns]
-            text = "".join(map("".join, cells))
-            if len(cells) > 1 and not any(map(text.__contains__, ',"\r\n')):
-                fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+            cells, numbers = zip(*(_cells(column[start : start + _CHUNK_ROWS]) for column in columns))
+            if all(numbers):
+                fh.write("\r\n".join(map(",".join, zip(*cells))))
+                fh.write("\r\n")
             else:
                 writer.writerows(zip(*cells))
         fh.write(footer)

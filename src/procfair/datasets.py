@@ -13,7 +13,6 @@ import hashlib
 import itertools
 import json
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -415,9 +414,7 @@ def _column_chunks(lines, width: int):
         try:
             raw.extend(itertools.islice(lines, _CHUNK_ROWS))
         finally:
-            rows = raw
-            if "#" in "".join(map(operator.itemgetter(0), raw)):
-                rows = [row for row in raw if not row[0].lstrip().startswith("#")]
+            rows = [row for row in raw if not row[0].lstrip().startswith("#")]
             if set(map(len, rows)) - {width}:
                 i = next(i for i, row in enumerate(rows) if len(row) != width)
                 raise ValueError(f"ragged row {first + i}: expected {width} cells, got {len(rows[i])}")
