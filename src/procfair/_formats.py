@@ -1,12 +1,13 @@
 """The one owner of procfair's artifact formats: JSON documents (written and
-read), CSV tables and the read-only arrays that frozen records hold. A seed's
-artifacts are byte-identical across runs only if their bytes are decided in
-one place."""
+read), CSV tables, and the read-only arrays and integer fields that frozen
+records hold. A seed's artifacts are byte-identical across runs only if their
+bytes are decided in one place."""
 
 from __future__ import annotations
 
 import csv
 import json
+import operator
 
 import numpy as np
 
@@ -34,6 +35,20 @@ def readonly(arr, dtype=float) -> np.ndarray:
     out = np.array(arr, dtype=dtype, copy=True)
     out.setflags(write=False)
     return out
+
+
+def integer_fields(record, *names: str) -> None:
+    """Store each field ``names`` of the frozen dataclass ``record`` as a
+    Python int, so that a numpy integer is accepted and the record
+    serialises and compares as one built from Python ints. A value that
+    ``operator.index`` refuses (a float such as 1.0, a string, None) is a
+    ValueError that names the field."""
+    for name in names:
+        value = getattr(record, name)
+        try:
+            object.__setattr__(record, name, operator.index(value))
+        except TypeError:
+            raise ValueError(f"{type(record).__name__}.{name} must be an integer, got {value!r}") from None
 
 
 def write_json(path, doc: dict) -> None:

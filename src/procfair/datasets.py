@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._formats import read_json, readonly, write_json, write_table
+from ._formats import integer_fields, read_json, readonly, write_json, write_table
 
 __all__ = [
     "TabularDataset",
@@ -79,7 +79,7 @@ class TabularDataset:
         labels = np.asarray(self.labels)
         if labels.shape != (feats.shape[0],):
             raise ValueError("labels must be one value per row")
-        if not np.isin(labels, (0, 1)).all():
+        if np.count_nonzero(labels == 0) + np.count_nonzero(labels == 1) != labels.size:
             raise ValueError("labels must all be 0 or 1")
         if not 0 <= int(self.sensitive_index) < feats.shape[1]:
             raise ValueError("sensitive_index out of range")
@@ -162,8 +162,19 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self):
+        integer_fields(self, "m", "n_advantaged", "seed")
         if not 0 < self.n_advantaged < self.m:
             raise ValueError("need 0 < n_advantaged < m")
+        if self.seed < 0:
+            raise ValueError(f"SyntheticConfig.seed must be non-negative, got {self.seed}")
+        for name, shape, what in (
+            ("weights", (5,), "five finite numbers"),
+            ("proxy_std", (), "a finite number"),
+            ("noise_std", (), "a finite number"),
+        ):
+            values = np.asarray(getattr(self, name))
+            if values.shape != shape or values.dtype.kind not in "iuf" or not np.isfinite(values).all():
+                raise ValueError(f"SyntheticConfig.{name} must be {what}, got {getattr(self, name)!r}")
         if not self.proxy_std > 0:
             raise ValueError("proxy_std must be positive")
         if not self.noise_std >= 0:
@@ -189,19 +200,35 @@ def generate_synthetic(config: SyntheticConfig | None = None) -> TabularDataset:
     The label is 1 exactly when the noisy linear score
     ``w0 + w1*x1 + w2*x2 + w3*xs + w4*xp + N(0, noise_std)`` is >= 0
     (rounding the sigmoid of the score to the nearest integer).
+
+    The columns are drawn, in the order x1, x2, xp, noise, into one (m, 4)
+    feature matrix, the standard normals through one reused column buffer.
+    The score is summed in place in that buffer, term by term in the order
+    above, so besides the features and labels the generator holds three
+    columns. Both arrays are handed to the dataset read-only, which keeps
+    them (see ``readonly``).
     """
     config = config or SyntheticConfig()
     rng = np.random.default_rng(config.seed)
-    x1 = rng.standard_normal(config.m)
-    x2 = rng.standard_normal(config.m)
-    xs = np.zeros(config.m)
-    xs[: config.n_advantaged] = 1.0
-    xp = rng.normal(xs, config.proxy_std)
+    features = np.empty((config.m, 4))
+    column = np.empty(config.m)
+    for j in (0, 1):
+        features[:, j] = rng.standard_normal(out=column)
+    features[:, 2] = 0.0
+    features[: config.n_advantaged, 2] = 1.0
+    term = rng.normal(features[:, 2], config.proxy_std)
+    features[:, 3] = term
     noise = rng.normal(0.0, config.noise_std, size=config.m)
-    w0, w1, w2, w3, w4 = config.weights
-    t = w0 + w1 * x1 + w2 * x2 + w3 * xs + w4 * xp + noise
-    labels = (t >= 0.0).astype(np.int64)
-    features = np.column_stack([x1, x2, xs, xp])
+    w0, *slopes = config.weights
+    score = np.multiply(features[:, 0], slopes[0], out=column)
+    score += w0
+    for j in (1, 2, 3):
+        score += np.multiply(features[:, j], slopes[j], out=term)
+    score += noise
+    del term, noise
+    labels = (score >= 0.0).astype(np.int64)
+    features.setflags(write=False)
+    labels.setflags(write=False)
     provenance = f"synthetic seed={config.seed} config={config.config_hash()}"
     return TabularDataset(features, SYNTHETIC_FEATURE_NAMES, labels, 2, (1.0, 0.0), provenance)
 
@@ -251,6 +278,10 @@ def standardized_split(
 
     Both parts are gathered in one pass into one buffer, ``features[perm]``
     and ``labels[perm]``, with the training rows first, and checked on it.
+    ``perm`` is ``default_rng(seed).permutation(m)``, drawn as a shuffle of
+    an int32 ``arange`` (the shuffle's draws depend only on m), so besides
+    the buffer the split holds only the 4-byte permutation and the checks'
+    boolean temporaries.
     The stats come from its first ``n_train`` rows, and the whole buffer is
     z-scored in place as ``(features - shift) / scale``, with ``shift =
     where(std > 0, mean, 0)`` and ``scale = where(std > 0, std, 1)``, so a
@@ -264,7 +295,9 @@ def standardized_split(
     """
     if not 0.0 < ratio < 1.0:
         raise ValueError("ratio must lie strictly between 0 and 1")
-    perm = np.random.default_rng(seed).permutation(dataset.m)
+    # fancy indexing gathers with int32 indices directly (np.take would copy them to intp)
+    perm = np.arange(dataset.m, dtype=np.int32 if dataset.m <= np.iinfo(np.int32).max else np.intp)
+    np.random.default_rng(seed).shuffle(perm)
     n_train = math.ceil(ratio * dataset.m)
     if n_train >= dataset.m:
         raise ValueError("ratio leaves an empty test split")

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ._formats import readonly
+from ._formats import integer_fields, readonly
 from .attribution import ExplanationSet, ShapConfig, explain_set, sample_background
 from .datasets import SplitDataset, TabularDataset, concat_datasets
 from .models import predict_labels
@@ -150,30 +150,33 @@ def select_pairs(
     i.e. the audited model's input space.
 
     Matching scans the candidates in blocks of ``_MATCH_CELLS // (anchors x d)``
-    columns, so besides the pool's columns (read in place when they are all
-    of its columns in order, else copied) it holds about ``_MATCH_CELLS``
-    anchor x candidate x feature cells at a time, whatever the pool size. A
-    fast pass gives each block's squared distances in one GEMM: with
-    U = [A, |a|^2, 1] and V^T = [-2 C^T; 1; |c|^2], built once per side,
-    D~^2 = U @ V^T[:, block], about anchors x candidates x (d+2) flops in
-    BLAS. It keeps each anchor's candidates with
-    D~^2 <= upper (1 + delta) + e, where e bounds the GEMM's rounding error
-    (about 3 gamma_{d+2} (|a|^2 + max |c|^2), the max over the block) plus a
-    term for subnormal products, delta covers the rounding of the exact
-    distances, and upper is the running minimum of D~^2 + e (derived at
-    ``_screen``). Only the anchors whose block minimum passes that test can
-    have a cell to keep, so only their rows are compared cell by cell. An
-    exact pass re-scores the shortlist with ``sqrt(sum(diff * diff))``, and
-    a block that shortlists nothing skips it. Rows and distances are therefore
+    columns. Besides the pool's columns (read in place when they are all of
+    its columns in order, else copied) it holds the two groups' row indices
+    and about ``_MATCH_CELLS`` anchor x candidate x feature cells at a time,
+    whatever the pool size. A fast pass gives each block's squared distances
+    in one GEMM: with U = [A, |a|^2, 1], built once per side, and the block's
+    operand V^T = [-2 C^T; 1; |c|^2], built in one reused (d+2) x block
+    buffer from the block's candidates C (gathered by ``np.take``),
+    D~^2 = U @ V^T, about anchors x block x (d+2) flops in BLAS. It keeps
+    each anchor's candidates with D~^2 <= upper (1 + delta) + e, where e
+    bounds the GEMM's rounding error (about 3 gamma_{d+2} (|a|^2 + max |c|^2),
+    the max over the block) plus a term for subnormal products, delta covers
+    the rounding of the exact distances, and upper is the running minimum of
+    D~^2 + e (derived at ``_screen``). Only the anchors whose block minimum
+    passes that test can have a cell to keep, so only their rows are
+    compared cell by cell. An exact pass re-scores the shortlist with
+    ``sqrt(sum(diff * diff))``, and a block that shortlists nothing skips it. Rows and distances are therefore
     bit-identical to scoring every candidate with that formula, ties
     included. Norms so large that the GEMM could overflow (coordinates
-    beyond about 1e153) send every candidate to the exact pass.
+    beyond about 1e153) send every candidate of their block to the exact
+    pass.
     """
     if n < 2:
         raise ValueError("need at least two pairs")
     F = _columns(pool, range(pool.d) if feature_indices is None else feature_indices)
-    g1_rows = np.flatnonzero(pool.advantaged_mask)
-    g2_rows = np.flatnonzero(pool.disadvantaged_mask)
+    advantaged = pool.advantaged_mask  # every row of a dataset is in one of the two groups
+    g1_rows, g2_rows = np.flatnonzero(advantaged), np.flatnonzero(~advantaged)
+    del advantaged
     n_first = n // 2
     n_second = n - n_first
     if g1_rows.size < max(n_first, 1) or g2_rows.size < max(n_second, 1):
@@ -190,33 +193,35 @@ def select_pairs(
         n_a, n_c = len(anchor_rows), candidate_rows.size
         U = np.empty((n_a, d + 2))
         U[:, :d] = A
-        U[:, d] = np.einsum("ij,ij->i", A, A)
+        U[:, d] = a_sq = np.einsum("ij,ij->i", A, A)
         U[:, d + 1] = 1.0
-        Vt = np.empty((d + 2, n_c))
-        Vt[:d] = F[candidate_rows].T
-        c_sq = np.einsum("ij,ij->j", Vt[:d], Vt[:d], out=Vt[d + 1])
-        Vt[:d] *= -2.0
-        Vt[d] = 1.0
-        # beyond this the GEMM's partial sums may overflow to inf or nan
-        screened = np.isfinite(4.0 * (U[:, d].max() + c_sq.max()))
         block = min(n_c, max(1, _MATCH_CELLS // (n_a * d)))
         upper = np.full(n_a, np.inf)
         best_pos = np.zeros(n_a, dtype=np.int64)
         best_dist = np.full(n_a, np.inf)
         D_buf = np.empty(n_a * block)
+        V_buf = np.empty((d + 2) * block)
         for lo in range(0, n_c, block):
             hi = min(lo + block, n_c)
-            if screened:
-                D2 = np.matmul(U, Vt[:, lo:hi], out=D_buf[: n_a * (hi - lo)].reshape(n_a, hi - lo))
-                ai, cj = _screen(D2, upper, U[:, d] + c_sq[lo:hi].max(), d)
+            C = np.take(F, candidate_rows[lo:hi], axis=0)
+            Vt = V_buf[: (d + 2) * (hi - lo)].reshape(d + 2, hi - lo)
+            Vt[:d] = C.T
+            c_sq = np.einsum("ij,ij->j", Vt[:d], Vt[:d], out=Vt[d + 1])
+            Vt[:d] *= -2.0
+            Vt[d] = 1.0
+            norms = a_sq + c_sq.max()
+            # beyond this the GEMM's partial sums may overflow to inf or nan
+            if norms.max() <= np.finfo(float).max / 4:
+                D2 = np.matmul(U, Vt, out=D_buf[: n_a * (hi - lo)].reshape(n_a, hi - lo))
+                ai, cj = _screen(D2, upper, norms, d)
                 if not ai.size:
                     continue
             else:
                 ai, cj = np.divmod(np.arange(n_a * (hi - lo)), hi - lo)
-            cj += lo
             # exact pass: the one-shot formula, over the shortlist only
-            diff = A[ai] - F[candidate_rows[cj]]
+            diff = A[ai] - C[cj]
             dist = np.sqrt(np.sum(diff * diff, axis=1))
+            cj += lo
             order = np.lexsort((dist, ai))  # stable: equal distances keep cj order
             ai, cj, dist = ai[order], cj[order], dist[order]
             first = np.ones(ai.size, dtype=bool)
@@ -285,25 +290,35 @@ def matched_explanations(
 
 
 def _binary(values, what: str) -> np.ndarray:
-    """``values`` as integers, each of them 0 or 1."""
+    """The mask of ``values`` equal to 1; every value must be 0 or 1."""
     values = np.asarray(values)
-    if not ((values == 0) | (values == 1)).all():
+    ones = values == 1
+    if np.count_nonzero(values == 0) + np.count_nonzero(ones) != values.size:
         raise ValueError(f"{what} must all be 0 or 1")
-    return values.astype(np.intp, copy=False)
+    return ones
 
 
 def _counts(predictions, truths, group_mask) -> np.ndarray:
     """The (group x label x prediction) count table of 0/1 predictions and
     truths: ``table[g, y, p]`` counts the rows of group ``g`` (1 for the rows
     of ``group_mask``, group 1; 0 for the rest, group 2) with truth ``y`` and
-    prediction ``p``, from one ``bincount`` of 4 g + 2 y + p. Every metric
-    below is read from it: a mean of 0/1 values is exactly count / n."""
+    prediction ``p``. Every metric below is read from it: a mean of 0/1
+    values is exactly count / n.
+
+    Each cell is counted with ``count_nonzero`` over boolean masks, so the
+    table needs only row-length booleans (1 byte a row), never an integer
+    code per row."""
     predictions = _binary(predictions, "predictions")
     truths = _binary(truths, "truths")
     group_mask = np.asarray(group_mask, dtype=bool)
     if not (predictions.shape == truths.shape == group_mask.shape) or group_mask.ndim != 1:
         raise ValueError("predictions, truths and the group mask must be 1-D and of equal length")
-    return np.bincount(4 * group_mask + 2 * truths + predictions, minlength=8).reshape(2, 2, 2)
+    table = np.empty((2, 2, 2), dtype=np.int64)
+    for g, in_group in enumerate((~group_mask, group_mask)):
+        for y, cell in enumerate((in_group & ~truths, in_group & truths)):
+            positives = np.count_nonzero(cell & predictions)
+            table[g, y] = np.count_nonzero(cell) - positives, positives
+    return table
 
 
 def _rate(cell: np.ndarray, name: str) -> float:
@@ -335,7 +350,7 @@ def dp(predictions, group_mask) -> float:
     """Demographic parity: gap between the groups' positive prediction rates."""
     # DP reads only the group x prediction margin, so every truth may be 0
     predictions = np.asarray(predictions)
-    return _dp(_counts(predictions, np.zeros(predictions.shape, dtype=np.intp), group_mask))
+    return _dp(_counts(predictions, np.zeros(predictions.shape, dtype=bool), group_mask))
 
 
 def eo(predictions, truths, group_mask) -> float:
@@ -461,6 +476,11 @@ class AuditConfig:
     seed: int = 0
 
     def __post_init__(self):
+        integer_fields(self, "n_pairs", "background_size", "n_permutations", "seed")
+        if self.n_coalitions is not None:
+            integer_fields(self, "n_coalitions")
+        if self.seed < 0:
+            raise ValueError(f"AuditConfig.seed must be non-negative, got {self.seed}")
         if self.pool not in ("test", "full"):
             raise ValueError("pool must be 'test' or 'full'")
 

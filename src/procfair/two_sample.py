@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._formats import integer_fields
+
 __all__ = [
     "KernelConfig",
     "PermutationConfig",
@@ -59,11 +61,7 @@ class PermutationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        try:
-            for name in ("n_permutations", "seed"):  # as Python ints: equal configs share a cached matrix
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
-        except TypeError:
-            raise ValueError(f"the permutation count and seed must be integers: {self}") from None
+        integer_fields(self, "n_permutations", "seed")  # so equal configs share a cached matrix
         if self.n_permutations < 100 or self.seed < 0:
             raise ValueError(f"need at least 100 permutations and a non-negative seed: {self}")
 

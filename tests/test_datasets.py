@@ -601,15 +601,33 @@ def _traced_peak(fn) -> int:
 
 def test_split_copies_each_part_once(synthetic_200k):
     # both parts' z-scored rows and labels, the permutation and the checks'
-    # temporaries read 2.3 times the source's 6.4 MB of features; copying
-    # each part's rows again on the way in reads 3.2
+    # temporaries read 1.5 times the source's 6.4 MB of features; copying
+    # each part's rows again on the way in adds at least 1.25 more
     standardized_split(synthetic_200k, 0.04)
     assert _traced_peak(lambda: standardized_split(synthetic_200k, 0.04)) < 2.5 * synthetic_200k.features.nbytes
 
 
+def test_split_holds_only_the_permutation_beside_its_buffer(synthetic_200k):
+    # the buffer's rows and labels are 1.25 times the source's features, the
+    # int32 permutation 0.06 and the checks' boolean temporaries the rest of
+    # 1.5; an int64 permutation and np.isin's label check read 2.07
+    standardized_split(synthetic_200k, 0.04)
+    assert _traced_peak(lambda: standardized_split(synthetic_200k, 0.04)) < 1.6 * synthetic_200k.features.nbytes
+
+
+def test_generate_synthetic_holds_three_columns_beside_its_result(synthetic_200k):
+    # the features and labels, the column buffer, the proxy draw and the
+    # noise read 1.4 times the features and labels; drawing each column
+    # apart, stacking them and summing the score out of place read 3.2
+    config = SyntheticConfig(m=200_000, n_advantaged=120_000, seed=0)
+    result = synthetic_200k.features.nbytes + synthetic_200k.labels.nbytes
+    assert _traced_peak(lambda: generate_synthetic(config)) < 2 * result
+
+
 def test_take_copies_the_rows_once(synthetic_200k):
-    # 192k rows keep 7.7 MB of features and labels, and the label check adds
-    # its temporaries (1.5 times in all); copying the rows again reads 2.0
+    # 192k rows keep 7.7 MB of features and labels, and the checks add their
+    # boolean temporaries (1.1 times in all); copying the rows again adds at
+    # least 1.0 more
     rows = np.random.default_rng(0).permutation(synthetic_200k.m)[:192_000]
     kept = rows.size * (synthetic_200k.d + 1) * 8
     assert _traced_peak(lambda: synthetic_200k.take(rows)) < 1.75 * kept
@@ -677,6 +695,34 @@ def test_synthetic_config_validation():
         SyntheticConfig(noise_std=-1.0)
     with pytest.raises(ValueError, match="noise_std"):
         SyntheticConfig(noise_std=float("nan"))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("m", 1000.0),
+        ("n_advantaged", 600.5),
+        ("seed", 1.5),
+        ("seed", -1),
+        ("weights", (-0.2, 1.5, float("nan"), 0.5, 0.5)),
+        ("weights", (-0.2, 1.5, 0.5, 0.5, float("inf"))),
+        ("weights", (-0.2, 1.5, 0.5, 0.5)),
+        ("proxy_std", float("inf")),
+        ("noise_std", float("inf")),
+    ],
+)
+def test_synthetic_config_refuses_a_malformed_field_by_name(field, value):
+    # at the parent a float m failed inside numpy, and a NaN weight labelled every row 0
+    config = {"m": 1000, "n_advantaged": 600, field: value}
+    with pytest.raises(ValueError, match=f"SyntheticConfig.{field} must be"):
+        SyntheticConfig(**config)
+
+
+def test_synthetic_config_keeps_numpy_ints_as_python_ints():
+    config = SyntheticConfig(m=np.int64(1000), n_advantaged=np.int32(600), seed=np.uint8(3))
+    assert all(type(getattr(config, name)) is int for name in ("m", "n_advantaged", "seed"))
+    assert config == SyntheticConfig(m=1000, n_advantaged=600, seed=3)
+    assert config.config_hash() == SyntheticConfig(m=1000, n_advantaged=600, seed=3).config_hash()
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,10 @@ from procfair.datasets import (
     SyntheticConfig,
     TabularDataset,
     generate_synthetic,
+    load_csv,
     standardized_split,
+    write_csv,
+    write_schema,
 )
 from procfair.fairness import (
     _MATCH_CELLS,
@@ -287,6 +290,26 @@ def test_select_pairs_norms_that_overflow():
     assert_matches_one_shot(ds, n=40, seed=0, feature_indices=range(4))
 
 
+def test_select_pairs_guards_overflow_block_by_block(monkeypatch):
+    # blocks of 40 candidates: the blocks holding a candidate whose |c|^2 is
+    # near the largest float go to the exact pass whole, every other block is
+    # screened, and the pairs are still the one-shot ones
+    screened = []
+
+    def counting_screen(D2, *args):
+        screened.append(D2.shape[1])
+        return screen(D2, *args)
+
+    screen = fairness._screen
+    monkeypatch.setattr(fairness, "_screen", counting_screen)
+    monkeypatch.setattr(fairness, "_MATCH_CELLS", 20 * 40 * 4)
+    values = np.random.default_rng(0).normal(size=(1200, 4))
+    values[[100, 101, 802, 803], 0] = 1e154  # two blocks of each group
+    ds = stress_pool(values)
+    assert_matches_one_shot(ds, n=40, seed=0, feature_indices=range(4))
+    assert len(screened) == 2 * (15 - 2)  # 600 candidates per side in blocks of 40
+
+
 def test_select_pairs_exact_pass_rescores_a_few_candidates(monkeypatch):
     # a bound loose enough to send O(pool) candidates to the exact pass would
     # show here as many shortlisted cells per anchor and block
@@ -386,9 +409,10 @@ def _traced_peak(fn) -> int:
 
 
 def test_full_pool_audit_copies_the_pool_once(split_200k):
-    # pooling the split copies its 6.1 MB of features once, and matching
-    # adds its candidate operands (3.0 times the pool's features in all);
-    # copying the pooled rows again, or the model's columns of them, reads 4.0
+    # the pool is the split's one buffer, and matching's block operands, the
+    # groups' row indices and the metrics' temporaries read 0.55 times its
+    # 6.1 MB of features; copying the pooled rows, or the model's columns of
+    # them, adds at least 1.0 more
     model = init_mlp(4, 32, seed=0)
     config = AuditConfig(n_pairs=100, pool="full")
     audit(model, split_200k, config)
@@ -398,14 +422,47 @@ def test_full_pool_audit_copies_the_pool_once(split_200k):
 
 def test_repeated_full_pool_audit_copies_no_row(split_200k):
     # the pool is the split's one buffer, so an audit adds only matching's
-    # candidate operands and the checks' temporaries (1.75 times the pool's
-    # features); a pooled copy of the rows reads 3.0
+    # block operands and the checks' temporaries (0.55 times the pool's
+    # features); a pooled copy of the rows adds at least 1.0 more
     model = init_mlp(4, 32, seed=0)
     config = AuditConfig(n_pairs=100, pool="full")
     audit(model, split_200k, config)
     pool_bytes = (split_200k.train.m + split_200k.test.m) * split_200k.test.d * 8
     for _ in range(2):
         assert _traced_peak(lambda: audit(model, split_200k, config)) < 2.25 * pool_bytes
+
+
+def test_repeated_full_pool_audit_holds_no_pool_length_operand(split_200k):
+    # matching gathers each block's candidates into one reused operand, and
+    # the count table is read from boolean masks: 0.55 times the pool's
+    # features. Each side's whole V^T, its gathered candidates and the int64
+    # codes of the count table read 1.75
+    model = init_mlp(4, 32, seed=0)
+    config = AuditConfig(n_pairs=100, pool="full")
+    audit(model, split_200k, config)
+    pool_bytes = (split_200k.train.m + split_200k.test.m) * split_200k.test.d * 8
+    for _ in range(2):
+        assert _traced_peak(lambda: audit(model, split_200k, config)) < 0.75 * pool_bytes
+
+
+def test_load_split_and_full_pool_audit_stay_within_a_multiple_of_the_parsed_features(tmp_path):
+    # one trace over a 200k-row CSV's load, split and full-pool audit: the
+    # loaded dataset, the split's buffer and the audit's temporaries read 3.05
+    # times the 6.1 MB of parsed features, the loader's own peak 2.5. With
+    # pool-length copies in generation, split and matching it read 4.25
+    dataset = generate_synthetic(SyntheticConfig(m=200_000, n_advantaged=120_000, seed=0))
+    write_csv(dataset, tmp_path / "d.csv")
+    write_schema(dataset, tmp_path / "d.schema.json")
+    model = init_mlp(4, 32, seed=0)
+    config = AuditConfig(n_pairs=100, pool="full")
+
+    def load_split_audit():
+        loaded = load_csv(tmp_path / "d.csv", tmp_path / "d.schema.json")
+        split, _ = standardized_split(loaded, 0.04)
+        return audit(model, split, config)
+
+    load_split_audit()
+    assert _traced_peak(load_split_audit) < 3.5 * dataset.features.nbytes
 
 
 def test_prediction_metrics_read_the_features_in_place(split_200k):
@@ -531,6 +588,24 @@ def test_prediction_metrics_equal_the_mean_oracles(m, p_true, feats, seed):
     predictions = predict_labels(model, features[:, feats])
     expected = _outcome(_mean_metrics, predictions, labels, pool.advantaged_mask)
     assert _outcome(prediction_metrics, model, pool) == expected
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64, bool])
+@pytest.mark.parametrize("seed", range(4))
+def test_count_table_equals_the_bincount_of_row_codes(seed, dtype):
+    # the table as it was counted before: one bincount of 4 g + 2 y + p
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 5000))
+    preds, truths = rng.integers(0, 2, n), rng.integers(0, 2, n)
+    mask = rng.random(n) < rng.random()
+    want = np.bincount(4 * mask + 2 * truths + preds, minlength=8).reshape(2, 2, 2)
+    np.testing.assert_array_equal(fairness._counts(preds.astype(dtype), truths.astype(dtype), mask), want)
+
+
+def test_rate_of_an_empty_cell_is_an_error_that_names_it():
+    with pytest.raises(ValueError, match="empty conditioning cell: group 2, y=1"):
+        fairness._rate(np.zeros(2, dtype=np.int64), "group 2, y=1")
+    assert fairness._rate(np.array([3, 1]), "group 1") == 0.25
 
 
 def test_metrics_reject_non_binary_values():
@@ -747,6 +822,26 @@ def test_explain_set_explains_a_logistic_model_as_gpf_run_does(d):
             for x, phi in zip(rows, got.values):
                 exact = exact_shapley(partial(decision_score, model), x, background)
                 np.testing.assert_allclose(phi, exact.values[0], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("seed", 1.5), ("seed", -1), ("n_pairs", 100.0), ("background_size", "100"), ("n_coalitions", 14.0)],
+)
+def test_audit_config_refuses_a_malformed_field_by_name(field, value):
+    # at the parent a fractional or negative seed was accepted, and a float
+    # pair count failed in rng.choice
+    with pytest.raises(ValueError, match=f"AuditConfig.{field} must be"):
+        AuditConfig(**{field: value})
+
+
+def test_audit_config_keeps_numpy_ints_as_python_ints():
+    config = AuditConfig(
+        n_pairs=np.int64(40), n_coalitions=np.int32(14), n_permutations=np.int16(300), seed=np.uint8(5)
+    )
+    want = AuditConfig(n_pairs=40, n_coalitions=14, n_permutations=300, seed=5)
+    assert config == want
+    assert json.dumps(config.snapshot()) == json.dumps(want.snapshot())
 
 
 def test_audit_report_contents(small_split):
