@@ -712,7 +712,7 @@ def test_synthetic_config_validation():
     ],
 )
 def test_synthetic_config_refuses_a_malformed_field_by_name(field, value):
-    # at the parent a float m failed inside numpy, and a NaN weight labelled every row 0
+    # unchecked, a float m failed inside numpy, and a NaN weight labelled every row 0
     config = {"m": 1000, "n_advantaged": 600, field: value}
     with pytest.raises(ValueError, match=f"SyntheticConfig.{field} must be"):
         SyntheticConfig(**config)

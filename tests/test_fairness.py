@@ -829,7 +829,7 @@ def test_explain_set_explains_a_logistic_model_as_gpf_run_does(d):
     [("seed", 1.5), ("seed", -1), ("n_pairs", 100.0), ("background_size", "100"), ("n_coalitions", 14.0)],
 )
 def test_audit_config_refuses_a_malformed_field_by_name(field, value):
-    # at the parent a fractional or negative seed was accepted, and a float
+    # unchecked, a fractional or negative seed was accepted, and a float
     # pair count failed in rng.choice
     with pytest.raises(ValueError, match=f"AuditConfig.{field} must be"):
         AuditConfig(**{field: value})
