@@ -10,6 +10,7 @@ on stderr and a non-zero exit code.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -41,7 +42,7 @@ from .mitigation import (
     modify_model,
     retrain_without,
 )
-from .models import MODEL_KINDS, MlpModel, TrainConfig, bce_loss, load_model, predict_labels, save_model
+from .models import MODEL_KINDS, MlpModel, TrainConfig, load_model, predict_labels, save_model, train
 from .seeding import derive_seed
 from .sweeps import sweep_pair_count, sweep_pool_size, sweep_sensitive_weight
 from .two_sample import KernelConfig, pca_project
@@ -75,19 +76,15 @@ def _resolve_features(dataset, selector: str | None) -> tuple[int, ...] | None:
 def _load_models(args, *extra: str):
     """Load ``--model`` and the models of the ``extra`` flags, check that
     each model's feature names are the dataset's columns at its feature
-    indices, and re-derive the split that ``--model``'s document records.
-    Returns the split, the models in flag order and ``--model``'s document."""
+    indices (``TabularDataset.columns``), and re-derive the split that
+    ``--model``'s document records. Returns the split, the models in flag
+    order and ``--model``'s document."""
     loaded = [load_model(getattr(args, flag)) for flag in ("model", *extra)]
     models = [model for model, _ in loaded]
     doc = loaded[0][1]
     dataset = load_csv(args.data, args.schema)
     for model in models:
-        for name, i in zip(model.feature_names or (), model.feature_indices):
-            found = dataset.feature_names[i] if i < dataset.d else None
-            if found != name:
-                raise ValueError(
-                    f"model feature {name!r} is read from column {i}, which is {found!r} in {args.data}"
-                )
+        dataset.columns(model.feature_indices, model.feature_names)
     data_split = doc.get("data_split") or {}
     ratio = float(data_split.get("ratio", SPLIT_RATIO))
     seed = int(data_split.get("seed", args.seed))
@@ -140,10 +137,11 @@ def cmd_train(args) -> dict:
         epochs=args.epochs, learning_rate=args.lr, dp_weight=args.dp_weight, seed=args.seed
     )
     model, trace = MODEL_KINDS[args.kind].fit(split.train, config, feats, args.hidden)
+    if not len(trace):  # the objective at the initial model, which a one-epoch trace opens with
+        _, trace = train(model, split.train, dataclasses.replace(config, epochs=1))
 
     metrics = prediction_metrics(model, split.test)
-    X_test = split.test.features[:, model.feature_indices]
-    metrics["final_loss"] = float(trace[-1]) if len(trace) else bce_loss(model, X_test, split.test.labels)
+    metrics["final_loss"] = float(trace[-1])
     model_path = out / f"{args.model_name}.json"
     save_model(
         model,

@@ -13,6 +13,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -125,6 +126,23 @@ class TabularDataset:
     @property
     def disadvantaged_mask(self) -> np.ndarray:
         return self.sensitive_column == self.group_values[1]
+
+    def columns(self, feature_indices, names=None) -> np.ndarray:
+        """The feature matrix on the columns ``feature_indices``, the only
+        way the toolkit reads a model's inputs off a dataset: the matrix
+        itself when they are all its columns in order, else a copy of those
+        columns. Each index must be a column (``operator.index`` refuses a
+        float such as 1.0 with a TypeError; numpy would wrap a negative one),
+        and given ``names``, a model's feature names, the columns must carry
+        them."""
+        feats = tuple(operator.index(i) for i in feature_indices)
+        if not feats:
+            raise ValueError("need at least one feature column")
+        if min(feats) < 0 or max(feats) >= self.d:
+            raise ValueError(f"feature indices {feats} are not all columns 0..{self.d - 1} of the dataset")
+        if names is not None and tuple(names) != (own := tuple(self.feature_names[i] for i in feats)):
+            raise ValueError(f"model feature names {tuple(names)} differ from the dataset's columns {own}")
+        return self.features if feats == tuple(range(self.d)) else self.features[:, feats]
 
     @classmethod
     def _of_checked_rows(cls, *fields) -> "TabularDataset":

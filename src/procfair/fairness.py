@@ -78,25 +78,6 @@ class PairSelection:
         return float(self.distances.mean())
 
 
-def _checked_feature_indices(feature_indices, pool: TabularDataset) -> tuple[int, ...]:
-    """The indices as ints, each a column of ``pool`` (numpy would wrap a negative one).
-    ``operator.index`` refuses a non-integer index such as 0.9 with a TypeError."""
-    feats = tuple(operator.index(i) for i in feature_indices)
-    if not feats:
-        raise ValueError("need at least one feature to match on")
-    if min(feats) < 0 or max(feats) >= pool.d:
-        raise ValueError(f"feature indices {feats} are not all columns 0..{pool.d - 1} of the pool")
-    return feats
-
-
-def _columns(pool: TabularDataset, feature_indices) -> np.ndarray:
-    """The pool's features on the checked ``feature_indices``: the feature
-    matrix itself when they are all of its columns in order, else a copy of
-    those columns."""
-    feats = _checked_feature_indices(feature_indices, pool)
-    return pool.features if feats == tuple(range(pool.d)) else pool.features[:, feats]
-
-
 def _screen(D2: np.ndarray, upper: np.ndarray, norms: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Shortlist the (anchor, column) cells of one block of fast squared
     distances ``D2`` over ``d`` features that the exact pass must re-score.
@@ -165,15 +146,17 @@ def select_pairs(
     D~^2 + e (derived at ``_screen``). Only the anchors whose block minimum
     passes that test can have a cell to keep, so only their rows are
     compared cell by cell. An exact pass re-scores the shortlist with
-    ``sqrt(sum(diff * diff))``, and a block that shortlists nothing skips it. Rows and distances are therefore
-    bit-identical to scoring every candidate with that formula, ties
-    included. Norms so large that the GEMM could overflow (coordinates
-    beyond about 1e153) send every candidate of their block to the exact
-    pass.
+    ``sqrt(sum(diff * diff))``, and a block that shortlists nothing skips
+    it. Rows and distances are therefore bit-identical to scoring every
+    candidate with that formula, ties included. Norms so large that the GEMM
+    could overflow (coordinates beyond about 1e153) send every candidate of
+    their block to the exact pass; a distance that overflows there (rows
+    more than about 1e154 apart) is a ValueError, since every candidate
+    would tie at inf.
     """
     if n < 2:
         raise ValueError("need at least two pairs")
-    F = _columns(pool, range(pool.d) if feature_indices is None else feature_indices)
+    F = pool.columns(range(pool.d) if feature_indices is None else feature_indices)
     advantaged = pool.advantaged_mask  # every row of a dataset is in one of the two groups
     g1_rows, g2_rows = np.flatnonzero(advantaged), np.flatnonzero(~advantaged)
     del advantaged
@@ -219,8 +202,11 @@ def select_pairs(
             else:
                 ai, cj = np.divmod(np.arange(n_a * (hi - lo)), hi - lo)
             # exact pass: the one-shot formula, over the shortlist only
-            diff = A[ai] - C[cj]
-            dist = np.sqrt(np.sum(diff * diff, axis=1))
+            with np.errstate(over="ignore"):
+                diff = A[ai] - C[cj]
+                dist = np.sqrt(np.sum(diff * diff, axis=1))
+            if not np.isfinite(dist).all():
+                raise ValueError("a pair distance overflows (rows about 1e154 apart); rescale the matched columns")
             cj += lo
             order = np.lexsort((dist, ai))  # stable: equal distances keep cj order
             ai, cj, dist = ai[order], cj[order], dist[order]
@@ -256,18 +242,6 @@ class GpfResult:
     explanations_2: ExplanationSet
 
 
-def _pair_features(pool: TabularDataset, pairs: PairSelection, feats) -> tuple[np.ndarray, np.ndarray]:
-    return pool.features[pairs.group1_rows][:, feats], pool.features[pairs.group2_rows][:, feats]
-
-
-def _check_feature_names(models, names: tuple[str, ...]) -> None:
-    """Every explanation set names the features ``names``, the pool's
-    columns, so a model that names its features must name them so."""
-    for model in models:
-        if model.feature_names is not None and model.feature_names != names:
-            raise ValueError(f"model feature names {model.feature_names} differ from the pool's columns {names}")
-
-
 def matched_explanations(
     model,
     pool: TabularDataset,
@@ -277,12 +251,12 @@ def matched_explanations(
 ) -> tuple[PairSelection, ExplanationSet, ExplanationSet]:
     """Select matched pairs and explain both sides with a shared background
     and coalition sample."""
-    feats = _checked_feature_indices(model.feature_indices, pool)
+    feats = model.feature_indices
+    X = pool.columns(feats, model.feature_names)
     pairs = select_pairs(pool, n, pair_seed, feats)
-    X1, X2 = _pair_features(pool, pairs, feats)
     names = tuple(pool.feature_names[i] for i in feats)
-    _check_feature_names([model], names)
-    return pairs, explain_set(model, X1, shap_config, names), explain_set(model, X2, shap_config, names)
+    e1, e2 = (explain_set(model, X[rows], shap_config, names) for rows in (pairs.group1_rows, pairs.group2_rows))
+    return pairs, e1, e2
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +340,9 @@ def eod(predictions, truths, group_mask) -> float:
 def prediction_metrics(model, dataset: TabularDataset) -> dict:
     """Accuracy and the DP/EO/EOD gaps of the model's predictions on
     ``dataset``, all four read from one count table of its rows. The model
-    reads the dataset's feature matrix in place when it takes all of its
-    columns in order."""
-    predictions = predict_labels(model, _columns(dataset, model.feature_indices))
+    reads its columns through ``dataset.columns``, in place when it takes all
+    of them in order, and they must carry its feature names."""
+    predictions = predict_labels(model, dataset.columns(model.feature_indices, model.feature_names))
     table = _counts(predictions, dataset.labels, dataset.advantaged_mask)
     return {
         "accuracy": int(table[:, 0, 0].sum() + table[:, 1, 1].sum()) / dataset.m,
@@ -409,19 +383,19 @@ def gpf_plan(split: SplitDataset, feature_indices, config: AuditConfig) -> GpfPl
     the training split, sized by ``config``, with all sub-seeds (background,
     coalitions, pairs, permutations) derived from ``config.seed``; the only
     place they are derived."""
-    feats = _checked_feature_indices(feature_indices, split.test)
-    pool = split.test if config.pool == "test" else concat_datasets(split.train, split.test)
+    feats = tuple(map(operator.index, feature_indices))
     seed = config.seed
-    background = sample_background(
-        split.train.features[:, feats], config.background_size, derive_seed(seed, "background")
-    )
+    background = sample_background(split.train.columns(feats), config.background_size, derive_seed(seed, "background"))
+    pool = split.test if config.pool == "test" else concat_datasets(split.train, split.test)
     shap_config = ShapConfig(background, config.n_coalitions, seed=derive_seed(seed, "shap"))
     perm_config = PermutationConfig(config.n_permutations, derive_seed(seed, "permutation"))
     pairs = select_pairs(pool, config.n_pairs, derive_seed(seed, "pairs"), feats)
+    X = pool.columns(feats)
     return GpfPlan(
         split,
         pairs,
-        *_pair_features(pool, pairs, feats),
+        X[pairs.group1_rows],
+        X[pairs.group2_rows],
         feats,
         tuple(pool.feature_names[i] for i in feats),
         shap_config,
@@ -442,11 +416,11 @@ def gpf_run(models, plan: GpfPlan) -> list[GpfResult]:
     if not models:
         raise ValueError("gpf_run needs at least one model")
     for model in models:
-        if model.feature_indices != plan.feature_indices:
+        if model.feature_indices != plan.feature_indices or model.feature_names not in (None, plan.feature_names):
             raise ValueError(
-                f"model feature indices {model.feature_indices} differ from the plan's {plan.feature_indices}"
+                f"model feature indices {model.feature_indices} and names {model.feature_names} differ from the "
+                f"plan's {plan.feature_indices} and {plan.feature_names}"
             )
-    _check_feature_names(models, plan.feature_names)
     sides = [
         [explain_set(model, X, plan.shap_config, plan.feature_names) for model in models]
         for X in (plan.rows_1, plan.rows_2)

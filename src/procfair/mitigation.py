@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._formats import readonly
+from ._formats import integer_fields, readonly
 from .attribution import ExplanationSet
 from .fairness import AuditReport, audit
 from .models import TrainConfig, _adam_descent, _check_inputs
@@ -46,30 +46,34 @@ NORM_P = 1
 
 @dataclass(frozen=True)
 class UnfairFeatureSet:
-    """Features whose per-feature explanation distributions differ
-    significantly between the groups. ``indices`` are positions in the
-    audited model's feature space; ``pvalues`` has one entry per model
-    feature."""
+    """Per-feature detection p-values of the audited model's features
+    ``names``, one per feature; the features at or below the threshold are
+    the unfair ones, at positions ``indices`` in the model's feature space."""
 
-    indices: tuple[int, ...]
-    feature_names: tuple[str, ...]
+    names: tuple[str, ...]
     pvalues: np.ndarray
     threshold: float = DETECTION_THRESHOLD
 
     def __post_init__(self):
+        names = tuple(str(n) for n in self.names)
         pvalues = np.asarray(self.pvalues, dtype=float)
+        if pvalues.shape != (len(names),):
+            raise ValueError(f"{len(names)} feature names for p-values of shape {pvalues.shape}")
         if not ((pvalues >= 0) & (pvalues <= 1)).all():
             raise ValueError("p-values must lie in [0, 1]")
         if not 0 <= self.threshold <= 1:
             raise ValueError(f"threshold must lie in [0, 1], got {self.threshold}")
-        expected = tuple(int(i) for i in np.flatnonzero(pvalues <= self.threshold))
-        if tuple(self.indices) != expected:
-            raise ValueError("indices must be exactly the features at or below the threshold")
-        if len(self.feature_names) != len(self.indices):
-            raise ValueError(f"{len(self.feature_names)} feature names for {len(self.indices)} unfair features")
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
-        object.__setattr__(self, "feature_names", tuple(str(n) for n in self.feature_names))
+        object.__setattr__(self, "names", names)
         object.__setattr__(self, "pvalues", readonly(pvalues))
+
+    @property
+    def indices(self) -> tuple[int, ...]:
+        """The detection rule: the features whose p-value is at or below the threshold."""
+        return tuple(int(i) for i in np.flatnonzero(self.pvalues <= self.threshold))
+
+    @property
+    def feature_names(self) -> tuple[str, ...]:
+        return tuple(self.names[i] for i in self.indices)
 
     def to_dict(self) -> dict:
         return {
@@ -89,6 +93,7 @@ class ModifyConfig:
     learning_rate: float = 0.01
 
     def __post_init__(self):
+        integer_fields(self, "tau")
         if not self.alpha >= 0:
             raise ValueError("alpha must be non-negative")
         if self.tau < 0:
@@ -120,9 +125,7 @@ def unfair_features_from_sets(
     pvalues = np.empty(e1.d)
     for j in range(e1.d):
         pvalues[j] = permutation_pvalue(e1.values[:, [j]], e2.values[:, [j]], kernel_config, perm_config)
-    flagged = tuple(int(i) for i in np.flatnonzero(pvalues <= threshold))
-    names = tuple(e1.feature_names[i] for i in flagged)
-    return UnfairFeatureSet(flagged, names, pvalues, threshold)
+    return UnfairFeatureSet(e1.feature_names, pvalues, threshold)
 
 
 def detect_unfair_features(
@@ -152,9 +155,9 @@ def _audited(before: AuditReport, ufs: UnfairFeatureSet):
     """The model and split ``before`` audited, once ``ufs`` is checked to
     cover that model's features."""
     model, names = before.model, before.gpf.plan.feature_names
-    if ufs.pvalues.size != model.d or any(names[i] != n for i, n in zip(ufs.indices, ufs.feature_names)):
+    if ufs.names != names:
         raise ValueError(
-            f"unfair features {ufs.feature_names} of {ufs.pvalues.size} are not the audited model's features {names}"
+            f"unfair features {ufs.feature_names} of {ufs.names} are not the audited model's features {names}"
         )
     return model, before.gpf.plan.split
 
@@ -201,7 +204,7 @@ def modify_model(before: AuditReport, ufs: UnfairFeatureSet, config: ModifyConfi
     model is audited over the same plan."""
     config = config or ModifyConfig()
     model, split = _audited(before, ufs)
-    X = split.train.features[:, model.feature_indices]
+    X = split.train.columns(model.feature_indices, model.feature_names)
     y = split.train.labels.astype(float)
     uf = list(ufs.indices)
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._formats import read_json, readonly, write_json
+from ._formats import integer_fields, read_json, readonly, write_json
 from ._version import __version__
 
 __all__ = [
@@ -529,6 +529,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        integer_fields(self, "epochs", "seed")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
         if not self.learning_rate > 0:
@@ -663,11 +664,13 @@ def _adam_descent(model, grad_fn, traces: np.ndarray, unit: str, learning_rate: 
 
 def train(model, dataset, config: TrainConfig | None = None):
     """Full-batch Adam on BCE + dp_weight * |gap of the groups' mean
-    probabilities| for ``config.epochs`` steps. Returns the trained model and the per-epoch loss trace (the loss
-    evaluated before each update).
+    probabilities| for ``config.epochs`` steps, over the model's columns of
+    ``dataset``, which must carry its feature names. Returns the trained
+    model and the per-epoch loss trace (the loss evaluated before each
+    update).
     """
     config = config or TrainConfig()
-    X = dataset.features[:, model.feature_indices]
+    X = dataset.columns(model.feature_indices, model.feature_names)
     y = dataset.labels.astype(float)
     group_mask = dataset.advantaged_mask
     trace = np.empty((1, config.epochs))

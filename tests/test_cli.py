@@ -143,6 +143,20 @@ def test_train_epochs_zero_saves_initial_model(workspace, tmp_path):
     assert np.allclose(doc["parameters"]["b1"], 0.0)
 
 
+def test_train_reports_the_same_initial_objective_at_zero_and_one_epochs(workspace, tmp_path):
+    # final_loss is the trace's last entry, and a one-epoch trace holds the
+    # training objective at the initial model; zero epochs report that value
+    losses = []
+    for epochs in ("0", "1"):
+        out = tmp_path / epochs
+        assert run_cli(
+            "train", "--data", workspace["data"], "--schema", workspace["schema"],
+            "--out", out, "--epochs", epochs, "--seed", "3", "--dp-weight", "0.5",
+        ) == 0
+        losses.append(strict_json((out / "report.json").read_text())["results"]["final_loss"])
+    assert abs(losses[0] - losses[1]) <= 1e-12
+
+
 def test_train_unknown_feature_fails(workspace, tmp_path, capsys):
     assert run_cli(
         "train", "--data", workspace["data"], "--schema", workspace["schema"],
@@ -882,7 +896,8 @@ def test_flag_defaults_are_the_library_defaults(command, monkeypatch):
         ratios = []
         model = SimpleNamespace(feature_names=None, feature_indices=())
         monkeypatch.setattr(cli, "load_model", lambda path: (model, {}))
-        monkeypatch.setattr(cli, "load_csv", lambda data, schema: None)
+        dataset = SimpleNamespace(columns=lambda feature_indices, names: None)  # the stub model reads no column
+        monkeypatch.setattr(cli, "load_csv", lambda data, schema: dataset)
         monkeypatch.setattr(cli, "standardized_split", lambda dataset, ratio, seed: (ratios.append(ratio), None))
         cli._load_models(args)
         assert ratios == [SPLIT_RATIO]

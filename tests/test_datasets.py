@@ -697,6 +697,38 @@ def test_synthetic_config_validation():
         SyntheticConfig(noise_std=float("nan"))
 
 
+# ---------------------------------------------------------------------------
+# TabularDataset.columns: a model's inputs
+
+
+def test_columns_are_the_matrix_itself_in_order_else_a_copy():
+    ds = toy_dataset(m=10)
+    assert ds.columns(range(3)) is ds.features
+    assert ds.columns((np.int64(0), 1, 2), ("a", "b", "sex")) is ds.features
+    for feats in ((0, 2), (1, 0, 2), (2,)):
+        got = ds.columns(feats)
+        assert not np.shares_memory(got, ds.features)
+        np.testing.assert_array_equal(got, np.stack([ds.features[:, j] for j in feats], axis=1))
+    assert ds.columns((2, 0), ["sex", "a"]).shape == (10, 2)
+
+
+@pytest.mark.parametrize(
+    "feats, names, error, message",
+    [
+        ((), None, ValueError, "at least one feature"),
+        ((-1,), None, ValueError, r"not all columns 0\.\.2"),
+        ((0, 3), None, ValueError, r"not all columns 0\.\.2"),
+        ((0.9,), None, TypeError, None),
+        ((1.0,), None, TypeError, None),
+        ((0, 1), ("b", "a"), ValueError, r"names \('b', 'a'\) differ from the dataset's columns \('a', 'b'\)"),
+        ((0, 1), ("a",), ValueError, "differ from the dataset's columns"),
+    ],
+)
+def test_columns_refuse_indices_and_names_that_are_not_the_datasets(feats, names, error, message):
+    with pytest.raises(error, match=message):
+        toy_dataset().columns(feats, names)
+
+
 @pytest.mark.parametrize(
     "field, value",
     [

@@ -87,3 +87,25 @@ def test_only_the_two_sample_module_names_the_membership_matrix():
     assert _membership_mentions(SRC / "two_sample.py") and _membership_mentions(SRC / "__init__.py")
     strays = [entry for path in sorted(SRC.glob("*.py")) if path not in owners for entry in _membership_mentions(path)]
     assert not strays, f"call permutation_pvalue instead of handling the membership matrix: {strays}"
+
+
+def _column_reads(path: Path) -> list[str]:
+    """The places in ``path`` that take columns of a feature matrix with a
+    tuple subscript of a ``.features`` attribute, such as ``ds.features[:, feats]``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "features"
+        and isinstance(node.slice, ast.Tuple)
+    ]
+
+
+def test_only_the_datasets_module_reads_a_datasets_columns():
+    # TabularDataset.columns checks a model's indices and names against the
+    # dataset; every other module reads a model's inputs through it
+    assert _column_reads(SRC / "datasets.py")  # the guard sees what it guards
+    strays = [entry for path in sorted(SRC.glob("*.py")) if path.name != "datasets.py" for entry in _column_reads(path)]
+    assert not strays, f"read a model's columns with TabularDataset.columns: {strays}"

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 from dataclasses import replace
 from functools import partial
 
@@ -290,6 +291,16 @@ def test_select_pairs_norms_that_overflow():
     assert_matches_one_shot(ds, n=40, seed=0, feature_indices=range(4))
 
 
+def test_select_pairs_refuses_distances_that_overflow():
+    # rows about 1e160 apart: every squared difference overflows, so every
+    # candidate would tie at inf and the lowest row would be each partner
+    ds = stress_pool(1e160 * np.random.default_rng(0).normal(size=(600, 4)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an error, not a RuntimeWarning and inf distances
+        with pytest.raises(ValueError, match="pair distance overflows"):
+            select_pairs(ds, n=40, seed=0, feature_indices=range(4))
+
+
 def test_select_pairs_guards_overflow_block_by_block(monkeypatch):
     # blocks of 40 candidates: the blocks holding a candidate whose |c|^2 is
     # near the largest float go to the exact pass whole, every other block is
@@ -471,6 +482,15 @@ def test_prediction_metrics_read_the_features_in_place(split_200k):
     model = init_mlp(4, 32, seed=0)
     test = split_200k.test
     assert _traced_peak(lambda: prediction_metrics(model, test)) < test.features.nbytes
+
+
+def test_prediction_metrics_refuse_a_model_on_renamed_columns(small_split, four_feature_models):
+    # the same matrix with x1 and x2 named the other way round: the model
+    # would read x2's values as x1
+    test = small_split.test
+    renamed = TabularDataset(test.features, ("x2", "x1", "xs", "xp"), test.labels, 2, test.group_values)
+    with pytest.raises(ValueError, match=r"\('x1', 'x2', 'xs', 'xp'\) differ from the dataset's columns \('x2', 'x1'"):
+        prediction_metrics(four_feature_models[0], renamed)
 
 
 # ---------------------------------------------------------------------------

@@ -60,33 +60,45 @@ def make_ufs(indices, d, names=("x1", "x2", "xs", "xp")):
     pvalues = np.ones(d)
     for i in indices:
         pvalues[i] = 0.01
-    return UnfairFeatureSet(tuple(indices), tuple(names[i] for i in indices), pvalues)
+    return UnfairFeatureSet(names[:d], pvalues)
 
 
 # ---------------------------------------------------------------------------
 # UnfairFeatureSet
 
 
-def test_ufs_invariant_checked():
-    with pytest.raises(ValueError, match="threshold"):
-        UnfairFeatureSet((0,), ("a",), np.array([0.5, 0.01]))
+def test_ufs_flags_the_features_at_or_below_the_threshold():
+    ufs = UnfairFeatureSet(("a", "b", "c", "d"), [0.5, 0.01, 0.05, 0.0501])
+    assert ufs.indices == (1, 2)
+    assert ufs.feature_names == ("b", "c")
+    assert UnfairFeatureSet(("a", "b"), [0.5, 0.01], 0.5).feature_names == ("a", "b")
+    assert ufs.to_dict() == {
+        "indices": [1, 2], "feature_names": ["b", "c"], "pvalues": [0.5, 0.01, 0.05, 0.0501], "threshold": 0.05,
+    }
     for threshold in (np.nan, -0.01, 1.5):
         with pytest.raises(ValueError, match=r"threshold must lie in \[0, 1\]"):
-            UnfairFeatureSet((), (), np.array([0.5, 0.9]), threshold)
+            UnfairFeatureSet(("a", "b"), np.array([0.5, 0.9]), threshold)
 
 
-def test_ufs_needs_one_name_per_index():
-    with pytest.raises(ValueError, match="3 feature names for 1 unfair features"):
-        UnfairFeatureSet((0,), ("a", "b", "c"), [0.01, 0.9])
-    with pytest.raises(ValueError, match="0 feature names for 1 unfair features"):
-        UnfairFeatureSet((0,), (), [0.01, 0.9])
+def test_ufs_needs_one_name_per_pvalue():
+    with pytest.raises(ValueError, match=r"3 feature names for p-values of shape \(2,\)"):
+        UnfairFeatureSet(("a", "b", "c"), [0.01, 0.9])
+    with pytest.raises(ValueError, match=r"0 feature names for p-values of shape \(2,\)"):
+        UnfairFeatureSet((), [0.01, 0.9])
 
 
 def test_ufs_pvalue_range_checked():
     with pytest.raises(ValueError, match="p-values"):
-        UnfairFeatureSet((0,), ("a",), np.array([-0.1, 0.5]))
+        UnfairFeatureSet(("a", "b"), np.array([-0.1, 0.5]))
     with pytest.raises(ValueError, match="p-values"):
-        UnfairFeatureSet((), (), np.array([np.nan, 0.5]))
+        UnfairFeatureSet(("a", "b"), np.array([np.nan, 0.5]))
+
+
+@pytest.mark.parametrize("value", [2.5, 200.0, "200"])
+def test_modify_config_refuses_a_non_integer_tau(value):
+    # unchecked, tau=2.5 was accepted
+    with pytest.raises(ValueError, match="ModifyConfig.tau must be an integer"):
+        ModifyConfig(tau=value)
 
 
 def test_detection_identical_sets_empty():
@@ -544,7 +556,7 @@ def test_retrain_drops_columns(unfair_model, small_split, unfair_report):
 
 
 def test_retrain_empty_ufs_keeps_all_features(unfair_model, small_split):
-    ufs = UnfairFeatureSet((), (), np.ones(4))
+    ufs = UnfairFeatureSet(("x1", "x2", "xs", "xp"), np.ones(4))
     before = audit(unfair_model, small_split, AuditConfig(n_pairs=20, background_size=30, n_permutations=150, seed=0))
     result = retrain_without(before, ufs, TrainConfig(epochs=50, seed=0))
     assert result.model.d == 4
@@ -554,8 +566,8 @@ def test_retrain_empty_ufs_keeps_all_features(unfair_model, small_split):
 @pytest.mark.parametrize(
     "ufs",
     [
-        UnfairFeatureSet((2, 3), ("xs", "xp"), np.array([1.0, 1.0, 0.01, 0.01])),
-        UnfairFeatureSet((1,), ("xs",), np.array([1.0, 0.01])),
+        UnfairFeatureSet(("x1", "x2", "xs", "xp"), np.array([1.0, 1.0, 0.01, 0.01])),
+        UnfairFeatureSet(("x1", "xs"), np.array([1.0, 0.01])),
     ],
     ids=["four-features", "renamed"],
 )

@@ -18,7 +18,7 @@ from mlp_reference import (
 from oracles import _masked_values, input_gradient, soft_dp
 from test_mitigation import ORACLE_STEP_CASES
 
-from procfair.datasets import SyntheticConfig, generate_synthetic, standardized_split
+from procfair.datasets import SyntheticConfig, TabularDataset, generate_synthetic, standardized_split
 from procfair.models import (
     _SCORE_CELLS,
     LogisticModel,
@@ -483,6 +483,26 @@ def test_train_zero_epochs_identity(small_split):
     trained, trace = train(model, small_split.train, TrainConfig(epochs=0))
     assert trained is model
     assert trace.size == 0
+
+
+def test_train_refuses_a_dataset_whose_columns_carry_other_names(small_split):
+    # the same matrix with x1 and x2 named the other way round: the model
+    # would train on x2's values as x1
+    part = small_split.train
+    renamed = TabularDataset(part.features, ("x2", "x1", "xs", "xp"), part.labels, 2, part.group_values)
+    model = init_mlp(4, 8, seed=0, feature_names=("x1", "x2", "xs", "xp"))
+    with pytest.raises(ValueError, match=r"\('x1', 'x2', 'xs', 'xp'\) differ from the dataset's columns \('x2', 'x1'"):
+        train(model, renamed, TrainConfig(epochs=1))
+    with pytest.raises(ValueError, match=r"feature indices \(0, 5\) are not all columns"):
+        train(init_mlp(2, 8, seed=0, feature_indices=(0, 5)), part, TrainConfig(epochs=1))
+
+
+@pytest.mark.parametrize("field, value", [("epochs", 2.5), ("epochs", 3.0), ("seed", 1.5), ("seed", "0")])
+def test_train_config_refuses_a_non_integer_field_by_name(field, value):
+    # unchecked, epochs=2.5 failed later inside numpy with a TypeError
+    with pytest.raises(ValueError, match=f"TrainConfig.{field} must be an integer"):
+        TrainConfig(**{field: value})
+    assert TrainConfig(epochs=np.int64(3), seed=np.int32(2)) == TrainConfig(epochs=3, seed=2)
 
 
 def test_train_deterministic(small_split):
