@@ -127,20 +127,24 @@ class TabularDataset:
     def disadvantaged_mask(self) -> np.ndarray:
         return self.sensitive_column == self.group_values[1]
 
-    def columns(self, feature_indices, names=None) -> np.ndarray:
-        """The feature matrix on the columns ``feature_indices``, the only
-        way the toolkit reads a model's inputs off a dataset: the matrix
-        itself when they are all its columns in order, else a copy of those
-        columns. Each index must be a column (``operator.index`` refuses a
-        float such as 1.0 with a TypeError; numpy would wrap a negative one),
-        and given ``names``, a model's feature names, the columns must carry
-        them."""
-        feats = tuple(operator.index(i) for i in feature_indices)
+    def checked_features(self, feature_indices=None) -> tuple[tuple[int, ...], tuple[str, ...]]:
+        """The column numbers ``feature_indices`` (default: all), each checked
+        to be a column, and their names. ``operator.index`` refuses a float
+        such as 1.0 with a TypeError; numpy would wrap a negative index."""
+        feats = tuple(range(self.d) if feature_indices is None else map(operator.index, feature_indices))
         if not feats:
             raise ValueError("need at least one feature column")
         if min(feats) < 0 or max(feats) >= self.d:
             raise ValueError(f"feature indices {feats} are not all columns 0..{self.d - 1} of the dataset")
-        if names is not None and tuple(names) != (own := tuple(self.feature_names[i] for i in feats)):
+        return feats, tuple(self.feature_names[i] for i in feats)
+
+    def columns(self, feature_indices, names=None) -> np.ndarray:
+        """The feature matrix on the columns ``feature_indices`` (checked by
+        ``checked_features``), the only way the toolkit reads a model's inputs
+        off a dataset: itself when they are all its columns in order, else a
+        copy of those columns, which must carry ``names``, a model's, if given."""
+        feats, own = self.checked_features(feature_indices)
+        if names is not None and tuple(names) != own:
             raise ValueError(f"model feature names {tuple(names)} differ from the dataset's columns {own}")
         return self.features if feats == tuple(range(self.d)) else self.features[:, feats]
 

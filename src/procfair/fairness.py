@@ -6,7 +6,6 @@ that composes them into a report.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -251,10 +250,9 @@ def matched_explanations(
 ) -> tuple[PairSelection, ExplanationSet, ExplanationSet]:
     """Select matched pairs and explain both sides with a shared background
     and coalition sample."""
-    feats = model.feature_indices
+    feats, names = pool.checked_features(model.feature_indices)
     X = pool.columns(feats, model.feature_names)
     pairs = select_pairs(pool, n, pair_seed, feats)
-    names = tuple(pool.feature_names[i] for i in feats)
     e1, e2 = (explain_set(model, X[rows], shap_config, names) for rows in (pairs.group1_rows, pairs.group2_rows))
     return pairs, e1, e2
 
@@ -383,10 +381,10 @@ def gpf_plan(split: SplitDataset, feature_indices, config: AuditConfig) -> GpfPl
     the training split, sized by ``config``, with all sub-seeds (background,
     coalitions, pairs, permutations) derived from ``config.seed``; the only
     place they are derived."""
-    feats = tuple(map(operator.index, feature_indices))
+    pool = split.test if config.pool == "test" else concat_datasets(split.train, split.test)
+    feats, names = pool.checked_features(feature_indices)
     seed = config.seed
     background = sample_background(split.train.columns(feats), config.background_size, derive_seed(seed, "background"))
-    pool = split.test if config.pool == "test" else concat_datasets(split.train, split.test)
     shap_config = ShapConfig(background, config.n_coalitions, seed=derive_seed(seed, "shap"))
     perm_config = PermutationConfig(config.n_permutations, derive_seed(seed, "permutation"))
     pairs = select_pairs(pool, config.n_pairs, derive_seed(seed, "pairs"), feats)
@@ -397,7 +395,7 @@ def gpf_plan(split: SplitDataset, feature_indices, config: AuditConfig) -> GpfPl
         X[pairs.group1_rows],
         X[pairs.group2_rows],
         feats,
-        tuple(pool.feature_names[i] for i in feats),
+        names,
         shap_config,
         perm_config,
         config,

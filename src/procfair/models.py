@@ -414,9 +414,8 @@ class MlpModel(_Family):
     def fit(cls, dataset, config: TrainConfig | None = None, feature_indices=None, hidden_size=None):
         """Initialize and train an MLP on a feature subset of the dataset."""
         config = config or TrainConfig()
-        feats = tuple(range(dataset.d) if feature_indices is None else feature_indices)
+        feats, names = dataset.checked_features(feature_indices)
         h = default_hidden_size(len(feats)) if hidden_size is None else hidden_size
-        names = tuple(dataset.feature_names[i] for i in feats)
         return train(init_mlp(len(feats), h, config.seed, feats, names), dataset, config)
 
     def refit(self, dataset, config: TrainConfig, feature_indices):
@@ -499,8 +498,7 @@ class LogisticModel(_Family):
         if hidden_size is not None:
             raise ValueError(f"{cls.kind} models have no hidden layer to size")
         config = config or TrainConfig()
-        feats = tuple(range(dataset.d) if feature_indices is None else feature_indices)
-        names = tuple(dataset.feature_names[i] for i in feats)
+        feats, names = dataset.checked_features(feature_indices)
         sens = feats.index(dataset.sensitive_index) if dataset.sensitive_index in feats else None
         return train(init_logistic(len(feats), feats, names, sens), dataset, config)
 

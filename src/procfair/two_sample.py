@@ -6,7 +6,6 @@ statistic to the textbook estimator.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import warnings
@@ -33,11 +32,9 @@ class KernelConfig:
     """Kernel for comparing explanation sets.
 
     ``bandwidth=None`` selects the median heuristic: the median of the
-    nonzero pairwise distances of the pooled sample, picked by selection.
-    ``permutation_pvalue`` fixes it once per test; it then screens the
-    permuted statistics in float32 and settles the near ones in float64,
-    counting ties. A fixed bandwidth must be finite, and a gaussian one
-    must leave its kernel's 2 sigma^2 above 0 and finite.
+    nonzero pairwise distances of the pooled sample, picked by selection and
+    fixed once per test. A fixed bandwidth must be finite, and a gaussian
+    one must leave its kernel's 2 sigma^2 above 0 and finite.
     """
 
     kind: str = "exponential"
@@ -168,64 +165,66 @@ def _tie_margin(a: int, b: int) -> float:
     return 8.0 * _gamma(2 * n + 5, 2.0**-53) * (n / b) ** 2
 
 
-def _screen(K: np.ndarray, row_sums: np.ndarray, Z: np.ndarray, Z32: np.ndarray, a: int, b: int):
-    """Statistics of Z's columns with s11 = z'Kz summed in float32, and per
-    column a bound on their distance from the float64 ones, tau aside;
-    ``row_sums`` is ``K.sum(axis=1)`` and ``Z32`` is Z in float32.
+def _screen(K: np.ndarray, row_sums: np.ndarray, Z32: np.ndarray, a: int, b: int):
+    """Statistics of the float32 membership columns Z32 with s11 = z'Kz and
+    zK1 = z'K1 summed in float32, and per column a bound on their distance
+    from the float64 ones, tau aside; ``row_sums`` is ``K.sum(axis=1)``.
 
     Rounding K to float32 and the two float32 sums of non-negative terms keep
     s11 within c = (1 + u)(1 + gamma_n)^2 - 1 of the exact s11 (u = 2^-24),
     so within c / (1 - c) of the float32 one; entries and partial sums below
-    float32's normal range add at most n^2 2^-125. The float64 rest adds at
-    most tau / 2, and gamma_n for n - 1 additions leaves a slack of u, which
-    covers the float64 rounding of the bound and of the comparisons with it.
-    So |screened - _stats_for_memberships| <= bound + tau.
+    float32's normal range add at most n^2 2^-125. zK1, from the row sums
+    rounded to float32 and one float32 sum, is within c of the exact zK1 with
+    a gamma_n to spare for the row sums' float64 rounding; they are at least
+    K's diagonal 1, so nothing underflows. A unit of s11 moves the statistic
+    by (n / ab)^2, one of zK1 by 2n / (a b^2). The float64 rest adds at most
+    tau / 2, and gamma_n for n - 1 additions leaves a slack of u, which covers
+    the float64 rounding of the bound and of the comparisons with it. So
+    |screened - _stats_for_memberships| <= bound + tau.
     """
     n = a + b
     s11 = np.einsum("ip,ip->p", Z32, K.astype(np.float32) @ Z32).astype(np.float64)
+    zK1 = (row_sums.astype(np.float32) @ Z32).astype(np.float64)
     c = (1.0 + 2.0**-24) * (1.0 + _gamma(n, 2.0**-24)) ** 2 - 1.0
     r = (1.0 + c / (1.0 - c)) * (1.0 + _gamma(5, 2.0**-53)) - 1.0
-    bound = (r * s11 + n * n * 2.0**-124) * (n / (a * b)) ** 2
-    return _mmd_from_sums(s11, row_sums @ Z, row_sums.sum(), a, b), bound
+    bound = (r * s11 + n * n * 2.0**-124) * (n / (a * b)) ** 2 + r * zK1 * 2.0 * n / (a * b * b)
+    return _mmd_from_sums(s11, zK1, row_sums.sum(), a, b), bound
 
 
-def permutation_memberships(n: int, a: int, perm_config: PermutationConfig, dtype=np.float64) -> np.ndarray:
-    """Read-only (n, P) 0/1 matrix whose column p marks the rows that the
-    p-th random permutation of the pooled sample assigns to the first sample
-    of size ``a``; the only place the permutation stream is drawn. It comes
-    in float64, or in float32 (``dtype``) for the test's screen; 0/1 is exact
-    in both.
+_MEMBERSHIP_MEMO: dict[tuple, np.ndarray] = {}
 
-    It depends on the sample sizes and ``perm_config`` alone, so it is memoized
-    with one entry, which holds the matrix in both dtypes: consecutive tests
-    over one key (a GPF test and its detection tests, repeated audits) share
-    it, and at most one entry is held after a call.
+
+def permutation_memberships(n: int, a: int, perm_config: PermutationConfig) -> np.ndarray:
+    """Read-only (n, P) float32 0/1 matrix whose column p marks the rows that
+    the p-th random permutation of the pooled sample assigns to the first
+    sample of size ``a``; the only place the permutation stream is drawn.
+
+    It depends on the sample sizes and ``perm_config`` alone, so it is
+    memoized with one entry: consecutive tests over one key (a GPF test and
+    its detection tests, repeated audits) share it, and it is dropped before
+    another key's matrix is drawn, so one matrix at most is ever held.
     """
     n, a = operator.index(n), operator.index(a)
     if not 0 < a < n:
         raise ValueError(f"first sample size {a} must lie strictly between 0 and {n}")
-    matrices = _draw_memberships(n, a, perm_config)
-    if np.dtype(dtype) not in matrices:
-        raise ValueError(f"the memberships come in float64 or float32, not {np.dtype(dtype)}")
-    return matrices[np.dtype(dtype)]
+    key = (n, a, perm_config)
+    if key not in _MEMBERSHIP_MEMO:
+        _MEMBERSHIP_MEMO.clear()
+        _MEMBERSHIP_MEMO[key] = _draw_memberships(n, a, perm_config)
+    return _MEMBERSHIP_MEMO[key]
 
 
-@functools.lru_cache(maxsize=1)
-def _draw_memberships(n: int, a: int, perm_config: PermutationConfig) -> dict[np.dtype, np.ndarray]:
+def _draw_memberships(n: int, a: int, perm_config: PermutationConfig) -> np.ndarray:
     rng = np.random.default_rng(perm_config.seed)
     P = perm_config.n_permutations
-    # row p is the p-th permutation of 0..n-1, drawn as rng.permutation(n) would
-    # draw it; the shuffle's draws depend on n alone, so int32 indices give the
-    # same permutations, and with them dropped before the float32 copy is made,
-    # a draw beside the previous entry peaks no higher than with float64 alone
-    perms = rng.permuted(np.tile(np.arange(n, dtype=np.int32), (P, 1)), axis=1)
-    Z = np.zeros((n, P))
+    # row p is the p-th permutation of 0..n-1 as rng.permutation(n) would draw it:
+    # the shuffle's draws depend on n alone, so int32 indices shuffled in place agree
+    perms = np.tile(np.arange(n, dtype=np.int32), (P, 1))
+    rng.permuted(perms, axis=1, out=perms)
+    Z = np.zeros((n, P), dtype=np.float32)
     Z[perms[:, :a].T, np.arange(P)] = 1.0
-    del perms
-    matrices = {Z.dtype: Z, np.dtype(np.float32): Z.astype(np.float32)}
-    for matrix in matrices.values():
-        matrix.setflags(write=False)
-    return matrices
+    Z.setflags(write=False)
+    return Z
 
 
 def permutation_pvalue(
@@ -241,11 +240,12 @@ def permutation_pvalue(
     ties count: a permuted split counts when its float64 statistic is at
     least the observed one less a float64 rounding bound, so a split with
     the observed statistic in exact arithmetic (its mirror, say) counts.
-    The permuted splits are the columns of
+    The permuted splits are the columns of the float32 matrix
     ``permutation_memberships(a + b, a, perm_config)``; their statistics are
     screened in float32, and those the screen's error bound cannot place are
-    settled in float64. A bandwidth so large that every kernel entry rounds
-    to 1 while some pooled row differs from another is a ValueError: every
+    settled in float64 on their columns cast to float64 (0/1 is exact in
+    both). A bandwidth so large that every kernel entry rounds to 1 while
+    some pooled row differs from another is a ValueError: every
     statistic would be 0 and p = 1 whatever the samples. (Identical samples,
     whose rows are all equal, still give p = 1.)
     """
@@ -272,11 +272,10 @@ def permutation_pvalue(
     observed = _stats_for_memberships(K, row_sums, observed_membership, a, b)[0]
     # a screened column above observed + bound counts and one below
     # observed - bound - 2 tau does not; the rest are scored again in float64
-    memberships32 = permutation_memberships(n, a, perm_config, np.float32)
-    fast, bound = _screen(K, row_sums, memberships, memberships32, a, b)
+    fast, bound = _screen(K, row_sums, memberships, a, b)
     tau = _tie_margin(a, b)
     near = np.abs(fast - observed) <= bound + 2.0 * tau
-    exact = _stats_for_memberships(K, row_sums, memberships[:, near], a, b)
+    exact = _stats_for_memberships(K, row_sums, memberships[:, near].astype(np.float64), a, b)
     count = int(np.sum(fast[~near] > observed)) + int(np.sum(exact >= observed - tau))
     return float((1 + count) / (1 + perm_config.n_permutations))
 

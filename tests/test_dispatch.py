@@ -74,7 +74,7 @@ def test_no_model_family_spells_out_the_objective():
 
 # the permutation stream is drawn in two_sample.py, where the test runs, and
 # exported from the package; every other module calls permutation_pvalue
-MEMBERSHIP_NAMES = {"permutation_memberships", "_draw_memberships"}
+MEMBERSHIP_NAMES = {"permutation_memberships", "_draw_memberships", "_MEMBERSHIP_MEMO"}
 
 
 def _membership_mentions(path: Path) -> list[str]:

@@ -36,6 +36,7 @@ from procfair.models import (
 )
 from procfair.two_sample import KernelConfig, PermutationConfig, permutation_pvalue
 from test_sweeps import _perfbench_tracing
+from test_two_sample import counted_draws
 
 
 @pytest.fixture(scope="module")
@@ -159,33 +160,35 @@ def test_detect_uses_the_audits_permutation_count(unfair_report):
     assert counts.min() == pytest.approx(1.0)  # the flagged features sit at the 1/201 floor
 
 
-def test_detection_shares_one_membership_matrix_across_features(unfair_report):
+def test_detection_shares_one_membership_matrix_across_features(unfair_report, monkeypatch):
     gpf = unfair_report.gpf
     e1, e2, kernel = gpf.explanations_1, gpf.explanations_2, KernelConfig("gaussian")
     independent = [
         permutation_pvalue(e1.values[:, [j]], e2.values[:, [j]], kernel, gpf.plan.perm_config) for j in range(e1.d)
     ]
-    draws = two_sample._draw_memberships
-    draws.cache_clear()
+    draws = counted_draws(monkeypatch)
     ufs = unfair_features_from_sets(e1, e2, gpf.plan.perm_config, kernel)
     assert ufs.pvalues.tolist() == independent
-    assert draws.cache_info().misses == 1
+    assert len(draws) == 1
     # detection tests with the matrix the same sizes and config already drew
     assert detect_unfair_features(unfair_report, kernel).pvalues.tolist() == independent
-    assert draws.cache_info().misses == 1
+    assert len(draws) == 1
 
 
-def test_audits_detection_and_modification_of_one_config_draw_one_matrix(unfair_model, small_split, unfair_report):
-    draws = two_sample._draw_memberships
-    draws.cache_clear()
+def test_audits_detection_and_modification_of_one_config_draw_one_matrix(
+    unfair_model, small_split, unfair_report, monkeypatch
+):
+    draws, reads = counted_draws(monkeypatch), []
+    read = two_sample.permutation_memberships
+    monkeypatch.setattr(two_sample, "permutation_memberships", lambda *key: reads.append(key) or read(*key))
     reports = [audit(unfair_model, small_split, unfair_report.config) for _ in range(2)]
     assert reports == [unfair_report, unfair_report]
     ufs = detect_unfair_features(reports[0])
     modify_model(reports[1], ufs, ModifyConfig(tau=5))
     # two audits, one test per feature and the modified model's audit, each
-    # reading the matrix in float64 and in float32 from one memo entry
-    assert draws.cache_info().misses == 1
-    assert draws.cache_info().hits == 2 * (3 + unfair_model.d) - 1
+    # reading the one matrix that their config drew
+    assert len(reads) == 3 + unfair_model.d
+    assert draws == [reads[0]]
 
 
 def test_detect_on_fair_model_empty(small_split):

@@ -497,6 +497,16 @@ def test_train_refuses_a_dataset_whose_columns_carry_other_names(small_split):
         train(init_mlp(2, 8, seed=0, feature_indices=(0, 5)), part, TrainConfig(epochs=1))
 
 
+@pytest.mark.parametrize("fit", [fit_mlp, fit_logistic])
+def test_fit_checks_the_feature_indices_before_naming_them(small_split, fit):
+    # the names were read off the dataset first, so a column past its last
+    # was an IndexError and a float one a TypeError about tuple indices
+    with pytest.raises(ValueError, match=r"feature indices \(0, 9\) are not all columns 0\.\.3"):
+        fit(small_split.train, TrainConfig(epochs=1), (0, 9))
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        fit(small_split.train, TrainConfig(epochs=1), (0, 1.0))
+
+
 @pytest.mark.parametrize("field, value", [("epochs", 2.5), ("epochs", 3.0), ("seed", 1.5), ("seed", "0")])
 def test_train_config_refuses_a_non_integer_field_by_name(field, value):
     # unchecked, epochs=2.5 failed later inside numpy with a TypeError

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from procfair.datasets import SyntheticConfig, generate_synthetic, standardized_
 from procfair.models import TrainConfig
 from procfair.sweeps import sweep_sensitive_weight
 from procfair.two_sample import (
+    KERNEL_KINDS,
     KernelConfig,
     PermutationConfig,
     _as_matrix,
@@ -296,33 +298,66 @@ def test_memberships_equal_the_per_column_loop(n, a, seed):
     for P in (100, 300, 1000):
         config = PermutationConfig(P, seed)
         Z = permutation_memberships(n, a, config)
-        assert Z.dtype == np.float64 and Z.flags.c_contiguous and not Z.flags.writeable
-        assert Z.tobytes() == _reference_memberships(n, a, config).tobytes()
+        assert Z.dtype == np.float32 and Z.flags.c_contiguous and not Z.flags.writeable
+        assert Z.tobytes() == _reference_memberships(n, a, config).astype(np.float32).tobytes()
 
 
-def test_the_memo_entry_holds_the_matrix_in_float32_beside_float64(monkeypatch):
-    # the test's screen reads the float32 matrix from the memo instead of
-    # casting the float64 one at every test
-    two_sample._draw_memberships.cache_clear()
+def counted_draws(monkeypatch) -> list:
+    """Clear the memberships memo and record the key of every matrix drawn
+    from then on."""
+    draws, draw = [], two_sample._draw_memberships
+
+    def counted(*key):
+        draws.append(key)
+        return draw(*key)
+
+    two_sample._MEMBERSHIP_MEMO.clear()
+    monkeypatch.setattr(two_sample, "_draw_memberships", counted)
+    return draws
+
+
+def test_the_screen_reads_the_memos_own_float32_matrix(monkeypatch):
+    # the test's screen reads the memo's float32 matrix, which it neither
+    # casts nor draws again for a second test over the key
+    draws = counted_draws(monkeypatch)
     config = PermutationConfig(300, 4)
-    Z, Z32 = (permutation_memberships(30, 12, config, dtype) for dtype in (np.float64, np.float32))
-    assert Z32.dtype == np.float32 and Z32.flags.c_contiguous and not Z32.flags.writeable
-    assert np.array_equal(Z32, Z)
-    with pytest.raises(ValueError, match="float64 or float32"):
-        permutation_memberships(30, 12, config, np.float16)
+    Z32 = permutation_memberships(30, 12, config)
     screened = []
     screen = two_sample._screen
 
-    def recorded(K, row_sums, Z, Z32, a, b):
+    def recorded(K, row_sums, Z32, a, b):
         screened.append(Z32)
-        return screen(K, row_sums, Z, Z32, a, b)
+        return screen(K, row_sums, Z32, a, b)
 
     monkeypatch.setattr(two_sample, "_screen", recorded)
     rng = np.random.default_rng(4)
     for _ in range(2):
         permutation_pvalue(rng.normal(size=(12, 3)), rng.normal(size=(18, 3)), None, config)
     assert screened[0] is screened[1] is Z32
-    assert two_sample._draw_memberships.cache_info().misses == 1
+    assert draws == [(30, 12, config)]
+
+
+def test_the_tests_working_memory_holds_one_float32_matrix(monkeypatch):
+    # 100 vs 100 rows and 1000 permutations under seeds 1, 2 and 1 again:
+    # each new key's matrix is drawn after the old one is dropped, so what
+    # stays is the last matrix, and the peak (the draw's int32 permutations
+    # and index beside the matrix, or the screen's float32 product beside
+    # it) stays within 3 of them; holding the old key during a draw breaks
+    # the peak bound (3.2 matrices), and a float64 copy the held one
+    draws = counted_draws(monkeypatch)
+    rng = np.random.default_rng(0)
+    E1, E2 = rng.normal(size=(100, 4)), rng.normal(0.2, 1.0, size=(100, 4))
+    matrix = 200 * 1000 * np.dtype(np.float32).itemsize
+    tracemalloc.start()
+    try:
+        for seed in (1, 2, 1):
+            permutation_pvalue(E1, E2, None, PermutationConfig(1000, seed))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [config.seed for *_, config in draws] == [1, 2, 1]
+    assert matrix <= held <= matrix + 2**16
+    assert peak <= 3 * matrix
 
 
 def _observed_column(a, b):
@@ -338,7 +373,7 @@ def _exact_with_ties(E1, E2, kernel_config, Z):
     a, b = E1.shape[0], E2.shape[0]
     K, _ = _pooled_kernel(E1, E2, kernel_config or KernelConfig())
     observed = _stats_for_memberships(K, K.sum(axis=1), _observed_column(a, b), a, b)[0]
-    exact = _stats_for_memberships(K, K.sum(axis=1), Z, a, b)
+    exact = _stats_for_memberships(K, K.sum(axis=1), Z.astype(np.float64), a, b)
     return (1 + int(np.sum(exact >= observed - _tie_margin(a, b)))) / (1 + Z.shape[1])
 
 
@@ -397,8 +432,9 @@ def test_screened_statistics_lie_within_the_bound_and_the_pvalue_follows_the_rul
         K, _ = _pooled_kernel(_as_matrix(E1), _as_matrix(E2), kernel)
         for seed in range(3):
             config = PermutationConfig(300, seed)
-            Z = permutation_memberships(n, a, config)
-            fast, bound = _screen(K, K.sum(axis=1), Z, permutation_memberships(n, a, config, np.float32), a, b)
+            Z32 = permutation_memberships(n, a, config)
+            fast, bound = _screen(K, K.sum(axis=1), Z32, a, b)
+            Z = Z32.astype(np.float64)
             exact = _stats_for_memberships(K, K.sum(axis=1), Z, a, b)
             assert np.all(np.abs(fast - exact) <= bound + _tie_margin(a, b))
             # at least the proven worst-case float32 error, c = (1+u)(1+gamma_n)^2 - 1
@@ -406,6 +442,41 @@ def test_screened_statistics_lie_within_the_bound_and_the_pvalue_follows_the_rul
             s11 = np.einsum("ip,ip->p", Z, K @ Z)
             assert np.all(bound >= c * s11 * (1 / a + 1 / b) ** 2 * (1 - 1e-12))
             assert permutation_pvalue(E1, E2, kernel, config) == _exact_with_ties(E1, E2, kernel, Z)
+
+
+@given(
+    st.integers(2, 60),
+    st.integers(2, 60),
+    st.integers(1, 4),
+    st.sampled_from(KERNEL_KINDS),
+    st.one_of(st.none(), st.floats(0.01, 20.0)),
+    st.integers(1, 120),
+    st.floats(0.0, 1.5),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_screened_statistics_of_random_samples_lie_within_the_bound(a, b, d, kind, bandwidth, distinct, shift, seed):
+    # samples drawn with repeats from `distinct` rows, so equal rows, zero
+    # distances and tied splits come up alongside spread-out ones
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(min(distinct, a + b), d))
+    E1 = rows[rng.integers(0, len(rows), a)]
+    E2 = rows[rng.integers(0, len(rows), b)] + shift
+    kernel, config = KernelConfig(kind, bandwidth), PermutationConfig(100, seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # equal rows throughout fall back to bandwidth 1.0
+        K, _ = _pooled_kernel(E1, E2, kernel)
+        Z32 = permutation_memberships(a + b, a, config)
+        fast, bound = _screen(K, K.sum(axis=1), Z32, a, b)
+        Z = Z32.astype(np.float64)
+        exact = _stats_for_memberships(K, K.sum(axis=1), Z, a, b)
+        assert np.all(np.abs(fast - exact) <= bound + _tie_margin(a, b))
+        # at least the proven worst-case float32 error c of s11 and of zK1,
+        # each times the statistic's change per unit of it
+        n, c = a + b, (1 + 2.0**-24) * (1 + _gamma(a + b, 2.0**-24)) ** 2 - 1
+        s11, zK1 = np.einsum("ip,ip->p", Z, K @ Z), K.sum(axis=1) @ Z
+        assert np.all(bound >= c * (s11 * (n / (a * b)) ** 2 + zK1 * 2 * n / (a * b * b)) * (1 - 1e-12))
+        assert permutation_pvalue(E1, E2, kernel, config) == _exact_with_ties(E1, E2, kernel, Z32)
 
 
 def test_sweep_pvalues_follow_the_rule(monkeypatch):
