@@ -499,8 +499,8 @@ def test_train_refuses_a_dataset_whose_columns_carry_other_names(small_split):
 
 @pytest.mark.parametrize("fit", [fit_mlp, fit_logistic])
 def test_fit_checks_the_feature_indices_before_naming_them(small_split, fit):
-    # the names were read off the dataset first, so a column past its last
-    # was an IndexError and a float one a TypeError about tuple indices
+    # the indices are checked before the dataset's names are read off them,
+    # so a column past the last is refused by name, not by an IndexError
     with pytest.raises(ValueError, match=r"feature indices \(0, 9\) are not all columns 0\.\.3"):
         fit(small_split.train, TrainConfig(epochs=1), (0, 9))
     with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
