@@ -24,12 +24,10 @@ from .models import (
     LogisticModel,
     MlpModel,
     TrainConfig,
-    bce_loss,
     fit_logistic,
     fit_mlp,
     init_mlp,
     predict_labels,
-    predict_proba,
     set_sensitive_weight,
     train,
 )
@@ -53,10 +51,9 @@ from .fairness import (
     PairSelection,
     audit,
     dp,
-    eo,
-    eod,
     gpf_plan,
     gpf_run,
+    prediction_metrics,
     select_pairs,
 )
 from .mitigation import (

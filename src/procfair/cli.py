@@ -326,7 +326,7 @@ def cmd_boundary(args) -> dict:
     write_table(
         out / "boundary.csv",
         ["x", "y", "pred_original", "pred_modified", "pred_retrained"],
-        [*plane.T, *preds.values()],
+        [*plane.T, *(pred.astype(np.int64) for pred in preds.values())],
     )
     write_table(out / "boundary_points.csv", ["x", "y", "label"], [*pca.projected.T, full.labels])
 

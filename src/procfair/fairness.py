@@ -31,8 +31,6 @@ __all__ = [
     "gpf_plan",
     "gpf_run",
     "dp",
-    "eo",
-    "eod",
     "prediction_metrics",
     "audit",
 ]
@@ -323,16 +321,6 @@ def dp(predictions, group_mask) -> float:
     # DP reads only the group x prediction margin, so every truth may be 0
     predictions = np.asarray(predictions)
     return _dp(_counts(predictions, np.zeros(predictions.shape, dtype=bool), group_mask))
-
-
-def eo(predictions, truths, group_mask) -> float:
-    """Equal opportunity: gap between the groups' true-positive rates."""
-    return _eo(_counts(predictions, truths, group_mask))
-
-
-def eod(predictions, truths, group_mask) -> float:
-    """Equalized odds: mean of the FPR gap and the TPR gap."""
-    return _eod(_counts(predictions, truths, group_mask))
 
 
 def prediction_metrics(model, dataset: TabularDataset) -> dict:

@@ -50,9 +50,7 @@ __all__ = [
     "init_mlp",
     "init_logistic",
     "decision_score",
-    "predict_proba",
     "predict_labels",
-    "bce_loss",
     "train",
     "fit_mlp",
     "fit_logistic",
@@ -606,20 +604,9 @@ def decision_score(model, X) -> np.ndarray:
     return model.scores(_check_inputs(model, X))
 
 
-def predict_proba(model, X) -> np.ndarray:
-    """Positive-class probabilities, clipped strictly inside (0, 1)."""
-    X = _check_inputs(model, X)
-    p = _sigmoid(model.scores(X))
-    return np.clip(p, 1e-15, 1.0 - 1e-15)
-
-
 def predict_labels(model, X) -> np.ndarray:
-    return (decision_score(model, X) >= 0).astype(np.int64)
-
-
-def bce_loss(model, X, y) -> float:
-    """Mean binary cross-entropy with probabilities clamped to [1e-7, 1-1e-7]."""
-    return _clamped_bce(predict_proba(model, X), np.asarray(y, dtype=float))
+    """The boolean mask of the rows predicted positive."""
+    return decision_score(model, X) >= 0
 
 
 def set_sensitive_weight(model: LogisticModel, w_s: float) -> LogisticModel:

@@ -12,6 +12,9 @@ package because no program path calls them.
   the permutation test's quadratic forms are held to.
 - ``isotonic_decreasing`` smooths criterion 07's sweep medians.
 - ``read_explanations_csv`` reads what ``audit --export-explanations`` writes.
+- ``predict_proba`` and ``bce_loss`` are a model's probabilities and its
+  mean clamped BCE, read from its scores; training computes both inside
+  its own steps.
 - ``soft_dp`` and ``input_gradient`` state the training penalty and the
   input gradients in their plain form.
 - ``gemm_mlp_loss_grads`` and ``gemm_mlp_modified_grads`` are the MLP's
@@ -50,7 +53,7 @@ import numpy as np
 
 from procfair.attribution import ExplanationSet
 from procfair.datasets import SplitDataset, TabularDataset, load_schema
-from procfair.models import _check_inputs, _clamped_bce, _delta_scores, _sigmoid, predict_proba
+from procfair.models import _check_inputs, _clamped_bce, _delta_scores, _sigmoid
 from procfair.two_sample import KernelConfig, _as_matrix, _pooled_kernel
 
 EXACT_SHAPLEY_MAX_D = 15
@@ -293,6 +296,18 @@ def read_explanations_csv(path) -> ExplanationSet:
         raise ValueError("not an explanation CSV (missing base/target columns)")
     data = np.array([[float(c) for c in row] for row in rows[1:]])
     return ExplanationSet(data[:, :-2], data[:, -2], data[:, -1], tuple(header[:-2]))
+
+
+def predict_proba(model, X) -> np.ndarray:
+    """Positive-class probabilities, clipped strictly inside (0, 1)."""
+    X = _check_inputs(model, X)
+    p = _sigmoid(model.scores(X))
+    return np.clip(p, 1e-15, 1.0 - 1e-15)
+
+
+def bce_loss(model, X, y) -> float:
+    """Mean binary cross-entropy with probabilities clamped to [1e-7, 1-1e-7]."""
+    return _clamped_bce(predict_proba(model, X), np.asarray(y, dtype=float))
 
 
 def soft_dp(model, X, group_mask) -> float:

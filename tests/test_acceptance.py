@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 import pytest
-from oracles import ScoreFunction, exact_shapley, input_gradient, isotonic_decreasing
+from oracles import ScoreFunction, bce_loss, exact_shapley, input_gradient, isotonic_decreasing, predict_proba
 
 from procfair.attribution import ShapConfig, explain_set
 from procfair.cli import main as cli_main
@@ -32,11 +32,9 @@ from procfair.mitigation import (
 from procfair.models import (
     MlpModel,
     TrainConfig,
-    bce_loss,
     fit_mlp,
     init_mlp,
     predict_labels,
-    predict_proba,
 )
 from procfair.sweeps import sweep_sensitive_weight
 from procfair.two_sample import PermutationConfig, permutation_pvalue

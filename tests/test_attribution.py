@@ -3,7 +3,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from oracles import ScoreFunction, exact_shapley, read_explanations_csv
+from oracles import ScoreFunction, exact_shapley, predict_proba, read_explanations_csv
 
 from procfair.attribution import (
     ExplanationSet,
@@ -16,7 +16,7 @@ from procfair.attribution import (
 )
 from procfair.datasets import SyntheticConfig, generate_synthetic, standardized_split
 from procfair.fairness import AuditConfig, gpf_plan
-from procfair.models import MlpModel, TrainConfig, decision_score, fit_mlp, init_mlp, predict_proba
+from procfair.models import MlpModel, TrainConfig, decision_score, fit_mlp, init_mlp
 
 
 def linear_fn(w, b=0.0):

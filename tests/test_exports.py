@@ -44,7 +44,21 @@ def test_no_module_has_an_unused_import():
     assert not unused
 
 
-def _reads_in_program(src: Path) -> set[str]:
+def _module_reads(tree: ast.AST, modules: set[str]) -> set[str]:
+    """Names ``tree`` loads, and attributes that a package module's name
+    qualifies (``fairness.audit``, ``cli.main``). A stored name (the field
+    ``eo: float``) or an attribute of any other value (``report.eo``) reads
+    no function of that name."""
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
+            reads.add(node.attr)
+    return reads
+
+
+def _reads_in_program(src: Path, modules: set[str]) -> set[str]:
     """Names the package's modules read, outside ``__init__``'s re-exports,
     the ``__all__`` lists, imports and the statement that defines a name."""
     reads = set()
@@ -60,22 +74,16 @@ def _reads_in_program(src: Path) -> set[str]:
             elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
                 targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
                 defined |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
-            names = {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)}
-            names |= {n.attr for n in ast.walk(stmt) if isinstance(n, ast.Attribute)}
-            reads |= names - defined
+            reads |= _module_reads(stmt, modules) - defined
     return reads
 
 
-def _words(tree: ast.AST) -> set[str]:
-    """Every name, attribute, imported name and word of a string literal in
-    ``tree``: perfbench's tracer names what it rebinds in strings."""
-    words = set()
+def _words(tree: ast.AST, modules: set[str]) -> set[str]:
+    """What ``tree`` reads, every imported name and every word of a string
+    literal: perfbench's tracer names what it rebinds in strings."""
+    words = _module_reads(tree, modules)
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            words.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            words.add(node.attr)
-        elif isinstance(node, ast.alias):
+        if isinstance(node, ast.alias):
             words.add(node.name.rsplit(".", 1)[-1])
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             words |= set(re.findall(r"\w+", node.value))
@@ -86,14 +94,16 @@ def test_every_exported_name_is_read_outside_the_tests():
     # the package exports what the program, the study driver, the benchmark
     # and README's library code use; references only tests call live in tests/
     repo = Path(__file__).resolve().parents[1]
-    reads = _reads_in_program(repo / "src" / "procfair")
+    infos = list(pkgutil.iter_modules(procfair.__path__, "procfair."))
+    modules = {"procfair", *(info.name.rsplit(".", 1)[-1] for info in infos)}
+    reads = _reads_in_program(repo / "src" / "procfair", modules)
     for path in [*(repo / "scripts").rglob("*.py"), *(repo / "perfbench").rglob("*.py")]:
-        reads |= _words(ast.parse(path.read_text(encoding="utf-8")))
+        reads |= _words(ast.parse(path.read_text(encoding="utf-8")), modules)
     readme = (repo / "README.md").read_text(encoding="utf-8")
     for block in re.findall(r"```python\n(.*?)```", readme, re.S):
-        reads |= _words(ast.parse(block))
+        reads |= _words(ast.parse(block), modules)
     unread = []
-    for info in pkgutil.iter_modules(procfair.__path__, "procfair."):
+    for info in infos:
         module = importlib.import_module(info.name)
         unread += [f"{info.name}.{name}" for name in getattr(module, "__all__", ()) if name not in reads]
     assert not unread, f"exported, but read only by tests: {unread}"

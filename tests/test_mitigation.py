@@ -5,7 +5,12 @@ from mlp_reference import (
     reference_mlp_loss_grads,
     reference_mlp_modified_grads,
 )
-from oracles import closed_form_logistic_modified_grads, gemm_mlp_loss_grads, gemm_mlp_modified_grads
+from oracles import (
+    closed_form_logistic_modified_grads,
+    gemm_mlp_loss_grads,
+    gemm_mlp_modified_grads,
+    predict_proba,
+)
 
 from procfair import two_sample
 from procfair.attribution import ExplanationSet
@@ -31,7 +36,6 @@ from procfair.models import (
     fit_mlp,
     init_mlp,
     predict_labels,
-    predict_proba,
     train,
 )
 from procfair.two_sample import KernelConfig, PermutationConfig, permutation_pvalue

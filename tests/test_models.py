@@ -15,7 +15,7 @@ from mlp_reference import (
     reference_mlp_loss_grads,
     reference_sigmoid,
 )
-from oracles import _masked_values, input_gradient, soft_dp
+from oracles import _masked_values, bce_loss, input_gradient, predict_proba, soft_dp
 from test_mitigation import ORACLE_STEP_CASES
 
 from procfair.datasets import SyntheticConfig, TabularDataset, generate_synthetic, standardized_split
@@ -26,7 +26,6 @@ from procfair.models import (
     TrainConfig,
     TrainingDivergedError,
     _sigmoid,
-    bce_loss,
     decision_score,
     default_hidden_size,
     fit_logistic,
@@ -37,7 +36,6 @@ from procfair.models import (
     model_from_dict,
     model_to_dict,
     predict_labels,
-    predict_proba,
     save_model,
     set_sensitive_weight,
     train,
@@ -126,6 +124,7 @@ def test_labels_threshold():
     model = LogisticModel(np.array([1.0]), 0.0)
     labels = predict_labels(model, [[-0.1], [0.0], [0.1], [-1e-17]])
     # the label is the sign of the score, also where the sigmoid rounds to 0.5
+    assert labels.dtype == bool
     assert list(labels) == [0, 1, 1, 0]
 
 
